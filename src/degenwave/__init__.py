@@ -14,12 +14,11 @@ __version__ = "0.1.0"
 from .mesh import (Mesh, QuarticTensor, SpatialOperators, assemble, build_mesh,
                    eigenpair, hat_load, l2_project, mesh_from_h,
                    ritz_project_h1)
-from .linop import (BlockGenerator, ExponentialOverflowError, Propagator,
-                    energy, energy_inner, energy_norm, expm_taylor, h1_norm,
-                    l2_norm, make_generator, matrix_exponential)
-from .linwave import (ForcingSamples, ModalState, Trajectory,
-                      analytic_linear_damped, duhamel_step, exact_group,
-                      modal_nodal_state, newton_cotes_weights,
+from .linop import (BlockGenerator, Propagator, energy, energy_inner,
+                    energy_norm, h1_norm, l2_norm, make_generator,
+                    matrix_exponential)
+from .linwave import (ModalState, Trajectory, analytic_linear_damped,
+                      exact_group, modal_nodal_state, newton_cotes_weights,
                       solve_linear_inhomogeneous)
 from .picard import (DegenerateDamping, LinearDamping, PicardConfig,
                      PicardDivergenceError, PicardResult, PrimitiveDamping,
@@ -35,6 +34,7 @@ from .experiments import (EnergyTrace, FrequencyRun, LowerOrderReport,
                           ModeData, PrimitiveResult, PrimitiveSetup,
                           closed_form_potential_m1, conservative_comparison,
                           continuum_energy_error, decay_rate_fit,
-                          extend_with_ab5, fractional_sine_norm,
-                          frequency_sweep, lower_order_decay,
-                          mode_initial_state, primitive_setup, primitive_solve)
+                          dissipation_exponent, extend_with_ab5,
+                          fractional_sine_norm, frequency_sweep,
+                          lower_order_decay, mode_initial_state,
+                          primitive_setup, primitive_solve)

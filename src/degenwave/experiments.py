@@ -15,7 +15,8 @@ import numpy as np
 
 from .linop import (BlockGenerator, Propagator, energy, energy_norm, h1_norm,
                     l2_norm, make_generator, matrix_exponential)
-from .linwave import ModalState, Trajectory, exact_group, modal_nodal_state
+from .linwave import (NEWTON_COTES_RULES, ModalState, Trajectory, exact_group,
+                      modal_nodal_state)
 from .mesh import (Mesh, SpatialOperators, hat_load_from_values,
                    values_at_gauss)
 from .multistep import extend_trajectory, semilinear_rhs, stable_substeps
@@ -116,7 +117,7 @@ def frequency_sweep(ks, alpha: float, m: int, mesh: Mesh, ops: SpatialOperators,
     """
     if gen is None:
         gen = make_generator(ops)
-    m_pts = {"boole": 5, "simpson38": 4}[rule]
+    m_pts, _ = NEWTON_COTES_RULES[rule]
     if propagator is None:
         propagator = matrix_exponential(gen, delta, points=m_pts)
     config = PicardConfig(t_final=t_final, delta=delta, alpha=alpha, m=m,
@@ -158,8 +159,8 @@ def conservative_comparison(run: FrequencyRun, mesh: Mesh,
     u0 = run.data.y0[: mesh.n]
     if discrete_frequency:
         # sine samples are exact eigenvectors of the (K, M) pencil
-        th = run.k * np.pi * mesh.h
-        w = np.sqrt((6.0 / mesh.h**2) * (1 - np.cos(th)) / (2 + np.cos(th)))
+        mu, kappa = ops.sine_eigenvalues()
+        w = np.sqrt(kappa[run.k - 1] / mu[run.k - 1])
         t = traj.times[:, None]
         ref = np.concatenate([np.cos(w * t) * u0, -w * np.sin(w * t) * u0],
                              axis=1)
@@ -222,11 +223,10 @@ def primitive_setup(k: int, m: int, mesh: Mesh, ops: SpatialOperators,
     _, xi, w = mesh.element_gauss(npts)
     vals = damping.antiderivative(values_at_gauss(mesh, u0, xi))
     load = hat_load_from_values(mesh, vals, xi, w)
-    from scipy.linalg import solveh_banded
-    kb = np.zeros((2, mesh.n))
-    kb[0, 1:] = ops.stiffness_off
-    kb[1] = ops.stiffness_diag
-    phi0 = solveh_banded(kb, -load)
+    # K phi0 = -load, solved in the sine modes that diagonalize K
+    sine = ops.sine_basis()
+    _, kappa = ops.sine_eigenvalues()
+    phi0 = sine @ (sine @ -load / kappa)
     return PrimitiveSetup(k=k, m=m, alpha=alpha, data=data, phi0=phi0,
                           damping=damping)
 
@@ -311,6 +311,29 @@ def decay_rate_fit(trace: EnergyTrace, window: tuple[float, float]) -> float:
         raise ValueError("energy must be positive throughout the fit window")
     slope = np.polyfit(np.log(trace.times[mask]), np.log(e), 1)[0]
     return float(-slope)
+
+
+def dissipation_exponent(trace: EnergyTrace,
+                         window: tuple[float, float]) -> float:
+    """Exponent p of E ~ (t + t0)^{-p} from the dissipation law, free of t0.
+
+    Such an E obeys dE/dt = -C E^{1 + 1/p}.  E is sampled at unit steps on
+    the window; the slope q of log(E_i - E_{i+1}) against
+    log sqrt(E_i E_{i+1}) estimates 1 + 1/p, so p = 1/(q - 1).  Unlike
+    ``decay_rate_fit`` it is not biased by the shift t0.
+    """
+    t1, t2 = window
+    samples = np.interp(np.arange(t1, t2 + 0.5), trace.times, trace.energy)
+    if len(samples) < 3:
+        raise ValueError(f"window [{t1:g}, {t2:g}] holds fewer than three "
+                         "unit-step samples")
+    loss = samples[:-1] - samples[1:]
+    if (loss <= 0).any():
+        raise ValueError("energy loss over a sampling interval is not "
+                         "positive, so its logarithm is undefined")
+    mean = np.sqrt(samples[:-1] * samples[1:])
+    q = np.polyfit(np.log(mean), np.log(loss), 1)[0]
+    return float(1.0 / (q - 1.0))
 
 
 @dataclass(eq=False)

@@ -4,7 +4,8 @@ States are stacked coefficient vectors y = (u, v) of length 2n where u holds
 displacement and v velocity coefficients.  The generator acts as
 y -> (v, -M^{-1} K u) and is skew-adjoint in the energy inner product
 <(u,v),(w,z)> = u^T K w + v^T M z, so its exponential is an isometry of the
-energy norm.
+energy norm.  On the uniform mesh the discrete sine vectors diagonalize M and
+K, so the exponential is one rotation per sine mode.
 """
 
 from __future__ import annotations
@@ -14,10 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import SpatialOperators
-
-
-class ExponentialOverflowError(RuntimeError):
-    """Scaling could not bring the matrix norm into the Taylor range."""
 
 
 class BlockGenerator:
@@ -34,14 +31,6 @@ class BlockGenerator:
         return np.concatenate([v, -self.ops.solve_mass(self.ops.apply_stiffness(u))],
                               axis=-1)
 
-    def dense(self) -> np.ndarray:
-        """Dense 2n x 2n matrix [[0, I], [-M^{-1}K, 0]]."""
-        n = self.n
-        a = np.zeros((2 * n, 2 * n))
-        a[:n, n:] = np.eye(n)
-        a[n:, :n] = -self.ops.solve_mass(self.ops.stiffness_matrix().T).T
-        return a
-
     def max_frequency(self) -> float:
         """sqrt of the largest generalized stiffness/mass eigenvalue."""
         return float(np.sqrt(self.ops.max_generalized_eigenvalue()))
@@ -51,80 +40,56 @@ def make_generator(ops: SpatialOperators) -> BlockGenerator:
     return BlockGenerator(ops)
 
 
-def expm_taylor(a: np.ndarray, max_terms: int = 40, max_squarings: int = 64) -> np.ndarray:
-    """Matrix exponential by scaling and a truncated Taylor series.
-
-    The argument is scaled by 2^{-s} until its 1-norm is at most 1/2, the
-    series is summed until the next term falls below machine precision
-    relative to the partial sum, and the result is squared s times.  For the
-    norms arising here the truncation error sits far below 1e-12 relative.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("square matrix required")
-    nrm = np.linalg.norm(a, 1)
-    s = 0
-    if nrm > 0.5:
-        s = int(np.ceil(np.log2(nrm / 0.5)))
-        if s > max_squarings:
-            raise ExponentialOverflowError(
-                f"matrix 1-norm {nrm:.3e} needs {s} squarings (> {max_squarings}); "
-                "reduce the step")
-    b = a / 2.0**s
-    acc = np.eye(a.shape[0]) + b
-    term = b
-    for j in range(2, max_terms + 1):
-        term = term @ b / j
-        acc = acc + term
-        if np.linalg.norm(term, 1) <= 2e-16 * np.linalg.norm(acc, 1):
-            break
-    for _ in range(s):
-        acc = acc @ acc
-    return acc
-
-
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Propagator:
-    """exp(step * A) together with its sub-step powers for quadrature.
+    """exp(step * A) in the discrete sine modes, with its sub-step phases.
 
-    ``powers[j]`` is exp(j * theta * A) with theta = step/(points-1); the
-    last entry is the full-step propagator.  All matrices are immutable
-    after construction.
+    With u = S a and v = S b, the generator decouples into one oscillator
+    a_j'' = -omega_j^2 a_j per mode, and the complex amplitude
+    z_j = omega_j a_j + i b_j rotates as z_j(t) = exp(-i omega_j t) z_j(0).
+    ``powers[j]`` holds the per-mode phase factors of exp(j * theta * A)
+    with theta = step/(points-1); the last entry is the full step.  The
+    arrays are not modified after construction, so one instance can be
+    shared across threads.
     """
 
     step: float
     points: int
-    powers: list
+    sine: np.ndarray      # orthonormal, symmetric sine matrix S (S @ S = I)
+    omega: np.ndarray     # discrete frequencies sqrt(kappa_j / mu_j)
+    powers: tuple
 
     @property
     def theta(self) -> float:
         return self.step / (self.points - 1)
 
-    @property
-    def full(self) -> np.ndarray:
-        return self.powers[-1]
+    def modal(self, y: np.ndarray) -> np.ndarray:
+        """Complex modal amplitudes z = omega S u + i S v of stacked states."""
+        n = len(self.omega)
+        return self.omega * (y[..., :n] @ self.sine) + 1j * (y[..., n:] @ self.sine)
 
-    @classmethod
-    def from_matrix(cls, a: np.ndarray, step: float, points: int = 5) -> "Propagator":
-        if points < 2:
-            raise ValueError("need at least two quadrature points")
-        theta = step / (points - 1)
-        q = expm_taylor(theta * np.asarray(a, dtype=float))
-        powers = [np.eye(a.shape[0])]
-        for _ in range(points - 1):
-            powers.append(powers[-1] @ q)
-        return cls(step=step, points=points, powers=powers)
+    def nodal(self, z: np.ndarray) -> np.ndarray:
+        """Stacked states (u, v) of complex modal amplitudes; inverts ``modal``."""
+        return np.concatenate([(z.real / self.omega) @ self.sine,
+                               z.imag @ self.sine], axis=-1)
 
 
 def matrix_exponential(gen: BlockGenerator, step: float, points: int = 5) -> Propagator:
     """Propagator for the wave generator over one time step.
 
     ``points`` is the closed Newton-Cotes point count whose sub-step
-    exponentials get cached alongside the full step.
+    phases get cached alongside the full step.
     """
     if not np.isfinite(step):
         raise ValueError("step must be finite")
-    return Propagator.from_matrix(gen.dense(), step, points)
+    if points < 2:
+        raise ValueError("need at least two quadrature points")
+    mu, kappa = gen.ops.sine_eigenvalues()
+    omega = np.sqrt(kappa / mu)
+    theta = step / (points - 1)
+    powers = tuple(np.exp(-1j * (j * theta) * omega) for j in range(points))
+    return Propagator(step=step, points=points, sine=gen.ops.sine_basis(),
+                      omega=omega, powers=powers)
 
 
 # -- energy functionals ------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Three independent routes to the linear string are collected here: the exact
 per-mode rotation group, a variation-of-parameters integrator whose Duhamel
-integral is discretized by a closed Newton-Cotes rule with cached propagator
-powers, and the closed-form single-mode solution with viscous damping.
+integral is discretized by a closed Newton-Cotes rule and evaluated as
+rotations of the discrete sine modes, and the closed-form single-mode
+solution with viscous damping.
 """
 
 from __future__ import annotations
@@ -105,70 +106,38 @@ def modal_nodal_state(modal: ModalState, mesh: Mesh) -> np.ndarray:
 
 # -- Duhamel stepping --------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class ForcingSamples:
-    """Second-block forcing vectors at the quadrature abscissae of one step."""
-
-    times: np.ndarray
-    values: np.ndarray  # (m, n)
-
-
-def _gather_matrices(prop: Propagator, rule: str):
-    """w_j * exp((m-1-j) theta A) restricted to the velocity block columns."""
-    m, _ = NEWTON_COTES_RULES[rule]
-    if prop.points != m:
-        raise ValueError(f"propagator caches {prop.points} powers, rule needs {m}")
-    w = newton_cotes_weights(rule, prop.step)
-    n = prop.full.shape[0] // 2
-    return [w[j] * prop.powers[m - 1 - j][:, n:] for j in range(m)]
-
-
-def duhamel_step(prop: Propagator, y: np.ndarray, forcing: ForcingSamples,
-                 rule: str = "boole") -> np.ndarray:
-    """One step of the variation-of-parameters formula.
-
-    y(t+step) = P y(t) + sum_j w_j exp((t+step-s_j) A) (0, f(s_j)) with the
-    abscissae s_j equally spaced over the step.  The forcing must be sampled
-    exactly at those abscissae.
-    """
-    m, _ = NEWTON_COTES_RULES[rule]
-    if forcing.values.shape[0] != m:
-        raise ValueError(f"rule {rule!r} needs {m} samples, got {forcing.values.shape[0]}")
-    expected = forcing.times[0] + prop.theta * np.arange(m)
-    if not np.allclose(forcing.times, expected, atol=1e-9 * max(1.0, prop.step)):
-        raise ValueError("forcing samples are not at the quadrature abscissae")
-    mats = _gather_matrices(prop, rule)
-    out = prop.full @ y
-    for j in range(m):
-        out = out + mats[j] @ forcing.values[j]
-    return out
-
-
 def sweep(prop: Propagator, y0: np.ndarray, f_absc: np.ndarray,
           rule: str = "boole") -> np.ndarray:
     """Repeated Duhamel steps with pre-tabulated forcing.
 
+    Step i applies y_{i+1} = P y_i + sum_j w_j exp((step - j theta) A) (0, f_ij)
+    with the forcing f_ij sampled at the rule's equally spaced abscissae.
     ``f_absc`` holds the second-block forcing at every abscissa of the run,
     shape ((points-1)*nsteps + 1, n); consecutive steps share their endpoint
     sample.  Returns the (nsteps+1, 2n) array of states including y0.
+
+    In the modal amplitudes z of ``Propagator.modal`` the forcing enters as
+    z' = -i omega z + i S f, so with P_i = exp(-i omega i step) the states are
+    z_i = P_i (z_0 + sum_{l<i} conj(P_{l+1}) c_l), where c_l is the step's
+    weighted, phase-shifted forcing sum: one cumulative sum over the steps.
     """
     m, _ = NEWTON_COTES_RULES[rule]
+    if prop.points != m:
+        raise ValueError(f"propagator caches {prop.points} powers, rule needs {m}")
     r = m - 1
     nsteps = (f_absc.shape[0] - 1) // r
     if f_absc.shape[0] != r * nsteps + 1:
         raise ValueError("forcing sample count does not tile the steps")
-    mats = _gather_matrices(prop, rule)
-    contrib = np.zeros((nsteps, 2 * f_absc.shape[1]))
-    for j in range(m):
-        rows = f_absc[j: j + r * (nsteps - 1) + 1: r]
-        contrib += rows @ mats[j].T
-    states = np.empty((nsteps + 1, y0.shape[0]))
+    w = newton_cotes_weights(rule, prop.step)
+    g = f_absc @ prop.sine
+    c = sum(1j * w[j] * prop.powers[r - j] * g[j: j + r * (nsteps - 1) + 1: r]
+            for j in range(m))
+    phase = np.exp(-1j * np.outer(prop.step * np.arange(nsteps + 1), prop.omega))
+    z = np.empty_like(phase)
+    z[0] = prop.modal(y0)
+    z[1:] = z[0] + np.cumsum(phase[1:].conj() * c, axis=0)
+    states = prop.nodal(phase * z)
     states[0] = y0
-    y = y0
-    p = prop.full
-    for i in range(nsteps):
-        y = p @ y + contrib[i]
-        states[i + 1] = y
     return states
 
 
@@ -180,8 +149,8 @@ def solve_linear_inhomogeneous(gen: BlockGenerator, y0: np.ndarray, forcing,
 
     ``forcing`` is a callable mapping an array of times to the (len, n) array
     of forcing coefficient vectors; it is evaluated directly at the
-    quadrature abscissae.  The homogeneous part is advanced recursively by
-    the cached one-step propagator rather than re-exponentiated per step.
+    quadrature abscissae.  The homogeneous part is advanced by the exact
+    per-mode rotations of the propagator.
     """
     nsteps = int(round((t_final - t0) / delta))
     if nsteps < 1 or abs(t0 + nsteps * delta - t_final) > 1e-9:

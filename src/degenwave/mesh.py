@@ -177,15 +177,38 @@ class SpatialOperators:
         out = cho_solve_banded((self._mass_cho, False), flat.T).T
         return out.reshape(b.shape)
 
-    def max_generalized_eigenvalue(self) -> float:
-        """Largest lambda with K v = lambda M v, in closed form for this mesh.
+    # -- the discrete sine modes ---------------------------------------------
+    def sine_eigenvalues(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues (mu_j, kappa_j), j = 1..n, of M and K on the sine vectors.
 
         Both matrices are Toeplitz tridiagonal, so the discrete sine vectors
-        diagonalize the pencil simultaneously.
+        diagonalize them simultaneously:
+        mu_j = (h/3)(2 + cos j pi h) and kappa_j = (2/h)(1 - cos j pi h),
+        the latter evaluated as (4/h) sin^2(j pi h/2) to avoid cancellation
+        for the low modes.
+        """
+        h = self.mesh.h
+        angle = np.pi * h * np.arange(1, self.mesh.n + 1)
+        mu = (h / 3.0) * (2.0 + np.cos(angle))
+        kappa = (4.0 / h) * np.sin(0.5 * angle) ** 2
+        return mu, kappa
+
+    def sine_basis(self) -> np.ndarray:
+        """Orthonormal sine matrix S[i, j] = sqrt(2h) sin(i j pi h).
+
+        S is symmetric with S @ S = I; its columns are the eigenvectors
+        belonging to ``sine_eigenvalues``.  The product i*j is reduced modulo
+        the period 2(n+1) before the sine is taken.
         """
         n, h = self.mesh.n, self.mesh.h
-        theta = n * np.pi * h
-        return (6.0 / h**2) * (1.0 - np.cos(theta)) / (2.0 + np.cos(theta))
+        idx = np.arange(1, n + 1)
+        phase = np.outer(idx, idx) % (2 * (n + 1))
+        return np.sqrt(2.0 * h) * np.sin(np.pi * h * phase)
+
+    def max_generalized_eigenvalue(self) -> float:
+        """Largest lambda with K v = lambda M v (the top sine mode)."""
+        mu, kappa = self.sine_eigenvalues()
+        return float(kappa[-1] / mu[-1])
 
 
 def _tridiag_dense(d: np.ndarray, e: np.ndarray) -> np.ndarray:

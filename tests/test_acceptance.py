@@ -14,7 +14,8 @@ from degenwave import (LinearDamping, PicardConfig,
                        analytic_linear_damped, assemble, ball_samples,
                        build_mesh, closed_form_potential_m1,
                        compare_energy_decay, compare_energy_norm,
-                       continuum_energy_error, decay_rate_fit, energy,
+                       continuum_energy_error, decay_rate_fit,
+                       dissipation_exponent, energy,
                        frequency_sweep, lower_order_decay, make_generator,
                        matrix_exponential, picard_solve,
                        primitive_setup, primitive_solve, rk4_ansatz,
@@ -31,25 +32,6 @@ DECAY_BAND = (0.65, 1.35)
 def crit(name: str, ok: bool, detail: str) -> None:
     print(f"\n[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     assert ok, f"{name}: {detail}"
-
-
-def dissipation_exponent(trace: EnergyTrace,
-                         window: tuple[float, float]) -> float:
-    """Exponent p of E ~ (t + t0)^{-p} from the dissipation law, free of t0.
-
-    Such an E obeys dE/dt = -C E^{1 + 1/p}.  E is sampled at unit steps on
-    the window; the slope q of log(E_i - E_{i+1}) against
-    log sqrt(E_i E_{i+1}) estimates 1 + 1/p, so p = 1/(q - 1).
-    """
-    t1, t2 = window
-    samples = np.interp(np.arange(t1, t2 + 0.5), trace.times, trace.energy)
-    loss = samples[:-1] - samples[1:]
-    if (loss <= 0).any():
-        raise ValueError("energy loss over a sampling interval is not "
-                         "positive, so its logarithm is undefined")
-    mean = np.sqrt(samples[:-1] * samples[1:])
-    q = np.polyfit(np.log(mean), np.log(loss), 1)[0]
-    return float(1.0 / (q - 1.0))
 
 
 @pytest.fixture(scope="session")

@@ -33,6 +33,17 @@ class TestConfig:
         values = parse_config_file(str(cfg))
         assert values == {"alpha": 2.0, "ks": [1, 2], "rule": "simpson38"}
 
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--alpha", "nan", "alpha"), ("--beta", "nan", "beta"),
+        ("--T2", "inf", "t_extend"), ("--T", "inf", "t_final"),
+        ("--delta", "-inf", "delta"), ("--window", "nan", "window")])
+    def test_non_finite_flag_rejected(self, tmp_path, capsys, flag, value, field):
+        code = main(["run", "--preset", "fig3", f"{flag}={value}",
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert f"{field} must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_config_file_bad_line(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("alpha 2.0\n")
@@ -69,6 +80,21 @@ class TestRun:
         config = RunConfig(experiment="custom", out=str(tmp_path / "a"), **FAST)
         assert run(config) == 0
         manifest = tmp_path / "a" / "manifest.json"
+        code = main(["run", "--preset", "custom", "--config", str(manifest),
+                     "--out", str(tmp_path / "b")])
+        assert code == 0
+        a, b = read_csvs(tmp_path / "a"), read_csvs(tmp_path / "b")
+        assert a.keys() == b.keys() and all(a[k] == b[k] for k in a)
+
+    def test_manifest_with_retired_key_loads(self, tmp_path):
+        # manifests written before max_iterations was dropped still load
+        config = RunConfig(experiment="custom", out=str(tmp_path / "a"), **FAST)
+        assert run(config) == 0
+        manifest = tmp_path / "a" / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        assert "max_iterations" not in doc["config"]
+        doc["config"]["max_iterations"] = 50
+        manifest.write_text(json.dumps(doc))
         code = main(["run", "--preset", "custom", "--config", str(manifest),
                      "--out", str(tmp_path / "b")])
         assert code == 0
@@ -164,6 +190,15 @@ class TestMain:
                      "--delta", "0.02", "--out", str(tmp_path / "o")])
         assert code == 0
         assert (tmp_path / "o" / "traces" / "oracle_k1.csv").exists()
+
+    def test_oracle_non_finite_is_numerical_failure(self, tmp_path):
+        code = main(["oracle", "--alpha", "1e7", "--T", "0.1", "--h", "0.1",
+                     "--delta", "0.02", "--out", str(tmp_path / "o")])
+        assert code == 2
+        report = (tmp_path / "o" / "report.txt").read_text()
+        assert "[ERROR] numerical failure" in report
+        assert "not finite" in report
+        assert "[SUMMARY] FAIL" in report
 
     def test_oscillator_subcommand_conservative(self, tmp_path):
         code = main(["oscillator", "--samples", "8", "--alpha", "0",

@@ -1,10 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm as scipy_expm
 
-from degenwave import (ExponentialOverflowError, assemble, build_mesh, energy,
-                       energy_inner, energy_norm, expm_taylor, make_generator,
-                       matrix_exponential)
+from degenwave import (assemble, build_mesh, energy, energy_inner, energy_norm,
+                       make_generator, matrix_exponential)
+from degenwave.linwave import NEWTON_COTES_RULES, newton_cotes_weights, sweep
+
+
+def dense_generator(ops):
+    """[[0, I], [-M^{-1}K, 0]] assembled from the dense mass and stiffness."""
+    n = ops.mesh.n
+    a = np.zeros((2 * n, 2 * n))
+    a[:n, n:] = np.eye(n)
+    a[n:, :n] = -np.linalg.solve(ops.mass_matrix(), ops.stiffness_matrix())
+    return a
+
+
+def apply_power(prop, j, y):
+    """exp(j * theta * A) y through the propagator's modal form."""
+    return prop.nodal(prop.powers[j] * prop.modal(y))
 
 
 class TestGenerator:
@@ -26,56 +41,33 @@ class TestGenerator:
         s = energy_inner(ops99, gen99.apply(y), z) + energy_inner(ops99, y, gen99.apply(z))
         assert abs(s) < 1e-12 * energy_norm(ops99, y) * energy_norm(ops99, z)
 
-    def test_dense_matches_apply(self, gen99, rng):
+    def test_dense_matches_apply(self, ops99, gen99, rng):
         y = rng.normal(size=198)
-        np.testing.assert_allclose(gen99.dense() @ y, gen99.apply(y),
+        np.testing.assert_allclose(dense_generator(ops99) @ y, gen99.apply(y),
                                    rtol=1e-12, atol=1e-12)
 
 
-class TestExpmTaylor:
-    def test_rotation_closed_form(self):
-        # oracle: exp(tau [[0,1],[-w^2,0]]) = [[cos, sin/w], [-w sin, cos]]
-        w = np.sqrt(12.0)
-        for tau in (0.3, 1.7, -0.9):
-            a = tau * np.array([[0.0, 1.0], [-(w**2), 0.0]])
-            wt = w * tau
-            exact = np.array([[np.cos(wt), np.sin(wt) / w],
-                              [-w * np.sin(wt), np.cos(wt)]])
-            np.testing.assert_allclose(expm_taylor(a), exact, atol=1e-12)
-
-    @pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0])
-    def test_against_scipy(self, rng, scale):
-        a = scale * rng.normal(size=(12, 12))
-        ours = expm_taylor(a)
-        ref = scipy_expm(a)
-        np.testing.assert_allclose(ours, ref, rtol=1e-11, atol=1e-11 * np.linalg.norm(ref))
-
-    def test_zero_matrix(self):
-        np.testing.assert_allclose(expm_taylor(np.zeros((4, 4))), np.eye(4))
-
-    def test_overflow_rejected(self):
-        with pytest.raises(ExponentialOverflowError):
-            expm_taylor(1e22 * np.eye(3))
-
-    def test_nonsquare_rejected(self):
-        with pytest.raises(ValueError):
-            expm_taylor(np.zeros((2, 3)))
-
-
 class TestPropagator:
-    def test_zero_step_identity(self, gen99):
+    def test_zero_step_identity(self, gen99, rng):
+        # exp(0) = I: every phase factor is exactly one
         prop = matrix_exponential(gen99, 0.0)
-        np.testing.assert_allclose(prop.full, np.eye(198), atol=1e-15)
+        for p in prop.powers:
+            np.testing.assert_array_equal(p, np.ones(99))
+        y = rng.normal(size=198)
+        np.testing.assert_allclose(apply_power(prop, 4, y), y, rtol=0, atol=1e-14)
 
     def test_single_node_closed_form(self):
+        # oracle: exp(tau [[0,1],[-w^2,0]]) = [[cos, sin/w], [-w sin, cos]]
         ops = assemble(build_mesh(1))
         gen = make_generator(ops)
         w = np.sqrt(12.0)
-        tau = 0.05
-        prop = matrix_exponential(gen, tau)
-        exact = np.array([[np.cos(w * tau), np.sin(w * tau) / w],
-                          [-w * np.sin(w * tau), np.cos(w * tau)]])
-        np.testing.assert_allclose(prop.full, exact, atol=1e-12)
+        for tau in (0.05, 0.3, 1.7, -0.9):
+            prop = matrix_exponential(gen, tau)
+            exact = np.array([[np.cos(w * tau), np.sin(w * tau) / w],
+                              [-w * np.sin(w * tau), np.cos(w * tau)]])
+            # rows of the identity map to the columns of exp(tau A)
+            np.testing.assert_allclose(apply_power(prop, 4, np.eye(2)).T, exact,
+                                       atol=1e-12)
 
     def test_energy_isometry(self, rng):
         ops = assemble(build_mesh(16))
@@ -84,22 +76,67 @@ class TestPropagator:
         for _ in range(5):
             y = rng.normal(size=32)
             y /= energy_norm(ops, y)
-            assert abs(energy_norm(ops, prop.full @ y) - 1.0) < 1e-10
+            assert abs(energy_norm(ops, apply_power(prop, 4, y)) - 1.0) < 1e-10
 
     def test_power_cache_semigroup(self, prop99):
         for j in range(1, 5):
             for k in range(1, 5 - j):
-                np.testing.assert_allclose(prop99.powers[j] @ prop99.powers[k],
+                np.testing.assert_allclose(prop99.powers[j] * prop99.powers[k],
                                            prop99.powers[j + k],
                                            atol=1e-10)
 
     def test_long_run_energy_conservation(self, ops99, prop99, rng):
         y = rng.normal(size=198)
         e0 = energy(ops99, y)
-        p = prop99.full
-        for _ in range(5000):
-            y = p @ y
-        assert abs(energy(ops99, y) - e0) / e0 < 1e-9
+        states = sweep(prop99, y, np.zeros((4 * 5000 + 1, 99)))
+        assert abs(energy(ops99, states[-1]) - e0) / e0 < 1e-9
+
+    def test_sine_modes_round_trip(self, prop99, rng):
+        y = rng.normal(size=(3, 198))
+        np.testing.assert_allclose(prop99.nodal(prop99.modal(y)), y,
+                                   rtol=0, atol=1e-13)
+
+
+class TestAgainstDenseExpm:
+    """The modal flow against scipy's expm of the assembled dense generator."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 40), step=st.sampled_from([1e-3, 2e-3, 0.01, 0.05, 0.3]),
+           points=st.sampled_from([4, 5]), seed=st.integers(0, 2**16))
+    def test_powers_match_dense_expm(self, n, step, points, seed):
+        ops = assemble(build_mesh(n))
+        prop = matrix_exponential(make_generator(ops), step, points=points)
+        a = dense_generator(ops)
+        y = np.random.default_rng(seed).normal(size=2 * n)
+        for j in range(points):
+            ref = scipy_expm(j * prop.theta * a) @ y
+            got = apply_power(prop, j, y)
+            assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 40), step=st.sampled_from([1e-3, 2e-3, 0.01, 0.05]),
+           rule=st.sampled_from(["boole", "simpson38"]),
+           nsteps=st.integers(1, 30), seed=st.integers(0, 2**16))
+    def test_sweep_matches_dense_steps(self, n, step, rule, nsteps, seed):
+        # the Duhamel step written out with dense sub-step exponentials
+        points, _ = NEWTON_COTES_RULES[rule]
+        r = points - 1
+        ops = assemble(build_mesh(n))
+        prop = matrix_exponential(make_generator(ops), step, points=points)
+        a = dense_generator(ops)
+        rng = np.random.default_rng(seed)
+        y0 = rng.normal(size=2 * n)
+        f = rng.normal(size=(r * nsteps + 1, n))
+        exps = [scipy_expm(j * prop.theta * a) for j in range(points)]
+        w = newton_cotes_weights(rule, step)
+        y, ref = y0, [y0]
+        for i in range(nsteps):
+            y = exps[r] @ y + sum(w[j] * exps[r - j][:, n:] @ f[r * i + j]
+                                  for j in range(points))
+            ref.append(y)
+        ref = np.array(ref)
+        got = sweep(prop, y0, f, rule=rule)
+        assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 class TestEnergy:

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from scipy.linalg import expm as scipy_expm
 
-from degenwave import (ForcingSamples, ModalState, Propagator, assemble,
-                       build_mesh, analytic_linear_damped, duhamel_step,
-                       energy, energy_norm, exact_group, make_generator,
-                       matrix_exponential, modal_nodal_state,
-                       newton_cotes_weights, solve_linear_inhomogeneous)
+from degenwave import (ModalState, assemble, build_mesh,
+                       analytic_linear_damped, energy, energy_norm,
+                       exact_group, make_generator, matrix_exponential,
+                       modal_nodal_state, newton_cotes_weights,
+                       solve_linear_inhomogeneous)
+from degenwave.linwave import sweep
 
 
 def discrete_eigenvalue(ops, k):
@@ -29,6 +30,13 @@ class TestNewtonCotes:
     def test_boole_weights(self):
         np.testing.assert_allclose(newton_cotes_weights("boole", 90.0),
                                    [7.0, 32.0, 12.0, 32.0, 7.0])
+        # exact through degree 5
+        d = 0.3
+        s = d / 4 * np.arange(5)
+        poly = lambda t: 1.0 - 2 * t + 3 * t**2 - t**3 + 0.5 * t**4 + 2 * t**5
+        anti = lambda t: (t - t**2 + t**3 - t**4 / 4 + 0.1 * t**5 + t**6 / 3)
+        got = newton_cotes_weights("boole", d) @ poly(s)
+        assert got == pytest.approx(anti(d) - anti(0.0), abs=1e-13)
 
 
 class TestExactGroup:
@@ -62,9 +70,8 @@ class TestExactGroup:
 class TestDuhamelStep:
     def test_zero_forcing_is_propagation(self, prop99, rng):
         y = rng.normal(size=198)
-        f = ForcingSamples(times=prop99.theta * np.arange(5),
-                           values=np.zeros((5, 99)))
-        np.testing.assert_allclose(duhamel_step(prop99, y, f), prop99.full @ y,
+        got = sweep(prop99, y, np.zeros((5, 99)))[1]
+        np.testing.assert_allclose(got, prop99.nodal(prop99.powers[-1] * prop99.modal(y)),
                                    atol=1e-14)
 
     def test_constant_forcing_closed_form(self):
@@ -73,36 +80,17 @@ class TestDuhamelStep:
         gen = make_generator(ops)
         d = 0.01
         prop = matrix_exponential(gen, d)
-        a = gen.dense()
+        a = np.array([[0.0, 1.0], [-ops.stiffness_diag[0] / ops.mass_diag[0], 0.0]])
         fvec = np.array([0.0, 2.5])  # forcing lives in the velocity block
         exact = np.linalg.solve(a, (scipy_expm(d * a) - np.eye(2)) @ fvec)
-        f = ForcingSamples(times=prop.theta * np.arange(5),
-                           values=np.full((5, 1), 2.5))
-        got = duhamel_step(prop, np.zeros(2), f)
+        got = sweep(prop, np.zeros(2), np.full((5, 1), 2.5))[1]
         np.testing.assert_allclose(got, exact, atol=1e-9)
 
-    def test_polynomial_exactness_without_generator(self):
-        # A = 0: the step reduces to plain quadrature, exact through degree 5
-        d = 0.3
-        prop = Propagator.from_matrix(np.zeros((2, 2)), d, points=5)
-        s = prop.theta * np.arange(5)
-        poly = lambda t: 1.0 - 2 * t + 3 * t**2 - t**3 + 0.5 * t**4 + 2 * t**5
-        anti = lambda t: (t - t**2 + t**3 - t**4 / 4 + 0.1 * t**5 + t**6 / 3)
-        f = ForcingSamples(times=s, values=poly(s)[:, None])
-        got = duhamel_step(prop, np.zeros(2), f)
-        assert got[0] == pytest.approx(0.0, abs=1e-15)
-        assert got[1] == pytest.approx(anti(d) - anti(0.0), abs=1e-13)
-
     def test_wrong_sample_count(self, prop99):
-        f = ForcingSamples(times=np.arange(4) * prop99.theta,
-                           values=np.zeros((4, 99)))
         with pytest.raises(ValueError):
-            duhamel_step(prop99, np.zeros(198), f)
-
-    def test_misaligned_abscissae(self, prop99):
-        f = ForcingSamples(times=np.linspace(0, 1, 5), values=np.zeros((5, 99)))
+            sweep(prop99, np.zeros(198), np.zeros((6, 99)))
         with pytest.raises(ValueError):
-            duhamel_step(prop99, np.zeros(198), f)
+            sweep(prop99, np.zeros(198), np.zeros((5, 99)), rule="simpson38")
 
 
 class TestSolveLinear:

@@ -86,6 +86,18 @@ class TestAssemble:
         lam = eigh(ops.stiffness_matrix(), ops.mass_matrix(), eigvals_only=True)
         assert ops.max_generalized_eigenvalue() == pytest.approx(lam[-1], rel=1e-10)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 99, 499])
+    def test_sine_modes_diagonalize(self, n):
+        ops = assemble(build_mesh(n))
+        S = ops.sine_basis()
+        mu, kappa = ops.sine_eigenvalues()
+        np.testing.assert_array_equal(S, S.T)
+        np.testing.assert_allclose(S @ S, np.eye(n), atol=1e-13)
+        np.testing.assert_allclose(ops.mass_matrix() @ S, S * mu,
+                                   atol=1e-13 * mu.max())
+        np.testing.assert_allclose(ops.stiffness_matrix() @ S, S * kappa,
+                                   atol=1e-13 * kappa.max())
+
     def test_matrix_entries_against_quadrature(self):
         # independent integration of hat products for a small mesh
         mesh = build_mesh(4)
