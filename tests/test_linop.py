@@ -47,6 +47,35 @@ class TestGenerator:
                                    rtol=1e-12, atol=1e-12)
 
 
+class TestExpmTaylor:
+    """exp(tau A) of the wave generator, built by ``matrix_exponential``."""
+
+    def test_rotation_closed_form(self):
+        # oracle: exp(tau [[0,1],[-w^2,0]]) = [[cos, sin/w], [-w sin, cos]]
+        gen = make_generator(assemble(build_mesh(1)))
+        w = np.sqrt(12.0)
+        for tau in (0.3, 1.7, -0.9):
+            wt = w * tau
+            exact = np.array([[np.cos(wt), np.sin(wt) / w],
+                              [-w * np.sin(wt), np.cos(wt)]])
+            ours = apply_power(matrix_exponential(gen, tau), 4, np.eye(2)).T
+            np.testing.assert_allclose(ours, exact, atol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0])
+    def test_against_scipy(self, scale):
+        # scale is the step tau; exp(tau A) on the 6-node string (12 x 12)
+        ops = assemble(build_mesh(6))
+        ours = apply_power(matrix_exponential(make_generator(ops), scale), 4,
+                           np.eye(12)).T
+        ref = scipy_expm(scale * dense_generator(ops))
+        np.testing.assert_allclose(ours, ref, rtol=1e-11, atol=1e-11 * np.linalg.norm(ref))
+
+    def test_zero_matrix(self):
+        # tau = 0: exp(0) = I on the single-node string
+        prop = matrix_exponential(make_generator(assemble(build_mesh(1))), 0.0)
+        np.testing.assert_allclose(apply_power(prop, 4, np.eye(2)).T, np.eye(2))
+
+
 class TestPropagator:
     def test_zero_step_identity(self, gen99, rng):
         # exp(0) = I: every phase factor is exactly one

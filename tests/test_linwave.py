@@ -7,6 +7,7 @@ from degenwave import (ModalState, assemble, build_mesh,
                        exact_group, make_generator, matrix_exponential,
                        modal_nodal_state, newton_cotes_weights,
                        solve_linear_inhomogeneous)
+from degenwave.linop import Propagator
 from degenwave.linwave import sweep
 
 
@@ -85,6 +86,20 @@ class TestDuhamelStep:
         exact = np.linalg.solve(a, (scipy_expm(d * a) - np.eye(2)) @ fvec)
         got = sweep(prop, np.zeros(2), np.full((5, 1), 2.5))[1]
         np.testing.assert_allclose(got, exact, atol=1e-9)
+
+    def test_polynomial_exactness_without_generator(self):
+        # A = 0 (omega below any phase resolution): the step reduces to plain
+        # quadrature, exact through degree 5
+        d = 0.3
+        omega = np.array([np.finfo(float).tiny])
+        prop = Propagator(step=d, points=5, sine=np.ones((1, 1)), omega=omega,
+                          powers=tuple(np.ones(1, dtype=complex) for _ in range(5)))
+        s = prop.theta * np.arange(5)
+        poly = lambda t: 1.0 - 2 * t + 3 * t**2 - t**3 + 0.5 * t**4 + 2 * t**5
+        anti = lambda t: (t - t**2 + t**3 - t**4 / 4 + 0.1 * t**5 + t**6 / 3)
+        got = sweep(prop, np.zeros(2), poly(s)[:, None])[1]
+        assert got[0] == pytest.approx(0.0, abs=1e-15)
+        assert got[1] == pytest.approx(anti(d) - anti(0.0), abs=1e-13)
 
     def test_wrong_sample_count(self, prop99):
         with pytest.raises(ValueError):
