@@ -19,7 +19,8 @@ from .linwave import (NEWTON_COTES_RULES, ModalState, Trajectory, exact_group,
                       modal_nodal_state)
 from .mesh import (Mesh, SpatialOperators, hat_load_from_values,
                    values_at_gauss)
-from .multistep import extend_trajectory, semilinear_rhs, stable_substeps
+from .multistep import (extend_trajectory, parasitic_log_growth,
+                        semilinear_rhs, stable_substeps)
 from .picard import (PicardConfig, PicardResult, PrimitiveDamping,
                      picard_solve)
 
@@ -280,6 +281,24 @@ def primitive_solve(setup: PrimitiveSetup, gen: BlockGenerator,
                            damped_run=damped_run)
 
 
+def ab5_substeps(traj: Trajectory, gen: BlockGenerator, t_final: float,
+                 substeps: int | None = None) -> tuple[int, float]:
+    """Internal AB5 substep count for extending ``traj`` to ``t_final``.
+
+    Returns the count, chosen by ``stable_substeps`` when ``substeps`` is
+    None, and the parasitic amplification bound it carries over the whole
+    extension (``stable_substeps`` keeps that at or below 10).
+    """
+    n_steps = int(round((t_final - traj.times[-1]) / traj.delta))
+    omega_max = gen.max_frequency()
+    if substeps is None:
+        substeps = stable_substeps(traj.delta, omega_max, n_steps)
+    with np.errstate(over="ignore"):
+        growth = float(np.exp(parasitic_log_growth(traj.delta, omega_max,
+                                                   n_steps, substeps)))
+    return substeps, growth
+
+
 def extend_with_ab5(traj: Trajectory, gen: BlockGenerator, ops: SpatialOperators,
                     forcing, t_final: float, substeps: int | None = None) -> Trajectory:
     """AB5 extension with an automatically stabilized internal step.
@@ -289,8 +308,7 @@ def extend_with_ab5(traj: Trajectory, gen: BlockGenerator, ops: SpatialOperators
     frequency the mesh carries.
     """
     if substeps is None:
-        n_steps = int(round((t_final - traj.times[-1]) / traj.delta))
-        substeps = stable_substeps(traj.delta, gen.max_frequency(), n_steps)
+        substeps, _ = ab5_substeps(traj, gen, t_final)
     rhs = semilinear_rhs(gen, ops, forcing)
     # blow-up guard: stop once the energy exceeds ten times its start value
     return extend_trajectory(traj, rhs, t_final,

@@ -103,14 +103,26 @@ def stable_substeps(delta: float, omega_max: float, n_steps: int,
     whole run of ``n_steps`` output steps for every frequency up to
     ``omega_max``.
     """
-    qs_unit = np.linspace(0.0, 1.0, 65)[1:]
     r = 1
     while r <= max_substeps:
-        growth = max(_ab5_parasitic_radius(q) for q in qs_unit * delta * omega_max / r)
-        if n_steps * r * np.log(growth) <= np.log(amplification):
+        if parasitic_log_growth(delta, omega_max, n_steps, r) <= np.log(amplification):
             return r
         r *= 2
     raise BlowupError("no practical substep refinement stabilizes this system")
+
+
+def parasitic_log_growth(delta: float, omega_max: float, n_steps: int,
+                         substeps: int) -> float:
+    """Log of the parasitic amplification bound of a run at ``substeps``.
+
+    The largest characteristic-root magnitude over frequencies up to
+    ``omega_max`` (64 samples), raised to the number of internal steps in
+    ``n_steps`` output steps of length ``delta``.
+    """
+    qs_unit = np.linspace(0.0, 1.0, 65)[1:]
+    growth = max(_ab5_parasitic_radius(q)
+                 for q in qs_unit * delta * omega_max / substeps)
+    return n_steps * substeps * np.log(growth)
 
 
 def extend_trajectory(traj: Trajectory, rhs, t_final: float,

@@ -82,50 +82,147 @@ class OracleSolution:
         return 0.5 * self.problem.lam * self.phi**2 + 0.5 * self.phidot**2
 
 
-def rk4_ansatz(problem: AnsatzProblem, t_final: float, step: float,
-               store_stride: int = 1) -> OracleSolution:
-    """Classical RK4 on the per-position oscillator family.
-
-    All positions advance together (vectorized); states are stored every
-    ``store_stride`` steps, so the stored grid has spacing step*store_stride.
-    """
+def _stored_step_count(t_final: float, step: float, store_stride: int) -> int:
+    """Stored steps after t = 0 of an RK4 run; validates the grid."""
     nsteps = int(round(t_final / step))
     if nsteps < 1 or abs(nsteps * step - t_final) > 1e-9:
         raise ValueError("step must divide the horizon")
-    if nsteps % store_stride != 0:
+    if store_stride < 1 or nsteps % store_stride != 0:
         raise ValueError("store stride must divide the step count")
-    lam = problem.lam
+    return nsteps // store_stride
+
+
+def rk4_ansatz(problems, t_final: float, step: float, store_stride: int = 1,
+               observe=None):
+    """Classical RK4 on one or more per-position oscillator families.
+
+    ``problems`` is one ``AnsatzProblem`` or a sequence of them; all of them
+    advance together as one (K, n) state, vectorized over problems and
+    positions, so they must share the sample positions and the damping
+    exponent m (one integer power for the whole batch).  Every
+    ``store_stride`` steps, and at t = 0, the loop calls
+    ``observe(i, phi, psi)`` with the stored-step index i (the time is
+    i * step * store_stride) and the (K, n) amplitudes phi, phi', which the
+    loop does not modify afterwards.  Without ``observe`` the stored states
+    are collected: the result is an ``OracleSolution``, or a list of them
+    when ``problems`` is a sequence.  With it, nothing is kept and None is
+    returned.
+
+    A state that stops being finite raises ``FloatingPointError``.
+    """
+    single = isinstance(problems, AnsatzProblem)
+    batch = [problems] if single else list(problems)
+    if not batch:
+        raise ValueError("need at least one problem")
+    first = batch[0]
+    if any(p.m != first.m for p in batch):
+        raise ValueError("problems in one batch must share the exponent m")
+    if any(not np.array_equal(p.x, first.x) for p in batch):
+        raise ValueError("problems in one batch must share the sample positions")
+    n_stored = _stored_step_count(t_final, step, store_stride)
+    collect = observe is None
+    if collect:
+        history = np.empty((2, len(batch), n_stored + 1, len(first.x)))
+
+        def observe(i, phi, psi):
+            history[0, :, i] = phi
+            history[1, :, i] = psi
+
+    two_m = 2 * first.m
+    neg_lam = np.array([[-p.lam] for p in batch])
     # damping coefficient of the reduced oscillator at each position
-    coeff = problem.alpha * problem.eigenfunction() ** (2 * problem.m)
-    two_m = 2 * problem.m
+    coeff = np.array([p.alpha * p.eigenfunction() ** two_m for p in batch])
+    # y[0] = phi, y[1] = phi'; one stacked array saves a call per update
+    y = np.empty((2,) + coeff.shape)
+    y[0] = [[float(p.c0)] for p in batch]
+    y[1] = [[float(p.c1)] for p in batch]
+    stages = np.empty((4,) + y.shape)
 
-    phi = np.full(len(problem.x), float(problem.c0))
-    psi = np.full(len(problem.x), float(problem.c1))
-    n_stored = nsteps // store_stride
-    out_phi = np.empty((n_stored + 1, len(problem.x)))
-    out_psi = np.empty_like(out_phi)
-    out_phi[0], out_psi[0] = phi, psi
+    def slope(z, out):
+        p, q = z
+        out[0] = q
+        np.subtract(neg_lam * p, coeff * p**two_m * q, out=out[1])
+        return out
 
-    def accel(p, q):
-        return -lam * p - coeff * p**two_m * q
+    def store(i, y):
+        ok = np.isfinite(y).all(axis=(0, 2))
+        if not ok.all():
+            ks = ", ".join(str(p.k) for p, good in zip(batch, ok) if not good)
+            raise FloatingPointError(
+                f"reference solution for k={ks} is not finite at "
+                f"t={i * step * store_stride:g}; reduce the step or the damping")
+        observe(i, y[0], y[1])
 
     h = step
-    for i in range(nsteps):
-        k1p = psi;                  k1q = accel(phi, psi)
-        p2 = phi + 0.5 * h * k1p;   q2 = psi + 0.5 * h * k1q
-        k2p = q2;                   k2q = accel(p2, q2)
-        p3 = phi + 0.5 * h * k2p;   q3 = psi + 0.5 * h * k2q
-        k3p = q3;                   k3q = accel(p3, q3)
-        p4 = phi + h * k3p;         q4 = psi + h * k3q
-        k4p = q4;                   k4q = accel(p4, q4)
-        phi = phi + h / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
-        psi = psi + h / 6.0 * (k1q + 2 * k2q + 2 * k3q + k4q)
-        if (i + 1) % store_stride == 0:
-            out_phi[(i + 1) // store_stride] = phi
-            out_psi[(i + 1) // store_stride] = psi
+    half_h = 0.5 * h
+    # a blow-up is reported by ``store``, not through overflow warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        store(0, y)
+        for i in range(1, n_stored * store_stride + 1):
+            k1 = slope(y, stages[0])
+            k2 = slope(y + half_h * k1, stages[1])
+            k3 = slope(y + half_h * k2, stages[2])
+            k4 = slope(y + h * k3, stages[3])
+            y = y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+            if i % store_stride == 0:
+                store(i // store_stride, y)
 
+    if not collect:
+        return None
     times = (step * store_stride) * np.arange(n_stored + 1)
-    return OracleSolution(problem=problem, times=times, phi=out_phi, phidot=out_psi)
+    sols = [OracleSolution(problem=p, times=times, phi=phi, phidot=psi)
+            for p, phi, psi in zip(batch, *history)]
+    return sols[0] if single else sols
+
+
+# stored steps per block of the streamed comparison
+_COMPARE_BLOCK = 256
+
+
+def reference_errors(trajectories: list, problems: list, ops: SpatialOperators,
+                     t_final: float, step: float,
+                     store_stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Per-problem errors of finite element runs against the reference.
+
+    Returns two arrays over the problems: the values of
+    ``compare_energy_decay`` and ``compare_energy_norm`` for
+    ``trajectories[j]`` against ``problems[j]``, bit for bit.  One
+    ``rk4_ansatz`` run advances every problem, and each block of 256 stored
+    steps is compared and dropped, so memory does not grow with the
+    horizon.  Each trajectory must lie on the stored reference grid.
+    """
+    if len(trajectories) != len(problems):
+        raise ValueError("need one trajectory per problem")
+    n_stored = _stored_step_count(t_final, step, store_stride)
+    grid = (step * store_stride) * np.arange(n_stored + 1)
+    for traj in trajectories:
+        if len(traj.times) != len(grid) or not np.allclose(traj.times, grid):
+            raise ValueError("trajectory and oracle time grids do not match")
+    _check_on_mesh(problems[0], ops.mesh)
+    n = ops.mesh.n
+    ek = np.array([p.eigenfunction() for p in problems])
+    gap = np.zeros(len(problems))
+    norm = np.zeros(len(problems))
+    ref = np.empty((len(problems), _COMPARE_BLOCK, 2 * n))
+
+    def observe(i, phi, psi):
+        j = i % _COMPARE_BLOCK
+        ref[:, j, :n] = phi * ek
+        ref[:, j, n:] = psi * ek
+        if j == _COMPARE_BLOCK - 1 or i == n_stored:
+            fem = np.stack([traj.states[i - j:i + 1] for traj in trajectories])
+            cur = ref[:, :j + 1]
+            np.maximum(gap, np.abs(energy(ops, fem) - energy(ops, cur)).max(axis=1),
+                       out=gap)
+            np.maximum(norm, energy_norm(ops, fem - cur).max(axis=1), out=norm)
+
+    rk4_ansatz(problems, t_final, step, store_stride, observe=observe)
+    return gap, norm
+
+
+def _check_on_mesh(problem: AnsatzProblem, mesh: Mesh) -> None:
+    if len(problem.x) != mesh.n or not np.allclose(problem.x, mesh.nodes):
+        raise ValueError("oracle sample positions do not match the mesh nodes")
 
 
 def oracle_field(sol: OracleSolution, t: float, mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
@@ -134,8 +231,7 @@ def oracle_field(sol: OracleSolution, t: float, mesh: Mesh) -> tuple[np.ndarray,
     Requires the solution to have been sampled at the mesh nodes; no time
     interpolation is performed.
     """
-    if len(sol.problem.x) != mesh.n or not np.allclose(sol.problem.x, mesh.nodes):
-        raise ValueError("oracle sample positions do not match the mesh nodes")
+    _check_on_mesh(sol.problem, mesh)
     i = sol.index_of(t)
     ek = sol.problem.eigenfunction()
     return sol.phi[i] * ek, sol.phidot[i] * ek
@@ -143,8 +239,7 @@ def oracle_field(sol: OracleSolution, t: float, mesh: Mesh) -> tuple[np.ndarray,
 
 def oracle_states(sol: OracleSolution, mesh: Mesh) -> np.ndarray:
     """All stored reference states as stacked (u, v) rows."""
-    if len(sol.problem.x) != mesh.n or not np.allclose(sol.problem.x, mesh.nodes):
-        raise ValueError("oracle sample positions do not match the mesh nodes")
+    _check_on_mesh(sol.problem, mesh)
     ek = sol.problem.eigenfunction()
     return np.concatenate([sol.phi * ek, sol.phidot * ek], axis=1)
 

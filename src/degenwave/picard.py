@@ -185,6 +185,8 @@ def _interp_abscissae(x: np.ndarray, points: int) -> np.ndarray:
     return out
 
 
+# a blow-up is reported by the finiteness guard, not through overflow warnings
+@np.errstate(over="ignore", invalid="ignore")
 def picard_solve(gen: BlockGenerator, ops: SpatialOperators, y0: np.ndarray,
                  config: PicardConfig, forcing=None,
                  propagator: Propagator | None = None) -> PicardResult:
@@ -195,7 +197,8 @@ def picard_solve(gen: BlockGenerator, ops: SpatialOperators, y0: np.ndarray,
     iterate's trajectory, interpolated linearly in time at the quadrature
     abscissae.  Iteration stops when consecutive trajectories differ by less
     than ``epsilon`` in the sup-in-time energy norm.  Three consecutive
-    increases of that distance abort with a hint to shorten the window.
+    increases of that distance abort with a hint to shorten the window, and
+    so does a non-finite distance (a non-finite forcing or iterate).
     """
     if forcing is None:
         forcing = DegenerateDamping(config.alpha, config.m)
@@ -225,6 +228,11 @@ def picard_solve(gen: BlockGenerator, ops: SpatialOperators, y0: np.ndarray,
             f_absc = forcing.coefficients(ops, ua, va)
             cur = sweep(propagator, y, f_absc, rule=config.rule)
             dist = float(energy_norm(ops, cur - prev).max())
+            if not np.isfinite(dist):
+                # a non-finite forcing or iterate makes the distance non-finite
+                raise PicardDivergenceError(
+                    f"non-finite iterate on window starting at t={t_start:g}; "
+                    "reduce the damping or the window")
             report.iterations += 1
             report.distances.append(dist)
             grow = grow + 1 if dist > report.distance else 0

@@ -4,7 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from degenwave.cli import (RunConfig, emit_plot, main, parse_config_file, run)
+from degenwave.cli import (Report, RunConfig, _check_splice, _run_sweep,
+                           _spatial, emit_plot, main, parse_config_file, run)
+from degenwave.picard import DegenerateDamping
 
 FAST = dict(h=0.1, delta=0.02, t_final=0.4, t_extend=0.4, ks=(1,),
             window=0.2, oracle_stride=10)
@@ -113,6 +115,15 @@ class TestRun:
         assert run(config) == 2
         assert "numerical failure" in (Path(tmp_path) / "report.txt").read_text()
 
+    def test_non_finite_picard_iterate_exit_code(self, tmp_path, capsys):
+        code = main(["run", "--preset", "fig2", "--k", "1", "--T", "0.1",
+                     "--alpha", "1e300", "--out", str(tmp_path / "o")])
+        assert code == 2
+        report = (tmp_path / "o" / "report.txt").read_text()
+        assert "[ERROR] numerical failure: non-finite iterate" in report
+        assert report.endswith("[SUMMARY] FAIL\n")
+        assert "configuration error" not in capsys.readouterr().err
+
     def test_under_resolved_mode_exit_code(self, tmp_path):
         config = RunConfig(experiment="custom", out=str(tmp_path), ks=(5,),
                            h=0.1, delta=0.02, t_final=0.2)
@@ -141,8 +152,21 @@ class TestRun:
         assert len(rows) == 1 + int(0.8 / 0.02) + 1  # header + samples
         assert (out / "plots" / "fig3_l2.svg").exists()
         report = (out / "report.txt").read_text()
-        assert "splice continuity" in report
+        assert "splice continuity: AB5 restarted at t=0.2" in report
+        assert "[INFO] AB5 substeps: 4 per output step" in report
         assert "[SUMMARY] PASS" in report
+
+    def test_splice_check_can_fail(self, tmp_path):
+        # an undamped restart misses the energy the damping removes over the
+        # window; the damped one reproduces it
+        config = RunConfig(experiment="fig3", h=0.1, delta=0.02, t_final=0.4,
+                           ks=(1,), window=0.2)
+        mesh, ops, gen, prop = _spatial(config)
+        run = _run_sweep(config, mesh, ops, gen, prop)[0]
+        for alpha, tag in [(1.0, "[PASS]"), (0.0, "[FAIL]")]:
+            report = Report()
+            _check_splice(report, run, gen, ops, DegenerateDamping(alpha), 4)
+            assert report.lines[0].startswith(f"{tag} k=1 splice continuity")
 
     def test_primitive_path(self, tmp_path):
         config = RunConfig(experiment="primitive", out=str(tmp_path / "o"),
@@ -155,6 +179,7 @@ class TestRun:
         report = (out / "report.txt").read_text()
         assert "potential matches closed form" in report
         assert "decay exponent" in report
+        assert "[INFO] AB5 substeps: " in report
 
     def test_thread_cap_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DEGENWAVE_THREADS", "1")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import eigh
+from scipy.linalg import cho_solve_banded, eigh
 
 from degenwave import (assemble, build_mesh, eigenpair, l2_project,
                        mesh_from_h, ritz_project_h1)
@@ -97,6 +97,17 @@ class TestAssemble:
                                    atol=1e-13 * mu.max())
         np.testing.assert_allclose(ops.stiffness_matrix() @ S, S * kappa,
                                    atol=1e-13 * kappa.max())
+
+    def test_solve_mass_bit_equal_to_scipy(self, rng):
+        # the direct LAPACK call must give exactly what SciPy's wrapper gives
+        for n in range(1, 201):
+            ops = assemble(build_mesh(n))
+            for batch in [(), (1,), (3,), (2, 4)]:
+                b = rng.standard_normal(batch + (n,))
+                flat = b.reshape(-1, n).T
+                want = cho_solve_banded((ops._mass_cho, False), flat).T
+                np.testing.assert_array_equal(ops.solve_mass(b),
+                                              want.reshape(b.shape))
 
     def test_matrix_entries_against_quadrature(self):
         # independent integration of hat products for a small mesh

@@ -3,7 +3,7 @@ import pytest
 
 from degenwave import (AB5_COEFFS, BlowupError, DegenerateDamping, ZeroForcing,
                        ab5_init, ab5_step, energy, energy_norm,
-                       extend_trajectory, semilinear_rhs,
+                       extend_trajectory, parasitic_log_growth, semilinear_rhs,
                        solve_linear_inhomogeneous, stable_substeps)
 from degenwave.experiments import extend_with_ab5, mode_initial_state
 from degenwave.linwave import Trajectory
@@ -83,6 +83,13 @@ class TestStableSubsteps:
     def test_stiff_wave_band_needs_refinement(self, gen99):
         r = stable_substeps(2e-3, gen99.max_frequency(), 20000)
         assert r >= 4
+
+    def test_choice_is_smallest_within_growth_limit(self, gen99):
+        omega = gen99.max_frequency()
+        r = stable_substeps(2e-3, omega, 20000)
+        assert parasitic_log_growth(2e-3, omega, 20000, r) <= np.log(10.0)
+        assert parasitic_log_growth(2e-3, omega, 20000, r // 2) > np.log(10.0)
+        assert parasitic_log_growth(2e-3, omega, 0, r) == 0.0
 
     def test_unreasonable_system_rejected(self):
         with pytest.raises(BlowupError):

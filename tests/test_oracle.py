@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from degenwave import (AnsatzProblem, OscillatorProblem, ball_samples,
                        build_mesh, compare_energy_decay, compare_energy_norm,
-                       energy, oracle_field, oracle_states, rk4_ansatz,
-                       simulate_oscillator, uniform_stability_sweep)
+                       energy, oracle_field, oracle_states, reference_errors,
+                       rk4_ansatz, simulate_oscillator, uniform_stability_sweep)
 from degenwave.experiments import mode_initial_state
 from degenwave.linwave import Trajectory
 
@@ -62,6 +63,83 @@ class TestRK4Ansatz:
     def test_step_must_divide(self, mesh99):
         with pytest.raises(ValueError):
             rk4_ansatz(make_problem(mesh99), 1.0, 0.3)
+
+
+class TestBatchedLoop:
+    @settings(max_examples=15, deadline=None)
+    @given(ks=st.lists(st.sampled_from([1, 2, 3, 5, 8]), min_size=1, max_size=4,
+                       unique=True),
+           m=st.sampled_from([1, 2]), stride=st.sampled_from([1, 2, 5]))
+    def test_batch_equals_single_runs(self, mesh99, ks, m, stride):
+        problems = [make_problem(mesh99, k=k, c0=0.6 / k, alpha=2.0, m=m)
+                    for k in ks]
+        batch = rk4_ansatz(problems, 0.05, 1e-3, store_stride=stride)
+        assert len(batch) == len(ks)
+        for prob, sol in zip(problems, batch):
+            alone = rk4_ansatz(prob, 0.05, 1e-3, store_stride=stride)
+            np.testing.assert_array_equal(sol.times, alone.times)
+            np.testing.assert_array_equal(sol.phi, alone.phi)
+            np.testing.assert_array_equal(sol.phidot, alone.phidot)
+
+    def test_observe_sees_every_stored_step(self, mesh99):
+        problems = [make_problem(mesh99, k=k) for k in (1, 2)]
+        sols = rk4_ansatz(problems, 0.1, 1e-3, store_stride=10)
+        seen = []
+
+        def observe(i, phi, psi):
+            seen.append(i)
+            np.testing.assert_array_equal(phi, [s.phi[i] for s in sols])
+            np.testing.assert_array_equal(psi, [s.phidot[i] for s in sols])
+
+        assert rk4_ansatz(problems, 0.1, 1e-3, store_stride=10,
+                          observe=observe) is None
+        assert seen == list(range(11))
+
+    def test_mixed_exponent_rejected(self, mesh99):
+        with pytest.raises(ValueError, match="exponent"):
+            rk4_ansatz([make_problem(mesh99, m=1), make_problem(mesh99, m=2)],
+                       0.01, 1e-3)
+
+    def test_mixed_positions_rejected(self, mesh99):
+        other = AnsatzProblem(k=1, c0=0.45, c1=0.0, alpha=1.0, m=1,
+                              x=mesh99.nodes[:-1])
+        with pytest.raises(ValueError, match="positions"):
+            rk4_ansatz([make_problem(mesh99), other], 0.01, 1e-3)
+
+    def test_non_finite_state_raises(self, mesh99):
+        problems = [make_problem(mesh99, k=1, alpha=0.0),
+                    make_problem(mesh99, k=2, alpha=1e7)]
+        with pytest.raises(FloatingPointError, match=r"k=2 is not finite"):
+            rk4_ansatz(problems, 0.1, 2e-3)
+
+
+class TestStreamedErrors:
+    @pytest.mark.parametrize("t_final,stride", [(0.02, 10), (0.6, 1)])
+    def test_equals_stored_history_comparison(self, mesh99, ops99, rng,
+                                              t_final, stride):
+        # 11 stored steps (one partial block) and 3001 (eleven full blocks
+        # of 256 and a partial one)
+        problems = [make_problem(mesh99, k=k, c0=0.3 / k) for k in (1, 2, 4)]
+        sols = rk4_ansatz(problems, t_final, 2e-4, store_stride=stride)
+        trajs = []
+        for sol in sols:
+            states = oracle_states(sol, mesh99)
+            states += 1e-3 * rng.standard_normal(states.shape)
+            trajs.append(Trajectory(times=sol.times.copy(), states=states,
+                                    delta=2e-4 * stride))
+        gaps, norms = reference_errors(trajs, problems, ops99, t_final, 2e-4,
+                                       store_stride=stride)
+        for traj, sol, gap, norm in zip(trajs, sols, gaps, norms):
+            assert gap == compare_energy_decay(traj, sol, mesh99, ops99)
+            assert norm == compare_energy_norm(traj, sol, mesh99, ops99)
+
+    def test_grid_mismatch_rejected(self, mesh99, ops99):
+        sol = rk4_ansatz(make_problem(mesh99), 0.2, 2e-4, store_stride=10)
+        traj = Trajectory(times=sol.times, states=oracle_states(sol, mesh99),
+                          delta=2e-3)
+        with pytest.raises(ValueError, match="grids"):
+            reference_errors([traj], [sol.problem], ops99, 0.4, 2e-4,
+                             store_stride=10)
 
 
 class TestOracleField:

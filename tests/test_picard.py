@@ -178,6 +178,13 @@ class TestPicardSolve:
         with pytest.raises(PicardDivergenceError, match="shorter window"):
             picard_solve(gen99, ops99, data.y0, config, propagator=prop99)
 
+    def test_non_finite_iterate_detected(self, mesh99, ops99, gen99, prop99):
+        # the forcing overflows: a numerical failure, not a configuration error
+        data = mode_initial_state(mesh99, ops99, 1)
+        config = PicardConfig(t_final=0.1, delta=2e-3, alpha=1e300)
+        with pytest.raises(PicardDivergenceError, match="non-finite"):
+            picard_solve(gen99, ops99, data.y0, config, propagator=prop99)
+
     def test_strong_damping_converges_with_short_window(self, mesh99, ops99,
                                                         gen99, prop99):
         # the same problem succeeds once the window honors the contraction bound
