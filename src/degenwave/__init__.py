@@ -12,32 +12,26 @@ pointwise Runge-Kutta reference available for single-mode initial data.
 __version__ = "0.1.0"
 
 from .mesh import (Mesh, QuarticTensor, SpatialOperators, assemble, build_mesh,
-                   eigenpair, hat_load, l2_project, mesh_from_h,
-                   ritz_project_h1)
-from .linop import (BlockGenerator, Propagator, energy, energy_inner,
-                    energy_norm, h1_norm, l2_norm, make_generator,
-                    matrix_exponential)
+                   hat_load, l2_project, mesh_from_h)
+from .linop import (Propagator, energy, energy_inner, energy_norm, h1_norm,
+                    l2_norm, matrix_exponential)
 from .linwave import (ModalState, Trajectory, analytic_linear_damped,
                       exact_group, modal_nodal_state, newton_cotes_weights,
                       solve_linear_inhomogeneous)
 from .picard import (DegenerateDamping, LinearDamping, PicardConfig,
                      PicardDivergenceError, PicardResult, PrimitiveDamping,
-                     ZeroForcing, cubic_forcing, estimate_contraction,
-                     picard_solve)
+                     estimate_contraction, picard_solve)
 from .multistep import (AB5_COEFFS, ABState, BlowupError, ab5_init, ab5_step,
                         extend_trajectory, parasitic_log_growth,
                         semilinear_rhs, stable_substeps)
 from .oracle import (AnsatzProblem, OracleSolution, OscillatorProblem,
                      StabilitySweep, ball_samples, compare_energy_decay,
-                     compare_energy_norm, oracle_field, oracle_states,
-                     reference_errors, rk4_ansatz, simulate_oscillator,
-                     uniform_stability_sweep)
+                     compare_energy_norm, oracle_states, reference_errors,
+                     rk4_ansatz, simulate_oscillator, uniform_stability_sweep)
 from .experiments import (EnergyTrace, FrequencyRun, LowerOrderReport,
                           ModeData, PrimitiveResult, PrimitiveSetup,
                           ab5_substeps, closed_form_potential_m1,
                           conservative_comparison, continuum_energy_error,
                           decay_rate_fit, dissipation_exponent,
-                          extend_with_ab5, fractional_sine_norm,
-                          frequency_sweep,
-                          lower_order_decay, mode_initial_state,
-                          primitive_setup, primitive_solve)
+                          extend_with_ab5, frequency_sweep, lower_order_decay,
+                          mode_initial_state, primitive_setup, primitive_solve)

@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from .experiments import (EnergyTrace, ab5_substeps, closed_form_potential_m1,
                           decay_rate_fit, dissipation_exponent, extend_with_ab5,
                           frequency_sweep, lower_order_decay,
                           mode_initial_state, primitive_setup, primitive_solve)
-from .linop import energy, h1_norm, l2_norm, make_generator, matrix_exponential
+from .linop import energy, h1_norm, l2_norm, matrix_exponential
 from .linwave import NEWTON_COTES_RULES, Trajectory, analytic_linear_damped
 from .mesh import assemble, mesh_from_h
 from .multistep import BlowupError
@@ -91,8 +92,10 @@ class RunConfig:
         nsteps = round(self.t_final / self.delta)
         if nsteps < 1 or abs(nsteps * self.delta - self.t_final) > 1e-9:
             raise ValueError("delta must divide t_final")
-        if self.t_extend < self.t_final:
+        if self.experiment in ("fig3", "primitive") and self.t_extend < self.t_final:
             raise ValueError("t_extend must not precede t_final")
+        if self.substeps < 0:
+            raise ValueError("substeps must be >= 0 (0 chooses automatically)")
         if self.samples < 1:
             raise ValueError("need at least one oscillator sample")
         if self.oracle_stride < 1:
@@ -107,6 +110,12 @@ PRESETS = {
     "oscillator": dict(experiment="oscillator"),
     "sweep": dict(experiment="sweep"),
     "custom": dict(experiment="custom"),
+}
+
+# the experiments behind the subcommands other than ``run``
+COMMANDS = {
+    "oracle": dict(experiment="oracle", ks=(1,)),
+    "oscillator": dict(experiment="oscillator"),
 }
 
 
@@ -238,27 +247,19 @@ def _pool_size(n_tasks: int) -> int:
 
 
 def _spatial(config: RunConfig):
-    mesh = mesh_from_h(config.h)
-    ops = assemble(mesh)
-    gen = make_generator(ops)
+    ops = assemble(mesh_from_h(config.h))
     m_pts, _ = NEWTON_COTES_RULES[config.rule]
-    prop = matrix_exponential(gen, config.delta, points=m_pts)
-    return mesh, ops, gen, prop
+    return ops, matrix_exponential(ops, config.delta, points=m_pts)
 
 
-def _run_sweep(config: RunConfig, mesh, ops, gen, prop):
+def _run_sweep(config: RunConfig, ops, prop):
     workers = _pool_size(len(config.ks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return frequency_sweep(config.ks, config.alpha, config.m, mesh, ops,
-                                   config.delta, config.t_final,
-                                   window=config.window, epsilon=config.epsilon,
-                                   rule=config.rule, gen=gen, propagator=prop,
-                                   pool=pool)
-    return frequency_sweep(config.ks, config.alpha, config.m, mesh, ops,
-                           config.delta, config.t_final, window=config.window,
-                           epsilon=config.epsilon, rule=config.rule, gen=gen,
-                           propagator=prop)
+    with (ThreadPoolExecutor(max_workers=workers) if workers > 1
+          else nullcontext()) as pool:
+        return frequency_sweep(config.ks, config.alpha, config.m, ops,
+                               config.delta, config.t_final,
+                               window=config.window, epsilon=config.epsilon,
+                               rule=config.rule, propagator=prop, pool=pool)
 
 
 def _oracle_problems(config: RunConfig, mesh, ks, amplitudes) -> list:
@@ -267,10 +268,10 @@ def _oracle_problems(config: RunConfig, mesh, ks, amplitudes) -> list:
             for k, a in zip(ks, amplitudes)]
 
 
-def _oracle_errors(config: RunConfig, mesh, ops, runs) -> dict:
+def _oracle_errors(config: RunConfig, ops, runs) -> dict:
     """(energy-history gap, state-difference norm) per mode, from one
     reference run for all modes."""
-    problems = _oracle_problems(config, mesh, [run.k for run in runs],
+    problems = _oracle_problems(config, ops.mesh, [run.k for run in runs],
                                 [run.data.amplitude for run in runs])
     gaps, norms = reference_errors([run.trajectory for run in runs], problems,
                                    ops, config.t_final,
@@ -279,13 +280,13 @@ def _oracle_errors(config: RunConfig, mesh, ops, runs) -> dict:
     return {run.k: (float(g), float(e)) for run, g, e in zip(runs, gaps, norms)}
 
 
-def _ab5_substeps(config: RunConfig, traj, gen, report: Report):
+def _ab5_substeps(config: RunConfig, traj, ops, report: Report):
     """The AB5 substep count for the extension, reported; None if the
     horizon is not extended."""
     if config.t_extend <= config.t_final:
         report.info("AB5 substeps", "none, the horizon is not extended")
         return None
-    substeps, growth = ab5_substeps(traj, gen, config.t_extend,
+    substeps, growth = ab5_substeps(traj, ops, config.t_extend,
                                     config.substeps if config.substeps > 0 else None)
     how = "set by --substeps" if config.substeps > 0 else "chosen automatically"
     report.info("AB5 substeps",
@@ -299,7 +300,7 @@ def _ab5_substeps(config: RunConfig, traj, gen, report: Report):
 SPLICE_WINDOW = 0.2
 
 
-def _check_splice(report: Report, run, gen, ops, forcing, substeps: int) -> None:
+def _check_splice(report: Report, run, ops, forcing, substeps: int) -> None:
     """Restart AB5 from the Picard state SPLICE_WINDOW before the splice and
     require it to reproduce the Picard energy history up to the splice.
 
@@ -321,7 +322,7 @@ def _check_splice(report: Report, run, gen, ops, forcing, substeps: int) -> None
     start = last - back
     head = Trajectory(times=traj.times[:start + 1],
                       states=traj.states[:start + 1], delta=traj.delta)
-    redo = extend_with_ab5(head, gen, ops, forcing, traj.times[-1],
+    redo = extend_with_ab5(head, ops, forcing, traj.times[-1],
                            substeps=substeps)
     gap = float(np.abs(energy(ops, redo.states[start:])
                        - run.trace.energy[start:]).max())
@@ -335,22 +336,22 @@ def _check_splice(report: Report, run, gen, ops, forcing, substeps: int) -> None
 # -- experiment drivers -------------------------------------------------------------
 
 def _exp_frequency(config: RunConfig, dirs, report: Report,
-                   extend: bool = False) -> dict:
-    mesh, ops, gen, prop = _spatial(config)
-    runs = _run_sweep(config, mesh, ops, gen, prop)
+                   extend: bool = False) -> None:
+    ops, prop = _spatial(config)
+    runs = _run_sweep(config, ops, prop)
     conservative = config.alpha == 0.0
-    e_table = {} if conservative else _oracle_errors(config, mesh, ops, runs)
-    substeps = (_ab5_substeps(config, runs[0].trajectory, gen, report)
+    e_table = {} if conservative else _oracle_errors(config, ops, runs)
+    substeps = (_ab5_substeps(config, runs[0].trajectory, ops, report)
                 if extend else None)
     forcing = DegenerateDamping(config.alpha, config.m)
     traces = {}
     for run in runs:
         trace = run.trace
         if substeps is not None:
-            full = extend_with_ab5(run.trajectory, gen, ops, forcing,
+            full = extend_with_ab5(run.trajectory, ops, forcing,
                                    config.t_extend, substeps=substeps)
             trace = EnergyTrace.from_trajectory(full, ops, meta=trace.meta)
-            _check_splice(report, run, gen, ops, forcing, substeps)
+            _check_splice(report, run, ops, forcing, substeps)
         traces[run.k] = trace
         write_trace_csv(dirs["traces"] / f"trace_k{run.k}.csv", trace)
         e0 = trace.energy[0]
@@ -386,15 +387,13 @@ def _exp_frequency(config: RunConfig, dirs, report: Report,
         emit_plot([(f"k={k}", tr.times, tr.l2) for k, tr in sorted(traces.items())],
                   dirs["plots"] / f"{label}_l2.svg",
                   title="Displacement L2 norm", ylabel="|u(t)|_0")
-    return {"runs": runs, "traces": traces, "e_table": e_table,
-            "mesh": mesh, "ops": ops, "gen": gen, "prop": prop}
 
 
 def _exp_fig1(config: RunConfig, dirs, report: Report) -> None:
     config = replace(config, ks=(1,))
-    mesh, ops, gen, prop = _spatial(config)
-    runs = _run_sweep(config, mesh, ops, gen, prop)
-    run = runs[0]
+    ops, prop = _spatial(config)
+    run = _run_sweep(config, ops, prop)[0]
+    mesh = ops.mesh
     write_trace_csv(dirs["traces"] / "trace_k1.csv", run.trace)
     _check_trace_energy_laws(report, run.trace, "nonlinear k=1",
                              conservative=config.alpha == 0.0)
@@ -419,15 +418,16 @@ def _exp_fig1(config: RunConfig, dirs, report: Report) -> None:
 
 
 def _exp_primitive(config: RunConfig, dirs, report: Report) -> None:
-    mesh, ops, gen, prop = _spatial(config)
+    ops, prop = _spatial(config)
+    mesh = ops.mesh
     k = config.ks[0]
-    setup = primitive_setup(k, config.m, mesh, ops, alpha=config.alpha)
+    setup = primitive_setup(k, config.m, ops, alpha=config.alpha)
     if config.m == 1:
         exact = closed_form_potential_m1(setup.data.amplitude, k, mesh.nodes)
         err = float(np.abs(setup.phi0 - exact).max())
         report.check("potential matches closed form", err < 50 * mesh.h**2,
                      f"max nodal error {err:.2e}")
-    result = primitive_solve(setup, gen, ops, config.delta, config.t_final,
+    result = primitive_solve(setup, ops, config.delta, config.t_final,
                              window=config.window, epsilon=config.epsilon,
                              rule=config.rule, propagator=prop)
     write_trace_csv(dirs["traces"] / f"primitive_k{k}.csv", result.trace)
@@ -442,9 +442,9 @@ def _exp_primitive(config: RunConfig, dirs, report: Report) -> None:
                  f"bound {bound_report.bound:.4e}, "
                  f"max |u|_0^2 {float((bound_report.l2**2).max()):.4e}")
 
-    substeps = _ab5_substeps(config, result.trajectory, gen, report)
+    substeps = _ab5_substeps(config, result.trajectory, ops, report)
     if substeps is not None:
-        full = extend_with_ab5(result.trajectory, gen, ops, setup.damping,
+        full = extend_with_ab5(result.trajectory, ops, setup.damping,
                                config.t_extend, substeps=substeps)
         trace = EnergyTrace.from_trajectory(full, ops, meta=result.trace.meta)
         write_trace_csv(dirs["traces"] / f"primitive_k{k}_extended.csv", trace)
@@ -506,9 +506,9 @@ def _exp_oscillator(config: RunConfig, dirs, report: Report) -> None:
 
 
 def _exp_oracle_only(config: RunConfig, dirs, report: Report) -> None:
-    mesh = mesh_from_h(config.h)
-    ops = assemble(mesh)
-    amplitudes = [mode_initial_state(mesh, ops, k).amplitude for k in config.ks]
+    ops = assemble(mesh_from_h(config.h))
+    mesh = ops.mesh
+    amplitudes = [mode_initial_state(ops, k).amplitude for k in config.ks]
     sols = rk4_ansatz(_oracle_problems(config, mesh, config.ks, amplitudes),
                       config.t_final, config.delta / config.oracle_stride,
                       store_stride=config.oracle_stride)
@@ -605,26 +605,19 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--rule", choices=sorted(NEWTON_COTES_RULES))
     run_p.add_argument("--out")
 
+    # unset flags stay None, so RunConfig and COMMANDS supply the defaults
     orc = sub.add_parser("oracle", help="run the pointwise reference alone")
-    orc.add_argument("--k", default="1")
-    orc.add_argument("--T", type=float, default=10.0)
-    orc.add_argument("--h", type=float, default=1e-2)
-    orc.add_argument("--delta", type=float, default=2e-3)
-    orc.add_argument("--alpha", type=float, default=1.0)
-    orc.add_argument("--m", type=int, default=1)
-    orc.add_argument("--out", default="degenwave-out")
+    orc.add_argument("--k")
+    for name, typ in [("T", float), ("h", float), ("delta", float),
+                      ("alpha", float), ("m", int), ("out", str)]:
+        orc.add_argument(f"--{name}", type=typ)
 
     osc = sub.add_parser("oscillator", help="finite-dimensional stability sweep")
-    osc.add_argument("--radius", type=float, default=float(np.sqrt(2.0)))
-    osc.add_argument("--samples", type=int, default=64)
-    osc.add_argument("--khat", type=float, default=1.0)
-    osc.add_argument("--alpha", type=float, default=1.0)
-    osc.add_argument("--m", type=int, default=1)
-    osc.add_argument("--eps-target", type=float, default=0.1)
-    osc.add_argument("--horizon", type=float, default=400.0)
-    osc.add_argument("--step", type=float, default=0.01)
-    osc.add_argument("--seed", type=int, default=0)
-    osc.add_argument("--out", default="degenwave-out")
+    for name, typ in [("radius", float), ("samples", int), ("khat", float),
+                      ("alpha", float), ("m", int), ("eps-target", float),
+                      ("horizon", float), ("step", float), ("seed", int),
+                      ("out", str)]:
+        osc.add_argument(f"--{name}", type=typ)
     return parser
 
 
@@ -642,10 +635,8 @@ def _config_from_args(args) -> RunConfig:
                 file_values["ks"] = _parse_ks(file_values["ks"])
             values.update({k: v for k, v in file_values.items()
                            if k in RunConfig.__dataclass_fields__})
-    elif args.command == "oracle":
-        values["experiment"] = "oracle"
-    elif args.command == "oscillator":
-        values["experiment"] = "oscillator"
+    else:
+        values.update(COMMANDS[args.command])
 
     for flag, value in vars(args).items():
         if flag in ("command", "preset", "config") or value is None:

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linop import (BlockGenerator, Propagator, energy, energy_norm, h1_norm,
-                    l2_norm, make_generator, matrix_exponential)
+from .linop import Propagator, energy, h1_norm, l2_norm, matrix_exponential
 from .linwave import (NEWTON_COTES_RULES, ModalState, Trajectory, exact_group,
                       modal_nodal_state)
 from .mesh import (Mesh, SpatialOperators, hat_load_from_values,
@@ -44,8 +43,9 @@ class ModeData:
     y0: np.ndarray
 
 
-def mode_initial_state(mesh: Mesh, ops: SpatialOperators, k: int,
+def mode_initial_state(ops: SpatialOperators, k: int,
                        normalize: bool = True) -> ModeData:
+    mesh = ops.mesh
     if k < 1:
         raise ValueError("mode index must be >= 1")
     if 8 * k > mesh.n:
@@ -104,10 +104,9 @@ class FrequencyRun:
         return self.result.trajectory
 
 
-def frequency_sweep(ks, alpha: float, m: int, mesh: Mesh, ops: SpatialOperators,
+def frequency_sweep(ks, alpha: float, m: int, ops: SpatialOperators,
                     delta: float, t_final: float, window: float = 1.0,
                     epsilon: float = 1e-8, rule: str = "boole",
-                    gen: BlockGenerator | None = None,
                     propagator: Propagator | None = None,
                     pool=None) -> list[FrequencyRun]:
     """One converged run per frequency, all from unit-energy data.
@@ -116,21 +115,20 @@ def frequency_sweep(ks, alpha: float, m: int, mesh: Mesh, ops: SpatialOperators,
     fan them out.  Results come back ordered by the input frequencies
     regardless of scheduling.
     """
-    if gen is None:
-        gen = make_generator(ops)
     m_pts, _ = NEWTON_COTES_RULES[rule]
     if propagator is None:
-        propagator = matrix_exponential(gen, delta, points=m_pts)
+        propagator = matrix_exponential(ops, delta, points=m_pts)
     config = PicardConfig(t_final=t_final, delta=delta, alpha=alpha, m=m,
                           epsilon=epsilon, window=window, rule=rule)
 
     def run_one(k: int) -> FrequencyRun:
-        data = mode_initial_state(mesh, ops, k)
-        result = picard_solve(gen, ops, data.y0, config, propagator=propagator)
+        data = mode_initial_state(ops, k)
+        result = picard_solve(ops, data.y0, config, propagator=propagator)
         trace = EnergyTrace.from_trajectory(
             result.trajectory, ops,
-            meta={"k": k, "alpha": alpha, "m": m, "h": mesh.h, "delta": delta,
-                  "scheme": f"duhamel-{rule}", "scale": data.scale})
+            meta={"k": k, "alpha": alpha, "m": m, "h": ops.mesh.h,
+                  "delta": delta, "scheme": f"duhamel-{rule}",
+                  "scale": data.scale})
         return FrequencyRun(k=k, data=data, result=result, trace=trace)
 
     ks = list(ks)
@@ -140,8 +138,7 @@ def frequency_sweep(ks, alpha: float, m: int, mesh: Mesh, ops: SpatialOperators,
     return [f.result() for f in futures]
 
 
-def conservative_comparison(run: FrequencyRun, mesh: Mesh,
-                            ops: SpatialOperators,
+def conservative_comparison(run: FrequencyRun, ops: SpatialOperators,
                             discrete_frequency: bool = True) -> EnergyTrace:
     """Energy history of z = u - w, with w the undamped solution of the
     same initial data.
@@ -157,6 +154,7 @@ def conservative_comparison(run: FrequencyRun, mesh: Mesh,
     is no longer small.
     """
     traj = run.trajectory
+    mesh = ops.mesh
     u0 = run.data.y0[: mesh.n]
     if discrete_frequency:
         # sine samples are exact eigenvectors of the (K, M) pencil
@@ -209,16 +207,17 @@ class PrimitiveSetup:
                      + np.sum(u0 * ops.apply_mass(u0)))
 
 
-def primitive_setup(k: int, m: int, mesh: Mesh, ops: SpatialOperators,
-                    alpha: float = 1.0, normalize: bool = True) -> PrimitiveSetup:
+def primitive_setup(k: int, m: int, ops: SpatialOperators,
+                    alpha: float = 1.0) -> PrimitiveSetup:
     """Solve the elliptic problem for the displacement potential.
 
     The antiderivative damping is evaluated on the piecewise-linear
     interpolant of the initial displacement (the same object the wave solver
     evolves), integrated per element with Gauss points matching its degree.
     """
+    mesh = ops.mesh
     damping = PrimitiveDamping(alpha=alpha, m=m)
-    data = mode_initial_state(mesh, ops, k, normalize=normalize)
+    data = mode_initial_state(ops, k)
     u0 = data.y0[: mesh.n]
     npts = max(4, m + 2)
     _, xi, w = mesh.element_gauss(npts)
@@ -254,21 +253,20 @@ class PrimitiveResult:
     damped_run: FrequencyRun
 
 
-def primitive_solve(setup: PrimitiveSetup, gen: BlockGenerator,
-                    ops: SpatialOperators, delta: float, t_final: float,
+def primitive_solve(setup: PrimitiveSetup, ops: SpatialOperators,
+                    delta: float, t_final: float,
                     window: float = 1.0, epsilon: float = 1e-8,
                     rule: str = "boole", damped_run: FrequencyRun | None = None,
                     propagator: Propagator | None = None) -> PrimitiveResult:
     """Integrate the primitive problem and compare its velocity to the damped run."""
     config = PicardConfig(t_final=t_final, delta=delta, alpha=setup.alpha,
                           m=setup.m, epsilon=epsilon, window=window, rule=rule)
-    result = picard_solve(gen, ops, setup.initial_state(), config,
+    result = picard_solve(ops, setup.initial_state(), config,
                           forcing=setup.damping, propagator=propagator)
-    mesh = ops.mesh
     if damped_run is None:
-        damped_run = frequency_sweep([setup.k], setup.alpha, setup.m, mesh, ops,
+        damped_run = frequency_sweep([setup.k], setup.alpha, setup.m, ops,
                                      delta, t_final, window=window,
-                                     epsilon=epsilon, rule=rule, gen=gen,
+                                     epsilon=epsilon, rule=rule,
                                      propagator=propagator)[0]
     vel = result.trajectory.velocity()
     gap = float(l2_norm(ops, vel - damped_run.trajectory.displacement()).max())
@@ -281,7 +279,7 @@ def primitive_solve(setup: PrimitiveSetup, gen: BlockGenerator,
                            damped_run=damped_run)
 
 
-def ab5_substeps(traj: Trajectory, gen: BlockGenerator, t_final: float,
+def ab5_substeps(traj: Trajectory, ops: SpatialOperators, t_final: float,
                  substeps: int | None = None) -> tuple[int, float]:
     """Internal AB5 substep count for extending ``traj`` to ``t_final``.
 
@@ -290,7 +288,7 @@ def ab5_substeps(traj: Trajectory, gen: BlockGenerator, t_final: float,
     extension (``stable_substeps`` keeps that at or below 10).
     """
     n_steps = int(round((t_final - traj.times[-1]) / traj.delta))
-    omega_max = gen.max_frequency()
+    omega_max = float(np.sqrt(ops.max_generalized_eigenvalue()))
     if substeps is None:
         substeps = stable_substeps(traj.delta, omega_max, n_steps)
     with np.errstate(over="ignore"):
@@ -299,8 +297,8 @@ def ab5_substeps(traj: Trajectory, gen: BlockGenerator, t_final: float,
     return substeps, growth
 
 
-def extend_with_ab5(traj: Trajectory, gen: BlockGenerator, ops: SpatialOperators,
-                    forcing, t_final: float, substeps: int | None = None) -> Trajectory:
+def extend_with_ab5(traj: Trajectory, ops: SpatialOperators, forcing,
+                    t_final: float, substeps: int | None = None) -> Trajectory:
     """AB5 extension with an automatically stabilized internal step.
 
     The substep count defaults to the smallest power of two that keeps the
@@ -308,8 +306,8 @@ def extend_with_ab5(traj: Trajectory, gen: BlockGenerator, ops: SpatialOperators
     frequency the mesh carries.
     """
     if substeps is None:
-        substeps, _ = ab5_substeps(traj, gen, t_final)
-    rhs = semilinear_rhs(gen, ops, forcing)
+        substeps, _ = ab5_substeps(traj, ops, t_final)
+    rhs = semilinear_rhs(ops, forcing)
     # blow-up guard: stop once the energy exceeds ten times its start value
     return extend_trajectory(traj, rhs, t_final,
                              norm_fn=lambda y: float(energy(ops, y)),
@@ -374,21 +372,6 @@ def lower_order_decay(trace: EnergyTrace, setup: PrimitiveSetup,
     return LowerOrderReport(times=trace.times.copy(), l2=trace.l2.copy(),
                             bound=bound,
                             satisfied=trace.l2**2 <= bound + 1e-12)
-
-
-def fractional_sine_norm(mesh: Mesh, u: np.ndarray, s: float) -> float:
-    """Sobolev-type norm of order ``s`` from discrete sine coefficients.
-
-    Expands the nodal vector in the orthogonal sine basis and weights the
-    coefficients by (k pi)^{2s}; s = 0 recovers a discrete L^2 norm and
-    s = 1 the first-order seminorm (both up to quadrature flavor).
-    Diagnostic only.
-    """
-    from scipy.fft import dst
-    n, h = mesh.n, mesh.h
-    coeff = dst(u, type=1) * h / np.sqrt(2.0)   # coefficients against sqrt(2) sin(k pi x)
-    lam = (np.arange(1, n + 1) * np.pi) ** 2
-    return float(np.sqrt(np.sum(lam**s * coeff**2)))
 
 
 # -- continuum-norm comparison (for the viscous reference) -----------------------

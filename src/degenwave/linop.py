@@ -1,4 +1,4 @@
-"""Block wave generator on the FEM subspace, its exponential, and energies.
+"""The wave generator's exponential in the discrete sine modes, and energies.
 
 States are stacked coefficient vectors y = (u, v) of length 2n where u holds
 displacement and v velocity coefficients.  The generator acts as
@@ -15,29 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import SpatialOperators
-
-
-class BlockGenerator:
-    """The first-order evolution operator of the undamped discrete string."""
-
-    def __init__(self, ops: SpatialOperators):
-        self.ops = ops
-        self.n = ops.mesh.n
-
-    def apply(self, y: np.ndarray) -> np.ndarray:
-        """Generator action, batched over leading axes."""
-        n = self.n
-        u, v = y[..., :n], y[..., n:]
-        return np.concatenate([v, -self.ops.solve_mass(self.ops.apply_stiffness(u))],
-                              axis=-1)
-
-    def max_frequency(self) -> float:
-        """sqrt of the largest generalized stiffness/mass eigenvalue."""
-        return float(np.sqrt(self.ops.max_generalized_eigenvalue()))
-
-
-def make_generator(ops: SpatialOperators) -> BlockGenerator:
-    return BlockGenerator(ops)
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,8 +51,9 @@ class Propagator:
                                z.imag @ self.sine], axis=-1)
 
 
-def matrix_exponential(gen: BlockGenerator, step: float, points: int = 5) -> Propagator:
-    """Propagator for the wave generator over one time step.
+def matrix_exponential(ops: SpatialOperators, step: float,
+                       points: int = 5) -> Propagator:
+    """Propagator for the wave generator of ``ops`` over one time step.
 
     ``points`` is the closed Newton-Cotes point count whose sub-step
     phases get cached alongside the full step.
@@ -84,11 +62,11 @@ def matrix_exponential(gen: BlockGenerator, step: float, points: int = 5) -> Pro
         raise ValueError("step must be finite")
     if points < 2:
         raise ValueError("need at least two quadrature points")
-    mu, kappa = gen.ops.sine_eigenvalues()
+    mu, kappa = ops.sine_eigenvalues()
     omega = np.sqrt(kappa / mu)
     theta = step / (points - 1)
     powers = tuple(np.exp(-1j * (j * theta) * omega) for j in range(points))
-    return Propagator(step=step, points=points, sine=gen.ops.sine_basis(),
+    return Propagator(step=step, points=points, sine=ops.sine_basis(),
                       omega=omega, powers=powers)
 
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linop import BlockGenerator, Propagator, matrix_exponential
-from .mesh import Mesh
+from .linop import Propagator, matrix_exponential
+from .mesh import Mesh, SpatialOperators
 
 # closed Newton-Cotes rules on [0, 1]: point count and weights (sum to 1)
 NEWTON_COTES_RULES = {
@@ -141,7 +141,7 @@ def sweep(prop: Propagator, y0: np.ndarray, f_absc: np.ndarray,
     return states
 
 
-def solve_linear_inhomogeneous(gen: BlockGenerator, y0: np.ndarray, forcing,
+def solve_linear_inhomogeneous(ops: SpatialOperators, y0: np.ndarray, forcing,
                                t_final: float, delta: float, rule: str = "boole",
                                propagator: Propagator | None = None,
                                t0: float = 0.0) -> Trajectory:
@@ -157,7 +157,7 @@ def solve_linear_inhomogeneous(gen: BlockGenerator, y0: np.ndarray, forcing,
         raise ValueError("the step must tile the interval")
     m, _ = NEWTON_COTES_RULES[rule]
     if propagator is None:
-        propagator = matrix_exponential(gen, delta, points=m)
+        propagator = matrix_exponential(ops, delta, points=m)
     absc = t0 + propagator.theta * np.arange((m - 1) * nsteps + 1)
     f_absc = np.asarray(forcing(absc), dtype=float)
     states = sweep(propagator, y0, f_absc, rule=rule)

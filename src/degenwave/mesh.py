@@ -82,9 +82,6 @@ class QuarticTensor:
         self.value_aaab = h / 20.0      # 3-1 split inside one element
         self.value_aabb = h / 30.0      # 2-2 split inside one element
 
-    def distinct_values(self) -> tuple[float, float, float]:
-        return (self.value_aaaa, self.value_aaab, self.value_aabb)
-
     def entry(self, p: int, q: int, r: int, s: int) -> float:
         """Single entry lookup (1-based interior node indices)."""
         idx = sorted((p, q, r, s))
@@ -254,17 +251,6 @@ def assemble(mesh: Mesh) -> SpatialOperators:
     )
 
 
-def ritz_project_h1(mesh: Mesh, g) -> np.ndarray:
-    """Best approximation of ``g`` in the H^1_0 inner product.
-
-    For piecewise linears in one dimension this coincides with nodal
-    interpolation: testing g' against the piecewise-constant hat derivatives
-    telescopes into second differences of nodal values, so the stiffness
-    system K c = (g', phi_i') is solved exactly by c_i = g(x_i).
-    """
-    return np.asarray(g(mesh.nodes), dtype=float)
-
-
 def l2_project(ops: SpatialOperators, g, npts: int = 4) -> np.ndarray:
     """L^2 projection of ``g`` onto the hat-function space: solve M c = (g, phi_i).
 
@@ -304,13 +290,3 @@ def values_at_gauss(mesh: Mesh, u: np.ndarray, xi: np.ndarray) -> np.ndarray:
     uL, uR = up[..., :-1], up[..., 1:]
     return uL[..., None] * (1.0 - xi) + uR[..., None] * xi
 
-
-def eigenpair(mesh: Mesh, k: int) -> tuple[float, np.ndarray]:
-    """k-th Dirichlet Laplacian eigenpair on (0,1), sampled at the nodes.
-
-    Returns (k^2 pi^2, sqrt(2) sin(k pi x_i)).
-    """
-    if k < 1:
-        raise ValueError("mode index must be >= 1")
-    lam = (k * np.pi) ** 2
-    return lam, np.sqrt(2.0) * np.sin(k * np.pi * mesh.nodes)

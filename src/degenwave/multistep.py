@@ -189,7 +189,7 @@ def _rk4_step(rhs, t, y, dt):
     return y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def semilinear_rhs(gen, ops, forcing):
+def semilinear_rhs(ops, forcing):
     """Right-hand side t, y -> A y + (0, f(u, v)) for the multistep scheme."""
     n = ops.mesh.n
 

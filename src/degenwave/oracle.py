@@ -70,13 +70,6 @@ class OracleSolution:
     phi: np.ndarray      # (n_times, n_samples)
     phidot: np.ndarray
 
-    def index_of(self, t: float) -> int:
-        dt = self.times[1] - self.times[0]
-        i = int(round((t - self.times[0]) / dt))
-        if i < 0 or i >= len(self.times) or abs(self.times[i] - t) > 1e-9:
-            raise ValueError(f"time {t} is not on the oracle grid")
-        return i
-
     def modal_energy(self) -> np.ndarray:
         """Per-sample oscillator energy 1/2 lam phi^2 + 1/2 phi'^2, (n_times, n_samples)."""
         return 0.5 * self.problem.lam * self.phi**2 + 0.5 * self.phidot**2
@@ -225,18 +218,6 @@ def _check_on_mesh(problem: AnsatzProblem, mesh: Mesh) -> None:
         raise ValueError("oracle sample positions do not match the mesh nodes")
 
 
-def oracle_field(sol: OracleSolution, t: float, mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
-    """Nodal (u, u_t) of the reference at a stored time.
-
-    Requires the solution to have been sampled at the mesh nodes; no time
-    interpolation is performed.
-    """
-    _check_on_mesh(sol.problem, mesh)
-    i = sol.index_of(t)
-    ek = sol.problem.eigenfunction()
-    return sol.phi[i] * ek, sol.phidot[i] * ek
-
-
 def oracle_states(sol: OracleSolution, mesh: Mesh) -> np.ndarray:
     """All stored reference states as stacked (u, v) rows."""
     _check_on_mesh(sol.problem, mesh)
@@ -249,7 +230,7 @@ def _check_aligned(traj: Trajectory, sol: OracleSolution):
         raise ValueError("trajectory and oracle time grids do not match")
 
 
-def compare_energy_norm(traj: Trajectory, sol: OracleSolution, mesh: Mesh,
+def compare_energy_norm(traj: Trajectory, sol: OracleSolution,
                         ops: SpatialOperators) -> float:
     """Max-over-time energy norm of the state difference.
 
@@ -258,11 +239,11 @@ def compare_energy_norm(traj: Trajectory, sol: OracleSolution, mesh: Mesh,
     dynamics; see ``compare_energy_decay`` for the decay-history comparison.
     """
     _check_aligned(traj, sol)
-    diff = traj.states - oracle_states(sol, mesh)
+    diff = traj.states - oracle_states(sol, ops.mesh)
     return float(energy_norm(ops, diff).max())
 
 
-def compare_energy_decay(traj: Trajectory, sol: OracleSolution, mesh: Mesh,
+def compare_energy_decay(traj: Trajectory, sol: OracleSolution,
                          ops: SpatialOperators) -> float:
     """Max-over-time absolute gap between the two energy histories.
 
@@ -272,7 +253,7 @@ def compare_energy_decay(traj: Trajectory, sol: OracleSolution, mesh: Mesh,
     """
     _check_aligned(traj, sol)
     e_fem = energy(ops, traj.states)
-    e_ref = energy(ops, oracle_states(sol, mesh))
+    e_ref = energy(ops, oracle_states(sol, ops.mesh))
     return float(np.abs(e_fem - e_ref).max())
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linop import BlockGenerator, Propagator, energy_norm, matrix_exponential
+from .linop import Propagator, energy_norm, matrix_exponential
 from .linwave import NEWTON_COTES_RULES, Trajectory, sweep
 from .mesh import SpatialOperators, hat_load_from_values, values_at_gauss
 
@@ -90,11 +90,6 @@ class LinearDamping:
         return -self.beta * v
 
 
-class ZeroForcing:
-    def coefficients(self, ops, u, v):
-        return np.zeros_like(u)
-
-
 def _nonlinear_load(ops, pointwise, u, v, degree: int):
     """Load vector of a pointwise nonlinearity of the interpolants.
 
@@ -106,12 +101,6 @@ def _nonlinear_load(ops, pointwise, u, v, degree: int):
     ug = values_at_gauss(ops.mesh, u, xi)
     vg = values_at_gauss(ops.mesh, v, xi)
     return hat_load_from_values(ops.mesh, pointwise(ug, vg), xi, w)
-
-
-def cubic_forcing(ops: SpatialOperators, u: np.ndarray, v: np.ndarray,
-                  alpha: float = 1.0, m: int = 1) -> np.ndarray:
-    """Forcing coefficient vector -proj(alpha u^{2m} v) for a single state."""
-    return DegenerateDamping(alpha, m).coefficients(ops, u, v)
 
 
 # -- configuration and results ------------------------------------------------
@@ -166,10 +155,6 @@ class PicardResult:
     converged: bool
     windows: list
 
-    def __iter__(self):
-        # convenience unpacking: trajectory, iterations used, final distance
-        return iter((self.trajectory, self.iterations, self.final_distance))
-
 
 # -- the solver ---------------------------------------------------------------
 
@@ -187,9 +172,8 @@ def _interp_abscissae(x: np.ndarray, points: int) -> np.ndarray:
 
 # a blow-up is reported by the finiteness guard, not through overflow warnings
 @np.errstate(over="ignore", invalid="ignore")
-def picard_solve(gen: BlockGenerator, ops: SpatialOperators, y0: np.ndarray,
-                 config: PicardConfig, forcing=None,
-                 propagator: Propagator | None = None) -> PicardResult:
+def picard_solve(ops: SpatialOperators, y0: np.ndarray, config: PicardConfig,
+                 forcing=None, propagator: Propagator | None = None) -> PicardResult:
     """Fixed-point solve of the semilinear problem on [0, t_final].
 
     The first iterate of every window uses the constant-in-time forcing of
@@ -204,7 +188,7 @@ def picard_solve(gen: BlockGenerator, ops: SpatialOperators, y0: np.ndarray,
         forcing = DegenerateDamping(config.alpha, config.m)
     m_pts, _ = NEWTON_COTES_RULES[config.rule]
     if propagator is None:
-        propagator = matrix_exponential(gen, config.delta, points=m_pts)
+        propagator = matrix_exponential(ops, config.delta, points=m_pts)
     n = ops.mesh.n
 
     chunks = [y0[None, :]]

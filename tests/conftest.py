@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from degenwave import assemble, build_mesh, make_generator, matrix_exponential
+from degenwave import assemble, build_mesh, matrix_exponential
 
 DELTA = 2e-3
 
@@ -17,13 +17,8 @@ def ops99(mesh99):
 
 
 @pytest.fixture(scope="session")
-def gen99(ops99):
-    return make_generator(ops99)
-
-
-@pytest.fixture(scope="session")
-def prop99(gen99):
-    return matrix_exponential(gen99, DELTA, points=5)
+def prop99(ops99):
+    return matrix_exponential(ops99, DELTA, points=5)
 
 
 @pytest.fixture()

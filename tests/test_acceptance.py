@@ -16,7 +16,7 @@ from degenwave import (LinearDamping, PicardConfig,
                        compare_energy_decay, compare_energy_norm,
                        continuum_energy_error, decay_rate_fit,
                        dissipation_exponent, energy,
-                       frequency_sweep, lower_order_decay, make_generator,
+                       frequency_sweep, lower_order_decay,
                        matrix_exponential, picard_solve,
                        primitive_setup, primitive_solve, rk4_ansatz,
                        uniform_stability_sweep)
@@ -35,31 +35,29 @@ def crit(name: str, ok: bool, detail: str) -> None:
 
 
 @pytest.fixture(scope="session")
-def fig2(mesh99, ops99, gen99, prop99):
+def fig2(mesh99, ops99, prop99):
     """The frequency sweep at the reference resolution, with oracle errors."""
     bundle = {"runs": {}, "e_gap": {}, "e_norm": {}, "seconds": {}}
     for k in (1, 2, 4, 8):
         t0 = time.perf_counter()
-        run = frequency_sweep([k], 1.0, 1, mesh99, ops99, DELTA, T_FINAL,
-                              gen=gen99, propagator=prop99)[0]
+        run = frequency_sweep([k], 1.0, 1, ops99, DELTA, T_FINAL,
+                              propagator=prop99)[0]
         problem = AnsatzProblem.for_mesh(mesh99, k,
                                          c0=run.data.amplitude / np.sqrt(2.0))
         sol = rk4_ansatz(problem, T_FINAL, DELTA / 10, store_stride=10)
-        bundle["e_gap"][k] = compare_energy_decay(run.trajectory, sol, mesh99,
-                                                  ops99)
-        bundle["e_norm"][k] = compare_energy_norm(run.trajectory, sol, mesh99,
-                                                  ops99)
+        bundle["e_gap"][k] = compare_energy_decay(run.trajectory, sol, ops99)
+        bundle["e_norm"][k] = compare_energy_norm(run.trajectory, sol, ops99)
         bundle["seconds"][k] = time.perf_counter() - t0
         bundle["runs"][k] = run
     return bundle
 
 
 @pytest.fixture(scope="session")
-def primitive50(mesh99, ops99, gen99, prop99, fig2):
-    setup = primitive_setup(1, 1, mesh99, ops99)
-    result = primitive_solve(setup, gen99, ops99, DELTA, T_FINAL,
+def primitive50(mesh99, ops99, prop99, fig2):
+    setup = primitive_setup(1, 1, ops99)
+    result = primitive_solve(setup, ops99, DELTA, T_FINAL,
                              damped_run=fig2["runs"][1], propagator=prop99)
-    extended = extend_with_ab5(result.trajectory, gen99, ops99, setup.damping,
+    extended = extend_with_ab5(result.trajectory, ops99, setup.damping,
                                50.0)
     trace = EnergyTrace.from_trajectory(extended, ops99)
     return {"setup": setup, "result": result, "trace": trace}
@@ -128,7 +126,7 @@ class TestConservativeGapOrdering:
         # the gap to the undamped flow of the same data measures what the
         # damping did; it must fall off with the frequency at fixed energy
         from degenwave import conservative_comparison
-        gaps = {k: conservative_comparison(run, mesh99, ops99).energy.max()
+        gaps = {k: conservative_comparison(run, ops99).energy.max()
                 for k, run in fig2["runs"].items()}
         ordered = all(gaps[a] > gaps[b]
                       for a, b in zip((1, 2, 4), (2, 4, 8)))
@@ -159,9 +157,9 @@ class TestCriterion3EnergyLaws:
         crit("criterion 3b (strict decrease over unit windows)", ok,
              "checked k = 1, 2, 4, 8 on [0, 10]")
 
-    def test_undamped_conservation(self, mesh99, ops99, gen99, prop99):
-        runs = frequency_sweep([1], 0.0, 1, mesh99, ops99, DELTA, T_FINAL,
-                               gen=gen99, propagator=prop99)
+    def test_undamped_conservation(self, mesh99, ops99, prop99):
+        runs = frequency_sweep([1], 0.0, 1, ops99, DELTA, T_FINAL,
+                               propagator=prop99)
         e = runs[0].trace.energy
         drift = np.abs(e - e[0]).max() / e[0]
         crit("criterion 3c (conservative limit)", drift < 1e-9,
@@ -174,13 +172,12 @@ class TestCriterion4LinearDampedReference:
     def _fem_error(self, h):
         mesh = build_mesh(int(round(1 / h)) - 1)
         ops = assemble(mesh)
-        gen = make_generator(ops)
-        prop = matrix_exponential(gen, DELTA)
+        prop = matrix_exponential(ops, DELTA)
         c0 = 2.0 / np.pi
         u0 = c0 * np.sin(np.pi * mesh.nodes)
         y0 = np.concatenate([u0, np.zeros(mesh.n)])
         config = PicardConfig(t_final=T_FINAL, delta=DELTA)
-        result = picard_solve(gen, ops, y0, config,
+        result = picard_solve(ops, y0, config,
                               forcing=LinearDamping(self.BETA), propagator=prop)
         lam = np.pi**2
         w = np.sqrt(lam - self.BETA**2 / 4)
@@ -238,17 +235,16 @@ class TestCriterion5SchemeOrders:
         from degenwave import solve_linear_inhomogeneous
         mesh = build_mesh(1)
         ops = assemble(mesh)
-        gen = make_generator(ops)
         lam_h = ops.max_generalized_eigenvalue()
         nu, s = 2.0, np.array([1.0])
         errs = []
         for d in (0.1, 0.05):
-            prop = matrix_exponential(gen, d, points=5)
+            prop = matrix_exponential(ops, d, points=5)
 
             def forcing(t):
                 return ((lam_h - nu**2) * np.sin(nu * t))[:, None] * s
 
-            traj = solve_linear_inhomogeneous(gen, np.array([0.0, nu]), forcing,
+            traj = solve_linear_inhomogeneous(ops, np.array([0.0, nu]), forcing,
                                               2.0, d, propagator=prop)
             exact = np.stack([np.sin(nu * traj.times),
                               nu * np.cos(nu * traj.times)], axis=1)
@@ -265,7 +261,7 @@ class TestCriterion6PrimitiveProblem:
         for n in (99, 199):
             mesh = build_mesh(n)
             ops = assemble(mesh)
-            setup = primitive_setup(1, 1, mesh, ops)
+            setup = primitive_setup(1, 1, ops)
             exact = closed_form_potential_m1(setup.data.amplitude, 1, mesh.nodes)
             errs.append(np.abs(setup.phi0 - exact).max())
         ratio = errs[0] / errs[1]
@@ -320,7 +316,7 @@ class TestCriterion7LowerOrderBound:
         worst_slack, ok = np.inf, True
         details = []
         for k, run in fig2["runs"].items():
-            setup = primitive_setup(k, 1, mesh99, ops99)
+            setup = primitive_setup(k, 1, ops99)
             report = lower_order_decay(run.trace, setup, ops99)
             ok &= report.all_satisfied
             slack = report.bound - (report.l2**2).max()

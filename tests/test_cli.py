@@ -1,11 +1,17 @@
 import json
+import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from degenwave.cli import (Report, RunConfig, _check_splice, _run_sweep,
-                           _spatial, emit_plot, main, parse_config_file, run)
+from degenwave.cli import (EXPERIMENTS, Report, RunConfig, _check_splice,
+                           _config_from_args, _run_sweep, _spatial,
+                           build_parser, emit_plot, main, parse_config_file,
+                           run)
+from degenwave.linwave import NEWTON_COTES_RULES
 from degenwave.picard import DegenerateDamping
 
 FAST = dict(h=0.1, delta=0.02, t_final=0.4, t_extend=0.4, ks=(1,),
@@ -51,6 +57,66 @@ class TestConfig:
         cfg.write_text("alpha 2.0\n")
         with pytest.raises(ValueError):
             parse_config_file(str(cfg))
+
+    @pytest.mark.parametrize("argv", [["oracle", "--T", "60"],
+                                      ["run", "--preset", "fig2", "--k", "1",
+                                       "--T", "60"]])
+    def test_non_extending_run_ignores_t_extend(self, argv):
+        # t_extend keeps its default of 50; only fig3 and primitive extend
+        config = _config_from_args(build_parser().parse_args(argv))
+        assert config.t_final == 60.0 and config.t_extend == 50.0
+        config.validate()
+
+    def test_extension_before_final_rejected(self, tmp_path, capsys):
+        code = main(["run", "--preset", "fig3", "--T", "2", "--T2", "1",
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "t_extend must not precede t_final" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command,expected", [
+        ("oracle", RunConfig(experiment="oracle", ks=(1,))),
+        ("oscillator", RunConfig(experiment="oscillator"))])
+    def test_subcommand_defaults_come_from_run_config(self, command, expected):
+        assert _config_from_args(build_parser().parse_args([command])) == expected
+
+
+@st.composite
+def valid_configs(draw):
+    """A RunConfig that passes ``validate``, drawn field by field."""
+    num = lambda lo, hi: st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+    delta = draw(num(1e-4, 0.1))
+    t_final = draw(st.integers(1, 1000)) * delta
+    return RunConfig(
+        experiment=draw(st.sampled_from(EXPERIMENTS)),
+        alpha=draw(num(0.0, 100.0)), m=draw(st.integers(1, 4)),
+        ks=tuple(draw(st.lists(st.integers(1, 20), min_size=1, max_size=5))),
+        h=draw(num(1e-4, 0.5)), delta=delta, t_final=t_final,
+        t_extend=t_final + draw(num(0.0, 100.0)), beta=draw(num(-10.0, 10.0)),
+        rule=draw(st.sampled_from(sorted(NEWTON_COTES_RULES))),
+        oracle_stride=draw(st.integers(1, 50)), window=draw(num(1e-3, 10.0)),
+        epsilon=draw(num(1e-14, 1.0)), substeps=draw(st.integers(0, 64)),
+        khat=draw(num(1e-3, 100.0)), radius=draw(num(1e-3, 10.0)),
+        samples=draw(st.integers(1, 500)), eps_target=draw(num(1e-6, 1.0)),
+        horizon=draw(num(1e-2, 1e3)), osc_step=draw(num(1e-4, 1.0)),
+        seed=draw(st.integers(0, 2**31)),
+        # no '#': the flat format reads it as the start of a comment
+        out=draw(st.text("abcXYZ019_-./", min_size=1, max_size=20)))
+
+
+class TestConfigFileRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(valid_configs())
+    def test_flat_file_parses_back_to_equal_config(self, config):
+        config.validate()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.cfg"
+            path.write_text("".join(f"{f.name} = {getattr(config, f.name)!r}\n"
+                                    for f in fields(config)))
+            parsed = parse_config_file(str(path))
+            assert set(parsed) == {f.name for f in fields(config)}
+            args = build_parser().parse_args(["run", "--config", str(path)])
+            assert _config_from_args(args) == config
 
 
 class TestRun:
@@ -108,6 +174,15 @@ class TestRun:
                            out=str(tmp_path))
         assert run(config) == 1
 
+    @pytest.mark.parametrize("value", ["-1", "-3"])
+    def test_negative_substeps_exit_code(self, tmp_path, capsys, value):
+        # 0 means automatic; a negative count is a configuration error
+        code = main(["run", "--preset", "fig3", "--k", "1", "--T", "0.1",
+                     "--T2", "0.2", "--substeps", value,
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "substeps must be >= 0" in capsys.readouterr().err
+
     def test_numerical_failure_exit_code(self, tmp_path):
         # strong damping over a long window makes the iteration diverge
         config = RunConfig(experiment="custom", out=str(tmp_path), alpha=50.0,
@@ -161,11 +236,11 @@ class TestRun:
         # window; the damped one reproduces it
         config = RunConfig(experiment="fig3", h=0.1, delta=0.02, t_final=0.4,
                            ks=(1,), window=0.2)
-        mesh, ops, gen, prop = _spatial(config)
-        run = _run_sweep(config, mesh, ops, gen, prop)[0]
+        ops, prop = _spatial(config)
+        run = _run_sweep(config, ops, prop)[0]
         for alpha, tag in [(1.0, "[PASS]"), (0.0, "[FAIL]")]:
             report = Report()
-            _check_splice(report, run, gen, ops, DegenerateDamping(alpha), 4)
+            _check_splice(report, run, ops, DegenerateDamping(alpha), 4)
             assert report.lines[0].startswith(f"{tag} k=1 splice continuity")
 
     def test_primitive_path(self, tmp_path):

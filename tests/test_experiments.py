@@ -4,36 +4,36 @@ import pytest
 from degenwave import (EnergyTrace, assemble, build_mesh,
                        closed_form_potential_m1, conservative_comparison,
                        continuum_energy_error, decay_rate_fit,
-                       fractional_sine_norm, frequency_sweep, h1_norm, l2_norm,
+                       frequency_sweep, h1_norm, l2_norm,
                        lower_order_decay, mode_initial_state, primitive_setup,
                        primitive_solve)
 
 
 class TestModeInitialState:
-    def test_unit_energy_exact(self, mesh99, ops99):
+    def test_unit_energy_exact(self, ops99):
         from degenwave import energy
         for k in (1, 2, 4, 8):
-            data = mode_initial_state(mesh99, ops99, k)
+            data = mode_initial_state(ops99, k)
             assert energy(ops99, data.y0) == pytest.approx(1.0, abs=1e-12)
 
     def test_scale_factors_small(self, mesh99, ops99):
         # rescaling compensates the O((k pi h)^2) interpolation energy defect
         for k in (1, 2, 4, 8):
-            data = mode_initial_state(mesh99, ops99, k)
+            data = mode_initial_state(ops99, k)
             defect = (k * np.pi * mesh99.h) ** 2 / 12.0
             assert data.scale == pytest.approx(1.0 / np.sqrt(1 - defect), rel=1e-3)
 
-    def test_unnormalized_keeps_raw_amplitude(self, mesh99, ops99):
-        data = mode_initial_state(mesh99, ops99, 2, normalize=False)
+    def test_unnormalized_keeps_raw_amplitude(self, ops99):
+        data = mode_initial_state(ops99, 2, normalize=False)
         assert data.scale == 1.0
         assert data.amplitude == pytest.approx(1.0 / np.pi, rel=1e-14)
 
-    def test_under_resolved_rejected(self, mesh99, ops99):
+    def test_under_resolved_rejected(self, ops99):
         with pytest.raises(ValueError):
-            mode_initial_state(mesh99, ops99, 13)   # 8k > 99
+            mode_initial_state(ops99, 13)   # 8k > 99
 
-    def test_zero_velocity_block(self, mesh99, ops99):
-        data = mode_initial_state(mesh99, ops99, 3)
+    def test_zero_velocity_block(self, ops99):
+        data = mode_initial_state(ops99, 3)
         np.testing.assert_allclose(data.y0[99:], np.zeros(99))
 
 
@@ -44,9 +44,9 @@ class TestEnergyTrace:
                         energy=np.array([1.0, np.nan]),
                         l2=np.zeros(2), h1=np.zeros(2))
 
-    def test_from_trajectory(self, mesh99, ops99, gen99, prop99):
-        runs = frequency_sweep([1], 1.0, 1, mesh99, ops99, 2e-3, 0.1,
-                               gen=gen99, propagator=prop99)
+    def test_from_trajectory(self, ops99, prop99):
+        runs = frequency_sweep([1], 1.0, 1, ops99, 2e-3, 0.1,
+                               propagator=prop99)
         tr = runs[0].trace
         assert tr.energy[0] == pytest.approx(1.0, abs=1e-12)
         assert tr.l2[0] == pytest.approx(l2_norm(ops99, runs[0].data.y0[:99]))
@@ -54,52 +54,50 @@ class TestEnergyTrace:
 
 
 class TestFrequencySweep:
-    def test_conservative_traces_flat(self, mesh99, ops99, gen99, prop99):
-        runs = frequency_sweep([1, 2], 0.0, 1, mesh99, ops99, 2e-3, 1.0,
-                               gen=gen99, propagator=prop99)
+    def test_conservative_traces_flat(self, ops99, prop99):
+        runs = frequency_sweep([1, 2], 0.0, 1, ops99, 2e-3, 1.0,
+                               propagator=prop99)
         for run in runs:
             np.testing.assert_allclose(run.trace.energy, 1.0, atol=1e-9)
 
-    def test_order_is_input_order(self, mesh99, ops99, gen99, prop99):
-        runs = frequency_sweep([2, 1], 0.0, 1, mesh99, ops99, 2e-3, 0.01,
-                               gen=gen99, propagator=prop99)
+    def test_order_is_input_order(self, ops99, prop99):
+        runs = frequency_sweep([2, 1], 0.0, 1, ops99, 2e-3, 0.01,
+                               propagator=prop99)
         assert [r.k for r in runs] == [2, 1]
 
-    def test_thread_pool_matches_serial(self, mesh99, ops99, gen99, prop99):
+    def test_thread_pool_matches_serial(self, ops99, prop99):
         from concurrent.futures import ThreadPoolExecutor
-        serial = frequency_sweep([1, 2], 1.0, 1, mesh99, ops99, 2e-3, 0.2,
-                                 gen=gen99, propagator=prop99)
+        serial = frequency_sweep([1, 2], 1.0, 1, ops99, 2e-3, 0.2,
+                                 propagator=prop99)
         with ThreadPoolExecutor(max_workers=2) as pool:
-            parallel = frequency_sweep([1, 2], 1.0, 1, mesh99, ops99, 2e-3,
-                                       0.2, gen=gen99, propagator=prop99,
-                                       pool=pool)
+            parallel = frequency_sweep([1, 2], 1.0, 1, ops99, 2e-3, 0.2,
+                                       propagator=prop99, pool=pool)
         for a, b in zip(serial, parallel):
             np.testing.assert_array_equal(a.trajectory.states,
                                           b.trajectory.states)
 
 
 class TestConservativeComparison:
-    def test_zero_at_start(self, mesh99, ops99, gen99, prop99):
-        runs = frequency_sweep([1], 1.0, 1, mesh99, ops99, 2e-3, 0.5,
-                               gen=gen99, propagator=prop99)
-        tz = conservative_comparison(runs[0], mesh99, ops99)
+    def test_zero_at_start(self, ops99, prop99):
+        runs = frequency_sweep([1], 1.0, 1, ops99, 2e-3, 0.5,
+                               propagator=prop99)
+        tz = conservative_comparison(runs[0], ops99)
         assert tz.energy[0] < 1e-25
 
-    def test_undamped_difference_vanishes(self, mesh99, ops99, gen99, prop99):
+    def test_undamped_difference_vanishes(self, ops99, prop99):
         # with the reference at the mesh frequency, no damping means the two
         # flows coincide to rounding
-        runs = frequency_sweep([1], 0.0, 1, mesh99, ops99, 2e-3, 10.0,
-                               gen=gen99, propagator=prop99)
-        tz = conservative_comparison(runs[0], mesh99, ops99)
+        runs = frequency_sweep([1], 0.0, 1, ops99, 2e-3, 10.0,
+                               propagator=prop99)
+        tz = conservative_comparison(runs[0], ops99)
         assert tz.energy.max() < 1e-18
 
-    def test_continuum_reference_carries_dispersion(self, mesh99, ops99, gen99,
-                                                    prop99):
+    def test_continuum_reference_carries_dispersion(self, ops99, prop99):
         # against the continuum frequency the gap is the dispersion offset,
         # tiny for the first mode over this horizon but nonzero
-        runs = frequency_sweep([1], 0.0, 1, mesh99, ops99, 2e-3, 10.0,
-                               gen=gen99, propagator=prop99)
-        tz = conservative_comparison(runs[0], mesh99, ops99,
+        runs = frequency_sweep([1], 0.0, 1, ops99, 2e-3, 10.0,
+                               propagator=prop99)
+        tz = conservative_comparison(runs[0], ops99,
                                      discrete_frequency=False)
         assert 1e-8 < tz.energy.max() < 1e-4
 
@@ -110,7 +108,7 @@ class TestPrimitiveSetup:
         for n in (99, 199):
             mesh = build_mesh(n)
             ops = assemble(mesh)
-            setup = primitive_setup(1, 1, mesh, ops)
+            setup = primitive_setup(1, 1, ops)
             exact = closed_form_potential_m1(setup.data.amplitude, 1, mesh.nodes)
             errs.append(np.abs(setup.phi0 - exact).max())
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.25)
@@ -119,27 +117,27 @@ class TestPrimitiveSetup:
         np.testing.assert_allclose(
             closed_form_potential_m1(0.0, 1, mesh99.nodes), np.zeros(99))
 
-    def test_elliptic_stability_uniform_in_k(self, mesh99, ops99):
+    def test_elliptic_stability_uniform_in_k(self, ops99):
         # |phi0|_1 / |u0|_0 stays bounded by its lowest-frequency value
         ratios = {}
         for k in (1, 2, 4, 8):
-            setup = primitive_setup(k, 1, mesh99, ops99)
+            setup = primitive_setup(k, 1, ops99)
             u0 = setup.data.y0[:99]
             ratios[k] = h1_norm(ops99, setup.phi0) / l2_norm(ops99, u0)
         assert all(ratios[k] <= ratios[1] * 1.01 for k in (2, 4, 8))
 
-    def test_initial_energy_identity(self, mesh99, ops99):
+    def test_initial_energy_identity(self, ops99):
         # 2 E_phi(0) = |phi0|_1^2 + |u0|_0^2 by construction
         from degenwave import energy
-        setup = primitive_setup(1, 1, mesh99, ops99)
+        setup = primitive_setup(1, 1, ops99)
         e0 = energy(ops99, setup.initial_state())
         assert 2 * e0 == pytest.approx(setup.energy_bound(ops99), rel=1e-12)
 
 
 @pytest.fixture(scope="module")
-def short_primitive(mesh99, ops99, gen99, prop99):
-    setup = primitive_setup(1, 1, mesh99, ops99)
-    return setup, primitive_solve(setup, gen99, ops99, 2e-3, 2.0,
+def short_primitive(ops99, prop99):
+    setup = primitive_setup(1, 1, ops99)
+    return setup, primitive_solve(setup, ops99, 2e-3, 2.0,
                                   propagator=prop99)
 
 
@@ -151,10 +149,10 @@ class TestPrimitiveSolve:
         _, result = short_primitive
         assert result.velocity_gap_l2 < 1e-6
 
-    def test_zero_initial_acceleration(self, short_primitive, ops99, gen99):
+    def test_zero_initial_acceleration(self, short_primitive, ops99):
         setup, result = short_primitive
         from degenwave import semilinear_rhs
-        rhs = semilinear_rhs(gen99, ops99, setup.damping)
+        rhs = semilinear_rhs(ops99, setup.damping)
         acc = rhs(0.0, setup.initial_state())[99:]
         assert l2_norm(ops99, acc) < 1e-12
 
@@ -169,12 +167,12 @@ class TestPrimitiveSolve:
         assert report.all_satisfied
         assert report.bound == pytest.approx(setup.energy_bound(ops99))
 
-    def test_undamped_identity_exact(self, mesh99, ops99, gen99, prop99):
+    def test_undamped_identity_exact(self, ops99, prop99):
         # without damping the potential vanishes and the velocity of the
         # potential flow equals the undamped solution to rounding
-        setup = primitive_setup(1, 1, mesh99, ops99, alpha=0.0)
+        setup = primitive_setup(1, 1, ops99, alpha=0.0)
         assert np.abs(setup.phi0).max() == 0.0
-        result = primitive_solve(setup, gen99, ops99, 2e-3, 0.5,
+        result = primitive_solve(setup, ops99, 2e-3, 0.5,
                                  propagator=prop99)
         assert result.velocity_gap_l2 < 1e-10
 
@@ -209,31 +207,14 @@ class TestDecayRateFit:
 
 
 class TestLowerOrderOscillation:
-    def test_conservative_l2_does_not_decay(self, mesh99, ops99, gen99, prop99):
-        runs = frequency_sweep([1], 0.0, 1, mesh99, ops99, 2e-3, 10.0,
-                               gen=gen99, propagator=prop99)
+    def test_conservative_l2_does_not_decay(self, ops99, prop99):
+        runs = frequency_sweep([1], 0.0, 1, ops99, 2e-3, 10.0,
+                               propagator=prop99)
         l2 = runs[0].trace.l2
         times = runs[0].trace.times
         early = l2[times <= 2.0].max()
         late = l2[times >= 8.0].max()
         assert late > 0.8 * early
-
-
-class TestFractionalNorm:
-    def test_endpoints_match_single_mode(self, mesh99):
-        c = 0.37
-        u = c * np.sin(2 * np.pi * mesh99.nodes)
-        assert fractional_sine_norm(mesh99, u, 0.0) == pytest.approx(
-            c / np.sqrt(2.0), rel=1e-10)
-        assert fractional_sine_norm(mesh99, u, 1.0) == pytest.approx(
-            2 * np.pi * c / np.sqrt(2.0), rel=1e-10)
-
-    def test_half_order_between(self, mesh99):
-        u = np.sin(np.pi * mesh99.nodes)
-        n0 = fractional_sine_norm(mesh99, u, 0.0)
-        nh = fractional_sine_norm(mesh99, u, 0.5)
-        n1 = fractional_sine_norm(mesh99, u, 1.0)
-        assert n0 < nh < n1
 
 
 class TestContinuumEnergyError:

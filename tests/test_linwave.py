@@ -4,7 +4,7 @@ from scipy.linalg import expm as scipy_expm
 
 from degenwave import (ModalState, assemble, build_mesh,
                        analytic_linear_damped, energy, energy_norm,
-                       exact_group, make_generator, matrix_exponential,
+                       exact_group, matrix_exponential,
                        modal_nodal_state, newton_cotes_weights,
                        solve_linear_inhomogeneous)
 from degenwave.linop import Propagator
@@ -78,9 +78,8 @@ class TestDuhamelStep:
     def test_constant_forcing_closed_form(self):
         # oracle: int_0^d exp((d-s)A) F ds = A^{-1}(exp(dA)-I) F
         ops = assemble(build_mesh(1))
-        gen = make_generator(ops)
         d = 0.01
-        prop = matrix_exponential(gen, d)
+        prop = matrix_exponential(ops, d)
         a = np.array([[0.0, 1.0], [-ops.stiffness_diag[0] / ops.mass_diag[0], 0.0]])
         fvec = np.array([0.0, 2.5])  # forcing lives in the velocity block
         exact = np.linalg.solve(a, (scipy_expm(d * a) - np.eye(2)) @ fvec)
@@ -109,12 +108,12 @@ class TestDuhamelStep:
 
 
 class TestSolveLinear:
-    def test_homogeneous_matches_discrete_rotation(self, mesh99, ops99, gen99, prop99):
+    def test_homogeneous_matches_discrete_rotation(self, mesh99, ops99, prop99):
         # same operator on both sides: the sine samples are exact eigenvectors,
         # so the semi-discrete flow is a rotation at the discrete frequency
         u0 = np.sin(np.pi * mesh99.nodes)
         y0 = np.concatenate([u0, np.zeros(99)])
-        traj = solve_linear_inhomogeneous(gen99, y0, lambda t: np.zeros((len(t), 99)),
+        traj = solve_linear_inhomogeneous(ops99, y0, lambda t: np.zeros((len(t), 99)),
                                           10.0, 2e-3, propagator=prop99)
         w = np.sqrt(discrete_eigenvalue(ops99, 1))
         t = traj.times[:, None]
@@ -122,14 +121,14 @@ class TestSolveLinear:
                                axis=1)
         assert energy_norm(ops99, traj.states - exact).max() < 1e-8
 
-    def test_homogeneous_energy_constant(self, ops99, gen99, prop99, rng):
+    def test_homogeneous_energy_constant(self, ops99, prop99, rng):
         y0 = rng.normal(size=198)
-        traj = solve_linear_inhomogeneous(gen99, y0, lambda t: np.zeros((len(t), 99)),
+        traj = solve_linear_inhomogeneous(ops99, y0, lambda t: np.zeros((len(t), 99)),
                                           10.0, 2e-3, propagator=prop99)
         e = energy(ops99, traj.states)
         assert np.abs(e - e[0]).max() / e[0] < 1e-9
 
-    def test_manufactured_solution(self, mesh99, ops99, gen99, prop99):
+    def test_manufactured_solution(self, mesh99, ops99, prop99):
         # u(t) = t^2 sin(pi x) solves the semi-discrete system with forcing
         # (2 + lambda_h t^2) sin(pi x)
         s = np.sin(np.pi * mesh99.nodes)
@@ -138,7 +137,7 @@ class TestSolveLinear:
         def forcing(t):
             return (2.0 + lam_h * t**2)[:, None] * s
 
-        traj = solve_linear_inhomogeneous(gen99, np.zeros(198), forcing, 2.0,
+        traj = solve_linear_inhomogeneous(ops99, np.zeros(198), forcing, 2.0,
                                           2e-3, propagator=prop99)
         t = traj.times[:, None]
         exact = np.concatenate([t**2 * s, 2 * t * s], axis=1)
@@ -150,20 +149,19 @@ class TestSolveLinear:
         # Newton-Cotes error dominates
         mesh = build_mesh(1)
         ops = assemble(mesh)
-        gen = make_generator(ops)
         lam_h = ops.max_generalized_eigenvalue()
         nu = 2.0
         s = np.array([1.0])
         errs = []
         for d in (0.1, 0.05):
             m_pts = {"boole": 5, "simpson38": 4}[rule]
-            prop = matrix_exponential(gen, d, points=m_pts)
+            prop = matrix_exponential(ops, d, points=m_pts)
 
             def forcing(t):
                 return ((lam_h - nu**2) * np.sin(nu * t))[:, None] * s
 
             y0 = np.concatenate([0.0 * s, nu * s])
-            traj = solve_linear_inhomogeneous(gen, y0, forcing, 2.0, d,
+            traj = solve_linear_inhomogeneous(ops, y0, forcing, 2.0, d,
                                               rule=rule, propagator=prop)
             exact = np.stack([np.sin(nu * traj.times),
                               nu * np.cos(nu * traj.times)], axis=1)
@@ -171,9 +169,9 @@ class TestSolveLinear:
         ratio = errs[0] / errs[1]
         assert ratio == pytest.approx(2.0**order, rel=0.2)
 
-    def test_step_must_tile_interval(self, gen99, prop99):
+    def test_step_must_tile_interval(self, ops99, prop99):
         with pytest.raises(ValueError):
-            solve_linear_inhomogeneous(gen99, np.zeros(198),
+            solve_linear_inhomogeneous(ops99, np.zeros(198),
                                        lambda t: np.zeros((len(t), 99)),
                                        1.0, 0.3, propagator=prop99)
 

@@ -1,10 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import cho_solve_banded, eigh
 
-from degenwave import (assemble, build_mesh, eigenpair, l2_project,
-                       mesh_from_h, ritz_project_h1)
+from degenwave import assemble, build_mesh, l2_project, mesh_from_h
 from degenwave.mesh import hat_load, values_at_gauss
 
 
@@ -196,15 +198,28 @@ class TestQuarticTensor:
                                        ops.quartic.contract(A[i], B[i], C[i]),
                                        atol=1e-14)
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 8),
+           batch=st.lists(st.integers(1, 3), max_size=2).map(tuple),
+           seed=st.integers(0, 2**16))
+    def test_contraction_matches_brute_force_sum(self, n, batch, seed):
+        # out[p] = sum_{q,r,s} T[p,q,r,s] a[q] b[r] c[s], every entry looked up
+        ops = assemble(build_mesh(n))
+        dense = np.zeros((n, n, n, n))
+        for idx in itertools.product(range(n), repeat=4):
+            dense[idx] = ops.quartic.entry(*(i + 1 for i in idx))
+        a, b, c = np.random.default_rng(seed).normal(size=(3,) + batch + (n,))
+        ref = np.einsum("pqrs,...q,...r,...s->...p", dense, a, b, c)
+        got = ops.quartic.contract(a, b, c)
+        assert got.shape == batch + (n,)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-15)
+
 
 class TestProjections:
-    def test_ritz_is_nodal_interpolation(self):
-        mesh = build_mesh(99)
-        c = ritz_project_h1(mesh, lambda x: np.sin(np.pi * x))
-        np.testing.assert_allclose(c, np.sin(np.pi * mesh.nodes), atol=1e-14)
-
     def test_ritz_solves_stiffness_system(self):
-        # direct oracle: assemble the load (g', phi_i') by quadrature and solve
+        # the H^1_0 (Ritz) projection of g onto piecewise linears is the nodal
+        # interpolant g(x_i); direct oracle: assemble the load (g', phi_i') by
+        # quadrature and solve the stiffness system
         mesh = build_mesh(17)
         ops = assemble(mesh)
         g = lambda x: np.sin(np.pi * x)
@@ -216,14 +231,7 @@ class TestProjections:
             load[i - 1] = (gauss_integrate(gp, pts[i - 1], pts[i]) / mesh.h
                            - gauss_integrate(gp, pts[i], pts[i + 1]) / mesh.h)
         c = np.linalg.solve(ops.stiffness_matrix(), load)
-        np.testing.assert_allclose(ritz_project_h1(mesh, g), c, atol=1e-9)
-
-    def test_ritz_zero_and_identity(self):
-        mesh = build_mesh(9)
-        np.testing.assert_allclose(ritz_project_h1(mesh, lambda x: 0.0 * x),
-                                   np.zeros(9))
-        np.testing.assert_allclose(ritz_project_h1(mesh, hat(mesh, 4)),
-                                   np.eye(9)[3], atol=1e-14)
+        np.testing.assert_allclose(g(mesh.nodes), c, atol=1e-9)
 
     def test_l2_zero_and_basis(self):
         mesh = build_mesh(9)
@@ -253,23 +261,6 @@ class TestProjections:
                 * 2.0 * (1.0 - np.cos(np.pi * mesh.h)) / (np.pi**2 * mesh.h))
         exact = ops.solve_mass(load)
         np.testing.assert_allclose(c, exact, atol=1e-13)
-
-
-class TestEigenpair:
-    def test_first_two_eigenvalues(self, mesh99):
-        lam1, _ = eigenpair(mesh99, 1)
-        lam2, _ = eigenpair(mesh99, 2)
-        assert lam1 == pytest.approx(np.pi**2, rel=1e-14)
-        assert lam2 == pytest.approx(4 * np.pi**2, rel=1e-14)
-
-    @pytest.mark.parametrize("k", [1, 3, 10])
-    def test_sup_norm_bound(self, mesh99, k):
-        _, ek = eigenpair(mesh99, k)
-        assert np.abs(ek).max() <= np.sqrt(2.0) + 1e-12
-
-    def test_invalid_mode(self, mesh99):
-        with pytest.raises(ValueError):
-            eigenpair(mesh99, 0)
 
 
 class TestQuadratureHelpers:

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from degenwave import (AnsatzProblem, OscillatorProblem, ball_samples,
                        build_mesh, compare_energy_decay, compare_energy_norm,
-                       energy, oracle_field, oracle_states, reference_errors,
+                       energy, oracle_states, reference_errors,
                        rk4_ansatz, simulate_oscillator, uniform_stability_sweep)
 from degenwave.experiments import mode_initial_state
 from degenwave.linwave import Trajectory
@@ -130,8 +130,8 @@ class TestStreamedErrors:
         gaps, norms = reference_errors(trajs, problems, ops99, t_final, 2e-4,
                                        store_stride=stride)
         for traj, sol, gap, norm in zip(trajs, sols, gaps, norms):
-            assert gap == compare_energy_decay(traj, sol, mesh99, ops99)
-            assert norm == compare_energy_norm(traj, sol, mesh99, ops99)
+            assert gap == compare_energy_decay(traj, sol, ops99)
+            assert norm == compare_energy_norm(traj, sol, ops99)
 
     def test_grid_mismatch_rejected(self, mesh99, ops99):
         sol = rk4_ansatz(make_problem(mesh99), 0.2, 2e-4, store_stride=10)
@@ -146,7 +146,7 @@ class TestOracleField:
     def test_initial_field(self, mesh99):
         prob = make_problem(mesh99)
         sol = rk4_ansatz(prob, 1.0, 1e-3, store_stride=10)
-        u, v = oracle_field(sol, 0.0, mesh99)
+        u, v = np.split(oracle_states(sol, mesh99)[0], 2)
         np.testing.assert_allclose(u, 0.45 * np.sqrt(2) * np.sin(np.pi * mesh99.nodes),
                                    atol=1e-14)
         np.testing.assert_allclose(v, np.zeros(99), atol=1e-14)
@@ -154,19 +154,15 @@ class TestOracleField:
     def test_quarter_period_undamped(self, mesh99):
         prob = make_problem(mesh99, alpha=0.0)
         sol = rk4_ansatz(prob, 1.0, 1e-3, store_stride=10)
-        u, v = oracle_field(sol, 0.5, mesh99)   # quarter period of mode one
+        assert sol.times[50] == pytest.approx(0.5)   # quarter period of mode one
+        u, v = np.split(oracle_states(sol, mesh99)[50], 2)
         assert np.abs(u).max() < 1e-8
         np.testing.assert_allclose(
             v, -0.45 * np.pi * np.sqrt(2) * np.sin(np.pi * mesh99.nodes),
             atol=1e-7)
 
-    def test_off_grid_time_rejected(self, mesh99):
-        sol = rk4_ansatz(make_problem(mesh99), 1.0, 1e-3, store_stride=10)
-        with pytest.raises(ValueError):
-            oracle_field(sol, 0.0123, mesh99)
-
     def test_initial_energy_normalized_data(self, mesh99, ops99):
-        data = mode_initial_state(mesh99, ops99, 1)
+        data = mode_initial_state(ops99, 1)
         prob = AnsatzProblem.for_mesh(mesh99, 1, c0=data.amplitude / np.sqrt(2.0))
         sol = rk4_ansatz(prob, 0.01, 1e-3, store_stride=10)
         states = oracle_states(sol, mesh99)
@@ -175,7 +171,7 @@ class TestOracleField:
     def test_mesh_mismatch_rejected(self, mesh99):
         sol = rk4_ansatz(make_problem(mesh99), 1.0, 1e-3)
         with pytest.raises(ValueError):
-            oracle_field(sol, 0.0, build_mesh(49))
+            oracle_states(sol, build_mesh(49))
 
 
 class TestComparisons:
@@ -184,8 +180,8 @@ class TestComparisons:
         sol = rk4_ansatz(prob, 1.0, 2e-4, store_stride=10)
         states = oracle_states(sol, mesh99)
         traj = Trajectory(times=sol.times, states=states, delta=2e-3)
-        assert compare_energy_norm(traj, sol, mesh99, ops99) == 0.0
-        assert compare_energy_decay(traj, sol, mesh99, ops99) == 0.0
+        assert compare_energy_norm(traj, sol, ops99) == 0.0
+        assert compare_energy_decay(traj, sol, ops99) == 0.0
 
     def test_grid_mismatch_rejected(self, mesh99, ops99):
         sol = rk4_ansatz(make_problem(mesh99), 1.0, 2e-4, store_stride=10)
@@ -193,7 +189,7 @@ class TestComparisons:
         traj = Trajectory(times=sol.times[:-1] + 1.0, states=states[:-1],
                           delta=2e-3)
         with pytest.raises(ValueError):
-            compare_energy_norm(traj, sol, mesh99, ops99)
+            compare_energy_norm(traj, sol, ops99)
 
 
 class TestOscillator:

@@ -4,7 +4,7 @@ from numpy.polynomial.legendre import leggauss
 
 from degenwave import (DegenerateDamping, LinearDamping, PicardConfig,
                        PicardDivergenceError, PrimitiveDamping, assemble,
-                       build_mesh, cubic_forcing, energy, energy_norm,
+                       build_mesh, energy, energy_norm,
                        estimate_contraction, picard_solve,
                        solve_linear_inhomogeneous)
 from degenwave.experiments import mode_initial_state
@@ -39,26 +39,28 @@ def interp(mesh, coef):
 class TestForcingModels:
     def test_zero_displacement(self, ops99, rng):
         v = rng.normal(size=99)
-        np.testing.assert_allclose(cubic_forcing(ops99, np.zeros(99), v),
-                                   np.zeros(99), atol=1e-15)
+        f = DegenerateDamping().coefficients(ops99, np.zeros(99), v)
+        np.testing.assert_allclose(f, np.zeros(99), atol=1e-15)
 
     def test_zero_velocity(self, ops99, rng):
         u = rng.normal(size=99)
-        np.testing.assert_allclose(cubic_forcing(ops99, u, np.zeros(99)),
-                                   np.zeros(99), atol=1e-15)
+        f = DegenerateDamping().coefficients(ops99, u, np.zeros(99))
+        np.testing.assert_allclose(f, np.zeros(99), atol=1e-15)
 
     def test_cubic_tensor_matches_quadrature(self, rng):
         ops = assemble(build_mesh(8))
         u, v = rng.normal(size=(2, 8))
         fu, fv = interp(ops.mesh, u), interp(ops.mesh, v)
         oracle = quadrature_projection(ops, lambda x: fu(x)**2 * fv(x))
-        np.testing.assert_allclose(cubic_forcing(ops, u, v), oracle, atol=1e-12)
+        np.testing.assert_allclose(DegenerateDamping().coefficients(ops, u, v),
+                                   oracle, atol=1e-12)
 
     def test_alpha_scaling(self, rng):
         ops = assemble(build_mesh(8))
         u, v = rng.normal(size=(2, 8))
-        np.testing.assert_allclose(cubic_forcing(ops, u, v, alpha=2.5),
-                                   2.5 * cubic_forcing(ops, u, v), atol=1e-14)
+        np.testing.assert_allclose(
+            DegenerateDamping(alpha=2.5).coefficients(ops, u, v),
+            2.5 * DegenerateDamping().coefficients(ops, u, v), atol=1e-14)
 
     def test_higher_exponent_matches_quadrature(self, rng):
         ops = assemble(build_mesh(8))
@@ -128,43 +130,43 @@ class TestConfig:
 
 
 class TestPicardSolve:
-    def test_undamped_converges_first_iteration(self, mesh99, ops99, gen99, prop99):
-        data = mode_initial_state(mesh99, ops99, 1)
+    def test_undamped_converges_first_iteration(self, ops99, prop99):
+        data = mode_initial_state(ops99, 1)
         config = PicardConfig(t_final=1.0, delta=2e-3, alpha=0.0, window=1.0)
-        result = picard_solve(gen99, ops99, data.y0, config, propagator=prop99)
+        result = picard_solve(ops99, data.y0, config, propagator=prop99)
         assert result.converged
         assert result.iterations == 1
         assert result.final_distance == 0.0
-        hom = solve_linear_inhomogeneous(gen99, data.y0,
+        hom = solve_linear_inhomogeneous(ops99, data.y0,
                                          lambda t: np.zeros((len(t), 99)),
                                          1.0, 2e-3, propagator=prop99)
         np.testing.assert_allclose(result.trajectory.states, hom.states,
                                    atol=1e-12)
 
-    def test_distances_geometric(self, mesh99, ops99, gen99, prop99):
-        data = mode_initial_state(mesh99, ops99, 1)
+    def test_distances_geometric(self, ops99, prop99):
+        data = mode_initial_state(ops99, 1)
         config = PicardConfig(t_final=0.5, delta=2e-3, window=0.5, epsilon=1e-12)
-        result = picard_solve(gen99, ops99, data.y0, config, propagator=prop99)
+        result = picard_solve(ops99, data.y0, config, propagator=prop99)
         d = result.windows[0].distances
         ratios = [d[i + 1] / d[i] for i in range(len(d) - 1) if d[i] > 0]
         assert len(ratios) >= 2
         assert all(r < 0.1 for r in ratios)
 
-    def test_energy_monotone(self, mesh99, ops99, gen99, prop99):
-        data = mode_initial_state(mesh99, ops99, 1)
+    def test_energy_monotone(self, ops99, prop99):
+        data = mode_initial_state(ops99, 1)
         config = PicardConfig(t_final=2.0, delta=2e-3)
-        result = picard_solve(gen99, ops99, data.y0, config, propagator=prop99)
+        result = picard_solve(ops99, data.y0, config, propagator=prop99)
         e = energy(ops99, result.trajectory.states)
         assert (np.diff(e) <= 1e-6 * e[0]).all()
         assert e[-1] < e[0]
 
-    def test_fixed_point_property(self, mesh99, ops99, gen99, prop99):
+    def test_fixed_point_property(self, ops99, prop99):
         # re-solving the linear problem with the converged forcing barely moves it
         from degenwave.picard import _interp_abscissae
         from degenwave.linwave import sweep
-        data = mode_initial_state(mesh99, ops99, 1)
+        data = mode_initial_state(ops99, 1)
         config = PicardConfig(t_final=1.0, delta=2e-3, epsilon=1e-10)
-        result = picard_solve(gen99, ops99, data.y0, config, propagator=prop99)
+        result = picard_solve(ops99, data.y0, config, propagator=prop99)
         traj = result.trajectory
         model = DegenerateDamping(1.0, 1)
         ua = _interp_abscissae(traj.displacement(), 5)
@@ -172,44 +174,43 @@ class TestPicardSolve:
         resolve = sweep(prop99, data.y0, model.coefficients(ops99, ua, va))
         assert energy_norm(ops99, resolve - traj.states).max() < config.epsilon * 10
 
-    def test_divergence_detected(self, mesh99, ops99, gen99, prop99):
-        data = mode_initial_state(mesh99, ops99, 1)
+    def test_divergence_detected(self, ops99, prop99):
+        data = mode_initial_state(ops99, 1)
         config = PicardConfig(t_final=1.0, delta=2e-3, alpha=50.0, window=1.0)
         with pytest.raises(PicardDivergenceError, match="shorter window"):
-            picard_solve(gen99, ops99, data.y0, config, propagator=prop99)
+            picard_solve(ops99, data.y0, config, propagator=prop99)
 
-    def test_non_finite_iterate_detected(self, mesh99, ops99, gen99, prop99):
+    def test_non_finite_iterate_detected(self, ops99, prop99):
         # the forcing overflows: a numerical failure, not a configuration error
-        data = mode_initial_state(mesh99, ops99, 1)
+        data = mode_initial_state(ops99, 1)
         config = PicardConfig(t_final=0.1, delta=2e-3, alpha=1e300)
         with pytest.raises(PicardDivergenceError, match="non-finite"):
-            picard_solve(gen99, ops99, data.y0, config, propagator=prop99)
+            picard_solve(ops99, data.y0, config, propagator=prop99)
 
-    def test_strong_damping_converges_with_short_window(self, mesh99, ops99,
-                                                        gen99, prop99):
+    def test_strong_damping_converges_with_short_window(self, ops99, prop99):
         # the same problem succeeds once the window honors the contraction bound
-        data = mode_initial_state(mesh99, ops99, 1)
+        data = mode_initial_state(ops99, 1)
         config = PicardConfig(t_final=1.0, delta=2e-3, alpha=50.0, window=0.05)
-        result = picard_solve(gen99, ops99, data.y0, config, propagator=prop99)
+        result = picard_solve(ops99, data.y0, config, propagator=prop99)
         assert result.converged
         e = energy(ops99, result.trajectory.states)
         assert (np.diff(e) <= 1e-6 * e[0]).all()
 
-    def test_max_iterations_reported_not_fatal(self, mesh99, ops99, gen99, prop99):
-        data = mode_initial_state(mesh99, ops99, 1)
+    def test_max_iterations_reported_not_fatal(self, ops99, prop99):
+        data = mode_initial_state(ops99, 1)
         config = PicardConfig(t_final=0.5, delta=2e-3, window=0.5,
                               epsilon=1e-30, max_iterations=3)
-        result = picard_solve(gen99, ops99, data.y0, config, propagator=prop99)
+        result = picard_solve(ops99, data.y0, config, propagator=prop99)
         assert not result.converged
         assert result.iterations == 3
 
-    def test_windowing_matches_single_window(self, mesh99, ops99, gen99, prop99):
+    def test_windowing_matches_single_window(self, ops99, prop99):
         # restarting every 0.25 reproduces the single-window fixed point
-        data = mode_initial_state(mesh99, ops99, 1)
+        data = mode_initial_state(ops99, 1)
         tight = dict(t_final=1.0, delta=2e-3, epsilon=1e-11)
-        r1 = picard_solve(gen99, ops99, data.y0,
+        r1 = picard_solve(ops99, data.y0,
                           PicardConfig(window=1.0, **tight), propagator=prop99)
-        r2 = picard_solve(gen99, ops99, data.y0,
+        r2 = picard_solve(ops99, data.y0,
                           PicardConfig(window=0.25, **tight), propagator=prop99)
         assert energy_norm(ops99, r1.trajectory.states - r2.trajectory.states).max() < 1e-8
 
@@ -236,14 +237,14 @@ class TestContractionEstimate:
             assert estimate_contraction(np.sqrt(2.0), t, 1.0, 1) == pytest.approx(
                 expected, rel=1e-12)
 
-    def test_certified_window_converges(self, mesh99, ops99, gen99, prop99):
+    def test_certified_window_converges(self, ops99, prop99):
         # pick the window from the bound; the observed ratio must beat gamma
         gamma_target = 0.5
         t_w = gamma_target / estimate_contraction(np.sqrt(2.0), 1.0, 1.0, 1)
         t_w = round(t_w / 2e-3) * 2e-3
-        data = mode_initial_state(mesh99, ops99, 1)
+        data = mode_initial_state(ops99, 1)
         config = PicardConfig(t_final=t_w, delta=2e-3, window=t_w, epsilon=1e-12)
-        result = picard_solve(gen99, ops99, data.y0, config, propagator=prop99)
+        result = picard_solve(ops99, data.y0, config, propagator=prop99)
         d = result.windows[0].distances
         ratios = [d[i + 1] / d[i] for i in range(len(d) - 1) if d[i] > 0]
         assert max(ratios) < gamma_target

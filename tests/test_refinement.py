@@ -16,17 +16,16 @@ def refinement_pair():
     for h, delta in ((1e-2, 2e-3), (5e-3, 1e-3)):
         mesh = dw.mesh_from_h(h)
         ops = dw.assemble(mesh)
-        gen = dw.make_generator(ops)
-        prop = dw.matrix_exponential(gen, delta)
-        run = dw.frequency_sweep([1], 1.0, 1, mesh, ops, delta, 10.0,
-                                 gen=gen, propagator=prop)[0]
+        prop = dw.matrix_exponential(ops, delta)
+        run = dw.frequency_sweep([1], 1.0, 1, ops, delta, 10.0,
+                                 propagator=prop)[0]
         prob = dw.AnsatzProblem.for_mesh(mesh, 1,
                                          c0=run.data.amplitude / np.sqrt(2.0))
         sol = dw.rk4_ansatz(prob, 10.0, delta / 10, store_stride=10)
         out[h] = {
             "E_final": run.trace.energy[-1],
-            "e_gap": dw.compare_energy_decay(run.trajectory, sol, mesh, ops),
-            "e_norm": dw.compare_energy_norm(run.trajectory, sol, mesh, ops),
+            "e_gap": dw.compare_energy_decay(run.trajectory, sol, ops),
+            "e_norm": dw.compare_energy_norm(run.trajectory, sol, ops),
         }
     return out
 
