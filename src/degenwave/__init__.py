@@ -15,8 +15,7 @@ from .mesh import (Mesh, QuarticTensor, SpatialOperators, assemble, build_mesh,
                    hat_load, l2_project, mesh_from_h)
 from .linop import (Propagator, energy, energy_inner, energy_norm, h1_norm,
                     l2_norm, matrix_exponential)
-from .linwave import (ModalState, Trajectory, analytic_linear_damped,
-                      exact_group, modal_nodal_state, newton_cotes_weights,
+from .linwave import (BOOLE_WEIGHTS, Trajectory, analytic_linear_damped,
                       solve_linear_inhomogeneous)
 from .picard import (DegenerateDamping, LinearDamping, PicardConfig,
                      PicardDivergenceError, PicardResult, PrimitiveDamping,

@@ -24,12 +24,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .experiments import (EnergyTrace, ab5_substeps, closed_form_potential_m1,
-                          decay_rate_fit, dissipation_exponent, extend_with_ab5,
+from .experiments import (EnergyTrace, ab5_substeps, check_resolved,
+                          closed_form_potential_m1, decay_rate_fit,
+                          dissipation_exponent, extend_with_ab5,
                           frequency_sweep, lower_order_decay,
                           mode_initial_state, primitive_setup, primitive_solve)
 from .linop import energy, h1_norm, l2_norm, matrix_exponential
-from .linwave import NEWTON_COTES_RULES, Trajectory, analytic_linear_damped
+from .linwave import Trajectory, analytic_linear_damped
 from .mesh import assemble, mesh_from_h
 from .multistep import BlowupError
 from .oracle import (AnsatzProblem, oracle_states, reference_errors, rk4_ansatz,
@@ -39,7 +40,7 @@ from .picard import DegenerateDamping, PicardDivergenceError
 from .svgplot import Series, downsample, render_line_plot
 
 EXPERIMENTS = ("fig1", "fig2", "fig3", "primitive", "oscillator", "oracle",
-               "sweep", "custom")
+               "custom")
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,6 @@ class RunConfig:
     t_final: float = 10.0
     t_extend: float = 50.0
     beta: float = (2.0 / np.pi) ** 2
-    rule: str = "boole"
     oracle_stride: int = 10       # oracle step = delta / stride
     window: float = 1.0
     epsilon: float = 1e-8
@@ -100,6 +100,10 @@ class RunConfig:
             raise ValueError("need at least one oscillator sample")
         if self.oracle_stride < 1:
             raise ValueError("oracle_stride must be >= 1")
+        if self.experiment != "oscillator":
+            mesh = mesh_from_h(self.h)
+            for k in self.ks:
+                check_resolved(mesh, k)
 
 
 PRESETS = {
@@ -108,7 +112,6 @@ PRESETS = {
     "fig3": dict(experiment="fig3", ks=(1, 2, 4, 8)),
     "primitive": dict(experiment="primitive", ks=(1,)),
     "oscillator": dict(experiment="oscillator"),
-    "sweep": dict(experiment="sweep"),
     "custom": dict(experiment="custom"),
 }
 
@@ -129,7 +132,7 @@ def parse_config_file(path: str) -> dict:
         return doc.get("config", doc)
     out = {}
     for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
+        line = _strip_comment(line).strip()
         if not line:
             continue
         if "=" not in line:
@@ -137,6 +140,22 @@ def parse_config_file(path: str) -> dict:
         key, _, value = line.partition("=")
         out[key.strip()] = _parse_value(value.strip())
     return out
+
+
+def _strip_comment(line: str) -> str:
+    """``line`` up to its first '#' outside single or double quotes."""
+    quote = None
+    chars = iter(enumerate(line))
+    for i, ch in chars:
+        if quote is None and ch == "#":
+            return line[:i]
+        if quote is None and ch in "'\"":
+            quote = ch
+        elif ch == quote:
+            quote = None
+        elif quote and ch == "\\":
+            next(chars, None)   # an escaped character cannot close the quote
+    return line
 
 
 def _parse_value(text: str):
@@ -248,8 +267,7 @@ def _pool_size(n_tasks: int) -> int:
 
 def _spatial(config: RunConfig):
     ops = assemble(mesh_from_h(config.h))
-    m_pts, _ = NEWTON_COTES_RULES[config.rule]
-    return ops, matrix_exponential(ops, config.delta, points=m_pts)
+    return ops, matrix_exponential(ops, config.delta)
 
 
 def _run_sweep(config: RunConfig, ops, prop):
@@ -259,7 +277,7 @@ def _run_sweep(config: RunConfig, ops, prop):
         return frequency_sweep(config.ks, config.alpha, config.m, ops,
                                config.delta, config.t_final,
                                window=config.window, epsilon=config.epsilon,
-                               rule=config.rule, propagator=prop, pool=pool)
+                               propagator=prop, pool=pool)
 
 
 def _oracle_problems(config: RunConfig, mesh, ks, amplitudes) -> list:
@@ -350,7 +368,7 @@ def _exp_frequency(config: RunConfig, dirs, report: Report,
         if substeps is not None:
             full = extend_with_ab5(run.trajectory, ops, forcing,
                                    config.t_extend, substeps=substeps)
-            trace = EnergyTrace.from_trajectory(full, ops, meta=trace.meta)
+            trace = EnergyTrace.from_trajectory(full, ops)
             _check_splice(report, run, ops, forcing, substeps)
         traces[run.k] = trace
         write_trace_csv(dirs["traces"] / f"trace_k{run.k}.csv", trace)
@@ -377,7 +395,7 @@ def _exp_frequency(config: RunConfig, dirs, report: Report,
                      "E(T) by k: " + ", ".join(
                          f"k={k}: {finals[k]:.4f}" for k in ordered))
 
-    label = "fig3" if extend else ("fig2" if config.experiment in ("fig2", "fig3")
+    label = "fig3" if extend else ("fig2" if config.experiment == "fig2"
                                    else "sweep")
     emit_plot([(f"k={k}", tr.times, tr.energy) for k, tr in sorted(traces.items())],
               dirs["plots"] / f"{label}_energy.svg",
@@ -429,7 +447,7 @@ def _exp_primitive(config: RunConfig, dirs, report: Report) -> None:
                      f"max nodal error {err:.2e}")
     result = primitive_solve(setup, ops, config.delta, config.t_final,
                              window=config.window, epsilon=config.epsilon,
-                             rule=config.rule, propagator=prop)
+                             propagator=prop)
     write_trace_csv(dirs["traces"] / f"primitive_k{k}.csv", result.trace)
     write_trace_csv(dirs["traces"] / f"trace_k{k}.csv", result.damped_run.trace)
     report.info("velocity reproduces damped solution",
@@ -446,7 +464,7 @@ def _exp_primitive(config: RunConfig, dirs, report: Report) -> None:
     if substeps is not None:
         full = extend_with_ab5(result.trajectory, ops, setup.damping,
                                config.t_extend, substeps=substeps)
-        trace = EnergyTrace.from_trajectory(full, ops, meta=result.trace.meta)
+        trace = EnergyTrace.from_trajectory(full, ops)
         write_trace_csv(dirs["traces"] / f"primitive_k{k}_extended.csv", trace)
         _check_trace_energy_laws(report, trace, "primitive extended",
                                  conservative=False)
@@ -517,8 +535,7 @@ def _exp_oracle_only(config: RunConfig, dirs, report: Report) -> None:
         states = oracle_states(sol, mesh)
         trace = EnergyTrace(times=sol.times, energy=energy(ops, states),
                             l2=l2_norm(ops, states[:, :mesh.n]),
-                            h1=h1_norm(ops, states[:, :mesh.n]),
-                            meta={"k": k, "scheme": "rk4-ansatz"})
+                            h1=h1_norm(ops, states[:, :mesh.n]))
         traces[k] = trace
         write_trace_csv(dirs["traces"] / f"oracle_k{k}.csv", trace)
         # the reference's invariant is per-position: each sampled oscillator
@@ -560,7 +577,7 @@ def run(config: RunConfig) -> int:
     try:
         if config.experiment == "fig1":
             _exp_fig1(config, dirs, report)
-        elif config.experiment in ("fig2", "sweep", "custom"):
+        elif config.experiment in ("fig2", "custom"):
             _exp_frequency(config, dirs, report, extend=False)
         elif config.experiment == "fig3":
             _exp_frequency(config, dirs, report, extend=True)
@@ -602,7 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
                       ("oracle-stride", int), ("substeps", int), ("seed", int)]:
         run_p.add_argument(f"--{name}", type=typ)
     run_p.add_argument("--k", help="comma-separated mode list, e.g. 1,2,4,8")
-    run_p.add_argument("--rule", choices=sorted(NEWTON_COTES_RULES))
     run_p.add_argument("--out")
 
     # unset flags stay None, so RunConfig and COMMANDS supply the defaults
@@ -621,8 +637,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FLAG_MAP = {"T": "t_final", "T2": "t_extend", "k": "ks",
-             "oracle_stride": "oracle_stride", "step": "osc_step"}
+_FLAG_MAP = {"T": "t_final", "T2": "t_extend", "k": "ks", "step": "osc_step"}
 
 
 def _config_from_args(args) -> RunConfig:
@@ -633,6 +648,10 @@ def _config_from_args(args) -> RunConfig:
             file_values = parse_config_file(args.config)
             if "ks" in file_values:
                 file_values["ks"] = _parse_ks(file_values["ks"])
+            # earlier manifests record the quadrature rule, now always Boole's
+            if file_values.get("rule", "boole") != "boole":
+                raise ValueError("config key 'rule' is retired: only 'boole' "
+                                 f"runs, got {file_values['rule']!r}")
             values.update({k: v for k, v in file_values.items()
                            if k in RunConfig.__dataclass_fields__})
     else:

@@ -9,13 +9,12 @@ turn the qualitative statements into checkable numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .linop import Propagator, energy, h1_norm, l2_norm, matrix_exponential
-from .linwave import (NEWTON_COTES_RULES, ModalState, Trajectory, exact_group,
-                      modal_nodal_state)
+from .linwave import Trajectory
 from .mesh import (Mesh, SpatialOperators, hat_load_from_values,
                    values_at_gauss)
 from .multistep import (extend_trajectory, parasitic_log_growth,
@@ -43,21 +42,23 @@ class ModeData:
     y0: np.ndarray
 
 
-def mode_initial_state(ops: SpatialOperators, k: int,
-                       normalize: bool = True) -> ModeData:
-    mesh = ops.mesh
+def check_resolved(mesh: Mesh, k: int) -> None:
+    """Reject a mode index below one or too fine for the mesh (8k > n)."""
     if k < 1:
         raise ValueError("mode index must be >= 1")
     if 8 * k > mesh.n:
         raise ValueError(f"mode {k} is under-resolved on n={mesh.n} "
                          "(need k <= n/8)")
+
+
+def mode_initial_state(ops: SpatialOperators, k: int) -> ModeData:
+    mesh = ops.mesh
+    check_resolved(mesh, k)
     raw = 2.0 / (k * np.pi)
     u0 = raw * np.sin(k * np.pi * mesh.nodes)
-    scale = 1.0
-    if normalize:
-        e0 = 0.5 * float(np.sum(u0 * ops.apply_stiffness(u0)))
-        scale = 1.0 / np.sqrt(e0)
-        u0 = scale * u0
+    e0 = 0.5 * float(np.sum(u0 * ops.apply_stiffness(u0)))
+    scale = 1.0 / np.sqrt(e0)
+    u0 = scale * u0
     return ModeData(k=k, amplitude=raw * scale, scale=scale,
                     y0=np.concatenate([u0, np.zeros(mesh.n)]))
 
@@ -72,7 +73,6 @@ class EnergyTrace:
     energy: np.ndarray
     l2: np.ndarray
     h1: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not (np.isfinite(self.energy).all() and np.isfinite(self.l2).all()
@@ -80,14 +80,13 @@ class EnergyTrace:
             raise ValueError("trace contains non-finite entries")
 
     @classmethod
-    def from_trajectory(cls, traj: Trajectory, ops: SpatialOperators,
-                        meta: dict | None = None) -> "EnergyTrace":
+    def from_trajectory(cls, traj: Trajectory,
+                        ops: SpatialOperators) -> "EnergyTrace":
         u = traj.displacement()
         return cls(times=traj.times.copy(),
                    energy=energy(ops, traj.states),
                    l2=l2_norm(ops, u),
-                   h1=h1_norm(ops, u),
-                   meta=dict(meta or {}))
+                   h1=h1_norm(ops, u))
 
 
 # -- frequency sweep -------------------------------------------------------------
@@ -106,7 +105,7 @@ class FrequencyRun:
 
 def frequency_sweep(ks, alpha: float, m: int, ops: SpatialOperators,
                     delta: float, t_final: float, window: float = 1.0,
-                    epsilon: float = 1e-8, rule: str = "boole",
+                    epsilon: float = 1e-8,
                     propagator: Propagator | None = None,
                     pool=None) -> list[FrequencyRun]:
     """One converged run per frequency, all from unit-energy data.
@@ -115,20 +114,15 @@ def frequency_sweep(ks, alpha: float, m: int, ops: SpatialOperators,
     fan them out.  Results come back ordered by the input frequencies
     regardless of scheduling.
     """
-    m_pts, _ = NEWTON_COTES_RULES[rule]
     if propagator is None:
-        propagator = matrix_exponential(ops, delta, points=m_pts)
+        propagator = matrix_exponential(ops, delta)
     config = PicardConfig(t_final=t_final, delta=delta, alpha=alpha, m=m,
-                          epsilon=epsilon, window=window, rule=rule)
+                          epsilon=epsilon, window=window)
 
     def run_one(k: int) -> FrequencyRun:
         data = mode_initial_state(ops, k)
         result = picard_solve(ops, data.y0, config, propagator=propagator)
-        trace = EnergyTrace.from_trajectory(
-            result.trajectory, ops,
-            meta={"k": k, "alpha": alpha, "m": m, "h": ops.mesh.h,
-                  "delta": delta, "scheme": f"duhamel-{rule}",
-                  "scale": data.scale})
+        trace = EnergyTrace.from_trajectory(result.trajectory, ops)
         return FrequencyRun(k=k, data=data, result=result, trace=trace)
 
     ks = list(ks)
@@ -138,44 +132,30 @@ def frequency_sweep(ks, alpha: float, m: int, ops: SpatialOperators,
     return [f.result() for f in futures]
 
 
-def conservative_comparison(run: FrequencyRun, ops: SpatialOperators,
-                            discrete_frequency: bool = True) -> EnergyTrace:
+def conservative_comparison(run: FrequencyRun,
+                            ops: SpatialOperators) -> EnergyTrace:
     """Energy history of z = u - w, with w the undamped solution of the
     same initial data.
 
     Starting from identical data z(0) = 0, the gap isolates what the damping
     did; it stays small for high frequencies, which is what keeps the damped
-    solution's energy pinned near one there.
-
-    By default w rotates at the mesh's own modal frequency (the exact
-    undamped solution of the discrete system, so z carries no dispersion).
-    With ``discrete_frequency=False`` w uses the continuum frequency k*pi
-    instead; the dispersion offset then dominates z once (k pi h)^2 * t
-    is no longer small.
+    solution's energy pinned near one there.  w rotates at the mesh's own
+    modal frequency (the exact undamped solution of the discrete system, so
+    z carries no dispersion).
     """
     traj = run.trajectory
     mesh = ops.mesh
     u0 = run.data.y0[: mesh.n]
-    if discrete_frequency:
-        # sine samples are exact eigenvectors of the (K, M) pencil
-        mu, kappa = ops.sine_eigenvalues()
-        w = np.sqrt(kappa[run.k - 1] / mu[run.k - 1])
-        t = traj.times[:, None]
-        ref = np.concatenate([np.cos(w * t) * u0, -w * np.sin(w * t) * u0],
-                             axis=1)
-    else:
-        modal0 = ModalState(ks=np.array([run.k]),
-                            a=np.array([run.data.amplitude / np.sqrt(2.0)]),
-                            b=np.array([0.0]))
-        ref = np.stack([modal_nodal_state(exact_group(modal0, t), mesh)
-                        for t in traj.times])
+    # sine samples are exact eigenvectors of the (K, M) pencil
+    mu, kappa = ops.sine_eigenvalues()
+    w = np.sqrt(kappa[run.k - 1] / mu[run.k - 1])
+    t = traj.times[:, None]
+    ref = np.concatenate([np.cos(w * t) * u0, -w * np.sin(w * t) * u0], axis=1)
     diff = traj.states - ref
     e = energy(ops, diff)
     u = diff[:, : mesh.n]
     return EnergyTrace(times=traj.times.copy(), energy=e, l2=l2_norm(ops, u),
-                       h1=h1_norm(ops, u),
-                       meta={"k": run.k, "comparison": "undamped",
-                             "discrete_frequency": discrete_frequency})
+                       h1=h1_norm(ops, u))
 
 
 # -- primitive problem ------------------------------------------------------------
@@ -256,24 +236,21 @@ class PrimitiveResult:
 def primitive_solve(setup: PrimitiveSetup, ops: SpatialOperators,
                     delta: float, t_final: float,
                     window: float = 1.0, epsilon: float = 1e-8,
-                    rule: str = "boole", damped_run: FrequencyRun | None = None,
+                    damped_run: FrequencyRun | None = None,
                     propagator: Propagator | None = None) -> PrimitiveResult:
     """Integrate the primitive problem and compare its velocity to the damped run."""
     config = PicardConfig(t_final=t_final, delta=delta, alpha=setup.alpha,
-                          m=setup.m, epsilon=epsilon, window=window, rule=rule)
+                          m=setup.m, epsilon=epsilon, window=window)
     result = picard_solve(ops, setup.initial_state(), config,
                           forcing=setup.damping, propagator=propagator)
     if damped_run is None:
         damped_run = frequency_sweep([setup.k], setup.alpha, setup.m, ops,
                                      delta, t_final, window=window,
-                                     epsilon=epsilon, rule=rule,
+                                     epsilon=epsilon,
                                      propagator=propagator)[0]
     vel = result.trajectory.velocity()
     gap = float(l2_norm(ops, vel - damped_run.trajectory.displacement()).max())
-    trace = EnergyTrace.from_trajectory(result.trajectory, ops,
-                                        meta={"k": setup.k, "m": setup.m,
-                                              "alpha": setup.alpha,
-                                              "problem": "primitive"})
+    trace = EnergyTrace.from_trajectory(result.trajectory, ops)
     return PrimitiveResult(setup=setup, trajectory=result.trajectory,
                            trace=trace, velocity_gap_l2=gap,
                            damped_run=damped_run)

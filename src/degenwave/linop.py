@@ -31,10 +31,13 @@ class Propagator:
     """
 
     step: float
-    points: int
     sine: np.ndarray      # orthonormal, symmetric sine matrix S (S @ S = I)
     omega: np.ndarray     # discrete frequencies sqrt(kappa_j / mu_j)
     powers: tuple
+
+    @property
+    def points(self) -> int:
+        return len(self.powers)
 
     @property
     def theta(self) -> float:
@@ -51,23 +54,20 @@ class Propagator:
                                z.imag @ self.sine], axis=-1)
 
 
-def matrix_exponential(ops: SpatialOperators, step: float,
-                       points: int = 5) -> Propagator:
+def matrix_exponential(ops: SpatialOperators, step: float) -> Propagator:
     """Propagator for the wave generator of ``ops`` over one time step.
 
-    ``points`` is the closed Newton-Cotes point count whose sub-step
-    phases get cached alongside the full step.
+    The phases of the quarter steps j*step/4, j = 0..4, the abscissae of
+    the Duhamel sweep's Boole rule, get cached alongside the full step.
     """
     if not np.isfinite(step):
         raise ValueError("step must be finite")
-    if points < 2:
-        raise ValueError("need at least two quadrature points")
     mu, kappa = ops.sine_eigenvalues()
     omega = np.sqrt(kappa / mu)
-    theta = step / (points - 1)
-    powers = tuple(np.exp(-1j * (j * theta) * omega) for j in range(points))
-    return Propagator(step=step, points=points, sine=ops.sine_basis(),
-                      omega=omega, powers=powers)
+    theta = step / 4
+    powers = tuple(np.exp(-1j * (j * theta) * omega) for j in range(5))
+    return Propagator(step=step, sine=ops.sine_basis(), omega=omega,
+                      powers=powers)
 
 
 # -- energy functionals ------------------------------------------------------

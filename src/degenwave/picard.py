@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linop import Propagator, energy_norm, matrix_exponential
-from .linwave import NEWTON_COTES_RULES, Trajectory, sweep
+from .linwave import BOOLE_WEIGHTS, Trajectory, sweep
 from .mesh import SpatialOperators, hat_load_from_values, values_at_gauss
 
 
@@ -114,7 +114,6 @@ class PicardConfig:
     epsilon: float = 1e-8
     max_iterations: int = 50
     window: float = 1.0
-    rule: str = "boole"
 
     def __post_init__(self):
         if self.t_final <= 0 or self.delta <= 0 or self.epsilon <= 0 or self.window <= 0:
@@ -126,8 +125,6 @@ class PicardConfig:
             raise ValueError("alpha must be nonnegative")
         if self.m < 1 or int(self.m) != self.m:
             raise ValueError("m must be a positive integer")
-        if self.rule not in NEWTON_COTES_RULES:
-            raise ValueError(f"unknown rule {self.rule!r}")
 
     @property
     def n_steps(self) -> int:
@@ -158,9 +155,9 @@ class PicardResult:
 
 # -- the solver ---------------------------------------------------------------
 
-def _interp_abscissae(x: np.ndarray, points: int) -> np.ndarray:
+def _interp_abscissae(x: np.ndarray) -> np.ndarray:
     """Linear-in-time interpolation of grid samples onto the quadrature abscissae."""
-    r = points - 1
+    r = len(BOOLE_WEIGHTS) - 1
     nsteps = x.shape[0] - 1
     out = np.empty((r * nsteps + 1,) + x.shape[1:])
     out[::r] = x
@@ -186,9 +183,8 @@ def picard_solve(ops: SpatialOperators, y0: np.ndarray, config: PicardConfig,
     """
     if forcing is None:
         forcing = DegenerateDamping(config.alpha, config.m)
-    m_pts, _ = NEWTON_COTES_RULES[config.rule]
     if propagator is None:
-        propagator = matrix_exponential(ops, config.delta, points=m_pts)
+        propagator = matrix_exponential(ops, config.delta)
     n = ops.mesh.n
 
     chunks = [y0[None, :]]
@@ -200,17 +196,17 @@ def picard_solve(ops: SpatialOperators, y0: np.ndarray, config: PicardConfig,
         nst = min(config.window_steps, config.n_steps - done)
         t_start = done * config.delta
         f0 = forcing.coefficients(ops, y[:n], y[n:])
-        f_absc = np.broadcast_to(f0, ((m_pts - 1) * nst + 1, n))
-        prev = sweep(propagator, y, f_absc, rule=config.rule)
+        f_absc = np.broadcast_to(f0, ((len(BOOLE_WEIGHTS) - 1) * nst + 1, n))
+        prev = sweep(propagator, y, f_absc)
 
         report = WindowReport(t_start=t_start, iterations=0, distance=np.inf,
                               converged=False)
         grow = 0
         for _ in range(config.max_iterations):
-            ua = _interp_abscissae(prev[:, :n], m_pts)
-            va = _interp_abscissae(prev[:, n:], m_pts)
+            ua = _interp_abscissae(prev[:, :n])
+            va = _interp_abscissae(prev[:, n:])
             f_absc = forcing.coefficients(ops, ua, va)
-            cur = sweep(propagator, y, f_absc, rule=config.rule)
+            cur = sweep(propagator, y, f_absc)
             dist = float(energy_norm(ops, cur - prev).max())
             if not np.isfinite(dist):
                 # a non-finite forcing or iterate makes the distance non-finite

@@ -18,7 +18,7 @@ def ops99(mesh99):
 
 @pytest.fixture(scope="session")
 def prop99(ops99):
-    return matrix_exponential(ops99, DELTA, points=5)
+    return matrix_exponential(ops99, DELTA)
 
 
 @pytest.fixture()

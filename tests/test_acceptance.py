@@ -239,7 +239,7 @@ class TestCriterion5SchemeOrders:
         nu, s = 2.0, np.array([1.0])
         errs = []
         for d in (0.1, 0.05):
-            prop = matrix_exponential(ops, d, points=5)
+            prop = matrix_exponential(ops, d)
 
             def forcing(t):
                 return ((lam_h - nu**2) * np.sin(nu * t))[:, None] * s

@@ -1,17 +1,18 @@
 import json
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from degenwave import cli
 from degenwave.cli import (EXPERIMENTS, Report, RunConfig, _check_splice,
                            _config_from_args, _run_sweep, _spatial,
                            build_parser, emit_plot, main, parse_config_file,
                            run)
-from degenwave.linwave import NEWTON_COTES_RULES
 from degenwave.picard import DegenerateDamping
 
 FAST = dict(h=0.1, delta=0.02, t_final=0.4, t_extend=0.4, ks=(1,),
@@ -40,6 +41,27 @@ class TestConfig:
         cfg.write_text("# comment\nalpha = 2.0\nks = [1, 2]\nrule = 'simpson38'\n")
         values = parse_config_file(str(cfg))
         assert values == {"alpha": 2.0, "ks": [1, 2], "rule": "simpson38"}
+
+    def test_config_file_hash_inside_quotes(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("out = 'runs/a#1'\nalpha = 2.0  # note\n"
+                       "seed = 3 # 'quoted' comment\n"
+                       "out2 = \"b'#c\"  # x\nout3 = 'it\\'s#2'\n")
+        values = parse_config_file(str(cfg))
+        assert values == {"out": "runs/a#1", "alpha": 2.0, "seed": 3,
+                          "out2": "b'#c", "out3": "it's#2"}
+
+    @pytest.mark.parametrize("name", ["run.cfg", "manifest.json"])
+    def test_retired_rule_value_rejected(self, tmp_path, capsys, name):
+        # only Boole's rule remains; asking for another must not run Boole
+        cfg = tmp_path / name
+        cfg.write_text(json.dumps({"config": {"rule": "simpson38"}})
+                       if name.endswith(".json") else "rule = 'simpson38'\n")
+        code = main(["run", "--preset", "custom", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "config key 'rule'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("flag,value,field", [
         ("--alpha", "nan", "alpha"), ("--beta", "nan", "beta"),
@@ -87,21 +109,21 @@ def valid_configs(draw):
     num = lambda lo, hi: st.floats(lo, hi, allow_nan=False, allow_infinity=False)
     delta = draw(num(1e-4, 0.1))
     t_final = draw(st.integers(1, 1000)) * delta
+    elements = draw(st.integers(9, 2000))     # 1/h; the mesh has 1/h - 1 nodes
+    k_max = (elements - 1) // 8
     return RunConfig(
         experiment=draw(st.sampled_from(EXPERIMENTS)),
         alpha=draw(num(0.0, 100.0)), m=draw(st.integers(1, 4)),
-        ks=tuple(draw(st.lists(st.integers(1, 20), min_size=1, max_size=5))),
-        h=draw(num(1e-4, 0.5)), delta=delta, t_final=t_final,
+        ks=tuple(draw(st.lists(st.integers(1, k_max), min_size=1, max_size=5))),
+        h=1.0 / elements, delta=delta, t_final=t_final,
         t_extend=t_final + draw(num(0.0, 100.0)), beta=draw(num(-10.0, 10.0)),
-        rule=draw(st.sampled_from(sorted(NEWTON_COTES_RULES))),
         oracle_stride=draw(st.integers(1, 50)), window=draw(num(1e-3, 10.0)),
         epsilon=draw(num(1e-14, 1.0)), substeps=draw(st.integers(0, 64)),
         khat=draw(num(1e-3, 100.0)), radius=draw(num(1e-3, 10.0)),
         samples=draw(st.integers(1, 500)), eps_target=draw(num(1e-6, 1.0)),
         horizon=draw(num(1e-2, 1e3)), osc_step=draw(num(1e-4, 1.0)),
         seed=draw(st.integers(0, 2**31)),
-        # no '#': the flat format reads it as the start of a comment
-        out=draw(st.text("abcXYZ019_-./", min_size=1, max_size=20)))
+        out=draw(st.text("abcXYZ019_-./#", min_size=1, max_size=20)))
 
 
 class TestConfigFileRoundTrip:
@@ -116,6 +138,25 @@ class TestConfigFileRoundTrip:
             parsed = parse_config_file(str(path))
             assert set(parsed) == {f.name for f in fields(config)}
             args = build_parser().parse_args(["run", "--config", str(path)])
+            assert _config_from_args(args) == config
+
+
+DRIVERS = ("_exp_fig1", "_exp_frequency", "_exp_primitive", "_exp_oscillator",
+           "_exp_oracle_only")
+
+
+class TestManifestRoundTrip:
+    @settings(max_examples=40, deadline=None)
+    @given(valid_configs())
+    def test_manifest_parses_back_to_equal_config(self, config):
+        # the drivers are stubbed: run() writes the manifest and dispatches
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.multiple(cli, **dict.fromkeys(DRIVERS, mock.DEFAULT)) as stubs:
+            config = replace(config, out=str(Path(tmp) / "run#1"))
+            assert run(config) == 0
+            assert sum(stub.call_count for stub in stubs.values()) == 1
+            manifest = Path(config.out) / "manifest.json"
+            args = build_parser().parse_args(["run", "--config", str(manifest)])
             assert _config_from_args(args) == config
 
 
@@ -155,13 +196,16 @@ class TestRun:
         assert a.keys() == b.keys() and all(a[k] == b[k] for k in a)
 
     def test_manifest_with_retired_key_loads(self, tmp_path):
-        # manifests written before max_iterations was dropped still load
+        # manifests written before max_iterations and rule were dropped load
+        # and reproduce the run
         config = RunConfig(experiment="custom", out=str(tmp_path / "a"), **FAST)
         assert run(config) == 0
         manifest = tmp_path / "a" / "manifest.json"
         doc = json.loads(manifest.read_text())
         assert "max_iterations" not in doc["config"]
+        assert "rule" not in doc["config"]
         doc["config"]["max_iterations"] = 50
+        doc["config"]["rule"] = "boole"
         manifest.write_text(json.dumps(doc))
         code = main(["run", "--preset", "custom", "--config", str(manifest),
                      "--out", str(tmp_path / "b")])
@@ -199,10 +243,22 @@ class TestRun:
         assert report.endswith("[SUMMARY] FAIL\n")
         assert "configuration error" not in capsys.readouterr().err
 
-    def test_under_resolved_mode_exit_code(self, tmp_path):
-        config = RunConfig(experiment="custom", out=str(tmp_path), ks=(5,),
-                           h=0.1, delta=0.02, t_final=0.2)
+    def test_under_resolved_mode_exit_code(self, tmp_path, capsys):
+        # rejected before any output exists
+        config = RunConfig(experiment="custom", out=str(tmp_path / "a"),
+                           ks=(5,), h=0.1, delta=0.02, t_final=0.2)
         assert run(config) == 1
+        assert main(["run", "--preset", "fig2", "--k", "20",
+                     "--out", str(tmp_path / "b")]) == 1
+        assert "mode 20 is under-resolved on n=99" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
+    def test_non_integer_inverse_h_exit_code(self, tmp_path, capsys):
+        code = main(["run", "--preset", "fig2", "--h", "0.03",
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "is not close to an integer" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_fig1_path(self, tmp_path):
         config = RunConfig(experiment="fig1", out=str(tmp_path / "o"),
@@ -274,6 +330,9 @@ class TestRun:
 class TestMain:
     def test_bad_flag_exit(self):
         assert main(["run", "--preset", "nope"]) == 1
+
+    def test_retired_rule_flag_rejected(self):
+        assert main(["run", "--rule", "boole"]) == 1
 
     def test_flag_overrides(self, tmp_path):
         code = main(["run", "--preset", "custom", "--k", "1",

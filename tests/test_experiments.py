@@ -23,11 +23,6 @@ class TestModeInitialState:
             defect = (k * np.pi * mesh99.h) ** 2 / 12.0
             assert data.scale == pytest.approx(1.0 / np.sqrt(1 - defect), rel=1e-3)
 
-    def test_unnormalized_keeps_raw_amplitude(self, ops99):
-        data = mode_initial_state(ops99, 2, normalize=False)
-        assert data.scale == 1.0
-        assert data.amplitude == pytest.approx(1.0 / np.pi, rel=1e-14)
-
     def test_under_resolved_rejected(self, ops99):
         with pytest.raises(ValueError):
             mode_initial_state(ops99, 13)   # 8k > 99
@@ -91,15 +86,6 @@ class TestConservativeComparison:
                                propagator=prop99)
         tz = conservative_comparison(runs[0], ops99)
         assert tz.energy.max() < 1e-18
-
-    def test_continuum_reference_carries_dispersion(self, ops99, prop99):
-        # against the continuum frequency the gap is the dispersion offset,
-        # tiny for the first mode over this horizon but nonzero
-        runs = frequency_sweep([1], 0.0, 1, ops99, 2e-3, 10.0,
-                               propagator=prop99)
-        tz = conservative_comparison(runs[0], ops99,
-                                     discrete_frequency=False)
-        assert 1e-8 < tz.energy.max() < 1e-4
 
 
 class TestPrimitiveSetup:

@@ -6,7 +6,7 @@ from scipy.linalg import expm as scipy_expm
 from degenwave import (DegenerateDamping, assemble, build_mesh, energy,
                        energy_inner, energy_norm, matrix_exponential,
                        semilinear_rhs)
-from degenwave.linwave import NEWTON_COTES_RULES, newton_cotes_weights, sweep
+from degenwave.linwave import BOOLE_WEIGHTS, sweep
 
 
 def dense_generator(ops):
@@ -136,40 +136,39 @@ class TestAgainstDenseExpm:
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 40), step=st.sampled_from([1e-3, 2e-3, 0.01, 0.05, 0.3]),
-           points=st.sampled_from([4, 5]), seed=st.integers(0, 2**16))
-    def test_powers_match_dense_expm(self, n, step, points, seed):
+           seed=st.integers(0, 2**16))
+    def test_powers_match_dense_expm(self, n, step, seed):
         ops = assemble(build_mesh(n))
-        prop = matrix_exponential(ops, step, points=points)
+        prop = matrix_exponential(ops, step)
         a = dense_generator(ops)
         y = np.random.default_rng(seed).normal(size=2 * n)
-        for j in range(points):
+        for j in range(prop.points):
             ref = scipy_expm(j * prop.theta * a) @ y
             got = apply_power(prop, j, y)
             assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(1, 40), step=st.sampled_from([1e-3, 2e-3, 0.01, 0.05]),
-           rule=st.sampled_from(["boole", "simpson38"]),
            nsteps=st.integers(1, 30), seed=st.integers(0, 2**16))
-    def test_sweep_matches_dense_steps(self, n, step, rule, nsteps, seed):
+    def test_sweep_matches_dense_steps(self, n, step, nsteps, seed):
         # the Duhamel step written out with dense sub-step exponentials
-        points, _ = NEWTON_COTES_RULES[rule]
+        points = len(BOOLE_WEIGHTS)
         r = points - 1
         ops = assemble(build_mesh(n))
-        prop = matrix_exponential(ops, step, points=points)
+        prop = matrix_exponential(ops, step)
         a = dense_generator(ops)
         rng = np.random.default_rng(seed)
         y0 = rng.normal(size=2 * n)
         f = rng.normal(size=(r * nsteps + 1, n))
         exps = [scipy_expm(j * prop.theta * a) for j in range(points)]
-        w = newton_cotes_weights(rule, step)
+        w = step * BOOLE_WEIGHTS
         y, ref = y0, [y0]
         for i in range(nsteps):
             y = exps[r] @ y + sum(w[j] * exps[r - j][:, n:] @ f[r * i + j]
                                   for j in range(points))
             ref.append(y)
         ref = np.array(ref)
-        got = sweep(prop, y0, f, rule=rule)
+        got = sweep(prop, y0, f)
         assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
 

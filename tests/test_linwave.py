@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm as scipy_expm
 
-from degenwave import (ModalState, assemble, build_mesh,
+from degenwave import (BOOLE_WEIGHTS, assemble, build_mesh,
                        analytic_linear_damped, energy, energy_norm,
-                       exact_group, matrix_exponential,
-                       modal_nodal_state, newton_cotes_weights,
-                       solve_linear_inhomogeneous)
+                       matrix_exponential, solve_linear_inhomogeneous)
 from degenwave.linop import Propagator
 from degenwave.linwave import sweep
 
@@ -20,52 +18,19 @@ def discrete_eigenvalue(ops, k):
 
 class TestNewtonCotes:
     def test_weights_sum_to_step(self):
-        for rule in ("boole", "simpson38"):
-            w = newton_cotes_weights(rule, 0.37)
-            assert w.sum() == pytest.approx(0.37, rel=1e-14)
-
-    def test_unknown_rule(self):
-        with pytest.raises(ValueError):
-            newton_cotes_weights("trapezoid", 0.1)
+        w = 0.37 * BOOLE_WEIGHTS
+        assert w.sum() == pytest.approx(0.37, rel=1e-14)
 
     def test_boole_weights(self):
-        np.testing.assert_allclose(newton_cotes_weights("boole", 90.0),
+        np.testing.assert_allclose(90.0 * BOOLE_WEIGHTS,
                                    [7.0, 32.0, 12.0, 32.0, 7.0])
         # exact through degree 5
         d = 0.3
         s = d / 4 * np.arange(5)
         poly = lambda t: 1.0 - 2 * t + 3 * t**2 - t**3 + 0.5 * t**4 + 2 * t**5
         anti = lambda t: (t - t**2 + t**3 - t**4 / 4 + 0.1 * t**5 + t**6 / 3)
-        got = newton_cotes_weights("boole", d) @ poly(s)
+        got = (d * BOOLE_WEIGHTS) @ poly(s)
         assert got == pytest.approx(anti(d) - anti(0.0), abs=1e-13)
-
-
-class TestExactGroup:
-    def test_identity_at_zero(self):
-        st = ModalState(ks=np.array([1, 3]), a=np.array([0.5, -0.2]),
-                        b=np.array([0.1, 0.7]))
-        out = exact_group(st, 0.0)
-        np.testing.assert_allclose(out.a, st.a)
-        np.testing.assert_allclose(out.b, st.b)
-
-    @pytest.mark.parametrize("k", [1, 2, 5])
-    def test_full_period(self, k):
-        st = ModalState(ks=np.array([k]), a=np.array([1.0]), b=np.array([0.0]))
-        out = exact_group(st, 2.0 * np.pi / (k * np.pi))
-        assert out.a[0] == pytest.approx(1.0, abs=1e-12)
-        assert out.b[0] == pytest.approx(0.0, abs=1e-12)
-
-    def test_mode_energy_invariant(self, rng):
-        st = ModalState(ks=np.array([1, 2, 7]), a=rng.normal(size=3),
-                        b=rng.normal(size=3))
-        e0 = st.mode_energy()
-        for t in (0.3, 4.71, 100.0):
-            np.testing.assert_allclose(exact_group(st, t).mode_energy(), e0,
-                                       rtol=1e-12, atol=1e-14)
-
-    def test_duplicate_modes_rejected(self):
-        with pytest.raises(ValueError):
-            ModalState(ks=np.array([2, 2]), a=np.zeros(2), b=np.zeros(2))
 
 
 class TestDuhamelStep:
@@ -91,7 +56,7 @@ class TestDuhamelStep:
         # quadrature, exact through degree 5
         d = 0.3
         omega = np.array([np.finfo(float).tiny])
-        prop = Propagator(step=d, points=5, sine=np.ones((1, 1)), omega=omega,
+        prop = Propagator(step=d, sine=np.ones((1, 1)), omega=omega,
                           powers=tuple(np.ones(1, dtype=complex) for _ in range(5)))
         s = prop.theta * np.arange(5)
         poly = lambda t: 1.0 - 2 * t + 3 * t**2 - t**3 + 0.5 * t**4 + 2 * t**5
@@ -103,8 +68,6 @@ class TestDuhamelStep:
     def test_wrong_sample_count(self, prop99):
         with pytest.raises(ValueError):
             sweep(prop99, np.zeros(198), np.zeros((6, 99)))
-        with pytest.raises(ValueError):
-            sweep(prop99, np.zeros(198), np.zeros((5, 99)), rule="simpson38")
 
 
 class TestSolveLinear:
@@ -143,8 +106,8 @@ class TestSolveLinear:
         exact = np.concatenate([t**2 * s, 2 * t * s], axis=1)
         assert energy_norm(ops99, traj.states - exact).max() < 1e-6
 
-    @pytest.mark.parametrize("rule,order", [("boole", 6), ("simpson38", 4)])
-    def test_quadrature_convergence_order(self, rule, order):
+    @pytest.mark.parametrize("order", [pytest.param(6, id="boole-6")])
+    def test_quadrature_convergence_order(self, order):
         # oscillatory manufactured solution in the regime where the
         # Newton-Cotes error dominates
         mesh = build_mesh(1)
@@ -154,15 +117,14 @@ class TestSolveLinear:
         s = np.array([1.0])
         errs = []
         for d in (0.1, 0.05):
-            m_pts = {"boole": 5, "simpson38": 4}[rule]
-            prop = matrix_exponential(ops, d, points=m_pts)
+            prop = matrix_exponential(ops, d)
 
             def forcing(t):
                 return ((lam_h - nu**2) * np.sin(nu * t))[:, None] * s
 
             y0 = np.concatenate([0.0 * s, nu * s])
             traj = solve_linear_inhomogeneous(ops, y0, forcing, 2.0, d,
-                                              rule=rule, propagator=prop)
+                                              propagator=prop)
             exact = np.stack([np.sin(nu * traj.times),
                               nu * np.cos(nu * traj.times)], axis=1)
             errs.append(energy_norm(ops, traj.states - exact).max())
@@ -217,14 +179,3 @@ class TestAnalyticLinearDamped:
         e = np.array([modal_energy(t) for t in ts])
         assert (np.diff(e) <= 1e-12).all()
 
-
-class TestModalNodal:
-    def test_single_mode_sampling(self, mesh99):
-        st = ModalState(ks=np.array([2]), a=np.array([0.3]), b=np.array([-0.1]))
-        y = modal_nodal_state(st, mesh99)
-        np.testing.assert_allclose(y[:99],
-                                   0.3 * np.sqrt(2) * np.sin(2 * np.pi * mesh99.nodes),
-                                   atol=1e-14)
-        np.testing.assert_allclose(y[99:],
-                                   -0.1 * np.sqrt(2) * np.sin(2 * np.pi * mesh99.nodes),
-                                   atol=1e-14)
