@@ -18,7 +18,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,10 +38,6 @@ from .oracle import (AnsatzProblem, oracle_states, reference_errors, rk4_ansatz,
                      OscillatorProblem)
 from .picard import DegenerateDamping, PicardDivergenceError
 from .svgplot import Series, downsample, render_line_plot
-
-EXPERIMENTS = ("fig1", "fig2", "fig3", "primitive", "oscillator", "oracle",
-               "custom")
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -89,6 +85,10 @@ class RunConfig:
             raise ValueError("m must be >= 1")
         if not self.ks or any(k < 1 for k in self.ks):
             raise ValueError("mode list must contain integers >= 1")
+        if self.experiment == "fig1" and self.ks != (1,):
+            raise ValueError("fig1 runs the mode k = 1 only")
+        if self.experiment == "primitive" and len(self.ks) > 1:
+            raise ValueError("primitive runs one mode")
         nsteps = round(self.t_final / self.delta)
         if nsteps < 1 or abs(nsteps * self.delta - self.t_final) > 1e-9:
             raise ValueError("delta must divide t_final")
@@ -104,22 +104,6 @@ class RunConfig:
             mesh = mesh_from_h(self.h)
             for k in self.ks:
                 check_resolved(mesh, k)
-
-
-PRESETS = {
-    "fig1": dict(experiment="fig1", ks=(1,)),
-    "fig2": dict(experiment="fig2", ks=(1, 2, 4, 8)),
-    "fig3": dict(experiment="fig3", ks=(1, 2, 4, 8)),
-    "primitive": dict(experiment="primitive", ks=(1,)),
-    "oscillator": dict(experiment="oscillator"),
-    "custom": dict(experiment="custom"),
-}
-
-# the experiments behind the subcommands other than ``run``
-COMMANDS = {
-    "oracle": dict(experiment="oracle", ks=(1,)),
-    "oscillator": dict(experiment="oscillator"),
-}
 
 
 # -- configuration files --------------------------------------------------------
@@ -177,18 +161,16 @@ def _fmt17(v: float) -> str:
     return f"{v:.17g}"
 
 
-def write_trace_csv(path: Path, trace: EnergyTrace) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t,E,L2,H1\n")
-        for t, e, l2, h1 in zip(trace.times, trace.energy, trace.l2, trace.h1):
-            fh.write(f"{_fmt17(t)},{_fmt17(e)},{_fmt17(l2)},{_fmt17(h1)}\n")
-
-
 def write_columns_csv(path: Path, header: list, columns: list) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in zip(*columns):
             fh.write(",".join(_fmt17(v) for v in row) + "\n")
+
+
+def write_trace_csv(path: Path, trace: EnergyTrace) -> None:
+    write_columns_csv(path, ["t", "E", "L2", "H1"],
+                      [trace.times, trace.energy, trace.l2, trace.h1])
 
 
 def emit_plot(traces: list, path: Path, title: str, xlabel: str = "t",
@@ -353,8 +335,9 @@ def _check_splice(report: Report, run, ops, forcing, substeps: int) -> None:
 
 # -- experiment drivers -------------------------------------------------------------
 
-def _exp_frequency(config: RunConfig, dirs, report: Report,
-                   extend: bool = False) -> None:
+def _exp_frequency(config: RunConfig, dirs, report: Report) -> None:
+    """fig2 and custom: the frequency sweep; fig3: the same, extended."""
+    extend = config.experiment == "fig3"
     ops, prop = _spatial(config)
     runs = _run_sweep(config, ops, prop)
     conservative = config.alpha == 0.0
@@ -395,8 +378,7 @@ def _exp_frequency(config: RunConfig, dirs, report: Report,
                      "E(T) by k: " + ", ".join(
                          f"k={k}: {finals[k]:.4f}" for k in ordered))
 
-    label = "fig3" if extend else ("fig2" if config.experiment == "fig2"
-                                   else "sweep")
+    label = "sweep" if config.experiment == "custom" else config.experiment
     emit_plot([(f"k={k}", tr.times, tr.energy) for k, tr in sorted(traces.items())],
               dirs["plots"] / f"{label}_energy.svg",
               title="Energy decay by initial-data frequency",
@@ -408,7 +390,6 @@ def _exp_frequency(config: RunConfig, dirs, report: Report,
 
 
 def _exp_fig1(config: RunConfig, dirs, report: Report) -> None:
-    config = replace(config, ks=(1,))
     ops, prop = _spatial(config)
     run = _run_sweep(config, ops, prop)[0]
     mesh = ops.mesh
@@ -556,6 +537,19 @@ def _exp_oracle_only(config: RunConfig, dirs, report: Report) -> None:
               title="Reference energy decay", ylabel="E(t)")
 
 
+# each experiment's driver and the values its preset sets over RunConfig's
+PRESETS = {
+    "fig1": (_exp_fig1, {"ks": (1,)}),
+    "fig2": (_exp_frequency, {}),
+    "fig3": (_exp_frequency, {}),
+    "primitive": (_exp_primitive, {"ks": (1,)}),
+    "oscillator": (_exp_oscillator, {}),
+    "oracle": (_exp_oracle_only, {"ks": (1,)}),
+    "custom": (_exp_frequency, {}),
+}
+EXPERIMENTS = tuple(PRESETS)
+
+
 def run(config: RunConfig) -> int:
     """Execute one experiment; returns the process exit code."""
     try:
@@ -575,18 +569,8 @@ def run(config: RunConfig) -> int:
 
     report = Report()
     try:
-        if config.experiment == "fig1":
-            _exp_fig1(config, dirs, report)
-        elif config.experiment in ("fig2", "custom"):
-            _exp_frequency(config, dirs, report, extend=False)
-        elif config.experiment == "fig3":
-            _exp_frequency(config, dirs, report, extend=True)
-        elif config.experiment == "primitive":
-            _exp_primitive(config, dirs, report)
-        elif config.experiment == "oscillator":
-            _exp_oscillator(config, dirs, report)
-        elif config.experiment == "oracle":
-            _exp_oracle_only(config, dirs, report)
+        driver, _ = PRESETS[config.experiment]
+        driver(config, dirs, report)
     except (PicardDivergenceError, BlowupError, FloatingPointError) as exc:
         report.lines.append(f"[ERROR] numerical failure: {exc}")
         report.failed = True
@@ -604,67 +588,52 @@ def run(config: RunConfig) -> int:
 
 # -- argument parsing -----------------------------------------------------------
 
+# the flags not named after their field, which is otherwise spelt with '-'
+_FLAG_NAMES = {"t_final": "T", "t_extend": "T2", "ks": "k"}
+# --k stays text: _parse_ks splits it, as it does a config file's mode list
+_FLAG_TYPES = {"float": float, "int": int, "str": str, "tuple": str}
+# keys that manifests of earlier versions carry and that no longer set anything
+_RETIRED_KEYS = ("max_iterations", "rule")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="degenwave",
         description="Degenerately damped string: simulations and experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    run_p = sub.add_parser("run", help="run a preset or custom experiment")
+    run_p = sub.add_parser("run", help="run one experiment", allow_abbrev=False)
     run_p.add_argument("--preset", choices=sorted(PRESETS), default="fig2")
     run_p.add_argument("--config", help="flat key=value file or manifest.json")
-    for name, typ in [("alpha", float), ("m", int), ("h", float),
-                      ("delta", float), ("T", float), ("T2", float),
-                      ("beta", float), ("window", float), ("epsilon", float),
-                      ("oracle-stride", int), ("substeps", int), ("seed", int)]:
-        run_p.add_argument(f"--{name}", type=typ)
-    run_p.add_argument("--k", help="comma-separated mode list, e.g. 1,2,4,8")
-    run_p.add_argument("--out")
-
-    # unset flags stay None, so RunConfig and COMMANDS supply the defaults
-    orc = sub.add_parser("oracle", help="run the pointwise reference alone")
-    orc.add_argument("--k")
-    for name, typ in [("T", float), ("h", float), ("delta", float),
-                      ("alpha", float), ("m", int), ("out", str)]:
-        orc.add_argument(f"--{name}", type=typ)
-
-    osc = sub.add_parser("oscillator", help="finite-dimensional stability sweep")
-    for name, typ in [("radius", float), ("samples", int), ("khat", float),
-                      ("alpha", float), ("m", int), ("eps-target", float),
-                      ("horizon", float), ("step", float), ("seed", int),
-                      ("out", str)]:
-        osc.add_argument(f"--{name}", type=typ)
+    # one flag per field; an unset flag stays None, so that the preset and
+    # the config file supply the value
+    for f in fields(RunConfig):
+        if f.name != "experiment":
+            flag = _FLAG_NAMES.get(f.name, f.name.replace("_", "-"))
+            run_p.add_argument(f"--{flag}", dest=f.name, type=_FLAG_TYPES[f.type])
     return parser
 
 
-_FLAG_MAP = {"T": "t_final", "T2": "t_extend", "k": "ks", "step": "osc_step"}
-
-
 def _config_from_args(args) -> RunConfig:
-    values: dict = {}
-    if args.command == "run":
-        values.update(PRESETS[args.preset])
-        if args.config:
-            file_values = parse_config_file(args.config)
-            if "ks" in file_values:
-                file_values["ks"] = _parse_ks(file_values["ks"])
-            # earlier manifests record the quadrature rule, now always Boole's
-            if file_values.get("rule", "boole") != "boole":
-                raise ValueError("config key 'rule' is retired: only 'boole' "
-                                 f"runs, got {file_values['rule']!r}")
-            values.update({k: v for k, v in file_values.items()
-                           if k in RunConfig.__dataclass_fields__})
-    else:
-        values.update(COMMANDS[args.command])
-
-    for flag, value in vars(args).items():
-        if flag in ("command", "preset", "config") or value is None:
-            continue
-        name = _FLAG_MAP.get(flag, flag)
-        if name == "ks":
-            value = _parse_ks(value)
-        if name in RunConfig.__dataclass_fields__:
-            values[name] = value
+    """The preset's values, overridden by the config file's, overridden by
+    the flags'."""
+    names = RunConfig.__dataclass_fields__
+    values = {"experiment": args.preset, **PRESETS[args.preset][1]}
+    if args.config:
+        file_values = parse_config_file(args.config)
+        # earlier manifests record the quadrature rule, now always Boole's
+        rule = file_values.get("rule", "boole")
+        if rule != "boole":
+            raise ValueError("config key 'rule' is retired: only 'boole' runs, "
+                             f"got {rule!r}")
+        unknown = sorted(set(file_values) - set(names) - set(_RETIRED_KEYS))
+        if unknown:
+            raise ValueError("unknown config key "
+                             + ", ".join(repr(key) for key in unknown))
+        values.update((k, v) for k, v in file_values.items() if k in names)
+    values.update((k, v) for k, v in vars(args).items()
+                  if k in names and v is not None)
+    if "ks" in values:
+        values["ks"] = _parse_ks(values["ks"])
     return RunConfig(**values)
 
 

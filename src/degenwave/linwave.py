@@ -41,12 +41,6 @@ class Trajectory:
     def velocity(self) -> np.ndarray:
         return self.states[:, self.n_nodes:]
 
-    def index_of(self, t: float) -> int:
-        i = int(round((t - self.times[0]) / self.delta))
-        if i < 0 or i >= len(self.times) or abs(self.times[i] - t) > 1e-9:
-            raise ValueError(f"time {t} is not on the trajectory grid")
-        return i
-
 
 # -- Duhamel stepping --------------------------------------------------------
 

@@ -36,10 +36,6 @@ class ABState:
     norm_limit: float = np.inf
 
     @property
-    def t(self) -> float:
-        return self.times[-1]
-
-    @property
     def y(self) -> np.ndarray:
         return self.ys[-1]
 

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from degenwave import cli
-from degenwave.cli import (EXPERIMENTS, Report, RunConfig, _check_splice,
-                           _config_from_args, _run_sweep, _spatial,
+from degenwave.cli import (EXPERIMENTS, PRESETS, Report, RunConfig,
+                           _check_splice, _config_from_args, _run_sweep, _spatial,
                            build_parser, emit_plot, main, parse_config_file,
                            run)
 from degenwave.picard import DegenerateDamping
@@ -80,7 +80,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             parse_config_file(str(cfg))
 
-    @pytest.mark.parametrize("argv", [["oracle", "--T", "60"],
+    @pytest.mark.parametrize("argv", [["run", "--preset", "oracle", "--T", "60"],
                                       ["run", "--preset", "fig2", "--k", "1",
                                        "--T", "60"]])
     def test_non_extending_run_ignores_t_extend(self, argv):
@@ -100,7 +100,93 @@ class TestConfig:
         ("oracle", RunConfig(experiment="oracle", ks=(1,))),
         ("oscillator", RunConfig(experiment="oscillator"))])
     def test_subcommand_defaults_come_from_run_config(self, command, expected):
-        assert _config_from_args(build_parser().parse_args([command])) == expected
+        # the retired subcommands' experiments, now presets of ``run``
+        args = build_parser().parse_args(["run", "--preset", command])
+        assert _config_from_args(args) == expected
+
+    @pytest.mark.parametrize("name,text", [
+        ("run.cfg", "alpah = 0.0\n"),
+        ("manifest.json", json.dumps({"config": {"alpah": 0.0}}))])
+    def test_unknown_config_key_rejected(self, tmp_path, capsys, name, text):
+        # a misspelt key must not run at the default it meant to change
+        cfg = tmp_path / name
+        cfg.write_text(text)
+        code = main(["run", "--preset", "custom", "--config", str(cfg),
+                     "--k", "1", "--h", "0.1", "--delta", "0.02", "--T", "0.4",
+                     "--window", "0.2", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "unknown config key 'alpah'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("preset,ks,message", [
+        ("fig1", "3", "fig1 runs the mode k = 1 only"),
+        ("fig1", "1,2", "fig1 runs the mode k = 1 only"),
+        ("primitive", "1,2", "primitive runs one mode")])
+    def test_mode_list_a_preset_cannot_run_rejected(self, tmp_path, capsys,
+                                                     preset, ks, message):
+        # these presets run one mode: a longer list would be recorded in the
+        # manifest without being run
+        code = main(["run", "--preset", preset, "--k", ks, "--T", "0.4",
+                     "--window", "0.2", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_primitive_runs_the_listed_mode(self):
+        args = build_parser().parse_args(["run", "--preset", "primitive",
+                                          "--k", "2"])
+        config = _config_from_args(args)
+        assert config.ks == (2,)
+        config.validate()
+
+
+class TestFlags:
+    """``run``'s flags are generated from RunConfig's fields."""
+
+    SAMPLE = {"float": ("0.5", 0.5), "int": ("3", 3), "str": ("x", "x"),
+              "tuple": ("2,3", (2, 3))}
+
+    @staticmethod
+    def run_parser():
+        parser = build_parser()
+        sub = next(a for a in parser._actions if a.dest == "command")
+        return sub.choices["run"]
+
+    def test_every_field_has_exactly_one_flag(self):
+        actions = self.run_parser()._actions
+        for f in fields(RunConfig):
+            owners = [a for a in actions if a.dest == f.name]
+            if f.name == "experiment":
+                assert owners == []
+                continue
+            assert len(owners) == 1, f.name
+            assert len(owners[0].option_strings) == 1, f.name
+            flag = owners[0].option_strings[0]
+            text, value = self.SAMPLE[f.type]
+            args = build_parser().parse_args(["run", "--preset", "custom",
+                                              flag, text])
+            assert getattr(_config_from_args(args), f.name) == value, flag
+
+    def test_renamed_flags(self):
+        flags = {a.dest: a.option_strings[0] for a in self.run_parser()._actions
+                 if a.option_strings}
+        assert flags["t_final"] == "--T" and flags["t_extend"] == "--T2"
+        assert flags["ks"] == "--k" and flags["osc_step"] == "--osc-step"
+        assert flags["oracle_stride"] == "--oracle-stride"
+
+    def test_preset_offers_every_experiment(self):
+        preset = next(a for a in self.run_parser()._actions if a.dest == "preset")
+        assert sorted(preset.choices) == sorted(EXPERIMENTS) == sorted(PRESETS)
+
+    @pytest.mark.parametrize("argv", [["oracle"], ["oscillator"]])
+    def test_retired_subcommand_rejected(self, tmp_path, argv):
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_abbreviated_flag_rejected(self, tmp_path):
+        assert main(["run", "--preset", "custom", "--alph", "0",
+                     "--out", str(tmp_path / "o")]) == 1
+        assert not (tmp_path / "o").exists()
 
 
 @st.composite
@@ -111,10 +197,15 @@ def valid_configs(draw):
     t_final = draw(st.integers(1, 1000)) * delta
     elements = draw(st.integers(9, 2000))     # 1/h; the mesh has 1/h - 1 nodes
     k_max = (elements - 1) // 8
+    experiment = draw(st.sampled_from(EXPERIMENTS))
+    # fig1 runs k = 1 and primitive one mode
+    ks = tuple(draw(st.lists(st.integers(1, 1 if experiment == "fig1" else k_max),
+                             min_size=1,
+                             max_size=1 if experiment in ("fig1", "primitive")
+                             else 5)))
     return RunConfig(
-        experiment=draw(st.sampled_from(EXPERIMENTS)),
-        alpha=draw(num(0.0, 100.0)), m=draw(st.integers(1, 4)),
-        ks=tuple(draw(st.lists(st.integers(1, k_max), min_size=1, max_size=5))),
+        experiment=experiment,
+        alpha=draw(num(0.0, 100.0)), m=draw(st.integers(1, 4)), ks=ks,
         h=1.0 / elements, delta=delta, t_final=t_final,
         t_extend=t_final + draw(num(0.0, 100.0)), beta=draw(num(-10.0, 10.0)),
         oracle_stride=draw(st.integers(1, 50)), window=draw(num(1e-3, 10.0)),
@@ -141,20 +232,18 @@ class TestConfigFileRoundTrip:
             assert _config_from_args(args) == config
 
 
-DRIVERS = ("_exp_fig1", "_exp_frequency", "_exp_primitive", "_exp_oscillator",
-           "_exp_oracle_only")
-
-
 class TestManifestRoundTrip:
     @settings(max_examples=40, deadline=None)
     @given(valid_configs())
     def test_manifest_parses_back_to_equal_config(self, config):
         # the drivers are stubbed: run() writes the manifest and dispatches
+        stub = mock.Mock()
+        stubbed = {name: (stub, values) for name, (_, values) in PRESETS.items()}
         with tempfile.TemporaryDirectory() as tmp, \
-                mock.patch.multiple(cli, **dict.fromkeys(DRIVERS, mock.DEFAULT)) as stubs:
+                mock.patch.dict(cli.PRESETS, stubbed):
             config = replace(config, out=str(Path(tmp) / "run#1"))
             assert run(config) == 0
-            assert sum(stub.call_count for stub in stubs.values()) == 1
+            assert stub.call_count == 1
             manifest = Path(config.out) / "manifest.json"
             args = build_parser().parse_args(["run", "--config", str(manifest)])
             assert _config_from_args(args) == config
@@ -345,14 +434,14 @@ class TestMain:
         assert manifest["config"]["ks"] == [1]
 
     def test_oracle_subcommand(self, tmp_path):
-        code = main(["oracle", "--k", "1", "--T", "0.5", "--h", "0.1",
-                     "--delta", "0.02", "--out", str(tmp_path / "o")])
+        code = main(["run", "--preset", "oracle", "--k", "1", "--T", "0.5",
+                     "--h", "0.1", "--delta", "0.02", "--out", str(tmp_path / "o")])
         assert code == 0
         assert (tmp_path / "o" / "traces" / "oracle_k1.csv").exists()
 
     def test_oracle_non_finite_is_numerical_failure(self, tmp_path):
-        code = main(["oracle", "--alpha", "1e7", "--T", "0.1", "--h", "0.1",
-                     "--delta", "0.02", "--out", str(tmp_path / "o")])
+        code = main(["run", "--preset", "oracle", "--alpha", "1e7", "--T", "0.1",
+                     "--h", "0.1", "--delta", "0.02", "--out", str(tmp_path / "o")])
         assert code == 2
         report = (tmp_path / "o" / "report.txt").read_text()
         assert "[ERROR] numerical failure" in report
@@ -360,15 +449,17 @@ class TestMain:
         assert "[SUMMARY] FAIL" in report
 
     def test_oscillator_subcommand_conservative(self, tmp_path):
-        code = main(["oscillator", "--samples", "8", "--alpha", "0",
-                     "--horizon", "5", "--out", str(tmp_path / "o")])
+        code = main(["run", "--preset", "oscillator", "--samples", "8",
+                     "--alpha", "0", "--horizon", "5",
+                     "--out", str(tmp_path / "o")])
         assert code == 0
         report = (tmp_path / "o" / "report.txt").read_text()
         assert "never reaches target" in report
 
     def test_oscillator_subcommand_damped(self, tmp_path):
-        code = main(["oscillator", "--samples", "8", "--radius", "1.0",
-                     "--horizon", "300", "--out", str(tmp_path / "o")])
+        code = main(["run", "--preset", "oscillator", "--samples", "8",
+                     "--radius", "1.0", "--horizon", "300",
+                     "--out", str(tmp_path / "o")])
         assert code == 0
         assert (tmp_path / "o" / "traces" / "oscillator_sweep.csv").exists()
 
