@@ -21,16 +21,15 @@ from .picard import (DegenerateDamping, LinearDamping, PicardConfig,
                      PicardDivergenceError, PicardResult, PrimitiveDamping,
                      estimate_contraction, picard_solve)
 from .multistep import (AB5_COEFFS, ABState, BlowupError, ab5_init, ab5_step,
-                        extend_trajectory, parasitic_log_growth,
-                        semilinear_rhs, stable_substeps)
+                        extend_trajectory, semilinear_rhs)
 from .oracle import (AnsatzProblem, OracleSolution, OscillatorProblem,
                      StabilitySweep, ball_samples, compare_energy_decay,
                      compare_energy_norm, oracle_states, reference_errors,
                      rk4_ansatz, simulate_oscillator, uniform_stability_sweep)
 from .experiments import (EnergyTrace, FrequencyRun, LowerOrderReport,
                           ModeData, PrimitiveResult, PrimitiveSetup,
-                          ab5_substeps, closed_form_potential_m1,
-                          conservative_comparison, continuum_energy_error,
-                          decay_rate_fit, dissipation_exponent,
-                          extend_with_ab5, frequency_sweep, lower_order_decay,
+                          closed_form_potential_m1, conservative_comparison,
+                          continuum_energy_error, decay_rate_fit,
+                          dissipation_exponent, extend_with_ab5,
+                          frequency_sweep, lower_order_decay,
                           mode_initial_state, primitive_setup, primitive_solve)

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .experiments import (EnergyTrace, ab5_substeps, check_resolved,
+from .experiments import (EnergyTrace, check_resolved,
                           closed_form_potential_m1, decay_rate_fit,
                           dissipation_exponent, extend_with_ab5,
                           frequency_sweep, lower_order_decay,
@@ -53,7 +53,6 @@ class RunConfig:
     oracle_stride: int = 10       # oracle step = delta / stride
     window: float = 1.0
     epsilon: float = 1e-8
-    substeps: int = 0             # 0 = choose automatically from stability
     khat: float = 1.0
     radius: float = float(np.sqrt(2.0))
     samples: int = 64
@@ -92,10 +91,12 @@ class RunConfig:
         nsteps = round(self.t_final / self.delta)
         if nsteps < 1 or abs(nsteps * self.delta - self.t_final) > 1e-9:
             raise ValueError("delta must divide t_final")
-        if self.experiment in ("fig3", "primitive") and self.t_extend < self.t_final:
-            raise ValueError("t_extend must not precede t_final")
-        if self.substeps < 0:
-            raise ValueError("substeps must be >= 0 (0 chooses automatically)")
+        if self.experiment in ("fig3", "primitive"):
+            if self.t_extend < self.t_final:
+                raise ValueError("t_extend must not precede t_final")
+            if self.t_extend > self.t_final and nsteps < 4:
+                raise ValueError("extending needs at least 4 steps of delta "
+                                 "up to t_final to seed AB5")
         if self.samples < 1:
             raise ValueError("need at least one oscillator sample")
         if self.oracle_stride < 1:
@@ -280,27 +281,11 @@ def _oracle_errors(config: RunConfig, ops, runs) -> dict:
     return {run.k: (float(g), float(e)) for run, g, e in zip(runs, gaps, norms)}
 
 
-def _ab5_substeps(config: RunConfig, traj, ops, report: Report):
-    """The AB5 substep count for the extension, reported; None if the
-    horizon is not extended."""
-    if config.t_extend <= config.t_final:
-        report.info("AB5 substeps", "none, the horizon is not extended")
-        return None
-    substeps, growth = ab5_substeps(traj, ops, config.t_extend,
-                                    config.substeps if config.substeps > 0 else None)
-    how = "set by --substeps" if config.substeps > 0 else "chosen automatically"
-    report.info("AB5 substeps",
-                f"{substeps} per output step of {config.delta:g} ({how}); "
-                f"parasitic growth bound {growth:.3g} over "
-                f"[{config.t_final:g}, {config.t_extend:g}] (automatic limit 10)")
-    return substeps
-
-
 # restart length of the splice check
 SPLICE_WINDOW = 0.2
 
 
-def _check_splice(report: Report, run, ops, forcing, substeps: int) -> None:
+def _check_splice(report: Report, run, ops, prop, forcing) -> None:
     """Restart AB5 from the Picard state SPLICE_WINDOW before the splice and
     require it to reproduce the Picard energy history up to the splice.
 
@@ -312,9 +297,8 @@ def _check_splice(report: Report, run, ops, forcing, substeps: int) -> None:
     """
     traj = run.trajectory
     last = len(traj.times) - 1
-    # with one substep the scheme seeds from five trajectory points
-    back = min(int(round(SPLICE_WINDOW / traj.delta)),
-               last - (4 if substeps == 1 else 0))
+    # the scheme seeds from five trajectory points
+    back = min(int(round(SPLICE_WINDOW / traj.delta)), last - 4)
     name = f"k={run.k} splice continuity"
     if back < 1:
         report.info(name, "not checked, the trajectory is too short to restart")
@@ -322,8 +306,7 @@ def _check_splice(report: Report, run, ops, forcing, substeps: int) -> None:
     start = last - back
     head = Trajectory(times=traj.times[:start + 1],
                       states=traj.states[:start + 1], delta=traj.delta)
-    redo = extend_with_ab5(head, ops, forcing, traj.times[-1],
-                           substeps=substeps)
+    redo = extend_with_ab5(head, ops, forcing, traj.times[-1], propagator=prop)
     gap = float(np.abs(energy(ops, redo.states[start:])
                        - run.trace.energy[start:]).max())
     tol = traj.delta**2 * run.trace.energy[0]
@@ -342,17 +325,15 @@ def _exp_frequency(config: RunConfig, dirs, report: Report) -> None:
     runs = _run_sweep(config, ops, prop)
     conservative = config.alpha == 0.0
     e_table = {} if conservative else _oracle_errors(config, ops, runs)
-    substeps = (_ab5_substeps(config, runs[0].trajectory, ops, report)
-                if extend else None)
     forcing = DegenerateDamping(config.alpha, config.m)
     traces = {}
     for run in runs:
         trace = run.trace
-        if substeps is not None:
+        if extend and config.t_extend > config.t_final:
             full = extend_with_ab5(run.trajectory, ops, forcing,
-                                   config.t_extend, substeps=substeps)
+                                   config.t_extend, propagator=prop)
             trace = EnergyTrace.from_trajectory(full, ops)
-            _check_splice(report, run, ops, forcing, substeps)
+            _check_splice(report, run, ops, prop, forcing)
         traces[run.k] = trace
         write_trace_csv(dirs["traces"] / f"trace_k{run.k}.csv", trace)
         e0 = trace.energy[0]
@@ -441,10 +422,9 @@ def _exp_primitive(config: RunConfig, dirs, report: Report) -> None:
                  f"bound {bound_report.bound:.4e}, "
                  f"max |u|_0^2 {float((bound_report.l2**2).max()):.4e}")
 
-    substeps = _ab5_substeps(config, result.trajectory, ops, report)
-    if substeps is not None:
+    if config.t_extend > config.t_final:
         full = extend_with_ab5(result.trajectory, ops, setup.damping,
-                               config.t_extend, substeps=substeps)
+                               config.t_extend, propagator=prop)
         trace = EnergyTrace.from_trajectory(full, ops)
         write_trace_csv(dirs["traces"] / f"primitive_k{k}_extended.csv", trace)
         _check_trace_energy_laws(report, trace, "primitive extended",
@@ -592,8 +572,9 @@ def run(config: RunConfig) -> int:
 _FLAG_NAMES = {"t_final": "T", "t_extend": "T2", "ks": "k"}
 # --k stays text: _parse_ks splits it, as it does a config file's mode list
 _FLAG_TYPES = {"float": float, "int": int, "str": str, "tuple": str}
-# keys that manifests of earlier versions carry and that no longer set anything
-_RETIRED_KEYS = ("max_iterations", "rule")
+# keys that manifests of earlier versions carry and that no longer set
+# anything, each with the one value it may still hold (None: any value)
+_RETIRED_KEYS = {"max_iterations": None, "rule": "boole", "substeps": 0}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -620,11 +601,10 @@ def _config_from_args(args) -> RunConfig:
     values = {"experiment": args.preset, **PRESETS[args.preset][1]}
     if args.config:
         file_values = parse_config_file(args.config)
-        # earlier manifests record the quadrature rule, now always Boole's
-        rule = file_values.get("rule", "boole")
-        if rule != "boole":
-            raise ValueError("config key 'rule' is retired: only 'boole' runs, "
-                             f"got {rule!r}")
+        for key, only in _RETIRED_KEYS.items():
+            if only is not None and file_values.get(key, only) != only:
+                raise ValueError(f"config key {key!r} is retired: only {only!r} "
+                                 f"runs, got {file_values[key]!r}")
         unknown = sorted(set(file_values) - set(names) - set(_RETIRED_KEYS))
         if unknown:
             raise ValueError("unknown config key "

@@ -17,8 +17,7 @@ from .linop import Propagator, energy, h1_norm, l2_norm, matrix_exponential
 from .linwave import Trajectory
 from .mesh import (Mesh, SpatialOperators, hat_load_from_values,
                    values_at_gauss)
-from .multistep import (extend_trajectory, parasitic_log_growth,
-                        semilinear_rhs, stable_substeps)
+from .multistep import ab5_init, ab5_step
 from .picard import (PicardConfig, PicardResult, PrimitiveDamping,
                      picard_solve)
 
@@ -256,39 +255,53 @@ def primitive_solve(setup: PrimitiveSetup, ops: SpatialOperators,
                            damped_run=damped_run)
 
 
-def ab5_substeps(traj: Trajectory, ops: SpatialOperators, t_final: float,
-                 substeps: int | None = None) -> tuple[int, float]:
-    """Internal AB5 substep count for extending ``traj`` to ``t_final``.
-
-    Returns the count, chosen by ``stable_substeps`` when ``substeps`` is
-    None, and the parasitic amplification bound it carries over the whole
-    extension (``stable_substeps`` keeps that at or below 10).
-    """
-    n_steps = int(round((t_final - traj.times[-1]) / traj.delta))
-    omega_max = float(np.sqrt(ops.max_generalized_eigenvalue()))
-    if substeps is None:
-        substeps = stable_substeps(traj.delta, omega_max, n_steps)
-    with np.errstate(over="ignore"):
-        growth = float(np.exp(parasitic_log_growth(traj.delta, omega_max,
-                                                   n_steps, substeps)))
-    return substeps, growth
-
-
 def extend_with_ab5(traj: Trajectory, ops: SpatialOperators, forcing,
-                    t_final: float, substeps: int | None = None) -> Trajectory:
-    """AB5 extension with an automatically stabilized internal step.
+                    t_final: float,
+                    propagator: Propagator | None = None) -> Trajectory:
+    """Extend ``traj`` to ``t_final`` by AB5 in the rotating sine frame.
 
-    The substep count defaults to the smallest power of two that keeps the
-    scheme's parasitic amplification bounded over the whole run for every
-    frequency the mesh carries.
+    The modal amplitudes z of ``Propagator.modal`` rotate exactly as
+    exp(-i omega t) under the linear flow, so w = exp(i omega (t - t1)) z,
+    with t1 the end of ``traj``, moves under the forcing alone:
+    w' = exp(i omega (t - t1)) i S f(u, v) (Lawson's integrating factor).
+    AB5 steps w, stacked as (Re w, Im w), from the last five states, one
+    step per output step on any mesh.  ``BlowupError`` stops the run once
+    the modal energy 1/2 sum mu_j |w_j|^2 exceeds ten times its start.
     """
-    if substeps is None:
-        substeps, _ = ab5_substeps(traj, ops, t_final)
-    rhs = semilinear_rhs(ops, forcing)
-    # blow-up guard: stop once the energy exceeds ten times its start value
-    return extend_trajectory(traj, rhs, t_final,
-                             norm_fn=lambda y: float(energy(ops, y)),
-                             substeps=substeps)
+    t1, delta = traj.times[-1], traj.delta
+    n_out = int(round((t_final - t1) / delta))
+    if n_out < 0:
+        raise ValueError("extension target lies before the trajectory end")
+    if abs(t1 + n_out * delta - t_final) > 1e-9:
+        raise ValueError("delta must tile the extension interval")
+    if len(traj.times) < 5:
+        raise ValueError("need five history points to start the scheme")
+    if propagator is None:
+        propagator = matrix_exponential(ops, delta)
+    n, omega, mu = ops.mesh.n, propagator.omega, ops.sine_eigenvalues()[0]
+    last = len(traj.times) - 1
+    states = np.empty((last + 1 + n_out, 2 * n))
+    states[:last + 1] = traj.states
+
+    # AB5 counts time in steps j = (t - t1)/delta, so that every phase is
+    # taken at an exact multiple of delta; in these units w' = delta * g
+    def rhs(j, y):
+        phase = np.exp(-1j * (j * delta) * omega)
+        state = propagator.nodal(phase * (y[:n] + 1j * y[n:]))
+        if j > 0:   # ab5_step evaluates each new step j once: its output row
+            states[last + int(j)] = state
+        f = forcing.coefficients(ops, state[:n], state[n:])
+        g = 1j * delta * phase.conj() * (f @ propagator.sine)
+        return np.concatenate([g.real, g.imag])
+
+    steps = np.arange(-4.0, 1.0)
+    w = np.exp(1j * delta * steps[:, None] * omega) * propagator.modal(traj.states[-5:])
+    ab = ab5_init(steps, np.concatenate([w.real, w.imag], axis=1), rhs,
+                  norm_fn=lambda y: 0.5 * float(mu @ (y[:n]**2 + y[n:]**2)))
+    for _ in range(n_out):
+        ab5_step(ab)
+    times = np.concatenate([traj.times, t1 + delta * np.arange(1, n_out + 1)])
+    return Trajectory(times=times, states=states, delta=delta)
 
 
 # -- diagnostics -----------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Five-step Adams-Bashforth extension of trajectories to long horizons.
 
-The explicit AB5 scheme keeps only a sliver of the imaginary axis inside its
-stability region, while the discrete wave generator carries frequencies up
-to sqrt(lambda_max) ~ sqrt(12)/h.  ``stable_substeps`` picks an internal
-step refinement from the exact parasitic root radii so the extension stays
-stable without changing the trajectory's output grid.
+``extend_trajectory`` applies AB5 literally to y' = A y + (0, f(u, v)).  The
+scheme keeps only a sliver of the imaginary axis inside its stability
+region, while the wave generator carries frequencies up to
+sqrt(lambda_max) ~ sqrt(12)/h, so on a practical mesh it needs substeps.
+``experiments.extend_with_ab5`` steps the same weights in the frame that
+rotates with the sine modes instead, one step per output step.
 """
 
 from __future__ import annotations
@@ -79,46 +80,6 @@ def ab5_step(state: ABState) -> np.ndarray:
     state.ys.append(y); state.ys.pop(0)
     state.gs.append(np.asarray(state.rhs(t, y), dtype=float)); state.gs.pop(0)
     return y
-
-
-def _ab5_parasitic_radius(q: float) -> float:
-    """Largest root magnitude of the AB5 characteristic polynomial at i*q."""
-    p = np.zeros(6, dtype=complex)
-    p[0] = 1.0
-    p[1] = -1.0 - 1j * q * AB5_COEFFS[0]
-    p[2:] = -1j * q * AB5_COEFFS[1:]
-    return float(np.max(np.abs(np.roots(p))))
-
-
-def stable_substeps(delta: float, omega_max: float, n_steps: int,
-                    amplification: float = 10.0, max_substeps: int = 256) -> int:
-    """Smallest substep count keeping parasitic growth below ``amplification``.
-
-    The scheme applied to a pure frequency omega amplifies by the largest
-    characteristic-root magnitude per step; the bound is enforced over the
-    whole run of ``n_steps`` output steps for every frequency up to
-    ``omega_max``.
-    """
-    r = 1
-    while r <= max_substeps:
-        if parasitic_log_growth(delta, omega_max, n_steps, r) <= np.log(amplification):
-            return r
-        r *= 2
-    raise BlowupError("no practical substep refinement stabilizes this system")
-
-
-def parasitic_log_growth(delta: float, omega_max: float, n_steps: int,
-                         substeps: int) -> float:
-    """Log of the parasitic amplification bound of a run at ``substeps``.
-
-    The largest characteristic-root magnitude over frequencies up to
-    ``omega_max`` (64 samples), raised to the number of internal steps in
-    ``n_steps`` output steps of length ``delta``.
-    """
-    qs_unit = np.linspace(0.0, 1.0, 65)[1:]
-    growth = max(_ab5_parasitic_radius(q)
-                 for q in qs_unit * delta * omega_max / substeps)
-    return n_steps * substeps * np.log(growth)
 
 
 def extend_trajectory(traj: Trajectory, rhs, t_final: float,

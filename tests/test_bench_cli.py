@@ -12,7 +12,7 @@ from unittest import mock
 
 import pytest
 
-from degenwave.cli import _config_from_args, build_parser
+from degenwave.cli import _config_from_args, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -56,3 +56,13 @@ def test_workload_argv_parses_and_validates(name, setup, tmp_path):
     got = (config.experiment, config.t_final, config.t_extend, config.h,
            config.ks)
     assert got == EXPECTED[name][setup]
+
+
+def test_fig3_short_final_energy_within_reference(tmp_path):
+    # the benchmark's E(T) gate on the mode its AB5 extension moves most
+    reference = BENCH.load_reference()["fig3-short"]
+    out = tmp_path / "result"
+    assert main(["run", "--preset", "fig3", "--T", "2", "--T2", "12",
+                 "--k", "12", "--out", str(out)]) == 0
+    got = BENCH.final_energy((out / "traces" / "trace_k12.csv").read_bytes())
+    assert abs(got - reference["final_energy"]["12"]) <= reference["tolerance"]

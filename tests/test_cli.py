@@ -63,6 +63,44 @@ class TestConfig:
         assert "config key 'rule'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_retired_substeps_zero_loads(self, tmp_path):
+        # earlier manifests record "substeps": 0, the automatic choice
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"config": {"substeps": 0}}))
+        args = build_parser().parse_args(["run", "--preset", "fig3", "--config",
+                                          str(manifest), "--out",
+                                          str(tmp_path / "o")])
+        config = _config_from_args(args)
+        assert config == RunConfig(experiment="fig3", out=str(tmp_path / "o"))
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name", ["run.cfg", "manifest.json"])
+    def test_retired_substeps_count_rejected(self, tmp_path, capsys, name):
+        # every extension now takes one step per output step; a forced
+        # substep count must not run silently at one
+        cfg = tmp_path / name
+        cfg.write_text(json.dumps({"config": {"substeps": 4}})
+                       if name.endswith(".json") else "substeps = 4\n")
+        code = main(["run", "--preset", "fig3", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "config key 'substeps'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("preset", ["fig3", "primitive"])
+    def test_extension_from_short_history_rejected(self, tmp_path, capsys,
+                                                   preset):
+        # AB5 seeds from five states: three steps up to t_final are too few
+        code = main(["run", "--preset", preset, "--T", "0.006", "--T2", "1",
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "at least 4 steps" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        # without an extension a single step stays valid
+        args = build_parser().parse_args(["run", "--preset", preset, "--T",
+                                          "0.002", "--T2", "0.002"])
+        _config_from_args(args).validate()
+
     @pytest.mark.parametrize("flag,value,field", [
         ("--alpha", "nan", "alpha"), ("--beta", "nan", "beta"),
         ("--T2", "inf", "t_extend"), ("--T", "inf", "t_final"),
@@ -193,11 +231,13 @@ class TestFlags:
 def valid_configs(draw):
     """A RunConfig that passes ``validate``, drawn field by field."""
     num = lambda lo, hi: st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+    experiment = draw(st.sampled_from(EXPERIMENTS))
     delta = draw(num(1e-4, 0.1))
-    t_final = draw(st.integers(1, 1000)) * delta
+    # an extension seeds AB5 from at least four steps
+    extends = experiment in ("fig3", "primitive")
+    t_final = draw(st.integers(4 if extends else 1, 1000)) * delta
     elements = draw(st.integers(9, 2000))     # 1/h; the mesh has 1/h - 1 nodes
     k_max = (elements - 1) // 8
-    experiment = draw(st.sampled_from(EXPERIMENTS))
     # fig1 runs k = 1 and primitive one mode
     ks = tuple(draw(st.lists(st.integers(1, 1 if experiment == "fig1" else k_max),
                              min_size=1,
@@ -209,7 +249,7 @@ def valid_configs(draw):
         h=1.0 / elements, delta=delta, t_final=t_final,
         t_extend=t_final + draw(num(0.0, 100.0)), beta=draw(num(-10.0, 10.0)),
         oracle_stride=draw(st.integers(1, 50)), window=draw(num(1e-3, 10.0)),
-        epsilon=draw(num(1e-14, 1.0)), substeps=draw(st.integers(0, 64)),
+        epsilon=draw(num(1e-14, 1.0)),
         khat=draw(num(1e-3, 100.0)), radius=draw(num(1e-3, 10.0)),
         samples=draw(st.integers(1, 500)), eps_target=draw(num(1e-6, 1.0)),
         horizon=draw(num(1e-2, 1e3)), osc_step=draw(num(1e-4, 1.0)),
@@ -285,8 +325,8 @@ class TestRun:
         assert a.keys() == b.keys() and all(a[k] == b[k] for k in a)
 
     def test_manifest_with_retired_key_loads(self, tmp_path):
-        # manifests written before max_iterations and rule were dropped load
-        # and reproduce the run
+        # manifests written before max_iterations, rule and substeps were
+        # dropped load and reproduce the run
         config = RunConfig(experiment="custom", out=str(tmp_path / "a"), **FAST)
         assert run(config) == 0
         manifest = tmp_path / "a" / "manifest.json"
@@ -295,6 +335,7 @@ class TestRun:
         assert "rule" not in doc["config"]
         doc["config"]["max_iterations"] = 50
         doc["config"]["rule"] = "boole"
+        doc["config"]["substeps"] = 0
         manifest.write_text(json.dumps(doc))
         code = main(["run", "--preset", "custom", "--config", str(manifest),
                      "--out", str(tmp_path / "b")])
@@ -306,15 +347,6 @@ class TestRun:
         config = RunConfig(experiment="custom", delta=0.3, t_final=1.0,
                            out=str(tmp_path))
         assert run(config) == 1
-
-    @pytest.mark.parametrize("value", ["-1", "-3"])
-    def test_negative_substeps_exit_code(self, tmp_path, capsys, value):
-        # 0 means automatic; a negative count is a configuration error
-        code = main(["run", "--preset", "fig3", "--k", "1", "--T", "0.1",
-                     "--T2", "0.2", "--substeps", value,
-                     "--out", str(tmp_path / "o")])
-        assert code == 1
-        assert "substeps must be >= 0" in capsys.readouterr().err
 
     def test_numerical_failure_exit_code(self, tmp_path):
         # strong damping over a long window makes the iteration diverge
@@ -373,7 +405,7 @@ class TestRun:
         assert (out / "plots" / "fig3_l2.svg").exists()
         report = (out / "report.txt").read_text()
         assert "splice continuity: AB5 restarted at t=0.2" in report
-        assert "[INFO] AB5 substeps: 4 per output step" in report
+        assert "AB5 substeps" not in report
         assert "[SUMMARY] PASS" in report
 
     def test_splice_check_can_fail(self, tmp_path):
@@ -385,7 +417,7 @@ class TestRun:
         run = _run_sweep(config, ops, prop)[0]
         for alpha, tag in [(1.0, "[PASS]"), (0.0, "[FAIL]")]:
             report = Report()
-            _check_splice(report, run, ops, DegenerateDamping(alpha), 4)
+            _check_splice(report, run, ops, prop, DegenerateDamping(alpha))
             assert report.lines[0].startswith(f"{tag} k=1 splice continuity")
 
     def test_primitive_path(self, tmp_path):
@@ -399,7 +431,7 @@ class TestRun:
         report = (out / "report.txt").read_text()
         assert "potential matches closed form" in report
         assert "decay exponent" in report
-        assert "[INFO] AB5 substeps: " in report
+        assert "AB5 substeps" not in report
 
     def test_thread_cap_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DEGENWAVE_THREADS", "1")

@@ -2,19 +2,14 @@ import numpy as np
 import pytest
 
 from degenwave import (AB5_COEFFS, BlowupError, DegenerateDamping,
-                       ab5_init, ab5_step, energy, energy_norm,
-                       extend_trajectory, parasitic_log_growth, semilinear_rhs,
-                       solve_linear_inhomogeneous, stable_substeps)
+                       PicardConfig, ab5_init, ab5_step, energy, energy_norm,
+                       extend_trajectory, picard_solve, semilinear_rhs,
+                       solve_linear_inhomogeneous)
 from degenwave.experiments import extend_with_ab5, mode_initial_state
 from degenwave.linwave import Trajectory
 
 # alpha = 0 switches the damping off: the right-hand side is A y alone
 UNDAMPED = DegenerateDamping(alpha=0.0)
-
-
-def max_frequency(ops):
-    """Largest discrete frequency sqrt(lambda_max) the mesh carries."""
-    return float(np.sqrt(ops.max_generalized_eigenvalue()))
 
 
 def scalar_decay_error(delta, t_final=10.0):
@@ -89,29 +84,9 @@ class TestAB5Basics:
                 ab5_step(state)
 
 
-class TestStableSubsteps:
-    def test_mild_frequency_needs_no_refinement(self):
-        assert stable_substeps(2e-3, 10.0, 20000) == 1
-
-    def test_stiff_wave_band_needs_refinement(self, ops99):
-        r = stable_substeps(2e-3, max_frequency(ops99), 20000)
-        assert r >= 4
-
-    def test_choice_is_smallest_within_growth_limit(self, ops99):
-        omega = max_frequency(ops99)
-        r = stable_substeps(2e-3, omega, 20000)
-        assert parasitic_log_growth(2e-3, omega, 20000, r) <= np.log(10.0)
-        assert parasitic_log_growth(2e-3, omega, 20000, r // 2) > np.log(10.0)
-        assert parasitic_log_growth(2e-3, omega, 0, r) == 0.0
-
-    def test_unreasonable_system_rejected(self):
-        with pytest.raises(BlowupError):
-            stable_substeps(1.0, 1e9, 1000, max_substeps=4)
-
-
 class TestExtendTrajectory:
-    def _homogeneous_traj(self, prop, ops, t_final):
-        data = mode_initial_state(ops, 1)
+    def _homogeneous_traj(self, prop, ops, t_final, k=1):
+        data = mode_initial_state(ops, k)
         return data, solve_linear_inhomogeneous(
             ops, data.y0, lambda t: np.zeros((len(t), 99)), t_final, 2e-3,
             propagator=prop)
@@ -131,20 +106,24 @@ class TestExtendTrajectory:
                               norm_fn=lambda y: float(energy_norm(ops99, y)),
                               substeps=1)
 
+    @pytest.mark.parametrize("k", [1, 8])
     def test_stabilized_extension_tracks_discrete_rotation(self, ops99,
-                                                           prop99):
-        data, traj = self._homogeneous_traj(prop99, ops99, 2.0)
-        full = extend_with_ab5(traj, ops99, UNDAMPED, 6.0)
+                                                           prop99, k):
+        # undamped, the rotating-frame amplitudes stand still: the extension
+        # is the exact rotation up to rounding
+        data, traj = self._homogeneous_traj(prop99, ops99, 2.0, k)
+        full = extend_with_ab5(traj, ops99, UNDAMPED, 6.0, propagator=prop99)
         h = ops99.mesh.h
-        w = np.sqrt((6 / h**2) * (1 - np.cos(np.pi * h)) / (2 + np.cos(np.pi * h)))
+        c = np.cos(k * np.pi * h)
+        w = np.sqrt((6 / h**2) * (1 - c) / (2 + c))
         u0 = data.y0[:99]
         t = full.times[:, None]
         exact = np.concatenate([np.cos(w * t) * u0, -w * np.sin(w * t) * u0],
                                axis=1)
         err = energy_norm(ops99, full.states - exact).max()
-        assert err < 1e-5
+        assert err <= 1e-11
         e = energy(ops99, full.states)
-        assert np.abs(e - e[0]).max() / e[0] < 1e-7
+        assert np.abs(e - e[0]).max() / e[0] <= 1e-13
 
     def test_splice_grid_and_continuity(self, ops99, prop99):
         _, traj = self._homogeneous_traj(prop99, ops99, 2.0)
@@ -156,7 +135,6 @@ class TestExtendTrajectory:
         np.testing.assert_allclose(np.diff(full.times), traj.delta, rtol=1e-9)
 
     def test_nonlinear_extension_monotone_energy(self, ops99, prop99):
-        from degenwave import PicardConfig, picard_solve
         data = mode_initial_state(ops99, 1)
         config = PicardConfig(t_final=2.0, delta=2e-3)
         result = picard_solve(ops99, data.y0, config, propagator=prop99)
@@ -165,6 +143,32 @@ class TestExtendTrajectory:
         e = energy(ops99, full.states)
         assert (np.diff(e) <= 1e-5 * e[0]).all()
         assert e[-1] < e[len(result.trajectory.times) - 1]   # t = 2
+
+    @pytest.mark.parametrize("k", [8, 12])
+    def test_matches_literal_scheme_at_sixteen_substeps(self, ops99, prop99, k):
+        # the literal AB5 at 16 substeps is the reference; the energies of
+        # the two extensions over [1, 3] were 5.6e-9 apart at most, while
+        # the literal scheme at 4 substeps misses it by 1.0e-8 (k = 8) and
+        # 1.2e-7 (k = 12)
+        data = mode_initial_state(ops99, k)
+        result = picard_solve(ops99, data.y0,
+                              PicardConfig(t_final=1.0, delta=2e-3),
+                              propagator=prop99)
+        forcing = DegenerateDamping(1.0, 1)
+        new = extend_with_ab5(result.trajectory, ops99, forcing, 3.0,
+                              propagator=prop99)
+        literal = extend_trajectory(result.trajectory,
+                                    semilinear_rhs(ops99, forcing), 3.0,
+                                    norm_fn=lambda y: float(energy(ops99, y)),
+                                    substeps=16)
+        np.testing.assert_array_equal(new.times, literal.times)
+        gap = np.abs(energy(ops99, new.states) - energy(ops99, literal.states))
+        assert gap.max() <= 1e-8
+
+    def test_history_too_short_rejected(self, ops99, prop99):
+        _, traj = self._homogeneous_traj(prop99, ops99, 0.006)
+        with pytest.raises(ValueError, match="five history points"):
+            extend_with_ab5(traj, ops99, UNDAMPED, 0.1, propagator=prop99)
 
     def test_target_before_end_rejected(self, ops99, prop99):
         _, traj = self._homogeneous_traj(prop99, ops99, 0.1)
