@@ -70,18 +70,17 @@ class RunConfig:
             if f.type == "float" and not (isinstance(value, (int, float))
                                           and np.isfinite(value)):
                 raise ValueError(f"{f.name} must be a finite number, got {value!r}")
-        positive = {"h": self.h, "delta": self.delta, "t_final": self.t_final,
-                    "window": self.window, "epsilon": self.epsilon,
-                    "khat": self.khat, "radius": self.radius,
-                    "eps_target": self.eps_target, "horizon": self.horizon,
-                    "osc_step": self.osc_step}
-        for name, value in positive.items():
-            if not value > 0:
+            if f.type == "int" and type(value) is not int:
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        for name in ("h", "delta", "t_final", "window", "epsilon", "khat",
+                     "radius", "eps_target", "horizon", "osc_step"):
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("m", "oracle_stride", "samples"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.alpha < 0:
             raise ValueError("alpha must be nonnegative")
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
         if not self.ks or any(k < 1 for k in self.ks):
             raise ValueError("mode list must contain integers >= 1")
         if self.experiment == "fig1" and self.ks != (1,):
@@ -97,10 +96,9 @@ class RunConfig:
             if self.t_extend > self.t_final and nsteps < 4:
                 raise ValueError("extending needs at least 4 steps of delta "
                                  "up to t_final to seed AB5")
-        if self.samples < 1:
-            raise ValueError("need at least one oscillator sample")
-        if self.oracle_stride < 1:
-            raise ValueError("oracle_stride must be >= 1")
+            n_out = round((self.t_extend - nsteps * self.delta) / self.delta)
+            if abs(nsteps * self.delta + n_out * self.delta - self.t_extend) > 1e-9:
+                raise ValueError("delta must tile the extension interval")
         if self.experiment != "oscillator":
             mesh = mesh_from_h(self.h)
             for k in self.ks:

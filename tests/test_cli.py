@@ -112,6 +112,30 @@ class TestConfig:
         assert f"{field} must be a finite number" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("field,value", [
+        ("m", "1.5"), ("oracle_stride", "2.0"), ("samples", "64.0"),
+        ("seed", "0.5"), ("m", "True")])
+    def test_non_integer_config_value_rejected(self, tmp_path, capsys, field,
+                                               value):
+        # caught before the output directory exists, not as a TypeError in
+        # the middle of the run
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{field} = {value}\n")
+        code = main(["run", "--preset", "fig2", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert f"{field} must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("preset", ["fig3", "primitive"])
+    def test_untiled_extension_rejected(self, tmp_path, capsys, preset):
+        # rejected before the solve, not after it with a partial output
+        code = main(["run", "--preset", preset, "--T", "0.5", "--T2", "1.0001",
+                     "--k", "1", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "delta must tile the extension interval" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_config_file_bad_line(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("alpha 2.0\n")
@@ -247,7 +271,9 @@ def valid_configs(draw):
         experiment=experiment,
         alpha=draw(num(0.0, 100.0)), m=draw(st.integers(1, 4)), ks=ks,
         h=1.0 / elements, delta=delta, t_final=t_final,
-        t_extend=t_final + draw(num(0.0, 100.0)), beta=draw(num(-10.0, 10.0)),
+        # an extension is a whole number of steps
+        t_extend=t_final + draw(st.integers(0, 1000)) * delta,
+        beta=draw(num(-10.0, 10.0)),
         oracle_stride=draw(st.integers(1, 50)), window=draw(num(1e-3, 10.0)),
         epsilon=draw(num(1e-14, 1.0)),
         khat=draw(num(1e-3, 100.0)), radius=draw(num(1e-3, 10.0)),

@@ -7,6 +7,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.linalg import cho_solve_banded, eigh
 
 from degenwave import assemble, build_mesh, l2_project, mesh_from_h
+from degenwave import mesh as mesh_module
 from degenwave.mesh import hat_load, values_at_gauss
 
 
@@ -213,6 +214,64 @@ class TestQuarticTensor:
         got = ops.quartic.contract(a, b, c)
         assert got.shape == batch + (n,)
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-15)
+
+
+def _neighbour_sum(quartic, a, b, c):
+    """out[p] = sum of entry(p, q, r, s) a[q] b[r] c[s] over |q-p|, |r-p|,
+    |s-p| <= 1, where every nonzero entry of row p lies."""
+    n = len(a)
+    out = np.zeros(n)
+    for p in range(n):
+        near = [i for i in (p - 1, p, p + 1) if 0 <= i < n]
+        for q, r, s in itertools.product(near, repeat=3):
+            out[p] += quartic.entry(p + 1, q + 1, r + 1, s + 1) * a[q] * b[r] * c[s]
+    return out
+
+
+class TestBlockedContraction:
+    """Batches larger than one block of ``mesh._BLOCK`` elements."""
+
+    @pytest.fixture(params=[99, 499])
+    def quartic(self, request):
+        return assemble(build_mesh(request.param)).quartic
+
+    @staticmethod
+    def assert_rows_exact(quartic, a, b, c):
+        got = quartic.contract(a, b, c)
+        a, b, c = np.broadcast_arrays(a, b, c)
+        assert got.shape == a.shape
+        rows = [x.reshape(-1, a.shape[-1]) for x in (a, b, c)]
+        assert len(rows[0]) > mesh_module._BLOCK // a.shape[-1]
+        want = np.array([quartic.contract(*row) for row in zip(*rows)])
+        assert np.array_equal(got.reshape(want.shape), want)
+        return got.reshape(want.shape), rows
+
+    @pytest.mark.parametrize("batch", [(2001,), (3, 700)])
+    def test_rows_match_one_dimensional_calls(self, quartic, batch):
+        n = quartic.mesh.n
+        a, b, c = np.random.default_rng(n).normal(size=(3,) + batch + (n,))
+        got, rows = self.assert_rows_exact(quartic, a, b, c)
+        for i in (0, 700, len(got) - 1):
+            np.testing.assert_allclose(
+                got[i], _neighbour_sum(quartic, *(x[i] for x in rows)),
+                rtol=1e-12, atol=1e-15)
+
+    def test_vector_broadcast_against_batch(self, quartic):
+        n = quartic.mesh.n
+        rng = np.random.default_rng(n + 1)
+        u, v = rng.normal(size=n), rng.normal(size=(2001, n))
+        self.assert_rows_exact(quartic, u, u, v)
+        self.assert_rows_exact(quartic, v, u, v)
+
+    def test_column_slices_of_a_state_array(self, quartic):
+        n = quartic.mesh.n
+        states = np.random.default_rng(n + 2).normal(size=(2001, 2 * n))
+        u, v = states[:, :n], states[:, n:]
+        assert not u.flags.c_contiguous and not v.flags.c_contiguous
+        got, _ = self.assert_rows_exact(quartic, u, u, v)
+        np.testing.assert_allclose(
+            got[1000], _neighbour_sum(quartic, u[1000], u[1000], v[1000]),
+            rtol=1e-12, atol=1e-15)
 
 
 class TestProjections:
