@@ -278,7 +278,7 @@ def extend_with_ab5(traj: Trajectory, ops: SpatialOperators, forcing,
         raise ValueError("need five history points to start the scheme")
     if propagator is None:
         propagator = matrix_exponential(ops, delta)
-    n, omega, mu = ops.mesh.n, propagator.omega, ops.sine_eigenvalues()[0]
+    n, omega, mu = ops.mesh.n, propagator.omega, propagator.mu
     last = len(traj.times) - 1
     states = np.empty((last + 1 + n_out, 2 * n))
     states[:last + 1] = traj.states

@@ -10,7 +10,7 @@ K, so the exponential is one rotation per sine mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,15 +25,17 @@ class Propagator:
     a_j'' = -omega_j^2 a_j per mode, and the complex amplitude
     z_j = omega_j a_j + i b_j rotates as z_j(t) = exp(-i omega_j t) z_j(0).
     ``powers[j]`` holds the per-mode phase factors of exp(j * theta * A)
-    with theta = step/(points-1); the last entry is the full step.  The
-    arrays are not modified after construction, so one instance can be
-    shared across threads.
+    with theta = step/(points-1); the last entry is the full step.  No array
+    is modified after construction, and ``phases`` stores a table only once
+    it is fully built, so one instance can be shared across threads.
     """
 
     step: float
     sine: np.ndarray      # orthonormal, symmetric sine matrix S (S @ S = I)
     omega: np.ndarray     # discrete frequencies sqrt(kappa_j / mu_j)
+    mu: np.ndarray        # mass eigenvalues: S M S = diag(mu)
     powers: tuple
+    _phases: dict = field(default_factory=dict, repr=False)
 
     @property
     def points(self) -> int:
@@ -42,6 +44,14 @@ class Propagator:
     @property
     def theta(self) -> float:
         return self.step / (self.points - 1)
+
+    def phases(self, nsteps: int) -> np.ndarray:
+        """Read-only (nsteps+1, n) table exp(-i omega_j i step), i = 0..nsteps."""
+        if nsteps not in self._phases:
+            table = np.exp(-1j * np.outer(self.step * np.arange(nsteps + 1), self.omega))
+            table.flags.writeable = False
+            self._phases[nsteps] = table
+        return self._phases[nsteps]
 
     def modal(self, y: np.ndarray) -> np.ndarray:
         """Complex modal amplitudes z = omega S u + i S v of stacked states."""
@@ -66,7 +76,7 @@ def matrix_exponential(ops: SpatialOperators, step: float) -> Propagator:
     omega = np.sqrt(kappa / mu)
     theta = step / 4
     powers = tuple(np.exp(-1j * (j * theta) * omega) for j in range(5))
-    return Propagator(step=step, sine=ops.sine_basis(), omega=omega,
+    return Propagator(step=step, sine=ops.sine_basis(), omega=omega, mu=mu,
                       powers=powers)
 
 

@@ -45,28 +45,32 @@ class Trajectory:
 # -- Duhamel stepping --------------------------------------------------------
 
 def sweep(prop: Propagator, y0: np.ndarray, f_absc: np.ndarray) -> np.ndarray:
-    """Repeated Duhamel steps with pre-tabulated forcing.
+    """Repeated Duhamel steps with pre-tabulated forcing loads.
 
     Step i applies y_{i+1} = P y_i + sum_j w_j exp((step - j theta) A) (0, f_ij)
     with the forcing f_ij sampled at Boole's five equally spaced abscissae.
-    ``f_absc`` holds the second-block forcing at every abscissa of the run,
-    shape (4*nsteps + 1, n); consecutive steps share their endpoint sample.
-    Returns the (nsteps+1, 2n) array of states including y0.
+    ``f_absc`` holds the forcing's load vectors M f at every abscissa of the
+    run, shape (4*nsteps + 1, n); consecutive steps share their endpoint
+    sample.  Returns the (nsteps+1, 2n) array of states including y0.
 
     In the modal amplitudes z of ``Propagator.modal`` the forcing enters as
-    z' = -i omega z + i S f, so with P_i = exp(-i omega i step) the states are
+    z' = -i omega z + i S f, where S f = (S M f) / mu as S M S = diag(mu).
+    With P_i = exp(-i omega i step) the states are
     z_i = P_i (z_0 + sum_{l<i} conj(P_{l+1}) c_l), where c_l is the step's
     weighted, phase-shifted forcing sum: one cumulative sum over the steps.
+    A load broadcast along time (first-axis stride 0) is transformed once.
     """
     r = len(BOOLE_WEIGHTS) - 1
     nsteps = (f_absc.shape[0] - 1) // r
     if f_absc.shape[0] != r * nsteps + 1:
         raise ValueError("forcing sample count does not tile the steps")
     w = prop.step * BOOLE_WEIGHTS
-    g = f_absc @ prop.sine
+    g = (f_absc[:1] if f_absc.strides[0] == 0 else f_absc) @ prop.sine
+    g /= prop.mu
+    g = np.broadcast_to(g, f_absc.shape)
     c = sum(1j * w[j] * prop.powers[r - j] * g[j: j + r * (nsteps - 1) + 1: r]
             for j in range(r + 1))
-    phase = np.exp(-1j * np.outer(prop.step * np.arange(nsteps + 1), prop.omega))
+    phase = prop.phases(nsteps)
     z = np.empty_like(phase)
     z[0] = prop.modal(y0)
     z[1:] = z[0] + np.cumsum(phase[1:].conj() * c, axis=0)
@@ -82,9 +86,9 @@ def solve_linear_inhomogeneous(ops: SpatialOperators, y0: np.ndarray, forcing,
     """Integrate y' = A y + (0, f(t)) over [t0, t_final] on a uniform grid.
 
     ``forcing`` is a callable mapping an array of times to the (len, n) array
-    of forcing coefficient vectors; it is evaluated directly at the
-    quadrature abscissae.  The homogeneous part is advanced by the exact
-    per-mode rotations of the propagator.
+    of forcing coefficient vectors; it is evaluated at the quadrature
+    abscissae, and ``sweep`` gets their loads M f.  The homogeneous part is
+    advanced by the exact per-mode rotations of the propagator.
     """
     nsteps = int(round((t_final - t0) / delta))
     if nsteps < 1 or abs(t0 + nsteps * delta - t_final) > 1e-9:
@@ -92,7 +96,7 @@ def solve_linear_inhomogeneous(ops: SpatialOperators, y0: np.ndarray, forcing,
     if propagator is None:
         propagator = matrix_exponential(ops, delta)
     absc = t0 + propagator.theta * np.arange((len(BOOLE_WEIGHTS) - 1) * nsteps + 1)
-    f_absc = np.asarray(forcing(absc), dtype=float)
+    f_absc = ops.apply_mass(np.asarray(forcing(absc), dtype=float))
     states = sweep(propagator, y0, f_absc)
     times = t0 + delta * np.arange(nsteps + 1)
     return Trajectory(times=times, states=states, delta=delta)

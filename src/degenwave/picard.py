@@ -2,8 +2,9 @@
 
 Each iterate solves a linear inhomogeneous problem whose forcing comes from
 the previous iterate: y' = A y + (0, f) with f the L^2-projected nonlinear
-term.  The loop runs window by window so the fixed-point map stays firmly
-contractive, restarting from each window's endpoint.
+term, handed to the sweep as its load vector M f.  The loop runs window by
+window so the fixed-point map stays firmly contractive, restarting from each
+window's endpoint.
 """
 
 from __future__ import annotations
@@ -23,11 +24,17 @@ class PicardDivergenceError(RuntimeError):
 
 # -- forcing models ----------------------------------------------------------
 #
-# A model maps displacement/velocity coefficient vectors to the forcing
-# coefficient vector f with the sign convention of y' = A y + (0, f), i.e.
-# f = -(L^2 projection of the damping term).
+# A model maps displacement/velocity coefficient vectors to the load vector
+# (f, phi_i) of the forcing f of y' = A y + (0, f), i.e. minus the damping
+# term's load; ``coefficients`` solves for f itself.
 
-class DegenerateDamping:
+class _ForcingModel:
+    def coefficients(self, ops: SpatialOperators, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Forcing coefficient vector f = M^{-1} load (batched)."""
+        return ops.solve_mass(self.load(ops, u, v))
+
+
+class DegenerateDamping(_ForcingModel):
     """f = -proj(alpha u^{2m} v): damping that switches off at zero displacement."""
 
     def __init__(self, alpha: float = 1.0, m: int = 1):
@@ -38,19 +45,17 @@ class DegenerateDamping:
         self.alpha = float(alpha)
         self.m = int(m)
 
-    def coefficients(self, ops: SpatialOperators, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def load(self, ops: SpatialOperators, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         if self.alpha == 0.0:
             return np.zeros_like(u)
         if self.m == 1:
             # cubic case: the quartic hat tensor integrates u*u*v exactly
-            load = self.alpha * ops.quartic.contract(u, u, v)
-        else:
-            load = self.alpha * _nonlinear_load(ops, lambda ug, vg: ug ** (2 * self.m) * vg,
-                                                u, v, degree=2 * self.m + 2)
-        return -ops.solve_mass(load)
+            return -self.alpha * ops.quartic.contract(u, u, v)
+        return -self.alpha * _nonlinear_load(ops, lambda ug, vg: ug ** (2 * self.m) * vg,
+                                             u, v, degree=2 * self.m + 2)
 
 
-class PrimitiveDamping:
+class PrimitiveDamping(_ForcingModel):
     """f = -proj(alpha v^{2m+1}/(2m+1)): the monotone antiderivative damping.
 
     Acting on the velocity alone, this is the damping of the problem whose
@@ -68,26 +73,24 @@ class PrimitiveDamping:
     def antiderivative(self, s):
         return self.alpha * s ** (2 * self.m + 1) / (2 * self.m + 1)
 
-    def coefficients(self, ops: SpatialOperators, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def load(self, ops: SpatialOperators, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         if self.alpha == 0.0:
             return np.zeros_like(v)
-        scale = self.alpha / (2 * self.m + 1)
+        scale = -self.alpha / (2 * self.m + 1)
         if self.m == 1:
-            load = scale * ops.quartic.contract(v, v, v)
-        else:
-            load = scale * _nonlinear_load(ops, lambda ug, vg: vg ** (2 * self.m + 1),
-                                           u, v, degree=2 * self.m + 2)
-        return -ops.solve_mass(load)
+            return scale * ops.quartic.contract(v, v, v)
+        return scale * _nonlinear_load(ops, lambda ug, vg: vg ** (2 * self.m + 1),
+                                       u, v, degree=2 * self.m + 2)
 
 
-class LinearDamping:
+class LinearDamping(_ForcingModel):
     """f = -beta v: classical viscous damping (already in the FEM space)."""
 
     def __init__(self, beta: float):
         self.beta = float(beta)
 
-    def coefficients(self, ops, u, v):
-        return -self.beta * v
+    def load(self, ops, u, v):
+        return -self.beta * ops.apply_mass(v)
 
 
 def _nonlinear_load(ops, pointwise, u, v, degree: int):
@@ -195,7 +198,7 @@ def picard_solve(ops: SpatialOperators, y0: np.ndarray, config: PicardConfig,
     while done < config.n_steps:
         nst = min(config.window_steps, config.n_steps - done)
         t_start = done * config.delta
-        f0 = forcing.coefficients(ops, y[:n], y[n:])
+        f0 = forcing.load(ops, y[:n], y[n:])
         f_absc = np.broadcast_to(f0, ((len(BOOLE_WEIGHTS) - 1) * nst + 1, n))
         prev = sweep(propagator, y, f_absc)
 
@@ -205,7 +208,7 @@ def picard_solve(ops: SpatialOperators, y0: np.ndarray, config: PicardConfig,
         for _ in range(config.max_iterations):
             ua = _interp_abscissae(prev[:, :n])
             va = _interp_abscissae(prev[:, n:])
-            f_absc = forcing.coefficients(ops, ua, va)
+            f_absc = forcing.load(ops, ua, va)
             cur = sweep(propagator, y, f_absc)
             dist = float(energy_norm(ops, cur - prev).max())
             if not np.isfinite(dist):

@@ -5,7 +5,9 @@ all) and asserts the same condition, so the suite doubles as the acceptance
 report.  The expensive pipelines are computed once per session and shared.
 """
 
+import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,6 +103,16 @@ class TestCriterion2NonUniformStability:
         e8 = fig2["runs"][8].trace.energy[-1]
         crit("criterion 2c (high-frequency energy floor)", e8 > 0.5,
              f"E_8(10) = {e8:.4f} > 0.5")
+
+
+class TestPicardIterationCounts:
+    def test_fig2_counts_match_benchmark_reference(self, fig2):
+        reference = json.loads((Path(__file__).resolve().parent.parent / "perfbench"
+                                / "reference.json").read_text())
+        counts = {k: fig2["runs"][k].result.iterations for k in (1, 2, 4, 8)}
+        want = {k: reference["fig2"]["iterations"][str(k)] for k in counts}
+        crit("fig2 Picard iterations", counts == want,
+             f"{counts} against the recorded {want}")
 
 
 class TestFigureOneQualitative:

@@ -10,9 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from degenwave import cli
 from degenwave.cli import (EXPERIMENTS, PRESETS, Report, RunConfig,
-                           _check_splice, _config_from_args, _run_sweep, _spatial,
+                           _check_splice, _check_trace_energy_laws,
+                           _config_from_args, _run_sweep, _spatial,
                            build_parser, emit_plot, main, parse_config_file,
                            run)
+from degenwave.experiments import EnergyTrace
 from degenwave.picard import DegenerateDamping
 
 FAST = dict(h=0.1, delta=0.02, t_final=0.4, t_extend=0.4, ks=(1,),
@@ -481,6 +483,16 @@ class TestMain:
     def test_retired_rule_flag_rejected(self):
         assert main(["run", "--rule", "boole"]) == 1
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
+    def test_bad_thread_cap_rejected_before_output(self, tmp_path, monkeypatch,
+                                                   capsys, value):
+        monkeypatch.setenv("DEGENWAVE_THREADS", value)
+        out = tmp_path / "o"
+        assert main(["run", "--preset", "fig2", "--T", "0.01",
+                     "--out", str(out)]) == 1
+        assert not out.exists()
+        assert "DEGENWAVE_THREADS" in capsys.readouterr().err
+
     def test_flag_overrides(self, tmp_path):
         code = main(["run", "--preset", "custom", "--k", "1",
                      "--h", "0.1", "--delta", "0.02", "--T", "0.4",
@@ -520,6 +532,33 @@ class TestMain:
                      "--out", str(tmp_path / "o")])
         assert code == 0
         assert (tmp_path / "o" / "traces" / "oscillator_sweep.csv").exists()
+
+
+class TestEnergyLawNoiseFloor:
+    @staticmethod
+    def check(energy, conservative: bool) -> str:
+        e = np.asarray(energy, dtype=float)
+        trace = EnergyTrace(times=0.1 * np.arange(len(e)), energy=e,
+                            l2=np.ones(len(e)), h1=np.ones(len(e)))
+        report = Report()
+        _check_trace_energy_laws(report, trace, "k=1", conservative)
+        return report.lines[0]
+
+    @pytest.mark.parametrize("rise, line", [
+        (1e-14, "[PASS] k=1 energy nonincreasing: max relative per-step "
+                "increase below 1e-12"),
+        (1e-8, "[PASS] k=1 energy nonincreasing: max relative per-step "
+               "increase 1.00e-08"),
+        (2e-6, "[FAIL] k=1 energy nonincreasing: max relative per-step "
+               "increase 2.00e-06")])
+    def test_per_step_increase(self, rise, line):
+        assert self.check([1.0, 0.9, 0.9 + rise], conservative=False) == line
+
+    @pytest.mark.parametrize("drift, line", [
+        (-1e-14, "[PASS] k=1 energy conserved: max relative drift below 1e-12"),
+        (2e-9, "[FAIL] k=1 energy conserved: max relative drift 2.00e-09")])
+    def test_conservative_drift(self, drift, line):
+        assert self.check([1.0, 1.0 + drift, 1.0], conservative=True) == line
 
 
 class TestEmitPlot:

@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -130,6 +133,46 @@ class TestPropagator:
         np.testing.assert_allclose(prop99.nodal(prop99.modal(y)), y,
                                    rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("n", [1, 8, 99, 499])
+    def test_mass_solve_is_a_modal_scaling(self, n, rng):
+        # S M S = diag(mu): the sweep's (b @ S) / mu replaces solve_mass(b) @ S
+        ops = assemble(build_mesh(n))
+        prop = matrix_exponential(ops, 2e-3)
+        b = rng.normal(size=(3, 7, n))
+        ref = ops.solve_mass(b) @ prop.sine
+        got = (b @ prop.sine) / prop.mu
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_phase_table_cached_per_step_count(self, ops99):
+        prop = matrix_exponential(ops99, 2e-3)
+        table = prop.phases(500)
+        np.testing.assert_array_equal(
+            table, np.exp(-1j * np.outer(prop.step * np.arange(501), prop.omega)))
+        assert prop.phases(500) is table
+        assert not table.flags.writeable
+        short = prop.phases(120)
+        assert short is not table and short.shape == (121, 99)
+        np.testing.assert_array_equal(
+            short, np.exp(-1j * np.outer(prop.step * np.arange(121), prop.omega)))
+
+    def test_phase_table_shared_across_threads(self, ops99):
+        # the default pool shares one propagator: every caller gets a
+        # complete table, however the threads interleave
+        prop = matrix_exponential(ops99, 2e-3)
+        counts = [50, 80, 120, 50, 80, 120, 50, 80] * 3
+        fresh = {c: np.exp(-1j * np.outer(prop.step * np.arange(c + 1), prop.omega))
+                 for c in set(counts)}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                tables = list(pool.map(prop.phases, counts, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for c, table in zip(counts, tables):
+            np.testing.assert_array_equal(table, fresh[c])
+        assert all(prop.phases(c) is prop.phases(c) for c in fresh)
+
 
 class TestAgainstDenseExpm:
     """The modal flow against scipy's expm of the assembled dense generator."""
@@ -168,7 +211,7 @@ class TestAgainstDenseExpm:
                                   for j in range(points))
             ref.append(y)
         ref = np.array(ref)
-        got = sweep(prop, y0, f)
+        got = sweep(prop, y0, ops.apply_mass(f))
         assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
 

@@ -48,7 +48,7 @@ class TestDuhamelStep:
         a = np.array([[0.0, 1.0], [-ops.stiffness_diag[0] / ops.mass_diag[0], 0.0]])
         fvec = np.array([0.0, 2.5])  # forcing lives in the velocity block
         exact = np.linalg.solve(a, (scipy_expm(d * a) - np.eye(2)) @ fvec)
-        got = sweep(prop, np.zeros(2), np.full((5, 1), 2.5))[1]
+        got = sweep(prop, np.zeros(2), ops.apply_mass(np.full((5, 1), 2.5)))[1]
         np.testing.assert_allclose(got, exact, atol=1e-9)
 
     def test_polynomial_exactness_without_generator(self):
@@ -56,7 +56,7 @@ class TestDuhamelStep:
         # quadrature, exact through degree 5
         d = 0.3
         omega = np.array([np.finfo(float).tiny])
-        prop = Propagator(step=d, sine=np.ones((1, 1)), omega=omega,
+        prop = Propagator(step=d, sine=np.ones((1, 1)), omega=omega, mu=np.ones(1),
                           powers=tuple(np.ones(1, dtype=complex) for _ in range(5)))
         s = prop.theta * np.arange(5)
         poly = lambda t: 1.0 - 2 * t + 3 * t**2 - t**3 + 0.5 * t**4 + 2 * t**5
@@ -64,6 +64,20 @@ class TestDuhamelStep:
         got = sweep(prop, np.zeros(2), poly(s)[:, None])[1]
         assert got[0] == pytest.approx(0.0, abs=1e-15)
         assert got[1] == pytest.approx(anti(d) - anti(0.0), abs=1e-13)
+
+    @pytest.mark.parametrize("n, tol", [(1, 0.0), (99, 1e-14)])
+    def test_broadcast_load_matches_materialized(self, n, tol, rng):
+        # the constant load is transformed as one row; BLAS rounds a one-row
+        # product differently from the same row inside a batched one, so the
+        # two agree to rounding, and exactly where S is 1 x 1
+        ops = assemble(build_mesh(n))
+        prop = matrix_exponential(ops, 2e-3)
+        y0 = rng.normal(size=2 * n)
+        load = np.broadcast_to(rng.normal(size=n), (4 * 50 + 1, n))
+        got = sweep(prop, y0, load)
+        ref = sweep(prop, y0, np.ascontiguousarray(load))
+        assert got.shape == ref.shape == (51, 2 * n)
+        assert np.abs(got - ref).max() <= tol * np.abs(ref).max()
 
     def test_wrong_sample_count(self, prop99):
         with pytest.raises(ValueError):

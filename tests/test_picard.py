@@ -104,6 +104,25 @@ class TestForcingModels:
                                        model.coefficients(ops, U[i], V[i]),
                                        atol=1e-14)
 
+    @pytest.mark.parametrize("model", [DegenerateDamping(1.3, 1), DegenerateDamping(1.3, 2),
+                                       PrimitiveDamping(0.7, 1), PrimitiveDamping(0.7, 2),
+                                       LinearDamping(0.4)],
+                             ids=["degenerate-m1", "degenerate-m2", "primitive-m1",
+                                  "primitive-m2", "linear"])
+    def test_coefficients_solve_the_load(self, model, rng):
+        ops = assemble(build_mesh(8))
+        U, V = rng.normal(size=(2, 5, 8))
+        np.testing.assert_array_equal(model.coefficients(ops, U, V),
+                                      ops.solve_mass(model.load(ops, U, V)))
+
+    def test_load_sign_convention(self, rng):
+        ops = assemble(build_mesh(8))
+        u, v = rng.normal(size=(2, 8))
+        np.testing.assert_array_equal(DegenerateDamping(1.3).load(ops, u, v),
+                                      -1.3 * ops.quartic.contract(u, u, v))
+        np.testing.assert_array_equal(LinearDamping(0.4).load(ops, u, v),
+                                      -0.4 * ops.apply_mass(v))
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             DegenerateDamping(alpha=-1.0)
@@ -167,7 +186,7 @@ class TestPicardSolve:
         model = DegenerateDamping(1.0, 1)
         ua = _interp_abscissae(traj.displacement())
         va = _interp_abscissae(traj.velocity())
-        resolve = sweep(prop99, data.y0, model.coefficients(ops99, ua, va))
+        resolve = sweep(prop99, data.y0, model.load(ops99, ua, va))
         assert energy_norm(ops99, resolve - traj.states).max() < config.epsilon * 10
 
     def test_divergence_detected(self, ops99, prop99):
