@@ -29,7 +29,7 @@ from .experiments import (EnergyTrace, check_resolved,
                           dissipation_exponent, extend_with_ab5,
                           frequency_sweep, lower_order_decay,
                           mode_initial_state, primitive_setup, primitive_solve)
-from .linop import energy, h1_norm, l2_norm, matrix_exponential
+from .linop import energy, matrix_exponential
 from .linwave import Trajectory, analytic_linear_damped
 from .mesh import assemble, mesh_from_h
 from .multistep import BlowupError
@@ -498,10 +498,8 @@ def _exp_oracle_only(config: RunConfig, dirs, report: Report) -> None:
                       store_stride=config.oracle_stride)
     traces = {}
     for k, sol in zip(config.ks, sols):
-        states = oracle_states(sol, mesh)
-        trace = EnergyTrace(times=sol.times, energy=energy(ops, states),
-                            l2=l2_norm(ops, states[:, :mesh.n]),
-                            h1=h1_norm(ops, states[:, :mesh.n]))
+        trace = EnergyTrace.from_trajectory(
+            Trajectory(sol.times, oracle_states(sol, mesh), config.delta), ops)
         traces[k] = trace
         write_trace_csv(dirs["traces"] / f"oracle_k{k}.csv", trace)
         # the reference's invariant is per-position: each sampled oscillator

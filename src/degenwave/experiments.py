@@ -150,11 +150,8 @@ def conservative_comparison(run: FrequencyRun,
     w = np.sqrt(kappa[run.k - 1] / mu[run.k - 1])
     t = traj.times[:, None]
     ref = np.concatenate([np.cos(w * t) * u0, -w * np.sin(w * t) * u0], axis=1)
-    diff = traj.states - ref
-    e = energy(ops, diff)
-    u = diff[:, : mesh.n]
-    return EnergyTrace(times=traj.times.copy(), energy=e, l2=l2_norm(ops, u),
-                       h1=h1_norm(ops, u))
+    diff = Trajectory(traj.times, traj.states - ref, traj.delta)
+    return EnergyTrace.from_trajectory(diff, ops)
 
 
 # -- primitive problem ------------------------------------------------------------

@@ -7,9 +7,10 @@ written for the modal amplitude phi with u = phi E_k.  Solving that family
 with classical Runge-Kutta and interpolating in space gives an accuracy
 reference that never touches the finite element machinery.
 
-The same file carries the two-dimensional degenerately damped oscillator,
-the finite-dimensional counterpart whose uniform stability contrasts the
-string's lack of it.
+Each member is the degenerately damped oscillator x'' + khat x +
+alpha x^{2m} x' = 0, khat = lambda_k, whose two-dimensional form is the
+finite-dimensional counterpart that is uniformly stable where the string is
+not.  One vectorized RK4 loop steps the family and the oscillator alike.
 """
 
 from __future__ import annotations
@@ -21,6 +22,14 @@ import numpy as np
 from .linop import SpatialOperators, energy, energy_norm
 from .linwave import Trajectory
 from .mesh import Mesh
+
+
+def _check_damping(alpha: float, m) -> None:
+    """The damping alpha x^{2m} x' dissipates for alpha >= 0 and integer m >= 1."""
+    if alpha < 0:
+        raise ValueError("alpha must be nonnegative")
+    if m < 1 or int(m) != m:
+        raise ValueError("the exponent half m must be a positive integer")
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,6 +55,7 @@ class AnsatzProblem:
         x = np.asarray(self.x)
         if (x < 0).any() or (x > 1).any():
             raise ValueError("sample positions must lie in [0, 1]")
+        _check_damping(self.alpha, self.m)
 
     @classmethod
     def for_mesh(cls, mesh: Mesh, k: int, c0: float, c1: float = 0.0,
@@ -85,6 +95,34 @@ def _stored_step_count(t_final: float, step: float, store_stride: int) -> int:
     return nsteps // store_stride
 
 
+def _rk4_oscillators(neg_lam, coeff, m: int, y: np.ndarray, h: float,
+                     nsteps: int, after) -> None:
+    """Classical RK4 on x'' = neg_lam x - coeff x^{2m} x', vectorized.
+
+    ``y`` stacks x, x' on its first axis over any trailing shape, against
+    which ``neg_lam`` and ``coeff`` broadcast.  ``after(i, y)`` runs after
+    step i = 1..nsteps on a state the loop leaves alone; true stops the loop.
+    """
+    stages = np.empty((4,) + y.shape)
+
+    def slope(z, out):
+        p, q = z
+        p2 = p * p   # x^{2m} by squaring; p * p equals p**2 bit for bit
+        out[0] = q
+        np.subtract(neg_lam * p, coeff * (p2 if m == 1 else p2**m) * q, out=out[1])
+        return out
+
+    half_h = 0.5 * h
+    for i in range(1, nsteps + 1):
+        k1 = slope(y, stages[0])
+        k2 = slope(y + half_h * k1, stages[1])
+        k3 = slope(y + half_h * k2, stages[2])
+        k4 = slope(y + h * k3, stages[3])
+        y = y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        if after(i, y):
+            break
+
+
 def rk4_ansatz(problems, t_final: float, step: float, store_stride: int = 1,
                observe=None):
     """Classical RK4 on one or more per-position oscillator families.
@@ -121,44 +159,31 @@ def rk4_ansatz(problems, t_final: float, step: float, store_stride: int = 1,
             history[0, :, i] = phi
             history[1, :, i] = psi
 
-    two_m = 2 * first.m
     neg_lam = np.array([[-p.lam] for p in batch])
     # damping coefficient of the reduced oscillator at each position
-    coeff = np.array([p.alpha * p.eigenfunction() ** two_m for p in batch])
+    coeff = np.array([p.alpha * p.eigenfunction() ** (2 * p.m) for p in batch])
     # y[0] = phi, y[1] = phi'; one stacked array saves a call per update
     y = np.empty((2,) + coeff.shape)
     y[0] = [[float(p.c0)] for p in batch]
     y[1] = [[float(p.c1)] for p in batch]
-    stages = np.empty((4,) + y.shape)
-
-    def slope(z, out):
-        p, q = z
-        out[0] = q
-        np.subtract(neg_lam * p, coeff * p**two_m * q, out=out[1])
-        return out
 
     def store(i, y):
+        if i % store_stride:
+            return
+        j = i // store_stride
         ok = np.isfinite(y).all(axis=(0, 2))
         if not ok.all():
             ks = ", ".join(str(p.k) for p, good in zip(batch, ok) if not good)
             raise FloatingPointError(
                 f"reference solution for k={ks} is not finite at "
-                f"t={i * step * store_stride:g}; reduce the step or the damping")
-        observe(i, y[0], y[1])
+                f"t={j * step * store_stride:g}; reduce the step or the damping")
+        observe(j, y[0], y[1])
 
-    h = step
-    half_h = 0.5 * h
     # a blow-up is reported by ``store``, not through overflow warnings
     with np.errstate(over="ignore", invalid="ignore"):
         store(0, y)
-        for i in range(1, n_stored * store_stride + 1):
-            k1 = slope(y, stages[0])
-            k2 = slope(y + half_h * k1, stages[1])
-            k3 = slope(y + half_h * k2, stages[2])
-            k4 = slope(y + h * k3, stages[3])
-            y = y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-            if i % store_stride == 0:
-                store(i // store_stride, y)
+        _rk4_oscillators(neg_lam, coeff, first.m, y, step,
+                         n_stored * store_stride, store)
 
     if not collect:
         return None
@@ -189,25 +214,23 @@ def reference_errors(trajectories: list, problems: list, ops: SpatialOperators,
     n_stored = _stored_step_count(t_final, step, store_stride)
     grid = (step * store_stride) * np.arange(n_stored + 1)
     for traj in trajectories:
-        if len(traj.times) != len(grid) or not np.allclose(traj.times, grid):
-            raise ValueError("trajectory and oracle time grids do not match")
+        _check_aligned(traj.times, grid)
     _check_on_mesh(problems[0], ops.mesh)
-    n = ops.mesh.n
-    ek = np.array([p.eigenfunction() for p in problems])
     gap = np.zeros(len(problems))
     norm = np.zeros(len(problems))
-    ref = np.empty((len(problems), _COMPARE_BLOCK, 2 * n))
+    # phi and phi' of the current block: (2, problems, block, positions)
+    block = np.empty((2, len(problems), _COMPARE_BLOCK, ops.mesh.n))
 
     def observe(i, phi, psi):
         j = i % _COMPARE_BLOCK
-        ref[:, j, :n] = phi * ek
-        ref[:, j, n:] = psi * ek
+        block[:, :, j] = phi, psi
         if j == _COMPARE_BLOCK - 1 or i == n_stored:
-            fem = np.stack([traj.states[i - j:i + 1] for traj in trajectories])
-            cur = ref[:, :j + 1]
-            np.maximum(gap, np.abs(energy(ops, fem) - energy(ops, cur)).max(axis=1),
-                       out=gap)
-            np.maximum(norm, energy_norm(ops, fem - cur).max(axis=1), out=norm)
+            rows = slice(i - j, i + 1)
+            for r, (traj, prob) in enumerate(zip(trajectories, problems)):
+                fem = Trajectory(traj.times[rows], traj.states[rows], traj.delta)
+                ref = OracleSolution(prob, grid[rows], *block[:, r, :j + 1])
+                gap[r] = max(gap[r], compare_energy_decay(fem, ref, ops))
+                norm[r] = max(norm[r], compare_energy_norm(fem, ref, ops))
 
     rk4_ansatz(problems, t_final, step, store_stride, observe=observe)
     return gap, norm
@@ -225,8 +248,8 @@ def oracle_states(sol: OracleSolution, mesh: Mesh) -> np.ndarray:
     return np.concatenate([sol.phi * ek, sol.phidot * ek], axis=1)
 
 
-def _check_aligned(traj: Trajectory, sol: OracleSolution):
-    if len(traj.times) != len(sol.times) or not np.allclose(traj.times, sol.times):
+def _check_aligned(times: np.ndarray, grid: np.ndarray) -> None:
+    if len(times) != len(grid) or not np.allclose(times, grid):
         raise ValueError("trajectory and oracle time grids do not match")
 
 
@@ -238,7 +261,7 @@ def compare_energy_norm(traj: Trajectory, sol: OracleSolution,
     the slow phase drift between the reduced oscillator family and the full
     dynamics; see ``compare_energy_decay`` for the decay-history comparison.
     """
-    _check_aligned(traj, sol)
+    _check_aligned(traj.times, sol.times)
     diff = traj.states - oracle_states(sol, ops.mesh)
     return float(energy_norm(ops, diff).max())
 
@@ -251,7 +274,7 @@ def compare_energy_decay(traj: Trajectory, sol: OracleSolution,
     the scheme reproduces the reference's dissipation, insensitive to the
     accumulated phase drift that inflates the state-difference norm.
     """
-    _check_aligned(traj, sol)
+    _check_aligned(traj.times, sol.times)
     e_fem = energy(ops, traj.states)
     e_ref = energy(ops, oracle_states(sol, ops.mesh))
     return float(np.abs(e_fem - e_ref).max())
@@ -272,6 +295,7 @@ class OscillatorProblem:
     def __post_init__(self):
         if self.khat <= 0:
             raise ValueError("stiffness must be positive")
+        _check_damping(self.alpha, self.m)
 
     def equivalent_norm(self, y: np.ndarray) -> np.ndarray:
         """sqrt(khat/2 y1^2 + 1/2 y2^2), batched over leading axes."""
@@ -281,30 +305,9 @@ class OscillatorProblem:
 
 @dataclass(eq=False)
 class OscillatorTrace:
-    problem: OscillatorProblem
     times: np.ndarray
     states: np.ndarray   # (n_times, 2)
     norms: np.ndarray
-
-
-def _oscillator_rhs(khat, alpha, m):
-    def rhs(y):
-        x, v = y[..., 0], y[..., 1]
-        return np.stack([v, -khat * x - alpha * x ** (2 * m) * v], axis=-1)
-    return rhs
-
-
-def _rk4_batch(rhs, y, h, nsteps, callback=None):
-    """Vectorized RK4; a callback returning True stops the run early."""
-    for i in range(nsteps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y = y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if callback is not None and callback(i, y):
-            break
-    return y
 
 
 def simulate_oscillator(problem: OscillatorProblem, t_final: float,
@@ -313,16 +316,16 @@ def simulate_oscillator(problem: OscillatorProblem, t_final: float,
     if step <= 0:
         raise ValueError("step must be positive")
     nsteps = int(round(t_final / step))
-    rhs = _oscillator_rhs(problem.khat, problem.alpha, problem.m)
     states = np.empty((nsteps + 1, 2))
     states[0] = (problem.x0, problem.x1)
 
     def record(i, y):
-        states[i + 1] = y
+        states[i] = y[:, 0]
 
-    _rk4_batch(rhs, states[0].copy(), step, nsteps, record)
+    _rk4_oscillators(-problem.khat, problem.alpha, problem.m,
+                     states[0][:, None].copy(), step, nsteps, record)
     times = step * np.arange(nsteps + 1)
-    return OscillatorTrace(problem=problem, times=times, states=states,
+    return OscillatorTrace(times=times, states=states,
                            norms=problem.equivalent_norm(states))
 
 
@@ -343,17 +346,13 @@ def ball_samples(radius: float, n: int, khat: float, angle_offset: float = 0.0) 
 
 @dataclass(eq=False)
 class StabilitySweep:
-    problem_khat: float
-    alpha: float
-    m: int
-    radius: float
-    eps_target: float
-    horizon: float
-    step: float
     samples: np.ndarray
     initial_norms: np.ndarray
     times_to_eps: np.ndarray     # inf where the target was never reached
-    reached: np.ndarray
+
+    @property
+    def reached(self) -> np.ndarray:
+        return np.isfinite(self.times_to_eps)
 
     @property
     def max_time(self) -> float:
@@ -378,18 +377,13 @@ def uniform_stability_sweep(khat: float, alpha: float, m: int, radius: float,
     y = ball_samples(radius, n_samples, khat, angle_offset)
     problem = OscillatorProblem(khat=khat, alpha=alpha, m=m, x0=0.0, x1=0.0)
     norms0 = problem.equivalent_norm(y)
-    rhs = _oscillator_rhs(khat, alpha, m)
-    nsteps = int(round(horizon / step))
     first = np.where(norms0 < eps_target, 0.0, np.inf)
 
-    def record(i, y):
-        nm = problem.equivalent_norm(y)
-        hit = (nm < eps_target) & np.isinf(first)
-        first[hit] = (i + 1) * step
+    def record(i, z):
+        hit = (problem.equivalent_norm(z.T) < eps_target) & np.isinf(first)
+        first[hit] = i * step
         return np.isfinite(first).all()
 
-    _rk4_batch(rhs, y, step, nsteps, record)
-    return StabilitySweep(problem_khat=khat, alpha=alpha, m=m, radius=radius,
-                          eps_target=eps_target, horizon=horizon, step=step,
-                          samples=y, initial_norms=norms0, times_to_eps=first,
-                          reached=np.isfinite(first))
+    _rk4_oscillators(-khat, alpha, m, y.T.copy(), step,
+                     int(round(horizon / step)), record)
+    return StabilitySweep(samples=y, initial_norms=norms0, times_to_eps=first)

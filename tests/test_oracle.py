@@ -25,6 +25,13 @@ class TestAnsatzProblem:
             AnsatzProblem(k=1, c0=1.0, c1=0.0, alpha=1.0, m=1,
                           x=np.array([-0.1, 0.5]))
 
+    @pytest.mark.parametrize("alpha,m", [(1.0, 0), (1.0, 1.5), (-1.0, 1)])
+    def test_damping_must_dissipate(self, mesh99, alpha, m):
+        # x^{2m} is formed by squaring, which needs an integer m >= 1, and
+        # alpha x^{2m} x' dissipates only for alpha >= 0
+        with pytest.raises(ValueError, match="alpha|exponent"):
+            AnsatzProblem(k=1, c0=1.0, c1=0.0, alpha=alpha, m=m, x=mesh99.nodes)
+
 
 class TestRK4Ansatz:
     def test_undamped_closed_form(self, mesh99):
@@ -63,6 +70,34 @@ class TestRK4Ansatz:
     def test_step_must_divide(self, mesh99):
         with pytest.raises(ValueError):
             rk4_ansatz(make_problem(mesh99), 1.0, 0.3)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_squared_power_matches_literal_rk4(self, mesh99, m):
+        # the loop forms phi^{2m} by repeated squaring; a literal RK4 with
+        # the power phi**(2m) agrees to rounding
+        step, nsteps = 1e-3, 400
+        problems = [AnsatzProblem.for_mesh(mesh99, k, c0=0.8 / k, c1=0.5,
+                                           alpha=3.0, m=m) for k in (1, 2)]
+        sols = rk4_ansatz(problems, step * nsteps, step)
+        for prob, sol in zip(problems, sols):
+            coeff = prob.alpha * prob.eigenfunction() ** (2 * m)
+
+            def f(y):
+                p, q = y
+                return np.array([q, -prob.lam * p - coeff * p**(2 * m) * q])
+
+            y = np.array([np.full(99, prob.c0), np.full(99, prob.c1)])
+            literal = [y]
+            for _ in range(nsteps):
+                k1 = f(y)
+                k2 = f(y + 0.5 * step * k1)
+                k3 = f(y + 0.5 * step * k2)
+                k4 = f(y + step * k3)
+                y = y + step / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+                literal.append(y)
+            literal = np.array(literal)
+            for got, want in ((sol.phi, literal[:, 0]), (sol.phidot, literal[:, 1])):
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestBatchedLoop:
@@ -223,6 +258,28 @@ class TestOscillator:
         with pytest.raises(ValueError):
             OscillatorProblem(khat=0.0, alpha=1.0, m=1, x0=1.0, x1=0.0)
 
+    @pytest.mark.parametrize("alpha,m", [(1.0, 0), (1.0, 1.5), (-1.0, 1)])
+    def test_damping_must_dissipate(self, alpha, m):
+        with pytest.raises(ValueError, match="alpha|exponent"):
+            OscillatorProblem(khat=1.0, alpha=alpha, m=m, x0=1.0, x1=0.0)
+
+    @pytest.mark.parametrize("k,m", [(1, 1), (3, 1), (1, 2), (3, 2)])
+    def test_is_the_pointwise_reference_at_a_node(self, mesh99, k, m):
+        # u = phi E_k(x_i) turns the family's member at x_i into the
+        # oscillator with khat = lambda_k and data (c0, c1) E_k(x_i)
+        prob = AnsatzProblem.for_mesh(mesh99, k, c0=0.7 / k, c1=0.4 * k,
+                                      alpha=2.0, m=m)
+        sol = rk4_ansatz(prob, 1.0, 1e-3)
+        ek = prob.eigenfunction()
+        for i in (10, 37, 80):
+            tr = simulate_oscillator(
+                OscillatorProblem(khat=prob.lam, alpha=prob.alpha, m=m,
+                                  x0=prob.c0 * ek[i], x1=prob.c1 * ek[i]),
+                1.0, 1e-3)
+            np.testing.assert_array_equal(tr.times, sol.times)
+            want = np.stack([sol.phi[:, i], sol.phidot[:, i]], axis=1) * ek[i]
+            assert np.abs(tr.states - want).max() <= 1e-12 * np.abs(want).max()
+
 
 class TestBallSamples:
     def test_norms_within_radius(self):
@@ -257,6 +314,17 @@ class TestStabilitySweep:
         sweep = uniform_stability_sweep(1.0, 0.0, 1, 1.0, 8, 0.1, horizon=20.0)
         assert not sweep.reached.any()
         assert np.isinf(sweep.times_to_eps).all()
+
+    def test_times_are_first_grid_times_inside_the_ball(self):
+        khat, alpha, m, eps, horizon, step = 2.0, 1.5, 1, 0.25, 38.0, 0.02
+        sweep = uniform_stability_sweep(khat, alpha, m, 1.2, 16, eps,
+                                        horizon=horizon, step=step)
+        assert sweep.reached.any() and not sweep.all_reached
+        for (x0, x1), t in zip(sweep.samples, sweep.times_to_eps):
+            tr = simulate_oscillator(OscillatorProblem(khat, alpha, m, x0, x1),
+                                     horizon, step)
+            inside = np.flatnonzero(tr.norms < eps)
+            assert t == (tr.times[inside[0]] if len(inside) else np.inf)
 
     def test_invalid_sample_count(self):
         with pytest.raises(ValueError):
