@@ -30,6 +30,6 @@ from .experiments import (EnergyTrace, FrequencyRun, LowerOrderReport,
                           ModeData, PrimitiveResult, PrimitiveSetup,
                           closed_form_potential_m1, conservative_comparison,
                           continuum_energy_error, decay_rate_fit,
-                          dissipation_exponent, extend_with_ab5,
-                          frequency_sweep, lower_order_decay,
+                          dissipation_exponent, extend_traces,
+                          extend_with_ab5, frequency_sweep, lower_order_decay,
                           mode_initial_state, primitive_setup, primitive_solve)

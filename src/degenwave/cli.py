@@ -26,8 +26,8 @@ import numpy as np
 from . import __version__
 from .experiments import (EnergyTrace, check_resolved,
                           closed_form_potential_m1, decay_rate_fit,
-                          dissipation_exponent, extend_with_ab5,
-                          frequency_sweep, lower_order_decay,
+                          dissipation_exponent, extend_traces,
+                          extend_with_ab5, frequency_sweep, lower_order_decay,
                           mode_initial_state, primitive_setup, primitive_solve)
 from .linop import energy, matrix_exponential
 from .linwave import Trajectory, analytic_linear_damped
@@ -290,35 +290,57 @@ def _oracle_errors(config: RunConfig, ops, runs) -> dict:
 SPLICE_WINDOW = 0.2
 
 
-def _check_splice(report: Report, run, ops, prop, forcing) -> None:
-    """Restart AB5 from the Picard state SPLICE_WINDOW before the splice and
-    require it to reproduce the Picard energy history up to the splice.
+def _check_splice(runs, ops, prop, forcing) -> list:
+    """Restart AB5 from the Picard states SPLICE_WINDOW before the splice,
+    all runs in one extension, and require each to reproduce its Picard
+    energy history up to the splice.
 
-    The tolerance is delta^2 E(0): the Picard solution is second order in
-    time.  A restart from the wrong state or with the wrong right-hand side
-    misses by a share of the energy lost over the window instead.  The gap
-    is taken over the whole window, because at the splice itself the
-    single-mode runs have v ~ 0 and dissipate almost nothing.
+    Returns one (name, ok, detail) line per run for ``_report_line``; ok is
+    None when the trajectories are too short to restart.  The tolerance is
+    delta^2 E(0): the Picard solution is second order in time.  A restart
+    from the wrong state or with the wrong right-hand side misses by a share
+    of the energy lost over the window instead.  The gap is taken over the
+    whole window, because at the splice itself the single-mode runs have
+    v ~ 0 and dissipate almost nothing.
     """
-    traj = run.trajectory
+    traj = runs[0].trajectory      # the runs share one time grid
     last = len(traj.times) - 1
     # the scheme seeds from five trajectory points
     back = min(int(round(SPLICE_WINDOW / traj.delta)), last - 4)
-    name = f"k={run.k} splice continuity"
+    names = [f"k={run.k} splice continuity" for run in runs]
     if back < 1:
-        report.info(name, "not checked, the trajectory is too short to restart")
-        return
+        return [(name, None, "not checked, the trajectory is too short to "
+                 "restart") for name in names]
     start = last - back
-    head = Trajectory(times=traj.times[:start + 1],
-                      states=traj.states[:start + 1], delta=traj.delta)
-    redo = extend_with_ab5(head, ops, forcing, traj.times[-1], propagator=prop)
-    gap = float(np.abs(energy(ops, redo.states[start:])
-                       - run.trace.energy[start:]).max())
-    tol = traj.delta**2 * run.trace.energy[0]
-    report.check(name, gap <= tol,
-                 f"AB5 restarted at t={traj.times[start]:g} follows the Picard "
-                 f"energy to t={traj.times[-1]:g} within {gap:.2e} "
-                 f"(tolerance delta^2 E(0) = {tol:.1e})")
+    heads = [Trajectory(times=run.trajectory.times[:start + 1],
+                        states=run.trajectory.states[:start + 1],
+                        delta=traj.delta) for run in runs]
+    picard = np.array([run.trace.energy[start + 1:] for run in runs])
+    gaps = np.zeros(len(runs))
+
+    def observe(j0, block):
+        e = energy(ops, block)
+        np.maximum(gaps, np.abs(e - picard[:, j0:j0 + e.shape[1]]).max(axis=1),
+                   out=gaps)
+
+    extend_with_ab5(heads, ops, forcing, traj.times[-1], observe,
+                    propagator=prop)
+    lines = []
+    for name, run, gap in zip(names, runs, gaps):
+        tol = traj.delta**2 * run.trace.energy[0]
+        lines.append((name, gap <= tol,
+                      f"AB5 restarted at t={traj.times[start]:g} follows the "
+                      f"Picard energy to t={traj.times[-1]:g} within "
+                      f"{gap:.2e} (tolerance delta^2 E(0) = {tol:.1e})"))
+    return lines
+
+
+def _report_line(report: Report, name: str, ok, detail: str) -> None:
+    """A check line, or an info line when ``ok`` is None."""
+    if ok is None:
+        report.info(name, detail)
+    else:
+        report.check(name, ok, detail)
 
 
 # -- experiment drivers -------------------------------------------------------------
@@ -330,15 +352,17 @@ def _exp_frequency(config: RunConfig, dirs, report: Report) -> None:
     runs = _run_sweep(config, ops, prop)
     conservative = config.alpha == 0.0
     e_table = {} if conservative else _oracle_errors(config, ops, runs)
-    forcing = DegenerateDamping(config.alpha, config.m)
+    full = [run.trace for run in runs]
+    splices = [None] * len(runs)
+    if extend and config.t_extend > config.t_final:
+        forcing = DegenerateDamping(config.alpha, config.m)
+        full = extend_traces([run.trajectory for run in runs], full, ops,
+                             forcing, config.t_extend, propagator=prop)
+        splices = _check_splice(runs, ops, prop, forcing)
     traces = {}
-    for run in runs:
-        trace = run.trace
-        if extend and config.t_extend > config.t_final:
-            full = extend_with_ab5(run.trajectory, ops, forcing,
-                                   config.t_extend, propagator=prop)
-            trace = EnergyTrace.from_trajectory(full, ops)
-            _check_splice(report, run, ops, prop, forcing)
+    for run, trace, splice in zip(runs, full, splices):
+        if splice is not None:
+            _report_line(report, *splice)
         traces[run.k] = trace
         write_trace_csv(dirs["traces"] / f"trace_k{run.k}.csv", trace)
         e0 = trace.energy[0]
@@ -428,9 +452,8 @@ def _exp_primitive(config: RunConfig, dirs, report: Report) -> None:
                  f"max |u|_0^2 {float((bound_report.l2**2).max()):.4e}")
 
     if config.t_extend > config.t_final:
-        full = extend_with_ab5(result.trajectory, ops, setup.damping,
-                               config.t_extend, propagator=prop)
-        trace = EnergyTrace.from_trajectory(full, ops)
+        trace, = extend_traces([result.trajectory], [result.trace], ops,
+                               setup.damping, config.t_extend, propagator=prop)
         write_trace_csv(dirs["traces"] / f"primitive_k{k}_extended.csv", trace)
         _check_trace_energy_laws(report, trace, "primitive extended",
                                  conservative=False)

@@ -112,7 +112,7 @@ class QuarticTensor:
         hat basis, exact for the cubic integrand.
         """
         a, b, c = (np.asarray(x, dtype=float) for x in (a, b, c))
-        if a.ndim == 1 and a.shape == b.shape == c.shape:
+        if a.shape == b.shape == c.shape and a.size <= _BLOCK:
             return self._contract_rows(a, b, c, np.empty(a.shape))
         a, b, c = np.broadcast_arrays(a, b, c)
         out, rows = np.empty(a.shape), max(1, _BLOCK // a.shape[-1])

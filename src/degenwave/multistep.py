@@ -5,7 +5,8 @@ scheme keeps only a sliver of the imaginary axis inside its stability
 region, while the wave generator carries frequencies up to
 sqrt(lambda_max) ~ sqrt(12)/h, so on a practical mesh it needs substeps.
 ``experiments.extend_with_ab5`` steps the same weights in the frame that
-rotates with the sine modes instead, one step per output step.
+rotates with the sine modes instead, one step per output step, for a batch
+of runs at once.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ class ABState:
     ys: list
     gs: list
     norm_fn: object = None
-    norm_limit: float = np.inf
+    norm_limit: object = np.inf     # a float, or one limit per batch member
 
     @property
     def y(self) -> np.ndarray:
@@ -47,7 +48,9 @@ def ab5_init(times, states, rhs, norm_fn=None, limit_factor: float = 10.0) -> AB
     ``rhs(t, y)`` must be the full right-hand side of the system being
     extended (the nonlinear forcing evaluated self-consistently, not a
     frozen one).  ``norm_fn`` guards against blow-up: stepping raises once
-    the norm exceeds ``limit_factor`` times its initial value.
+    the norm exceeds ``limit_factor`` times its largest value over the
+    history.  For a batch of states ``norm_fn`` may return one norm per
+    member; each member is then held to its own limit.
     """
     times = np.asarray(times, dtype=float)
     if len(times) != 5 or len(states) != 5:
@@ -60,9 +63,11 @@ def ab5_init(times, states, rhs, norm_fn=None, limit_factor: float = 10.0) -> AB
     gs = [np.asarray(rhs(t, y), dtype=float) for t, y in zip(times, ys)]
     if norm_fn is None:
         norm_fn = lambda y: float(np.linalg.norm(y))
-    limit = limit_factor * max(norm_fn(y) for y in ys)
+    limit = limit_factor * np.maximum.reduce([norm_fn(y) for y in ys])
+    # [()] keeps one limit a scalar, which ab5_step compares faster
+    limit = np.where(limit > 0, limit, np.inf)[()]
     return ABState(delta=delta, rhs=rhs, times=list(times), ys=ys, gs=gs,
-                   norm_fn=norm_fn, norm_limit=limit if limit > 0 else np.inf)
+                   norm_fn=norm_fn, norm_limit=limit)
 
 
 def ab5_step(state: ABState) -> np.ndarray:
@@ -72,7 +77,8 @@ def ab5_step(state: ABState) -> np.ndarray:
         AB5_COEFFS[0] * g[-1] + AB5_COEFFS[1] * g[-2] + AB5_COEFFS[2] * g[-3]
         + AB5_COEFFS[3] * g[-4] + AB5_COEFFS[4] * g[-5])
     t = state.times[-1] + state.delta
-    if not np.all(np.isfinite(y)) or state.norm_fn(y) > state.norm_limit:
+    # the array methods: np.all and np.any add a wrapper call on every step
+    if not np.isfinite(y).all() or (state.norm_fn(y) > state.norm_limit).any():
         raise BlowupError(
             f"solution left the stable regime at t={t:g}; "
             "the explicit scheme needs a smaller step")

@@ -22,8 +22,9 @@ from degenwave import (LinearDamping, PicardConfig,
                        matrix_exponential, picard_solve,
                        primitive_setup, primitive_solve, rk4_ansatz,
                        uniform_stability_sweep)
-from degenwave.experiments import EnergyTrace, extend_with_ab5
+from degenwave.experiments import EnergyTrace
 from degenwave.oracle import AnsatzProblem
+from extension_helpers import extended
 
 DELTA = 2e-3
 T_FINAL = 10.0
@@ -59,9 +60,8 @@ def primitive50(mesh99, ops99, prop99, fig2):
     setup = primitive_setup(1, 1, ops99)
     result = primitive_solve(setup, ops99, DELTA, T_FINAL,
                              damped_run=fig2["runs"][1], propagator=prop99)
-    extended = extend_with_ab5(result.trajectory, ops99, setup.damping,
-                               50.0)
-    trace = EnergyTrace.from_trajectory(extended, ops99)
+    full, = extended([result.trajectory], ops99, setup.damping, 50.0)
+    trace = EnergyTrace.from_trajectory(full, ops99)
     return {"setup": setup, "result": result, "trace": trace}
 
 

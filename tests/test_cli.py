@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 from degenwave import cli
 from degenwave.cli import (EXPERIMENTS, PRESETS, Report, RunConfig,
                            _check_splice, _check_trace_energy_laws,
-                           _config_from_args, _run_sweep, _spatial,
-                           build_parser, emit_plot, main, parse_config_file,
-                           run)
+                           _config_from_args, _report_line, _run_sweep,
+                           _spatial, build_parser, emit_plot, main,
+                           parse_config_file, run)
 from degenwave.experiments import EnergyTrace
 from degenwave.picard import DegenerateDamping
 
@@ -445,8 +445,23 @@ class TestRun:
         run = _run_sweep(config, ops, prop)[0]
         for alpha, tag in [(1.0, "[PASS]"), (0.0, "[FAIL]")]:
             report = Report()
-            _check_splice(report, run, ops, prop, DegenerateDamping(alpha))
+            _report_line(report, *_check_splice([run], ops, prop,
+                                                DegenerateDamping(alpha))[0])
             assert report.lines[0].startswith(f"{tag} k=1 splice continuity")
+
+    def test_fig3_batched_splice_lines_stay_per_mode(self, tmp_path):
+        # one extension restarts both modes; each mode's splice line still
+        # opens that mode's block of lines
+        config = RunConfig(experiment="fig3", out=str(tmp_path / "o"),
+                           h=0.05, delta=0.02, t_final=0.4, t_extend=0.8,
+                           ks=(1, 2), window=0.2)
+        assert run(config) == 0
+        lines = (tmp_path / "o" / "report.txt").read_text().splitlines()
+        for k in (1, 2):
+            i = next(i for i, line in enumerate(lines)
+                     if f"k={k} splice continuity" in line)
+            assert lines[i].startswith("[PASS]")
+            assert f"k={k} unit initial energy" in lines[i + 1]
 
     def test_primitive_path(self, tmp_path):
         config = RunConfig(experiment="primitive", out=str(tmp_path / "o"),

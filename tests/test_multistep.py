@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,10 @@ from degenwave import (AB5_COEFFS, BlowupError, DegenerateDamping,
                        PicardConfig, ab5_init, ab5_step, energy, energy_norm,
                        extend_trajectory, picard_solve, semilinear_rhs,
                        solve_linear_inhomogeneous)
-from degenwave.experiments import extend_with_ab5, mode_initial_state
+from degenwave.experiments import (EXTENSION_BLOCK, extend_with_ab5,
+                                   mode_initial_state)
 from degenwave.linwave import Trajectory
+from extension_helpers import extended
 
 # alpha = 0 switches the damping off: the right-hand side is A y alone
 UNDAMPED = DegenerateDamping(alpha=0.0)
@@ -83,6 +87,18 @@ class TestAB5Basics:
             for _ in range(100000):
                 ab5_step(state)
 
+    def test_blowup_guard_is_per_member(self):
+        # member 0 grows as e^t from 1e-3, member 1 stays at 1: a guard on
+        # the batch maximum would wait until t ~ 9.2, member 0's own limit
+        # trips near t = 2.3
+        rhs = lambda t, y: y * np.array([[1.0], [0.0]])
+        times = 0.01 * np.arange(5)
+        states = [np.array([[1e-3 * np.exp(t)], [1.0]]) for t in times]
+        state = ab5_init(times, states, rhs, norm_fn=lambda y: np.abs(y[:, 0]))
+        with pytest.raises(BlowupError):
+            for _ in range(500):        # to t = 5
+                ab5_step(state)
+
 
 class TestExtendTrajectory:
     def _homogeneous_traj(self, prop, ops, t_final, k=1):
@@ -112,7 +128,7 @@ class TestExtendTrajectory:
         # undamped, the rotating-frame amplitudes stand still: the extension
         # is the exact rotation up to rounding
         data, traj = self._homogeneous_traj(prop99, ops99, 2.0, k)
-        full = extend_with_ab5(traj, ops99, UNDAMPED, 6.0, propagator=prop99)
+        full, = extended([traj], ops99, UNDAMPED, 6.0, propagator=prop99)
         h = ops99.mesh.h
         c = np.cos(k * np.pi * h)
         w = np.sqrt((6 / h**2) * (1 - c) / (2 + c))
@@ -127,7 +143,7 @@ class TestExtendTrajectory:
 
     def test_splice_grid_and_continuity(self, ops99, prop99):
         _, traj = self._homogeneous_traj(prop99, ops99, 2.0)
-        full = extend_with_ab5(traj, ops99, UNDAMPED, 4.0)
+        full, = extended([traj], ops99, UNDAMPED, 4.0)
         assert full.delta == traj.delta
         np.testing.assert_allclose(full.times[:len(traj.times)], traj.times)
         i1 = len(traj.times) - 1     # t = 2, the splice
@@ -139,7 +155,7 @@ class TestExtendTrajectory:
         config = PicardConfig(t_final=2.0, delta=2e-3)
         result = picard_solve(ops99, data.y0, config, propagator=prop99)
         forcing = DegenerateDamping(1.0, 1)
-        full = extend_with_ab5(result.trajectory, ops99, forcing, 4.0)
+        full, = extended([result.trajectory], ops99, forcing, 4.0)
         e = energy(ops99, full.states)
         assert (np.diff(e) <= 1e-5 * e[0]).all()
         assert e[-1] < e[len(result.trajectory.times) - 1]   # t = 2
@@ -155,8 +171,8 @@ class TestExtendTrajectory:
                               PicardConfig(t_final=1.0, delta=2e-3),
                               propagator=prop99)
         forcing = DegenerateDamping(1.0, 1)
-        new = extend_with_ab5(result.trajectory, ops99, forcing, 3.0,
-                              propagator=prop99)
+        new, = extended([result.trajectory], ops99, forcing, 3.0,
+                        propagator=prop99)
         literal = extend_trajectory(result.trajectory,
                                     semilinear_rhs(ops99, forcing), 3.0,
                                     norm_fn=lambda y: float(energy(ops99, y)),
@@ -168,10 +184,68 @@ class TestExtendTrajectory:
     def test_history_too_short_rejected(self, ops99, prop99):
         _, traj = self._homogeneous_traj(prop99, ops99, 0.006)
         with pytest.raises(ValueError, match="five history points"):
-            extend_with_ab5(traj, ops99, UNDAMPED, 0.1, propagator=prop99)
+            extended([traj], ops99, UNDAMPED, 0.1, propagator=prop99)
 
     def test_target_before_end_rejected(self, ops99, prop99):
         _, traj = self._homogeneous_traj(prop99, ops99, 0.1)
         rhs = semilinear_rhs(ops99, UNDAMPED)
         with pytest.raises(ValueError):
             extend_trajectory(traj, rhs, 0.05)
+
+
+class TestBatchedExtension:
+    @pytest.fixture(scope="class")
+    def picard_runs(self, ops99, prop99):
+        config = PicardConfig(t_final=0.2, delta=2e-3, window=0.2)
+        return [picard_solve(ops99, mode_initial_state(ops99, k).y0, config,
+                             propagator=prop99).trajectory
+                for k in (1, 2, 4, 8, 12)]
+
+    def test_batch_matches_one_member_runs(self, ops99, prop99, picard_runs):
+        forcing = DegenerateDamping(1.0, 1)
+        batch = extended(picard_runs, ops99, forcing, 1.2, propagator=prop99)
+        for traj, full in zip(picard_runs, batch):
+            alone, = extended([traj], ops99, forcing, 1.2, propagator=prop99)
+            np.testing.assert_array_equal(full.times, alone.times)
+            scale = np.abs(alone.states).max()
+            assert np.abs(full.states - alone.states).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n_out", [0, 1, 255, 256, 257])
+    def test_observer_sees_each_step_once_in_order(self, ops99, prop99,
+                                                   picard_runs, n_out):
+        trajs = picard_runs[:2]
+        seen = []
+
+        def observe(j0, block):
+            assert block.shape[0] == 2 and block.shape[2] == 2 * 99
+            assert 1 <= block.shape[1] <= EXTENSION_BLOCK
+            seen.append((j0, block.shape[1]))
+
+        extend_with_ab5(trajs, ops99, UNDAMPED, 0.2 + n_out * 2e-3, observe,
+                        propagator=prop99)
+        steps = [j0 + i for j0, b in seen for i in range(b)]
+        assert steps == list(range(n_out))
+
+    def test_memory_does_not_grow_with_the_horizon(self, ops99, prop99,
+                                                   picard_runs):
+        forcing = DegenerateDamping(1.0, 1)
+        trajs = picard_runs[:4]
+
+        def peak(t_final):
+            tracemalloc.start()
+            try:
+                extend_with_ab5(trajs, ops99, forcing, t_final,
+                                lambda j0, block: None, propagator=prop99)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = peak(2.1), peak(6.1)
+        assert long <= 1.05 * short, (short, long)
+
+    def test_grids_must_be_shared(self, ops99, prop99, picard_runs):
+        traj = picard_runs[0]
+        shorter = Trajectory(traj.times[:-1], traj.states[:-1], traj.delta)
+        with pytest.raises(ValueError, match="shared time grid"):
+            extend_with_ab5([traj, shorter], ops99, UNDAMPED, 0.4,
+                            lambda j0, block: None, propagator=prop99)
