@@ -272,10 +272,10 @@ def extend_with_ab5(trajs: list, ops: SpatialOperators, forcing,
     exp(-i omega t) under the linear flow, so w = exp(i omega (t - t1)) z
     moves under the forcing alone:
     w' = exp(i omega (t - t1)) i S f(u, v) (Lawson's integrating factor).
-    AB5 steps w, stacked as (Re w, Im w), from the last five states, one
-    step per output step on any mesh.  ``BlowupError`` stops the run once
-    a member's modal energy 1/2 sum mu_j |w_j|^2 exceeds ten times its
-    start.
+    AB5 steps w, as the float view of its complex array (Re, Im pairs),
+    from the last five states, one step per output step on any mesh.
+    ``BlowupError`` stops the run once a member's modal energy
+    1/2 sum mu_j |w_j|^2 exceeds ten times its start.
     """
     t1, delta = trajs[0].times[-1], trajs[0].delta
     if any(tr.times[-1] != t1 or tr.delta != delta for tr in trajs):
@@ -289,12 +289,8 @@ def extend_with_ab5(trajs: list, ops: SpatialOperators, forcing,
         raise ValueError("need five history points to start the scheme")
     if propagator is None:
         propagator = matrix_exponential(ops, delta)
-    n, omega, mu, sine = (ops.mesh.n, propagator.omega, propagator.mu,
-                          propagator.sine)
+    n, omega, sine = ops.mesh.n, propagator.omega, propagator.sine
     block = np.empty((len(trajs), min(n_out, EXTENSION_BLOCK), 2 * n))
-    # one trajectory steps as a plain vector: on one-row 2-D arrays NumPy's
-    # per-call overhead made the one-mode extension 5-8% slower
-    lead = (len(trajs),) if len(trajs) > 1 else ()
     # (j delta)(-i omega) rounds as -i (j delta omega): Propagator.phases' values
     neg_i_omega = -1j * omega
 
@@ -302,44 +298,24 @@ def extend_with_ab5(trajs: list, ops: SpatialOperators, forcing,
     # taken at an exact multiple of delta; in these units w' = delta * g
     def rhs(j, y):
         phase = np.exp((j * delta) * neg_i_omega)
-        z = phase * (y[..., :n] + 1j * y[..., n:])
-        # ab5_step evaluates each new step j once: the nodal state (the
-        # inverse of ``Propagator.modal``) goes straight into its output row
-        state = (block[:, (int(j) - 1) % EXTENSION_BLOCK].reshape(y.shape)
-                 if j > 0 else np.empty(y.shape))
-        _rows_times(z.real / omega, sine, state[..., :n])
-        _rows_times(z.imag, sine, state[..., n:])
-        f = forcing.coefficients(ops, state[..., :n], state[..., n:])
-        g = 1j * delta * phase.conj() * _rows_times(f, sine)
-        return np.concatenate([g.real, g.imag], axis=-1)
+        state = propagator.nodal(phase * y.view(complex))
+        if j > 0:
+            # ab5_step evaluates each new step j once: its output row
+            block[:, (int(j) - 1) % EXTENSION_BLOCK] = state
+        f = forcing.coefficients(ops, state[:, :n], state[:, n:])
+        return (1j * delta * phase.conj() * (f @ sine)).view(float)
 
     steps = np.arange(-4.0, 1.0)
     z0 = np.stack([propagator.modal(tr.states[-5:]) for tr in trajs], axis=1)
     w = np.exp(1j * delta * steps[:, None, None] * omega) * z0
-    half_mu = 0.5 * np.concatenate([mu, mu])
-    ab = ab5_init(steps, np.concatenate([w.real, w.imag], axis=-1).reshape(
-                      (5,) + lead + (2 * n,)), rhs,
+    half_mu = np.repeat(0.5 * propagator.mu, 2)
+    ab = ab5_init(steps, w.view(float), rhs,
                   norm_fn=lambda y: (y * y) @ half_mu)
     for j0 in range(0, n_out, EXTENSION_BLOCK):
         b = min(EXTENSION_BLOCK, n_out - j0)
         for _ in range(b):
             ab5_step(ab)
         observe(j0, block[:, :b])
-
-
-def _rows_times(x: np.ndarray, m: np.ndarray, out=None) -> np.ndarray:
-    """x[i] @ m for each row of a 2-D ``x``, as vector-matrix products.
-
-    A matrix-matrix product may sum in another order, so a member's result
-    would depend on which others share its batch; as a stack of (1, n)
-    rows each product is the vector-matrix one of a one-member run.
-    """
-    if x.ndim == 1:
-        return np.matmul(x, m, out=out)
-    if out is None:
-        out = np.empty(x.shape)
-    np.matmul(x[:, None], m, out=out[:, None])
-    return out
 
 
 def extend_traces(trajs: list, traces: list, ops: SpatialOperators, forcing,

@@ -77,8 +77,10 @@ def ab5_step(state: ABState) -> np.ndarray:
         AB5_COEFFS[0] * g[-1] + AB5_COEFFS[1] * g[-2] + AB5_COEFFS[2] * g[-3]
         + AB5_COEFFS[3] * g[-4] + AB5_COEFFS[4] * g[-5])
     t = state.times[-1] + state.delta
-    # the array methods: np.all and np.any add a wrapper call on every step
-    if not np.isfinite(y).all() or (state.norm_fn(y) > state.norm_limit).any():
+    # ufuncs and array methods: np.all and np.any add a wrapper call on
+    # every step; np.greater also gives an array for a float norm and limit
+    if (not np.isfinite(y).all()
+            or np.greater(state.norm_fn(y), state.norm_limit).any()):
         raise BlowupError(
             f"solution left the stable regime at t={t:g}; "
             "the explicit scheme needs a smaller step")

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from degenwave import (AB5_COEFFS, BlowupError, DegenerateDamping,
+from degenwave import (AB5_COEFFS, ABState, BlowupError, DegenerateDamping,
                        PicardConfig, ab5_init, ab5_step, energy, energy_norm,
                        extend_trajectory, picard_solve, semilinear_rhs,
                        solve_linear_inhomogeneous)
@@ -86,6 +86,20 @@ class TestAB5Basics:
         with pytest.raises(BlowupError):
             for _ in range(100000):
                 ab5_step(state)
+
+    def test_state_built_directly_with_float_norm(self):
+        # a float norm against the default float limit, without ab5_init
+        rhs = lambda t, y: -y
+        times = 0.01 * np.arange(5)
+        ys = [np.array([np.exp(-t)]) for t in times]
+        state = ABState(delta=0.01, rhs=rhs, times=list(times), ys=ys,
+                        gs=[rhs(t, y) for t, y in zip(times, ys)],
+                        norm_fn=lambda y: float(np.linalg.norm(y)))
+        y = ab5_step(state)
+        assert abs(y[0] - np.exp(-0.05)) < 1e-12
+        state.norm_limit = 0.5
+        with pytest.raises(BlowupError):
+            ab5_step(state)
 
     def test_blowup_guard_is_per_member(self):
         # member 0 grows as e^t from 1e-3, member 1 stays at 1: a guard on
