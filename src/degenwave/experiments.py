@@ -271,7 +271,8 @@ def extend_with_ab5(trajs: list, ops: SpatialOperators, forcing,
     The modal amplitudes z of ``Propagator.modal`` rotate exactly as
     exp(-i omega t) under the linear flow, so w = exp(i omega (t - t1)) z
     moves under the forcing alone:
-    w' = exp(i omega (t - t1)) i S f(u, v) (Lawson's integrating factor).
+    w' = exp(i omega (t - t1)) i S f(u, v) (Lawson's integrating factor),
+    with S f from the forcing's load by ``Propagator.forcing_modes``.
     AB5 steps w, as the float view of its complex array (Re, Im pairs),
     from the last five states, one step per output step on any mesh.
     ``BlowupError`` stops the run once a member's modal energy
@@ -289,7 +290,7 @@ def extend_with_ab5(trajs: list, ops: SpatialOperators, forcing,
         raise ValueError("need five history points to start the scheme")
     if propagator is None:
         propagator = matrix_exponential(ops, delta)
-    n, omega, sine = ops.mesh.n, propagator.omega, propagator.sine
+    n, omega = ops.mesh.n, propagator.omega
     block = np.empty((len(trajs), min(n_out, EXTENSION_BLOCK), 2 * n))
     # (j delta)(-i omega) rounds as -i (j delta omega): Propagator.phases' values
     neg_i_omega = -1j * omega
@@ -302,8 +303,8 @@ def extend_with_ab5(trajs: list, ops: SpatialOperators, forcing,
         if j > 0:
             # ab5_step evaluates each new step j once: its output row
             block[:, (int(j) - 1) % EXTENSION_BLOCK] = state
-        f = forcing.coefficients(ops, state[:, :n], state[:, n:])
-        return (1j * delta * phase.conj() * (f @ sine)).view(float)
+        g = propagator.forcing_modes(forcing.load(ops, state[:, :n], state[:, n:]))
+        return (1j * delta * phase.conj() * g).view(float)
 
     steps = np.arange(-4.0, 1.0)
     z0 = np.stack([propagator.modal(tr.states[-5:]) for tr in trajs], axis=1)

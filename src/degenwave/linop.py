@@ -58,6 +58,13 @@ class Propagator:
         n = len(self.omega)
         return self.omega * (y[..., :n] @ self.sine) + 1j * (y[..., n:] @ self.sine)
 
+    def forcing_modes(self, load: np.ndarray) -> np.ndarray:
+        """Sine coefficients S f of the forcing f = M^{-1} load, as
+        (S load) / mu: S M S = diag(mu), so no solve with M is needed."""
+        g = load @ self.sine
+        g /= self.mu
+        return g
+
     def nodal(self, z: np.ndarray) -> np.ndarray:
         """Stacked states (u, v) of complex modal amplitudes; inverts ``modal``."""
         return np.concatenate([(z.real / self.omega) @ self.sine,

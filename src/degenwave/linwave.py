@@ -65,8 +65,7 @@ def sweep(prop: Propagator, y0: np.ndarray, f_absc: np.ndarray) -> np.ndarray:
     if f_absc.shape[0] != r * nsteps + 1:
         raise ValueError("forcing sample count does not tile the steps")
     w = prop.step * BOOLE_WEIGHTS
-    g = (f_absc[:1] if f_absc.strides[0] == 0 else f_absc) @ prop.sine
-    g /= prop.mu
+    g = prop.forcing_modes(f_absc[:1] if f_absc.strides[0] == 0 else f_absc)
     g = np.broadcast_to(g, f_absc.shape)
     c = sum(1j * w[j] * prop.powers[r - j] * g[j: j + r * (nsteps - 1) + 1: r]
             for j in range(r + 1))

@@ -9,11 +9,10 @@ not from quadrature.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cholesky_banded
-from scipy.linalg.lapack import dpbtrs
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,9 +147,11 @@ class SpatialOperators:
     """Assembled mass/stiffness matrices and the quartic hat tensor.
 
     The tridiagonal matrices are stored by their diagonals; dense copies are
-    built on demand.  The consistent (non-lumped) mass matrix is kept, and a
-    banded Cholesky factor of it is cached for repeated solves.  Instances
-    are immutable in practice and safe to share across threads.
+    built on demand.  The consistent (non-lumped) mass matrix is kept.  The
+    discrete sine modes diagonalize it and the stiffness together; their
+    matrix and eigenvalues are built once, read-only, and carry every solve
+    with M.  Instances are immutable in practice and safe to share across
+    threads.
     """
 
     mesh: Mesh
@@ -159,14 +160,6 @@ class SpatialOperators:
     stiffness_diag: np.ndarray
     stiffness_off: np.ndarray
     quartic: QuarticTensor
-    _mass_cho: np.ndarray = field(repr=False, default=None)
-
-    def __post_init__(self):
-        n = self.mesh.n
-        ab = np.zeros((2, n))
-        ab[0, 1:] = self.mass_off
-        ab[1] = self.mass_diag
-        self._mass_cho = cholesky_banded(ab)
 
     # -- dense views -------------------------------------------------------
     def mass_matrix(self) -> np.ndarray:
@@ -185,19 +178,30 @@ class SpatialOperators:
     def solve_mass(self, b: np.ndarray) -> np.ndarray:
         """Solve M x = b; ``b`` may be batched with the node axis last.
 
-        LAPACK ``pbtrs`` on the cached factor, called directly: SciPy's
-        wrapper costs several times the O(n) solve on short vectors.  Inputs
-        are not checked for finiteness; the solvers guard their own states.
+        S M S = diag(mu), so x = S ((S b) / mu): two dense products, no
+        factorization.  Inputs are not checked for finiteness; the solvers
+        guard their own states.
         """
-        b = np.asarray(b, dtype=float)
-        if b.ndim == 1:
-            return _pbtrs(self._mass_cho, b)
-        flat = b.reshape(-1, b.shape[-1])
-        return _pbtrs(self._mass_cho, flat.T).T.reshape(b.shape)
+        sine, mu, _ = self._sine_modes
+        return ((np.asarray(b, dtype=float) @ sine) / mu) @ sine
 
     # -- the discrete sine modes ---------------------------------------------
+    @cached_property
+    def _sine_modes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        n, h = self.mesh.n, self.mesh.h
+        idx = np.arange(1, n + 1)
+        angle = np.pi * h * idx
+        mu = (h / 3.0) * (2.0 + np.cos(angle))
+        kappa = (4.0 / h) * np.sin(0.5 * angle) ** 2
+        phase = np.outer(idx, idx) % (2 * (n + 1))
+        sine = np.sqrt(2.0 * h) * np.sin(np.pi * h * phase)
+        for a in (sine, mu, kappa):
+            a.flags.writeable = False
+        return sine, mu, kappa
+
     def sine_eigenvalues(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues (mu_j, kappa_j), j = 1..n, of M and K on the sine vectors.
+        """Read-only eigenvalues (mu_j, kappa_j), j = 1..n, of M and K on the
+        sine vectors.
 
         Both matrices are Toeplitz tridiagonal, so the discrete sine vectors
         diagonalize them simultaneously:
@@ -205,37 +209,21 @@ class SpatialOperators:
         the latter evaluated as (4/h) sin^2(j pi h/2) to avoid cancellation
         for the low modes.
         """
-        h = self.mesh.h
-        angle = np.pi * h * np.arange(1, self.mesh.n + 1)
-        mu = (h / 3.0) * (2.0 + np.cos(angle))
-        kappa = (4.0 / h) * np.sin(0.5 * angle) ** 2
-        return mu, kappa
+        return self._sine_modes[1:]
 
     def sine_basis(self) -> np.ndarray:
-        """Orthonormal sine matrix S[i, j] = sqrt(2h) sin(i j pi h).
+        """Read-only orthonormal sine matrix S[i, j] = sqrt(2h) sin(i j pi h).
 
         S is symmetric with S @ S = I; its columns are the eigenvectors
         belonging to ``sine_eigenvalues``.  The product i*j is reduced modulo
         the period 2(n+1) before the sine is taken.
         """
-        n, h = self.mesh.n, self.mesh.h
-        idx = np.arange(1, n + 1)
-        phase = np.outer(idx, idx) % (2 * (n + 1))
-        return np.sqrt(2.0 * h) * np.sin(np.pi * h * phase)
+        return self._sine_modes[0]
 
     def max_generalized_eigenvalue(self) -> float:
         """Largest lambda with K v = lambda M v (the top sine mode)."""
         mu, kappa = self.sine_eigenvalues()
         return float(kappa[-1] / mu[-1])
-
-
-def _pbtrs(cho: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve with an upper banded Cholesky factor; ``b`` holds right-hand
-    sides as columns."""
-    x, info = dpbtrs(cho, b)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of LAPACK pbtrs")
-    return x
 
 
 def _tridiag_dense(d: np.ndarray, e: np.ndarray) -> np.ndarray:

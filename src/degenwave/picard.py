@@ -34,8 +34,9 @@ class _ForcingModel:
         return ops.solve_mass(self.load(ops, u, v))
 
 
-class DegenerateDamping(_ForcingModel):
-    """f = -proj(alpha u^{2m} v): damping that switches off at zero displacement."""
+class _PowerDamping(_ForcingModel):
+    """The power-law dampings' shared parameters: strength alpha >= 0 and
+    exponent half m, a positive integer."""
 
     def __init__(self, alpha: float = 1.0, m: int = 1):
         if alpha < 0:
@@ -44,6 +45,10 @@ class DegenerateDamping(_ForcingModel):
             raise ValueError("the exponent half m must be a positive integer")
         self.alpha = float(alpha)
         self.m = int(m)
+
+
+class DegenerateDamping(_PowerDamping):
+    """f = -proj(alpha u^{2m} v): damping that switches off at zero displacement."""
 
     def load(self, ops: SpatialOperators, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         if self.alpha == 0.0:
@@ -55,20 +60,12 @@ class DegenerateDamping(_ForcingModel):
                                              u, v, degree=2 * self.m + 2)
 
 
-class PrimitiveDamping(_ForcingModel):
+class PrimitiveDamping(_PowerDamping):
     """f = -proj(alpha v^{2m+1}/(2m+1)): the monotone antiderivative damping.
 
     Acting on the velocity alone, this is the damping of the problem whose
     time derivative solves the degenerately damped equation.
     """
-
-    def __init__(self, alpha: float = 1.0, m: int = 1):
-        if alpha < 0:
-            raise ValueError("alpha must be nonnegative")
-        if m < 1 or int(m) != m:
-            raise ValueError("the exponent half m must be a positive integer")
-        self.alpha = float(alpha)
-        self.m = int(m)
 
     def antiderivative(self, s):
         return self.alpha * s ** (2 * self.m + 1) / (2 * self.m + 1)

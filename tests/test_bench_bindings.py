@@ -23,6 +23,8 @@ def test_traced_fig3_counts_every_layer(tmp_path):
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     counters = json.loads((tmp_path / "trace.json").read_text())["counters"]
-    for key in ("picard.solves", "linwave.sweep.calls", "mesh.solve_mass.calls",
+    for key in ("picard.solves", "linwave.sweep.calls", "mesh.contract.calls",
                 "multistep.steps", "oracle.rk4.steps"):
         assert counters.get(key, 0) > 0, key
+    # M^-1 lives in the sine modes: no preset's hot path solves with M
+    assert counters.get("mesh.solve_mass.calls", 0) == 0

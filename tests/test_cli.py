@@ -409,6 +409,14 @@ class TestRun:
         assert "is not close to an integer" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_step_longer_than_two_checks_unit_windows(self, tmp_path):
+        # 1/delta rounds to 0 here; the unit-window check must still run
+        code = main(["run", "--preset", "custom", "--delta", "2.5", "--T", "5",
+                     "--k", "1", "--alpha", "0.001", "--out", str(tmp_path / "o")])
+        report = (tmp_path / "o" / "report.txt").read_text()
+        assert "k=1 energy strictly decreasing over unit windows" in report
+        assert code == (3 if "[SUMMARY] FAIL" in report else 0)
+
     def test_fig1_path(self, tmp_path):
         config = RunConfig(experiment="fig1", out=str(tmp_path / "o"),
                            h=1.0 / 10, delta=0.02, t_final=0.4, ks=(1,),

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import cho_solve_banded, eigh
+from scipy.linalg import eigh
 
 from degenwave import assemble, build_mesh, l2_project, mesh_from_h
 from degenwave import mesh as mesh_module
 from degenwave.mesh import hat_load, values_at_gauss
+from mass_reference import banded_mass_solve
 
 
 def gauss_integrate(f, a, b, npts=8):
@@ -101,16 +102,17 @@ class TestAssemble:
         np.testing.assert_allclose(ops.stiffness_matrix() @ S, S * kappa,
                                    atol=1e-13 * kappa.max())
 
-    def test_solve_mass_bit_equal_to_scipy(self, rng):
-        # the direct LAPACK call must give exactly what SciPy's wrapper gives
+    def test_solve_mass_matches_banded_solve(self, rng):
+        # the modal solve S ((S b) / mu) against SciPy's banded one; the
+        # worst relative difference measured over these cases is 1.3e-15
         for n in range(1, 201):
             ops = assemble(build_mesh(n))
             for batch in [(), (1,), (3,), (2, 4)]:
                 b = rng.standard_normal(batch + (n,))
-                flat = b.reshape(-1, n).T
-                want = cho_solve_banded((ops._mass_cho, False), flat).T
-                np.testing.assert_array_equal(ops.solve_mass(b),
-                                              want.reshape(b.shape))
+                want = banded_mass_solve(ops, b)
+                got = ops.solve_mass(b)
+                assert got.shape == b.shape
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_matrix_entries_against_quadrature(self):
         # independent integration of hat products for a small mesh

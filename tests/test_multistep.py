@@ -60,7 +60,7 @@ class TestAB5Basics:
         rhs = semilinear_rhs(ops99, UNDAMPED)
         state = ab5_init(traj.times[-5:], list(traj.states[-5:]), rhs)
         # dense reference (v, -M^{-1} K u); on the smooth mode K u cancels
-        # terms of size 1/h, so it agrees with the banded route to ~2e-12
+        # terms of size 1/h, so it agrees with the modal route to ~2e-12
         mass, stiff = ops99.mass_matrix(), ops99.stiffness_matrix()
         for t, y, g in zip(state.times, state.ys, state.gs):
             u, v = y[:99], y[99:]
