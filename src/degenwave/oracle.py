@@ -79,6 +79,7 @@ class OracleSolution:
     times: np.ndarray
     phi: np.ndarray      # (n_times, n_samples)
     phidot: np.ndarray
+    _states = None   # ``oracle_states``, kept for the next comparison
 
     def modal_energy(self) -> np.ndarray:
         """Per-sample oscillator energy 1/2 lam phi^2 + 1/2 phi'^2, (n_times, n_samples)."""
@@ -95,31 +96,41 @@ def _stored_step_count(t_final: float, step: float, store_stride: int) -> int:
     return nsteps // store_stride
 
 
-def _rk4_oscillators(neg_lam, coeff, m: int, y: np.ndarray, h: float,
-                     nsteps: int, after) -> None:
+def _rk4_oscillators(neg_lam, coeff, m: int, y0: np.ndarray, h: float,
+                     nsteps: int, after, every: int = 1) -> None:
     """Classical RK4 on x'' = neg_lam x - coeff x^{2m} x', vectorized.
 
-    ``y`` stacks x, x' on its first axis over any trailing shape, against
-    which ``neg_lam`` and ``coeff`` broadcast.  ``after(i, y)`` runs after
-    step i = 1..nsteps on a state the loop leaves alone; true stops the loop.
+    ``y0`` stacks x, x' on its first axis over a trailing shape to which
+    ``neg_lam`` and ``coeff`` broadcast.  After every ``every``-th step i,
+    ``after(i, y)`` gets the live state, which the next step overwrites in
+    place; true stops the loop.  No step allocates or reorders arithmetic.
     """
-    stages = np.empty((4,) + y.shape)
-
-    def slope(z, out):
-        p, q = z
-        p2 = p * p   # x^{2m} by squaring; p * p equals p**2 bit for bit
-        out[0] = q
-        np.subtract(neg_lam * p, coeff * (p2 if m == 1 else p2**m) * q, out=out[1])
-        return out
-
-    half_h = 0.5 * h
+    shape = np.shape(y0)[1:]
+    # contiguous coefficients: a zero-stride broadcast slows every ufunc
+    neg_lam, coeff = (np.broadcast_to(c, shape).copy() for c in (neg_lam, coeff))
+    # stage j is one (x, x', x'') buffer, so its slope k_j = (x', x'') is a
+    # view; it is taken at y + c k_{j-1}, stage 0's at y itself
+    stages, w = np.empty((4, 3) + shape), np.empty(shape)
+    y, k1, k2, k3, k4 = stages[0, :2], *stages[:, 1:]
+    y[...] = y0
+    plan = [(tuple(s), s[:2], c, k) for s, c, k in
+            zip(stages, (0.0, 0.5 * h, 0.5 * h, h), (None, k1, k2, k3))]
     for i in range(1, nsteps + 1):
-        k1 = slope(y, stages[0])
-        k2 = slope(y + half_h * k1, stages[1])
-        k3 = slope(y + half_h * k2, stages[2])
-        k4 = slope(y + h * k3, stages[3])
-        y = y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if after(i, y):
+        for (p, q, out), z, c, k in plan:
+            if k is not None:
+                np.add(y, np.multiply(c, k, z), z)
+            np.multiply(neg_lam, p, out)
+            np.multiply(p, p, w)     # x^{2m} as (p*p)**m
+            if m != 1:
+                w **= m
+            np.multiply(np.multiply(coeff, w, w), q, w)
+            np.subtract(out, w, out)
+        # y + h/6 (((k1 + 2 k2) + 2 k3) + k4), summed in the spent k2 and k3
+        np.add(k1, np.multiply(2, k2, k2), k2)
+        np.add(k2, np.multiply(2, k3, k3), k2)
+        np.multiply(h / 6.0, np.add(k2, k4, k2), k2)
+        np.add(y, k2, y)
+        if i % every == 0 and after(i, y):
             break
 
 
@@ -162,28 +173,24 @@ def rk4_ansatz(problems, t_final: float, step: float, store_stride: int = 1,
     neg_lam = np.array([[-p.lam] for p in batch])
     # damping coefficient of the reduced oscillator at each position
     coeff = np.array([p.alpha * p.eigenfunction() ** (2 * p.m) for p in batch])
-    # y[0] = phi, y[1] = phi'; one stacked array saves a call per update
     y = np.empty((2,) + coeff.shape)
     y[0] = [[float(p.c0)] for p in batch]
     y[1] = [[float(p.c1)] for p in batch]
 
     def store(i, y):
-        if i % store_stride:
-            return
-        j = i // store_stride
         ok = np.isfinite(y).all(axis=(0, 2))
         if not ok.all():
             ks = ", ".join(str(p.k) for p, good in zip(batch, ok) if not good)
             raise FloatingPointError(
                 f"reference solution for k={ks} is not finite at "
-                f"t={j * step * store_stride:g}; reduce the step or the damping")
-        observe(j, y[0], y[1])
+                f"t={i * step:g}; reduce the step or the damping")
+        observe(i // store_stride, *y.copy())   # the loop overwrites y in place
 
     # a blow-up is reported by ``store``, not through overflow warnings
     with np.errstate(over="ignore", invalid="ignore"):
         store(0, y)
         _rk4_oscillators(neg_lam, coeff, first.m, y, step,
-                         n_stored * store_stride, store)
+                         n_stored * store_stride, store, store_stride)
 
     if not collect:
         return None
@@ -209,6 +216,8 @@ def reference_errors(trajectories: list, problems: list, ops: SpatialOperators,
     steps is compared and dropped, so memory does not grow with the
     horizon.  Each trajectory must lie on the stored reference grid.
     """
+    if not problems:
+        raise ValueError("need at least one problem")
     if len(trajectories) != len(problems):
         raise ValueError("need one trajectory per problem")
     n_stored = _stored_step_count(t_final, step, store_stride)
@@ -216,8 +225,7 @@ def reference_errors(trajectories: list, problems: list, ops: SpatialOperators,
     for traj in trajectories:
         _check_aligned(traj.times, grid)
     _check_on_mesh(problems[0], ops.mesh)
-    gap = np.zeros(len(problems))
-    norm = np.zeros(len(problems))
+    gap, norm = np.zeros((2, len(problems)))
     # phi and phi' of the current block: (2, problems, block, positions)
     block = np.empty((2, len(problems), _COMPARE_BLOCK, ops.mesh.n))
 
@@ -253,6 +261,15 @@ def _check_aligned(times: np.ndarray, grid: np.ndarray) -> None:
         raise ValueError("trajectory and oracle time grids do not match")
 
 
+def _reference_states(traj, sol: OracleSolution, ops) -> np.ndarray:
+    """``oracle_states`` checked against ``traj``, built once per solution."""
+    _check_aligned(traj.times, sol.times)
+    _check_on_mesh(sol.problem, ops.mesh)
+    if sol._states is None:
+        sol._states = oracle_states(sol, ops.mesh)
+    return sol._states
+
+
 def compare_energy_norm(traj: Trajectory, sol: OracleSolution,
                         ops: SpatialOperators) -> float:
     """Max-over-time energy norm of the state difference.
@@ -261,8 +278,7 @@ def compare_energy_norm(traj: Trajectory, sol: OracleSolution,
     the slow phase drift between the reduced oscillator family and the full
     dynamics; see ``compare_energy_decay`` for the decay-history comparison.
     """
-    _check_aligned(traj.times, sol.times)
-    diff = traj.states - oracle_states(sol, ops.mesh)
+    diff = traj.states - _reference_states(traj, sol, ops)
     return float(energy_norm(ops, diff).max())
 
 
@@ -274,9 +290,8 @@ def compare_energy_decay(traj: Trajectory, sol: OracleSolution,
     the scheme reproduces the reference's dissipation, insensitive to the
     accumulated phase drift that inflates the state-difference norm.
     """
-    _check_aligned(traj.times, sol.times)
+    e_ref = energy(ops, _reference_states(traj, sol, ops))
     e_fem = energy(ops, traj.states)
-    e_ref = energy(ops, oracle_states(sol, ops.mesh))
     return float(np.abs(e_fem - e_ref).max())
 
 
@@ -323,7 +338,7 @@ def simulate_oscillator(problem: OscillatorProblem, t_final: float,
         states[i] = y[:, 0]
 
     _rk4_oscillators(-problem.khat, problem.alpha, problem.m,
-                     states[0][:, None].copy(), step, nsteps, record)
+                     states[0][:, None], step, nsteps, record)
     times = step * np.arange(nsteps + 1)
     return OscillatorTrace(times=times, states=states,
                            norms=problem.equivalent_norm(states))
@@ -384,6 +399,6 @@ def uniform_stability_sweep(khat: float, alpha: float, m: int, radius: float,
         first[hit] = i * step
         return np.isfinite(first).all()
 
-    _rk4_oscillators(-khat, alpha, m, y.T.copy(), step,
+    _rk4_oscillators(-khat, alpha, m, y.T, step,
                      int(round(horizon / step)), record)
     return StabilitySweep(samples=y, initial_norms=norms0, times_to_eps=first)

@@ -4,10 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from degenwave import (AnsatzProblem, OscillatorProblem, ball_samples,
                        build_mesh, compare_energy_decay, compare_energy_norm,
-                       energy, oracle_states, reference_errors,
+                       energy, oracle, oracle_states, reference_errors,
                        rk4_ansatz, simulate_oscillator, uniform_stability_sweep)
 from degenwave.experiments import mode_initial_state
 from degenwave.linwave import Trajectory
+from rk4_reference import allocating_rk4
 
 
 def make_problem(mesh, k=1, c0=0.45, alpha=1.0, m=1):
@@ -100,6 +101,71 @@ class TestRK4Ansatz:
                 assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+def after_history(kernel, neg_lam, coeff, m, y0, h, nsteps, stop_at=None,
+                  **kwargs):
+    """The step indices and (copied) states a kernel hands to ``after``."""
+    seen = []
+
+    def after(i, y):
+        seen.append((i, y.copy()))
+        return i == stop_at
+
+    kernel(neg_lam, coeff, m, y0, h, nsteps, after, **kwargs)
+    return [i for i, _ in seen], np.array([y for _, y in seen])
+
+
+def family_coefficients(mesh, ks, m):
+    """``rk4_ansatz``'s (K, 1) neg_lam and (K, n) coeff for the modes ks."""
+    problems = [make_problem(mesh, k=k, alpha=3.0, m=m) for k in ks]
+    return (np.array([[-p.lam] for p in problems]),
+            np.array([p.alpha * p.eigenfunction() ** (2 * m) for p in problems]))
+
+
+class TestInPlaceKernel:
+    """The in-place RK4 kernel against the allocating loop it replaced."""
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("ks", [(1,), (1, 2, 4, 8)])
+    def test_family_bit_identical(self, mesh99, ks, m):
+        neg_lam, coeff = family_coefficients(mesh99, ks, m)
+        y0 = np.random.default_rng(7).uniform(-0.8, 0.8, (2,) + coeff.shape)
+        before = y0.copy()
+        got = after_history(oracle._rk4_oscillators, neg_lam, coeff, m, y0,
+                            2e-3, 400)
+        want = after_history(allocating_rk4, neg_lam, coeff, m, y0, 2e-3, 400)
+        assert got[0] == want[0] == list(range(1, 401))
+        np.testing.assert_array_equal(got[1], want[1])
+        np.testing.assert_array_equal(y0, before)   # the caller's state stays
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("samples", [1, 64])
+    def test_oscillator_bit_identical(self, samples, m):
+        y0 = ball_samples(1.2, samples, khat=2.0).T
+        got = after_history(oracle._rk4_oscillators, -2.0, 1.5, m, y0, 1e-2, 500)
+        want = after_history(allocating_rk4, -2.0, 1.5, m, y0, 1e-2, 500)
+        assert got[1].shape == (500, 2, samples)
+        np.testing.assert_array_equal(got[1], want[1])
+
+    def test_early_stop_bit_identical(self, mesh99):
+        neg_lam, coeff = family_coefficients(mesh99, (1, 3), 1)
+        y0 = np.full((2,) + coeff.shape, 0.5)
+        got = after_history(oracle._rk4_oscillators, neg_lam, coeff, 1, y0,
+                            1e-3, 200, stop_at=37)
+        want = after_history(allocating_rk4, neg_lam, coeff, 1, y0, 1e-3, 200,
+                             stop_at=37)
+        assert got[0] == want[0] == list(range(1, 38))
+        np.testing.assert_array_equal(got[1], want[1])
+
+    def test_every_calls_after_at_multiples_only(self, mesh99):
+        neg_lam, coeff = family_coefficients(mesh99, (2,), 1)
+        y0 = np.full((2,) + coeff.shape, 0.5)
+        got = after_history(oracle._rk4_oscillators, neg_lam, coeff, 1, y0,
+                            1e-3, 100, every=10)
+        want = after_history(allocating_rk4, neg_lam, coeff, 1, y0, 1e-3, 100)
+        assert got[0] == list(range(10, 101, 10))
+        np.testing.assert_array_equal(got[1], want[1][9::10])
+
+
 class TestBatchedLoop:
     @settings(max_examples=15, deadline=None)
     @given(ks=st.lists(st.sampled_from([1, 2, 3, 5, 8]), min_size=1, max_size=4,
@@ -129,6 +195,19 @@ class TestBatchedLoop:
         assert rk4_ansatz(problems, 0.1, 1e-3, store_stride=10,
                           observe=observe) is None
         assert seen == list(range(11))
+
+    def test_observed_arrays_outlive_the_loop(self, mesh99):
+        # kept without copying, the observed arrays must still hold their own
+        # stored step after the run: the loop may not hand out its buffers
+        problems = [make_problem(mesh99, k=k) for k in (1, 2)]
+        seen = []
+        rk4_ansatz(problems, 0.1, 1e-3, store_stride=10,
+                   observe=lambda i, phi, psi: seen.append((phi, psi)))
+        sols = rk4_ansatz(problems, 0.1, 1e-3, store_stride=10)
+        assert len(seen) == 11
+        for i, (phi, psi) in enumerate(seen):
+            np.testing.assert_array_equal(phi, [s.phi[i] for s in sols])
+            np.testing.assert_array_equal(psi, [s.phidot[i] for s in sols])
 
     def test_mixed_exponent_rejected(self, mesh99):
         with pytest.raises(ValueError, match="exponent"):
@@ -167,6 +246,27 @@ class TestStreamedErrors:
         for traj, sol, gap, norm in zip(trajs, sols, gaps, norms):
             assert gap == compare_energy_decay(traj, sol, ops99)
             assert norm == compare_energy_norm(traj, sol, ops99)
+
+    def test_states_built_once_per_block_and_mode(self, mesh99, ops99,
+                                                  monkeypatch):
+        # 301 stored steps make two blocks; both comparisons of a block
+        # share one build of each mode's reference states
+        problems = [make_problem(mesh99, k=k) for k in (1, 2, 4)]
+        sols = rk4_ansatz(problems, 0.06, 2e-4)
+        trajs = [Trajectory(sol.times, oracle_states(sol, mesh99), 2e-4)
+                 for sol in sols]
+        built = []
+        real = oracle.oracle_states
+        monkeypatch.setattr(oracle, "oracle_states",
+                            lambda sol, mesh: built.append(sol) or real(sol, mesh))
+        gaps, norms = reference_errors(trajs, problems, ops99, 0.06, 2e-4)
+        assert len(built) == 2 * len(problems)
+        np.testing.assert_array_equal(gaps, 0.0)
+        np.testing.assert_array_equal(norms, 0.0)
+
+    def test_no_problem_rejected(self, ops99):
+        with pytest.raises(ValueError, match="at least one problem"):
+            reference_errors([], [], ops99, 0.02, 2e-4)
 
     def test_grid_mismatch_rejected(self, mesh99, ops99):
         sol = rk4_ansatz(make_problem(mesh99), 0.2, 2e-4, store_stride=10)
@@ -253,6 +353,14 @@ class TestOscillator:
         prob = OscillatorProblem(khat=1.0, alpha=1.0, m=1, x0=1.0, x1=0.0)
         tr = simulate_oscillator(prob, 100.0, 0.01)
         assert np.diff(tr.norms).max() <= 1e-8
+
+    def test_states_are_the_allocating_loop_history(self):
+        prob = OscillatorProblem(khat=2.0, alpha=1.5, m=1, x0=0.8, x1=-0.3)
+        tr = simulate_oscillator(prob, 2.0, 1e-2)
+        steps, want = after_history(allocating_rk4, -2.0, 1.5, 1,
+                                    np.array([[0.8], [-0.3]]), 1e-2, 200)
+        np.testing.assert_array_equal(tr.states[0], [0.8, -0.3])
+        np.testing.assert_array_equal(tr.states[1:], want[:, :, 0])
 
     def test_invalid_stiffness(self):
         with pytest.raises(ValueError):
