@@ -50,7 +50,6 @@ class RunConfig:
     t_final: float = 10.0
     t_extend: float = 50.0
     beta: float = (2.0 / np.pi) ** 2
-    oracle_stride: int = 10       # oracle step = delta / stride
     window: float = 1.0
     epsilon: float = 1e-8
     khat: float = 1.0
@@ -76,15 +75,18 @@ class RunConfig:
                      "radius", "eps_target", "horizon", "osc_step"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("m", "oracle_stride", "samples"):
+        for name in ("m", "samples"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.alpha < 0:
             raise ValueError("alpha must be nonnegative")
-        if not self.ks or any(k < 1 for k in self.ks):
-            raise ValueError("mode list must contain integers >= 1")
+        if (not self.ks or any(type(k) is not int or k < 1 for k in self.ks)
+                or len(set(self.ks)) < len(self.ks)):
+            raise ValueError(f"modes must be distinct integers >= 1, got {self.ks!r}")
         if self.experiment == "fig1" and self.ks != (1,):
             raise ValueError("fig1 runs the mode k = 1 only")
+        if self.experiment == "fig1" and not 0.0 < self.beta < 2.0 * np.pi:
+            raise ValueError(f"fig1 needs beta in (0, 2 pi), got {self.beta!r}")
         if self.experiment == "primitive" and len(self.ks) > 1:
             raise ValueError("primitive runs one mode")
         nsteps = round(self.t_final / self.delta)
@@ -112,7 +114,10 @@ def parse_config_file(path: str) -> dict:
     text = Path(path).read_text()
     if path.endswith(".json"):
         doc = json.loads(text)
-        return doc.get("config", doc)
+        values = doc.get("config", doc) if isinstance(doc, dict) else doc
+        if not isinstance(values, dict):
+            raise ValueError(f"{path}: expected a JSON object of config values")
+        return values
     out = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = _strip_comment(line).strip()
@@ -150,21 +155,18 @@ def _parse_value(text: str):
 
 def _parse_ks(text) -> tuple:
     if isinstance(text, (list, tuple)):
-        return tuple(int(k) for k in text)
-    return tuple(int(part) for part in str(text).split(",") if part.strip())
+        return tuple(text)   # validate rejects the entries that are not integers
+    return tuple(_parse_value(p.strip()) for p in str(text).split(",") if p.strip())
 
 
 # -- artifact writers -------------------------------------------------------------
 
-def _fmt17(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def write_columns_csv(path: Path, header: list, columns: list) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(_fmt17(v) for v in row) + "\n")
+    """Equal-length columns, each value as ``f"{v:.17g}"``, in one %-format."""
+    rows = np.column_stack(columns)
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    path.write_text(",".join(header) + "\n" + (line * len(rows))
+                    % tuple(rows.ravel().tolist()), newline="\n")
 
 
 def write_trace_csv(path: Path, trace: EnergyTrace) -> None:
@@ -198,11 +200,10 @@ class Report:
         self.lines = []
         self.failed = False
 
-    def check(self, name: str, ok: bool, detail: str = "") -> bool:
+    def check(self, name: str, ok: bool, detail: str = "") -> None:
         tag = "PASS" if ok else "FAIL"
         self.failed |= not ok
         self.lines.append(f"[{tag}] {name}" + (f": {detail}" if detail else ""))
-        return ok
 
     def info(self, name: str, detail: str) -> None:
         self.lines.append(f"[INFO] {name}: {detail}")
@@ -275,15 +276,22 @@ def _oracle_problems(config: RunConfig, mesh, ks, amplitudes) -> list:
             for k, a in zip(ks, amplitudes)]
 
 
+def _oracle_grid(config: RunConfig) -> tuple:
+    """(step, steps per delta) of the reference: the fewest steps that keep
+    omega * step <= 0.01 for the fastest mode, omega = k pi; RK4 then moves
+    a printed e_k by under 1% of its last digit."""
+    stride = int(np.ceil(max(config.ks) * np.pi * config.delta / 0.01))
+    return config.delta / stride, stride
+
+
 def _oracle_errors(config: RunConfig, ops, runs) -> dict:
     """(energy-history gap, state-difference norm) per mode, from one
     reference run for all modes."""
     problems = _oracle_problems(config, ops.mesh, [run.k for run in runs],
                                 [run.data.amplitude for run in runs])
-    gaps, norms = reference_errors([run.trajectory for run in runs], problems,
-                                   ops, config.t_final,
-                                   config.delta / config.oracle_stride,
-                                   store_stride=config.oracle_stride)
+    gaps, norms = reference_errors([run.trajectory for run in runs],
+                                   [run.trace.energy for run in runs], problems,
+                                   ops, config.t_final, *_oracle_grid(config))
     return {run.k: (float(g), float(e)) for run, g, e in zip(runs, gaps, norms)}
 
 
@@ -381,7 +389,6 @@ def _exp_frequency(config: RunConfig, dirs, report: Report) -> None:
                         f"state-difference norm {e_nrm:.3e}")
 
     if len(runs) > 1 and not conservative:
-        t_end = config.t_final
         finals = {run.k: run.trace.energy[-1] for run in runs}
         ordered = sorted(finals)
         ok = all(finals[a] < finals[b] for a, b in zip(ordered, ordered[1:]))
@@ -518,8 +525,7 @@ def _exp_oracle_only(config: RunConfig, dirs, report: Report) -> None:
     mesh = ops.mesh
     amplitudes = [mode_initial_state(ops, k).amplitude for k in config.ks]
     sols = rk4_ansatz(_oracle_problems(config, mesh, config.ks, amplitudes),
-                      config.t_final, config.delta / config.oracle_stride,
-                      store_stride=config.oracle_stride)
+                      config.t_final, *_oracle_grid(config))
     traces = {}
     for k, sol in zip(config.ks, sols):
         trace = EnergyTrace.from_trajectory(
@@ -602,7 +608,8 @@ _FLAG_NAMES = {"t_final": "T", "t_extend": "T2", "ks": "k"}
 _FLAG_TYPES = {"float": float, "int": int, "str": str, "tuple": str}
 # keys that manifests of earlier versions carry and that no longer set
 # anything, each with the one value it may still hold (None: any value)
-_RETIRED_KEYS = {"max_iterations": None, "rule": "boole", "substeps": 0}
+_RETIRED_KEYS = {"max_iterations": None, "rule": "boole", "substeps": 0,
+                 "oracle_stride": 10}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -631,8 +638,8 @@ def _config_from_args(args) -> RunConfig:
         file_values = parse_config_file(args.config)
         for key, only in _RETIRED_KEYS.items():
             if only is not None and file_values.get(key, only) != only:
-                raise ValueError(f"config key {key!r} is retired: only {only!r} "
-                                 f"runs, got {file_values[key]!r}")
+                raise ValueError(f"config key {key!r} is retired and may only "
+                                 f"hold {only!r}, got {file_values[key]!r}")
         unknown = sorted(set(file_values) - set(names) - set(_RETIRED_KEYS))
         if unknown:
             raise ValueError("unknown config key "

@@ -79,7 +79,6 @@ class OracleSolution:
     times: np.ndarray
     phi: np.ndarray      # (n_times, n_samples)
     phidot: np.ndarray
-    _states = None   # ``oracle_states``, kept for the next comparison
 
     def modal_energy(self) -> np.ndarray:
         """Per-sample oscillator energy 1/2 lam phi^2 + 1/2 phi'^2, (n_times, n_samples)."""
@@ -204,22 +203,22 @@ def rk4_ansatz(problems, t_final: float, step: float, store_stride: int = 1,
 _COMPARE_BLOCK = 256
 
 
-def reference_errors(trajectories: list, problems: list, ops: SpatialOperators,
-                     t_final: float, step: float,
+def reference_errors(trajectories: list, energies: list, problems: list,
+                     ops: SpatialOperators, t_final: float, step: float,
                      store_stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Per-problem errors of finite element runs against the reference.
 
     Returns two arrays over the problems: the values of
     ``compare_energy_decay`` and ``compare_energy_norm`` for
-    ``trajectories[j]`` against ``problems[j]``, bit for bit.  One
-    ``rk4_ansatz`` run advances every problem, and each block of 256 stored
-    steps is compared and dropped, so memory does not grow with the
-    horizon.  Each trajectory must lie on the stored reference grid.
+    ``trajectories[j]``, whose energies are ``energies[j]``, against
+    ``problems[j]``, bit for bit.  One ``rk4_ansatz`` run advances every
+    problem, and each block of 256 stored steps is compared and dropped, so
+    memory does not grow with the horizon.  Each trajectory must lie on the
+    stored reference grid.
     """
-    if not problems:
-        raise ValueError("need at least one problem")
-    if len(trajectories) != len(problems):
-        raise ValueError("need one trajectory per problem")
+    if not problems or not len(trajectories) == len(energies) == len(problems):
+        raise ValueError("need at least one problem, and one trajectory and one "
+                         "energy history per problem")
     n_stored = _stored_step_count(t_final, step, store_stride)
     grid = (step * store_stride) * np.arange(n_stored + 1)
     for traj in trajectories:
@@ -234,11 +233,13 @@ def reference_errors(trajectories: list, problems: list, ops: SpatialOperators,
         block[:, :, j] = phi, psi
         if j == _COMPARE_BLOCK - 1 or i == n_stored:
             rows = slice(i - j, i + 1)
-            for r, (traj, prob) in enumerate(zip(trajectories, problems)):
-                fem = Trajectory(traj.times[rows], traj.states[rows], traj.delta)
-                ref = OracleSolution(prob, grid[rows], *block[:, r, :j + 1])
-                gap[r] = max(gap[r], compare_energy_decay(fem, ref, ops))
-                norm[r] = max(norm[r], compare_energy_norm(fem, ref, ops))
+            for r, (traj, e_fem, prob) in enumerate(zip(trajectories, energies,
+                                                        problems)):
+                ref = oracle_states(OracleSolution(prob, grid[rows],
+                                                   *block[:, r, :j + 1]), ops.mesh)
+                gap[r] = max(gap[r], np.abs(e_fem[rows] - energy(ops, ref)).max())
+                norm[r] = max(norm[r],
+                              energy_norm(ops, traj.states[rows] - ref).max())
 
     rk4_ansatz(problems, t_final, step, store_stride, observe=observe)
     return gap, norm
@@ -261,15 +262,6 @@ def _check_aligned(times: np.ndarray, grid: np.ndarray) -> None:
         raise ValueError("trajectory and oracle time grids do not match")
 
 
-def _reference_states(traj, sol: OracleSolution, ops) -> np.ndarray:
-    """``oracle_states`` checked against ``traj``, built once per solution."""
-    _check_aligned(traj.times, sol.times)
-    _check_on_mesh(sol.problem, ops.mesh)
-    if sol._states is None:
-        sol._states = oracle_states(sol, ops.mesh)
-    return sol._states
-
-
 def compare_energy_norm(traj: Trajectory, sol: OracleSolution,
                         ops: SpatialOperators) -> float:
     """Max-over-time energy norm of the state difference.
@@ -278,7 +270,8 @@ def compare_energy_norm(traj: Trajectory, sol: OracleSolution,
     the slow phase drift between the reduced oscillator family and the full
     dynamics; see ``compare_energy_decay`` for the decay-history comparison.
     """
-    diff = traj.states - _reference_states(traj, sol, ops)
+    _check_aligned(traj.times, sol.times)
+    diff = traj.states - oracle_states(sol, ops.mesh)
     return float(energy_norm(ops, diff).max())
 
 
@@ -290,9 +283,9 @@ def compare_energy_decay(traj: Trajectory, sol: OracleSolution,
     the scheme reproduces the reference's dissipation, insensitive to the
     accumulated phase drift that inflates the state-difference norm.
     """
-    e_ref = energy(ops, _reference_states(traj, sol, ops))
-    e_fem = energy(ops, traj.states)
-    return float(np.abs(e_fem - e_ref).max())
+    _check_aligned(traj.times, sol.times)
+    e_ref = energy(ops, oracle_states(sol, ops.mesh))
+    return float(np.abs(energy(ops, traj.states) - e_ref).max())
 
 
 # -- finite-dimensional counterpart -------------------------------------------

@@ -18,7 +18,7 @@ from degenwave.experiments import EnergyTrace
 from degenwave.picard import DegenerateDamping
 
 FAST = dict(h=0.1, delta=0.02, t_final=0.4, t_extend=0.4, ks=(1,),
-            window=0.2, oracle_stride=10)
+            window=0.2)
 
 
 def read_csvs(outdir: Path) -> dict:
@@ -89,6 +89,64 @@ class TestConfig:
         assert "config key 'substeps'" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_retired_oracle_stride_ten_loads(self, tmp_path):
+        # earlier manifests record the old fixed "oracle_stride": 10; the
+        # reference step is now derived from the fastest mode
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"config": {"oracle_stride": 10}}))
+        args = build_parser().parse_args(["run", "--preset", "fig2", "--config",
+                                          str(manifest)])
+        assert _config_from_args(args) == RunConfig(experiment="fig2")
+
+    @pytest.mark.parametrize("name", ["run.cfg", "manifest.json"])
+    def test_retired_oracle_stride_other_value_rejected(self, tmp_path, capsys,
+                                                        name):
+        cfg = tmp_path / name
+        cfg.write_text(json.dumps({"config": {"oracle_stride": 4}})
+                       if name.endswith(".json") else "oracle_stride = 4\n")
+        code = main(["run", "--preset", "fig2", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "config key 'oracle_stride'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv,config", [
+        (["--k", "1,1"], None), (["--k", "1,1.5"], None),
+        ([], "ks = [1, 1]\n"), ([], "ks = [1, 1.5]\n"),
+        ([], json.dumps({"config": {"ks": [2, 2]}}))])
+    def test_repeated_or_non_integer_modes_rejected(self, tmp_path, capsys,
+                                                    argv, config):
+        # a repeated mode would run twice and overwrite its own trace; a
+        # fractional one is not a mode
+        if config is not None:
+            cfg = tmp_path / ("m.json" if config.startswith("{") else "run.cfg")
+            cfg.write_text(config)
+            argv = argv + ["--config", str(cfg)]
+        code = main(["run", "--preset", "fig2", *argv, "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "modes must be distinct integers" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("beta", ["0", "-1", "6.3"])
+    def test_fig1_beta_outside_underdamped_range_rejected(self, tmp_path,
+                                                          capsys, beta):
+        # rejected before the Picard solve and the output directory
+        code = main(["run", "--preset", "fig1", "--beta", beta,
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "fig1 needs beta in (0, 2 pi)" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '{"config": null}', '"fig2"'])
+    def test_config_json_not_an_object_rejected(self, tmp_path, capsys, text):
+        cfg = tmp_path / "manifest.json"
+        cfg.write_text(text)
+        code = main(["run", "--preset", "fig2", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "expected a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("preset", ["fig3", "primitive"])
     def test_extension_from_short_history_rejected(self, tmp_path, capsys,
                                                    preset):
@@ -115,7 +173,7 @@ class TestConfig:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("field,value", [
-        ("m", "1.5"), ("oracle_stride", "2.0"), ("samples", "64.0"),
+        ("m", "1.5"), ("samples", "64.0"),
         ("seed", "0.5"), ("m", "True")])
     def test_non_integer_config_value_rejected(self, tmp_path, capsys, field,
                                                value):
@@ -236,7 +294,6 @@ class TestFlags:
                  if a.option_strings}
         assert flags["t_final"] == "--T" and flags["t_extend"] == "--T2"
         assert flags["ks"] == "--k" and flags["osc_step"] == "--osc-step"
-        assert flags["oracle_stride"] == "--oracle-stride"
 
     def test_preset_offers_every_experiment(self):
         preset = next(a for a in self.run_parser()._actions if a.dest == "preset")
@@ -266,7 +323,7 @@ def valid_configs(draw):
     k_max = (elements - 1) // 8
     # fig1 runs k = 1 and primitive one mode
     ks = tuple(draw(st.lists(st.integers(1, 1 if experiment == "fig1" else k_max),
-                             min_size=1,
+                             min_size=1, unique=True,
                              max_size=1 if experiment in ("fig1", "primitive")
                              else 5)))
     return RunConfig(
@@ -275,8 +332,9 @@ def valid_configs(draw):
         h=1.0 / elements, delta=delta, t_final=t_final,
         # an extension is a whole number of steps
         t_extend=t_final + draw(st.integers(0, 1000)) * delta,
-        beta=draw(num(-10.0, 10.0)),
-        oracle_stride=draw(st.integers(1, 50)), window=draw(num(1e-3, 10.0)),
+        # fig1's linearly damped reference is underdamped: 0 < beta < 2 pi
+        beta=draw(num(1e-3, 6.28) if experiment == "fig1" else num(-10.0, 10.0)),
+        window=draw(num(1e-3, 10.0)),
         epsilon=draw(num(1e-14, 1.0)),
         khat=draw(num(1e-3, 100.0)), radius=draw(num(1e-3, 10.0)),
         samples=draw(st.integers(1, 500)), eps_target=draw(num(1e-6, 1.0)),
@@ -353,8 +411,8 @@ class TestRun:
         assert a.keys() == b.keys() and all(a[k] == b[k] for k in a)
 
     def test_manifest_with_retired_key_loads(self, tmp_path):
-        # manifests written before max_iterations, rule and substeps were
-        # dropped load and reproduce the run
+        # manifests written before max_iterations, rule, substeps and
+        # oracle_stride were dropped load and reproduce the run
         config = RunConfig(experiment="custom", out=str(tmp_path / "a"), **FAST)
         assert run(config) == 0
         manifest = tmp_path / "a" / "manifest.json"
@@ -364,6 +422,7 @@ class TestRun:
         doc["config"]["max_iterations"] = 50
         doc["config"]["rule"] = "boole"
         doc["config"]["substeps"] = 0
+        doc["config"]["oracle_stride"] = 10
         manifest.write_text(json.dumps(doc))
         code = main(["run", "--preset", "custom", "--config", str(manifest),
                      "--out", str(tmp_path / "b")])
@@ -506,6 +565,11 @@ class TestMain:
     def test_retired_rule_flag_rejected(self):
         assert main(["run", "--rule", "boole"]) == 1
 
+    def test_retired_oracle_stride_flag_rejected(self, tmp_path):
+        assert main(["run", "--oracle-stride", "10",
+                     "--out", str(tmp_path / "o")]) == 1
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("value", ["abc", "0", "-2"])
     def test_bad_thread_cap_rejected_before_output(self, tmp_path, monkeypatch,
                                                    capsys, value):
@@ -582,6 +646,21 @@ class TestEnergyLawNoiseFloor:
         (2e-9, "[FAIL] k=1 energy conserved: max relative drift 2.00e-09")])
     def test_conservative_drift(self, drift, line):
         assert self.check([1.0, 1.0 + drift, 1.0], conservative=True) == line
+
+
+class TestTraceWriter:
+    def test_bytes_equal_per_value_format(self, tmp_path):
+        # the one-format writer against f"{v:.17g}" value by value
+        awkward = [5e-324, 2.2250738585072014e-308 / 3, -0.0, 0.0, 3.0, -7.0,
+                   1e300, -1e300, 1e16, 0.1, 1 / 3, np.pi, np.inf, -np.inf,
+                   np.nan, 123456789012345.67]
+        columns = [np.array(awkward), np.array(awkward[::-1]),
+                   np.arange(len(awkward)), np.array(awkward) * -2.5]
+        path = tmp_path / "t.csv"
+        cli.write_columns_csv(path, ["a", "b", "c", "d"], columns)
+        expected = "a,b,c,d\n" + "".join(
+            ",".join(f"{v:.17g}" for v in row) + "\n" for row in zip(*columns))
+        assert path.read_bytes() == expected.encode()
 
 
 class TestEmitPlot:

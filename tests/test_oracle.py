@@ -241,8 +241,9 @@ class TestStreamedErrors:
             states += 1e-3 * rng.standard_normal(states.shape)
             trajs.append(Trajectory(times=sol.times.copy(), states=states,
                                     delta=2e-4 * stride))
-        gaps, norms = reference_errors(trajs, problems, ops99, t_final, 2e-4,
-                                       store_stride=stride)
+        energies = [energy(ops99, traj.states) for traj in trajs]
+        gaps, norms = reference_errors(trajs, energies, problems, ops99,
+                                       t_final, 2e-4, store_stride=stride)
         for traj, sol, gap, norm in zip(trajs, sols, gaps, norms):
             assert gap == compare_energy_decay(traj, sol, ops99)
             assert norm == compare_energy_norm(traj, sol, ops99)
@@ -259,22 +260,24 @@ class TestStreamedErrors:
         real = oracle.oracle_states
         monkeypatch.setattr(oracle, "oracle_states",
                             lambda sol, mesh: built.append(sol) or real(sol, mesh))
-        gaps, norms = reference_errors(trajs, problems, ops99, 0.06, 2e-4)
+        gaps, norms = reference_errors(
+            trajs, [energy(ops99, traj.states) for traj in trajs], problems,
+            ops99, 0.06, 2e-4)
         assert len(built) == 2 * len(problems)
         np.testing.assert_array_equal(gaps, 0.0)
         np.testing.assert_array_equal(norms, 0.0)
 
     def test_no_problem_rejected(self, ops99):
         with pytest.raises(ValueError, match="at least one problem"):
-            reference_errors([], [], ops99, 0.02, 2e-4)
+            reference_errors([], [], [], ops99, 0.02, 2e-4)
 
     def test_grid_mismatch_rejected(self, mesh99, ops99):
         sol = rk4_ansatz(make_problem(mesh99), 0.2, 2e-4, store_stride=10)
         traj = Trajectory(times=sol.times, states=oracle_states(sol, mesh99),
                           delta=2e-3)
         with pytest.raises(ValueError, match="grids"):
-            reference_errors([traj], [sol.problem], ops99, 0.4, 2e-4,
-                             store_stride=10)
+            reference_errors([traj], [energy(ops99, traj.states)],
+                             [sol.problem], ops99, 0.4, 2e-4, store_stride=10)
 
 
 class TestOracleField:
