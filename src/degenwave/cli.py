@@ -36,7 +36,7 @@ from .multistep import BlowupError
 from .oracle import (AnsatzProblem, oracle_states, reference_errors, rk4_ansatz,
                      simulate_oscillator, uniform_stability_sweep,
                      OscillatorProblem)
-from .picard import DegenerateDamping, PicardDivergenceError
+from .picard import DegenerateDamping, PicardDivergenceError, divides
 from .svgplot import Series, downsample, render_line_plot
 
 @dataclass(frozen=True)
@@ -89,9 +89,11 @@ class RunConfig:
             raise ValueError(f"fig1 needs beta in (0, 2 pi), got {self.beta!r}")
         if self.experiment == "primitive" and len(self.ks) > 1:
             raise ValueError("primitive runs one mode")
-        nsteps = round(self.t_final / self.delta)
-        if nsteps < 1 or abs(nsteps * self.delta - self.t_final) > 1e-9:
+        if not divides(self.delta, self.t_final):
             raise ValueError("delta must divide t_final")
+        if not divides(self.delta, self.window):
+            raise ValueError("delta must divide window")
+        nsteps = round(self.t_final / self.delta)
         if self.experiment in ("fig3", "primitive"):
             if self.t_extend < self.t_final:
                 raise ValueError("t_extend must not precede t_final")

@@ -28,10 +28,15 @@ class Propagator:
     with theta = step/(points-1); the last entry is the full step.  No array
     is modified after construction, and ``phases`` stores a table only once
     it is fully built, so one instance can be shared across threads.
+
+    ``restrict`` keeps a subset J of the modes: ``sine`` becomes the column
+    block S[:, J], and ``modal``, ``forcing_modes``, ``nodal`` and the phase
+    tables then work on (..., |J|) amplitudes.
     """
 
     step: float
-    sine: np.ndarray      # orthonormal, symmetric sine matrix S (S @ S = I)
+    sine: np.ndarray      # orthonormal, symmetric sine matrix S (S @ S = I),
+                          # or its column block S[:, J] once restricted
     omega: np.ndarray     # discrete frequencies sqrt(kappa_j / mu_j)
     mu: np.ndarray        # mass eigenvalues: S M S = diag(mu)
     powers: tuple
@@ -53,9 +58,19 @@ class Propagator:
             self._phases[nsteps] = table
         return self._phases[nsteps]
 
+    def restrict(self, modes: np.ndarray) -> Propagator:
+        """This propagator on the ascending mode indices ``modes`` only."""
+        if len(modes) == len(self.omega):
+            return self
+        sine = self.sine[:, modes]
+        sine.flags.writeable = False
+        return Propagator(step=self.step, sine=sine, omega=self.omega[modes],
+                          mu=self.mu[modes],
+                          powers=tuple(p[modes] for p in self.powers))
+
     def modal(self, y: np.ndarray) -> np.ndarray:
         """Complex modal amplitudes z = omega S u + i S v of stacked states."""
-        n = len(self.omega)
+        n = self.sine.shape[0]
         return self.omega * (y[..., :n] @ self.sine) + 1j * (y[..., n:] @ self.sine)
 
     def forcing_modes(self, load: np.ndarray) -> np.ndarray:
@@ -67,8 +82,11 @@ class Propagator:
 
     def nodal(self, z: np.ndarray) -> np.ndarray:
         """Stacked states (u, v) of complex modal amplitudes; inverts ``modal``."""
-        return np.concatenate([(z.real / self.omega) @ self.sine,
-                               z.imag @ self.sine], axis=-1)
+        # S is symmetric, so the full S synthesizes as it analyzes; a column
+        # block S[:, J] synthesizes through its transpose, the row block S[J, :]
+        rows = self.sine if self.sine.shape[0] == self.sine.shape[1] else self.sine.T
+        return np.concatenate([(z.real / self.omega) @ rows,
+                               z.imag @ rows], axis=-1)
 
 
 def matrix_exponential(ops: SpatialOperators, step: float) -> Propagator:

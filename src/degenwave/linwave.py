@@ -44,14 +44,17 @@ class Trajectory:
 
 # -- Duhamel stepping --------------------------------------------------------
 
-def sweep(prop: Propagator, y0: np.ndarray, f_absc: np.ndarray) -> np.ndarray:
+def sweep(prop: Propagator, y0: np.ndarray, f_absc: np.ndarray, *,
+          modal: bool = False) -> np.ndarray:
     """Repeated Duhamel steps with pre-tabulated forcing loads.
 
     Step i applies y_{i+1} = P y_i + sum_j w_j exp((step - j theta) A) (0, f_ij)
     with the forcing f_ij sampled at Boole's five equally spaced abscissae.
     ``f_absc`` holds the forcing's load vectors M f at every abscissa of the
     run, shape (4*nsteps + 1, n); consecutive steps share their endpoint
-    sample.  Returns the (nsteps+1, 2n) array of states including y0.
+    sample.  Returns the (nsteps+1, 2n) array of states including y0, or
+    with ``modal`` their (nsteps+1, |J|) complex amplitudes on the modes J of
+    ``prop`` (see ``Propagator.restrict``).
 
     In the modal amplitudes z of ``Propagator.modal`` the forcing enters as
     z' = -i omega z + i S f, where S f = (S M f) / mu as S M S = diag(mu).
@@ -66,14 +69,17 @@ def sweep(prop: Propagator, y0: np.ndarray, f_absc: np.ndarray) -> np.ndarray:
         raise ValueError("forcing sample count does not tile the steps")
     w = prop.step * BOOLE_WEIGHTS
     g = prop.forcing_modes(f_absc[:1] if f_absc.strides[0] == 0 else f_absc)
-    g = np.broadcast_to(g, f_absc.shape)
+    g = np.broadcast_to(g, (f_absc.shape[0], g.shape[-1]))
     c = sum(1j * w[j] * prop.powers[r - j] * g[j: j + r * (nsteps - 1) + 1: r]
             for j in range(r + 1))
     phase = prop.phases(nsteps)
     z = np.empty_like(phase)
     z[0] = prop.modal(y0)
     z[1:] = z[0] + np.cumsum(phase[1:].conj() * c, axis=0)
-    states = prop.nodal(phase * z)
+    z = phase * z
+    if modal:
+        return z
+    states = prop.nodal(z)
     states[0] = y0
     return states
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linop import Propagator, energy_norm, matrix_exponential
+from .linop import Propagator, matrix_exponential
 from .linwave import BOOLE_WEIGHTS, Trajectory, sweep
 from .mesh import SpatialOperators, hat_load_from_values, values_at_gauss
 
@@ -105,6 +105,13 @@ def _nonlinear_load(ops, pointwise, u, v, degree: int):
 
 # -- configuration and results ------------------------------------------------
 
+def divides(delta: float, length: float) -> bool:
+    """Whether ``length`` is a positive whole number of steps ``delta``,
+    to 1e-9."""
+    steps = round(length / delta)
+    return steps >= 1 and abs(steps * delta - length) <= 1e-9
+
+
 @dataclass(frozen=True)
 class PicardConfig:
     t_final: float
@@ -118,9 +125,10 @@ class PicardConfig:
     def __post_init__(self):
         if self.t_final <= 0 or self.delta <= 0 or self.epsilon <= 0 or self.window <= 0:
             raise ValueError("t_final, delta, epsilon and window must be positive")
-        nsteps = round(self.t_final / self.delta)
-        if nsteps < 1 or abs(nsteps * self.delta - self.t_final) > 1e-9:
+        if not divides(self.delta, self.t_final):
             raise ValueError("delta must divide t_final")
+        if not divides(self.delta, self.window):
+            raise ValueError("delta must divide window")
         if self.alpha < 0:
             raise ValueError("alpha must be nonnegative")
         if self.m < 1 or int(self.m) != self.m:
@@ -132,7 +140,7 @@ class PicardConfig:
 
     @property
     def window_steps(self) -> int:
-        return max(1, int(round(self.window / self.delta)))
+        return int(round(self.window / self.delta))
 
 
 @dataclass
@@ -142,6 +150,9 @@ class WindowReport:
     distance: float
     converged: bool
     distances: list = field(default_factory=list)
+    modes: int = 0        # active sine modes |J| when the window was accepted
+    bound: float = 0.0    # certified energy-norm effect of the other modes
+    redone: int = 0       # times the window was solved again on more modes
 
 
 @dataclass
@@ -154,6 +165,24 @@ class PicardResult:
 
 
 # -- the solver ---------------------------------------------------------------
+#
+# Picard runs on an active set J of sine modes (a Galerkin truncation in the
+# eigenbasis of the finite-element system).  J starts with the modes of the
+# initial state and grows whenever the forcing reaches another mode; each
+# window is then certified.  The propagator is an isometry of the energy
+# norm, so to first order the truncation changes the window by at most the
+# start state's part off J plus the time integral of the forcing's part off
+# J, amplified by 1/(1 - gamma) for a map contracting by gamma, the ratio of
+# the window's last two distances.  A window whose bound exceeds
+# TOL ||y0||_E, or that did not contract, is solved again on all modes, and J
+# keeps every mode from then on.  Both constants are fixed: below
+# DETECT = 1e-1 the detection picks up the rounding noise of the high modes
+# (about 2e-14 ||y0||_E at n = 499).
+
+TOL = 1e-13        # certified truncation error, relative to ||y0||_E
+DETECT = 1e-1      # a mode joins J at DETECT * TOL ||y0||_E of reach
+_DETECT_ROWS = 9   # abscissa rows of each forcing searched for new modes
+
 
 def _interp_abscissae(x: np.ndarray) -> np.ndarray:
     """Linear-in-time interpolation of grid samples onto the quadrature abscissae."""
@@ -165,6 +194,112 @@ def _interp_abscissae(x: np.ndarray) -> np.ndarray:
         fr = j / r
         out[j::r] = (1.0 - fr) * x[:-1] + fr * x[1:]
     return out
+
+
+def _boole_integral(values: np.ndarray, delta: float) -> float:
+    """Composite Boole integral of samples at every abscissa of the steps."""
+    r = len(BOOLE_WEIGHTS) - 1
+    nsteps = (len(values) - 1) // r
+    return float(sum(delta * BOOLE_WEIGHTS[j] * values[j: j + r * (nsteps - 1) + 1: r].sum()
+                     for j in range(r + 1)))
+
+
+def _mode_energy(z: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Squared energy norm sum_j mu_j |z_j|^2 of modal amplitudes (batched)."""
+    return (z.real ** 2 + z.imag ** 2) @ mu
+
+
+def _non_finite(t_start: float) -> PicardDivergenceError:
+    return PicardDivergenceError(
+        f"non-finite iterate on window starting at t={t_start:g}; "
+        "reduce the damping or the window")
+
+
+class _Window:
+    """One window's fixed-point iteration on the active modes J."""
+
+    def __init__(self, ops, forcing, full: Propagator, active: np.ndarray,
+                 config: PicardConfig, nst: int, t_start: float, tol: float):
+        self.ops, self.forcing, self.full, self.config = ops, forcing, full, config
+        self.nst, self.t_start = nst, t_start
+        # a mode joins J once the forcing can move it by DETECT * tol in the window
+        self.level = DETECT * tol / (nst * config.delta)
+        self.active, self.prop = active, full.restrict(active)
+
+    def _sweep(self, y: np.ndarray, load: np.ndarray, z_prev: np.ndarray | None):
+        """Widen J by the modes ``load`` reaches, then sweep; returns the
+        iterate's amplitudes and states, and ``z_prev`` on the new J."""
+        old = self.active
+        if len(old) < len(self.full.omega):
+            rows = np.linspace(0, len(load) - 1, _DETECT_ROWS).round().astype(int)
+            g = self.full.forcing_modes(load[rows])
+            if not np.isfinite(g).all():
+                raise _non_finite(self.t_start)
+            joins = np.sqrt(self.full.mu) * np.abs(g).max(axis=0) > self.level
+            joins[old] = True
+            self.active = np.flatnonzero(joins)
+            if len(self.active) > len(old):
+                self.prop = self.full.restrict(self.active)
+                if z_prev is not None:
+                    z_prev, kept = np.zeros((len(z_prev), len(self.active)), complex), z_prev
+                    z_prev[:, np.searchsorted(self.active, old)] = kept
+        z = sweep(self.prop, y, load, modal=True)
+        states = self.prop.nodal(z)
+        states[0] = y
+        return z, states, z_prev
+
+    def solve(self, y: np.ndarray) -> tuple[WindowReport, np.ndarray, np.ndarray]:
+        """Iterate from ``y``; returns the report, the states and the last load."""
+        ops, forcing, config = self.ops, self.forcing, self.config
+        n = ops.mesh.n
+        rows = (len(BOOLE_WEIGHTS) - 1) * self.nst + 1
+        load = np.broadcast_to(forcing.load(ops, y[:n], y[n:]), (rows, n))
+        prev, states, _ = self._sweep(y, load, None)
+
+        report = WindowReport(t_start=self.t_start, iterations=0, distance=np.inf,
+                              converged=False)
+        grow = 0
+        for _ in range(config.max_iterations):
+            load = forcing.load(ops, _interp_abscissae(states[:, :n]),
+                                _interp_abscissae(states[:, n:]))
+            cur, states, prev = self._sweep(y, load, prev)
+            dist = float(np.sqrt(_mode_energy(cur - prev, self.prop.mu).max()))
+            if not np.isfinite(dist):
+                # a non-finite forcing or iterate makes the distance non-finite
+                raise _non_finite(self.t_start)
+            report.iterations += 1
+            report.distances.append(dist)
+            grow = grow + 1 if dist > report.distance else 0
+            report.distance = dist
+            prev = cur
+            if dist < config.epsilon:
+                report.converged = True
+                break
+            if grow >= 3:
+                raise PicardDivergenceError(
+                    f"iterates diverge on window starting at t={self.t_start:g} "
+                    f"(distance {dist:.3e}); use a shorter window")
+        report.modes = len(self.active)
+        return report, states, load
+
+    def certificate(self, report: WindowReport, y: np.ndarray, load: np.ndarray) -> float:
+        """Energy-norm bound on what the modes off J change in the window."""
+        full = self.full
+        d = report.distances
+        gamma = d[-1] / d[-2] if len(d) >= 2 and d[-2] > 0 else 0.0
+        if not gamma < 1:
+            return np.inf
+        g = full.forcing_modes(load)   # squared and weighted in place
+        g *= g
+        g *= full.mu
+        g[:, self.active] = 0.0
+        z = full.modal(y)
+        z[self.active] = 0.0
+        bound = ((_boole_integral(np.sqrt(g.sum(axis=1)), self.config.delta)
+                  + np.sqrt(_mode_energy(z, full.mu))) / (1.0 - gamma))
+        if not np.isfinite(bound):
+            raise _non_finite(self.t_start)
+        return float(bound)
 
 
 # a blow-up is reported by the finiteness guard, not through overflow warnings
@@ -180,56 +315,46 @@ def picard_solve(ops: SpatialOperators, y0: np.ndarray, config: PicardConfig,
     than ``epsilon`` in the sup-in-time energy norm.  Three consecutive
     increases of that distance abort with a hint to shorten the window, and
     so does a non-finite distance (a non-finite forcing or iterate).
+
+    The iterates live on the active sine modes J (see the comment above
+    ``TOL``); a window is accepted once its certificate is at most
+    TOL ||y0||_E, or once J holds every mode.
     """
     if forcing is None:
         forcing = DegenerateDamping(config.alpha, config.m)
     if propagator is None:
         propagator = matrix_exponential(ops, config.delta)
     n = ops.mesh.n
-
-    chunks = [y0[None, :]]
     y = np.asarray(y0, dtype=float)
+    z0 = propagator.modal(y)
+    tol = TOL * float(np.sqrt(_mode_energy(z0, propagator.mu)))
+    active = np.flatnonzero(np.sqrt(propagator.mu) * np.abs(z0) > DETECT * tol)
+
+    chunks = [y[None, :]]
     windows: list[WindowReport] = []
     total_iters = 0
     done = 0
     while done < config.n_steps:
         nst = min(config.window_steps, config.n_steps - done)
         t_start = done * config.delta
-        f0 = forcing.load(ops, y[:n], y[n:])
-        f_absc = np.broadcast_to(f0, ((len(BOOLE_WEIGHTS) - 1) * nst + 1, n))
-        prev = sweep(propagator, y, f_absc)
-
-        report = WindowReport(t_start=t_start, iterations=0, distance=np.inf,
-                              converged=False)
-        grow = 0
-        for _ in range(config.max_iterations):
-            ua = _interp_abscissae(prev[:, :n])
-            va = _interp_abscissae(prev[:, n:])
-            f_absc = forcing.load(ops, ua, va)
-            cur = sweep(propagator, y, f_absc)
-            dist = float(energy_norm(ops, cur - prev).max())
-            if not np.isfinite(dist):
-                # a non-finite forcing or iterate makes the distance non-finite
-                raise PicardDivergenceError(
-                    f"non-finite iterate on window starting at t={t_start:g}; "
-                    "reduce the damping or the window")
-            report.iterations += 1
-            report.distances.append(dist)
-            grow = grow + 1 if dist > report.distance else 0
-            report.distance = dist
-            prev = cur
-            if dist < config.epsilon:
-                report.converged = True
+        redone = 0
+        while True:
+            window = _Window(ops, forcing, propagator, active, config, nst,
+                             t_start, tol)
+            report, states, load = window.solve(y)
+            active = window.active
+            if len(active) == n:
                 break
-            if grow >= 3:
-                raise PicardDivergenceError(
-                    f"iterates diverge on window starting at t={t_start:g} "
-                    f"(distance {dist:.3e}); use a shorter window")
-
+            report.bound = window.certificate(report, y, load)
+            if report.bound <= tol:
+                break
+            active = np.arange(n)
+            redone += 1
+        report.redone = redone
         total_iters += report.iterations
         windows.append(report)
-        chunks.append(prev[1:])
-        y = prev[-1]
+        chunks.append(states[1:])
+        y = states[-1]
         done += nst
 
     states = np.concatenate(chunks, axis=0)

@@ -334,7 +334,8 @@ def valid_configs(draw):
         t_extend=t_final + draw(st.integers(0, 1000)) * delta,
         # fig1's linearly damped reference is underdamped: 0 < beta < 2 pi
         beta=draw(num(1e-3, 6.28) if experiment == "fig1" else num(-10.0, 10.0)),
-        window=draw(num(1e-3, 10.0)),
+        # a window is a whole number of steps
+        window=draw(st.integers(1, 1000)) * delta,
         epsilon=draw(num(1e-14, 1.0)),
         khat=draw(num(1e-3, 100.0)), radius=draw(num(1e-3, 10.0)),
         samples=draw(st.integers(1, 500)), eps_target=draw(num(1e-6, 1.0)),
@@ -468,10 +469,20 @@ class TestRun:
         assert "is not close to an integer" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("window", ["0.003", "0.0009"])
+    def test_window_not_tiled_by_delta_exit_code(self, tmp_path, capsys, window):
+        # 1.5 steps used to round to 2 and 0.45 steps to 1, silently
+        code = main(["run", "--preset", "custom", "--T", "0.02", "--k", "1",
+                     "--window", window, "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "delta must divide window" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_step_longer_than_two_checks_unit_windows(self, tmp_path):
         # 1/delta rounds to 0 here; the unit-window check must still run
         code = main(["run", "--preset", "custom", "--delta", "2.5", "--T", "5",
-                     "--k", "1", "--alpha", "0.001", "--out", str(tmp_path / "o")])
+                     "--window", "2.5", "--k", "1", "--alpha", "0.001",
+                     "--out", str(tmp_path / "o")])
         report = (tmp_path / "o" / "report.txt").read_text()
         assert "k=1 energy strictly decreasing over unit windows" in report
         assert code == (3 if "[SUMMARY] FAIL" in report else 0)

@@ -137,6 +137,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             PicardConfig(t_final=1.0, delta=0.3)
 
+    @pytest.mark.parametrize("window", [0.003, 0.0009])
+    def test_window_must_be_whole_steps(self, window):
+        with pytest.raises(ValueError, match="delta must divide window"):
+            PicardConfig(t_final=1.0, delta=2e-3, window=window)
+
     def test_positive_fields(self):
         with pytest.raises(ValueError):
             PicardConfig(t_final=-1.0, delta=0.1)
