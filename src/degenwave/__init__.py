@@ -15,7 +15,8 @@ from .mesh import (Mesh, QuarticTensor, SpatialOperators, assemble, build_mesh,
                    hat_load, l2_project, mesh_from_h)
 from .linop import (Propagator, energy, energy_inner, energy_norm, h1_norm,
                     l2_norm, matrix_exponential)
-from .linwave import (BOOLE_WEIGHTS, Trajectory, analytic_linear_damped,
+from .linwave import (BOOLE_WEIGHTS, ModalTrajectory, Trajectory,
+                      analytic_linear_damped,
                       solve_linear_inhomogeneous)
 from .picard import (DegenerateDamping, LinearDamping, PicardConfig,
                      PicardDivergenceError, PicardResult, PrimitiveDamping,

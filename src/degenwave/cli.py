@@ -2,8 +2,9 @@
 
 Every run writes a manifest with the fully resolved configuration, one CSV
 per trace with fixed 17-significant-digit formatting (so reruns are
-byte-identical), static SVG plots, and a report with pass/fail lines for
-the built-in invariant checks.
+byte-identical), static SVG plots, a report with pass/fail lines for
+the built-in invariant checks, and ``diagnostics.json`` with each Picard
+window's iterations, distance, active modes, certificate bound and redos.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure,
 3 invariant-check failure.
@@ -89,6 +90,12 @@ class RunConfig:
             raise ValueError(f"fig1 needs beta in (0, 2 pi), got {self.beta!r}")
         if self.experiment == "primitive" and len(self.ks) > 1:
             raise ValueError("primitive runs one mode")
+        # the sweep runs to the horizon, the sample trajectories to at most 250
+        if self.experiment == "oscillator" and not (
+                divides(self.osc_step, self.horizon)
+                and divides(self.osc_step, min(self.horizon, 250.0))):
+            raise ValueError(f"osc_step {self.osc_step!r} must divide the horizon "
+                             f"{self.horizon!r} and min(horizon, 250)")
         if not divides(self.delta, self.t_final):
             raise ValueError("delta must divide t_final")
         if not divides(self.delta, self.window):
@@ -195,12 +202,19 @@ def emit_plot(traces: list, path: Path, title: str, xlabel: str = "t",
     return path
 
 
+# the WindowReport fields diagnostics.json holds per window
+DIAGNOSTIC_FIELDS = ("t_start", "iterations", "distance", "modes", "bound",
+                     "redone")
+
+
 class Report:
-    """Collects pass/fail/info lines and renders report.txt."""
+    """Collects pass/fail/info lines and renders report.txt; collects the
+    Picard runs' window reports for diagnostics.json."""
 
     def __init__(self):
         self.lines = []
         self.failed = False
+        self.windows = {}
 
     def check(self, name: str, ok: bool, detail: str = "") -> None:
         tag = "PASS" if ok else "FAIL"
@@ -210,9 +224,18 @@ class Report:
     def info(self, name: str, detail: str) -> None:
         self.lines.append(f"[INFO] {name}: {detail}")
 
+    def picard(self, label: str, windows: list) -> None:
+        """Record the ``WindowReport``s of the Picard run ``label``."""
+        self.windows[label] = [{key: getattr(w, key) for key in DIAGNOSTIC_FIELDS}
+                               for w in windows]
+
     def write(self, path: Path) -> None:
         summary = "FAIL" if self.failed else "PASS"
         path.write_text("\n".join(self.lines + [f"[SUMMARY] {summary}"]) + "\n")
+
+    def write_diagnostics(self, path: Path) -> None:
+        path.write_text(json.dumps({"picard": self.windows}, indent=1,
+                                   sort_keys=True) + "\n")
 
 
 # An energy sums n products, so two agree only to about n * 1.1e-16 relative
@@ -323,8 +346,9 @@ def _check_splice(runs, ops, prop, forcing) -> list:
         return [(name, None, "not checked, the trajectory is too short to "
                  "restart") for name in names]
     start = last - back
-    heads = [Trajectory(times=run.trajectory.times[:start + 1],
-                        states=run.trajectory.states[:start + 1],
+    # AB5 reads the last five rows of each head
+    heads = [Trajectory(times=traj.times[start - 4:start + 1],
+                        states=run.trajectory.rows(start - 4, start + 1),
                         delta=traj.delta) for run in runs]
     picard = np.array([run.trace.energy[start + 1:] for run in runs])
     gaps = np.zeros(len(runs))
@@ -374,6 +398,7 @@ def _exp_frequency(config: RunConfig, dirs, report: Report) -> None:
     for run, trace, splice in zip(runs, full, splices):
         if splice is not None:
             _report_line(report, *splice)
+        report.picard(f"k={run.k}", run.result.windows)
         traces[run.k] = trace
         write_trace_csv(dirs["traces"] / f"trace_k{run.k}.csv", trace)
         e0 = trace.energy[0]
@@ -413,6 +438,7 @@ def _exp_fig1(config: RunConfig, dirs, report: Report) -> None:
     ops, prop = _spatial(config)
     run = _run_sweep(config, ops, prop)[0]
     mesh = ops.mesh
+    report.picard("k=1", run.result.windows)
     write_trace_csv(dirs["traces"] / "trace_k1.csv", run.trace)
     _check_trace_energy_laws(report, run.trace, "nonlinear k=1",
                              conservative=config.alpha == 0.0)
@@ -420,7 +446,7 @@ def _exp_fig1(config: RunConfig, dirs, report: Report) -> None:
     mid = mesh.n // 2   # x = 0.5 for odd n
     if abs(mesh.nodes[mid] - 0.5) > 1e-12:
         report.info("midpoint", f"nearest node to 0.5 is x={mesh.nodes[mid]:.4f}")
-    u_mid = run.trajectory.displacement()[:, mid]
+    u_mid = np.concatenate([rows[:, mid] for rows in run.trajectory.blocks()])
     c0 = run.data.amplitude
     u_lin = np.array([analytic_linear_damped(config.beta, 1, c0, t,
                                              np.array([0.5]))[0][0]
@@ -449,6 +475,8 @@ def _exp_primitive(config: RunConfig, dirs, report: Report) -> None:
     result = primitive_solve(setup, ops, config.delta, config.t_final,
                              window=config.window, epsilon=config.epsilon,
                              propagator=prop)
+    report.picard(f"primitive k={k}", result.windows)
+    report.picard(f"k={k}", result.damped_run.result.windows)
     write_trace_csv(dirs["traces"] / f"primitive_k{k}.csv", result.trace)
     write_trace_csv(dirs["traces"] / f"trace_k{k}.csv", result.damped_run.trace)
     report.info("velocity reproduces damped solution",
@@ -591,6 +619,7 @@ def run(config: RunConfig) -> int:
         report.lines.append(f"[ERROR] numerical failure: {exc}")
         report.failed = True
         report.write(out / "report.txt")
+        report.write_diagnostics(out / "diagnostics.json")
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
@@ -598,6 +627,7 @@ def run(config: RunConfig) -> int:
         return 1
 
     report.write(out / "report.txt")
+    report.write_diagnostics(out / "diagnostics.json")
     print((out / "report.txt").read_text(), end="")
     return 3 if report.failed else 0
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linop import Propagator, energy, h1_norm, l2_norm, matrix_exponential
-from .linwave import Trajectory
+from .linwave import BLOCK_ROWS, ModalTrajectory, Trajectory
 from .mesh import (Mesh, SpatialOperators, hat_load_from_values,
                    values_at_gauss)
 from .multistep import ab5_init, ab5_step
@@ -87,6 +87,28 @@ class EnergyTrace:
                    l2=l2_norm(ops, u),
                    h1=h1_norm(ops, u))
 
+    @classmethod
+    def from_modal(cls, traj: ModalTrajectory) -> "EnergyTrace":
+        """The trace straight from the amplitudes, with no nodal row.
+
+        Per sine mode S u = Re z / omega and S v = Im z, and S M S =
+        diag(mu), S K S = diag(mu omega^2), so E = 1/2 sum mu |z|^2,
+        |u|_1^2 = sum mu (Re z)^2 and |u|_0^2 = sum mu (Re z / omega)^2.
+        Row 0 takes every mode of ``y0``.
+        """
+        prop = traj.propagator
+        squares = np.empty((3, len(traj.times)))   # 2E, |u|_1^2, |u|_0^2
+        i = 0
+        for modes, z in [(slice(None), prop.modal(traj.y0)[None])] + [
+                (modes, z[1:]) for modes, z in traj.segments]:
+            mu, omega = prop.mu[modes], prop.omega[modes]
+            stiff = z.real ** 2 @ mu
+            squares[:, i:i + len(z)] = (stiff + z.imag ** 2 @ mu, stiff,
+                                        (z.real / omega) ** 2 @ mu)
+            i += len(z)
+        return cls(times=traj.times.copy(), energy=0.5 * squares[0],
+                   l2=np.sqrt(squares[2]), h1=np.sqrt(squares[1]))
+
 
 # -- frequency sweep -------------------------------------------------------------
 
@@ -98,7 +120,7 @@ class FrequencyRun:
     trace: EnergyTrace
 
     @property
-    def trajectory(self) -> Trajectory:
+    def trajectory(self) -> ModalTrajectory:
         return self.result.trajectory
 
 
@@ -121,7 +143,7 @@ def frequency_sweep(ks, alpha: float, m: int, ops: SpatialOperators,
     def run_one(k: int) -> FrequencyRun:
         data = mode_initial_state(ops, k)
         result = picard_solve(ops, data.y0, config, propagator=propagator)
-        trace = EnergyTrace.from_trajectory(result.trajectory, ops)
+        trace = EnergyTrace.from_modal(result.trajectory)
         return FrequencyRun(k=k, data=data, result=result, trace=trace)
 
     ks = list(ks)
@@ -148,10 +170,15 @@ def conservative_comparison(run: FrequencyRun,
     # sine samples are exact eigenvectors of the (K, M) pencil
     mu, kappa = ops.sine_eigenvalues()
     w = np.sqrt(kappa[run.k - 1] / mu[run.k - 1])
-    t = traj.times[:, None]
-    ref = np.concatenate([np.cos(w * t) * u0, -w * np.sin(w * t) * u0], axis=1)
-    diff = Trajectory(traj.times, traj.states - ref, traj.delta)
-    return EnergyTrace.from_trajectory(diff, ops)
+    parts = []
+    for i, states in zip(range(0, len(traj.times), BLOCK_ROWS), traj.blocks()):
+        t = traj.times[i:i + len(states)]
+        ref = np.concatenate([np.cos(w * t[:, None]) * u0,
+                              -w * np.sin(w * t[:, None]) * u0], axis=1)
+        parts.append(EnergyTrace.from_trajectory(
+            Trajectory(t, states - ref, traj.delta), ops))
+    return EnergyTrace(*(np.concatenate([getattr(p, f) for p in parts])
+                         for f in ("times", "energy", "l2", "h1")))
 
 
 # -- primitive problem ------------------------------------------------------------
@@ -223,10 +250,11 @@ def closed_form_potential_m1(amplitude: float, k: int, x: np.ndarray) -> np.ndar
 @dataclass(eq=False)
 class PrimitiveResult:
     setup: PrimitiveSetup
-    trajectory: Trajectory
+    trajectory: ModalTrajectory
     trace: EnergyTrace
     velocity_gap_l2: float          # sup-in-time |phi' - u|_0 against the damped run
     damped_run: FrequencyRun
+    windows: list                   # the primitive run's Picard WindowReports
 
 
 def primitive_solve(setup: PrimitiveSetup, ops: SpatialOperators,
@@ -244,12 +272,14 @@ def primitive_solve(setup: PrimitiveSetup, ops: SpatialOperators,
                                      delta, t_final, window=window,
                                      epsilon=epsilon,
                                      propagator=propagator)[0]
-    vel = result.trajectory.velocity()
-    gap = float(l2_norm(ops, vel - damped_run.trajectory.displacement()).max())
-    trace = EnergyTrace.from_trajectory(result.trajectory, ops)
+    n = ops.mesh.n
+    gap = max(float(l2_norm(ops, primitive[:, n:] - damped[:, :n]).max())
+              for primitive, damped in zip(result.trajectory.blocks(),
+                                           damped_run.trajectory.blocks()))
+    trace = EnergyTrace.from_modal(result.trajectory)
     return PrimitiveResult(setup=setup, trajectory=result.trajectory,
                            trace=trace, velocity_gap_l2=gap,
-                           damped_run=damped_run)
+                           damped_run=damped_run, windows=result.windows)
 
 
 # output steps per block handed to an extension's observer
@@ -262,11 +292,12 @@ def extend_with_ab5(trajs: list, ops: SpatialOperators, forcing,
     """Extend the trajectories ``trajs`` to ``t_final`` by AB5 in the
     rotating sine frame, all in one loop, keeping no extended history.
 
-    The trajectories share one time grid; only their last five states are
-    read.  Output step j, at t1 + (j + 1) delta with t1 the grid's end,
-    reaches ``observe(j0, block)`` in blocks of at most ``EXTENSION_BLOCK``
-    steps: ``block`` has shape (len(trajs), b, 2n), its row i is step
-    j0 + i, and it is overwritten once ``observe`` returns.
+    The trajectories (``Trajectory`` or ``ModalTrajectory``) share one time
+    grid; only their last five rows are read.  Output step j, at
+    t1 + (j + 1) delta with t1 the grid's end, reaches ``observe(j0, block)``
+    in blocks of at most ``EXTENSION_BLOCK`` steps: ``block`` has shape
+    (len(trajs), b, 2n), its row i is step j0 + i, and it is overwritten
+    once ``observe`` returns.
 
     The modal amplitudes z of ``Propagator.modal`` rotate exactly as
     exp(-i omega t) under the linear flow, so w = exp(i omega (t - t1)) z
@@ -307,7 +338,8 @@ def extend_with_ab5(trajs: list, ops: SpatialOperators, forcing,
         return (1j * delta * phase.conj() * g).view(float)
 
     steps = np.arange(-4.0, 1.0)
-    z0 = np.stack([propagator.modal(tr.states[-5:]) for tr in trajs], axis=1)
+    z0 = np.stack([propagator.modal(tr.rows(len(tr.times) - 5, len(tr.times)))
+                   for tr in trajs], axis=1)
     w = np.exp(1j * delta * steps[:, None, None] * omega) * z0
     half_mu = np.repeat(0.5 * propagator.mu, 2)
     ab = ab5_init(steps, w.view(float), rhs,

@@ -18,6 +18,9 @@ from .mesh import SpatialOperators
 # Boole's rule on [0, 1]: weights of the five equally spaced abscissae (sum to 1)
 BOOLE_WEIGHTS = np.array([7.0, 32.0, 12.0, 32.0, 7.0]) / 90.0
 
+# rows per block when a trajectory is read block by block
+BLOCK_ROWS = 256
+
 
 @dataclass(eq=False)
 class Trajectory:
@@ -40,6 +43,76 @@ class Trajectory:
 
     def velocity(self) -> np.ndarray:
         return self.states[:, self.n_nodes:]
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        return self.states[start:stop]
+
+    def blocks(self, size: int = BLOCK_ROWS, start: int = 0, stop: int | None = None):
+        """The rows ``start``..``stop``-1 in consecutive blocks of at most
+        ``size`` rows."""
+        stop = len(self.times) if stop is None else stop
+        for a in range(start, stop, size):
+            yield self.states[a:min(a + size, stop)]
+
+
+@dataclass(eq=False)
+class ModalTrajectory:
+    """Uniformly sampled states kept as modal amplitudes, window by window.
+
+    Row 0 is the nodal state ``y0``.  Each entry of ``segments`` is one
+    window's (modes J, amplitudes z): z has shape (nst + 1, |J|) and holds
+    the window's rows on the sine modes J of ``propagator`` (see
+    ``Propagator.restrict``), its row 0 being the previous window's last row.
+    A row thus costs 16 |J| bytes where a nodal row costs 16 n.
+
+    ``rows`` and ``blocks`` synthesize nodal rows one window at a time, by
+    ``Propagator.nodal`` of the window's whole z: the product the solver
+    took, so the rows equal the solver's states bit for bit.
+    """
+
+    times: np.ndarray
+    y0: np.ndarray
+    segments: list
+    propagator: Propagator
+    delta: float
+
+    def __post_init__(self):
+        if len(self.times) != 1 + sum(len(z) - 1 for _, z in self.segments):
+            raise ValueError("times/segments length mismatch")
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """Nodal rows ``start``..``stop``-1, for start < stop."""
+        return next(self.blocks(stop - start, start, stop))
+
+    def blocks(self, size: int = BLOCK_ROWS, start: int = 0, stop: int | None = None):
+        """The nodal rows ``start``..``stop``-1 in consecutive blocks of at
+        most ``size`` rows, each window synthesized once."""
+        stop = len(self.times) if stop is None else stop
+        # window w holds the rows first_w + 1..last[w], first_w its start row
+        last = np.cumsum([len(z) - 1 for _, z in self.segments])
+        current = (-1, 0, None)     # window index, its start row, its states
+        for a in range(start, stop, size):
+            block = np.empty((min(size, stop - a), len(self.y0)))
+            i, b = a, a + len(block)
+            if i == 0:
+                block[0] = self.y0
+                i = 1
+            while i < b:
+                w = int(np.searchsorted(last, i))
+                if current[0] != w:
+                    modes, z = self.segments[w]
+                    current = (w, last[w] - (len(z) - 1),
+                               self.propagator.restrict(modes).nodal(z))
+                _, first, states = current
+                j = min(b, last[w] + 1)
+                block[i - a:j - a] = states[i - first:j - first]
+                i = j
+            yield block
+
+    def nodal(self) -> Trajectory:
+        """Every row as a nodal ``Trajectory``."""
+        return Trajectory(times=self.times.copy(),
+                          states=self.rows(0, len(self.times)), delta=self.delta)
 
 
 # -- Duhamel stepping --------------------------------------------------------

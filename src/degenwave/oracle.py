@@ -213,8 +213,9 @@ def reference_errors(trajectories: list, energies: list, problems: list,
     ``trajectories[j]``, whose energies are ``energies[j]``, against
     ``problems[j]``, bit for bit.  One ``rk4_ansatz`` run advances every
     problem, and each block of 256 stored steps is compared and dropped, so
-    memory does not grow with the horizon.  Each trajectory must lie on the
-    stored reference grid.
+    memory does not grow with the horizon.  Each trajectory (``Trajectory``
+    or ``ModalTrajectory``) must lie on the stored reference grid; its rows
+    are read block by block.
     """
     if not problems or not len(trajectories) == len(energies) == len(problems):
         raise ValueError("need at least one problem, and one trajectory and one "
@@ -227,19 +228,19 @@ def reference_errors(trajectories: list, energies: list, problems: list,
     gap, norm = np.zeros((2, len(problems)))
     # phi and phi' of the current block: (2, problems, block, positions)
     block = np.empty((2, len(problems), _COMPARE_BLOCK, ops.mesh.n))
+    readers = [traj.blocks(_COMPARE_BLOCK) for traj in trajectories]
 
     def observe(i, phi, psi):
         j = i % _COMPARE_BLOCK
         block[:, :, j] = phi, psi
         if j == _COMPARE_BLOCK - 1 or i == n_stored:
             rows = slice(i - j, i + 1)
-            for r, (traj, e_fem, prob) in enumerate(zip(trajectories, energies,
-                                                        problems)):
+            for r, (reader, e_fem, prob) in enumerate(zip(readers, energies,
+                                                          problems)):
                 ref = oracle_states(OracleSolution(prob, grid[rows],
                                                    *block[:, r, :j + 1]), ops.mesh)
                 gap[r] = max(gap[r], np.abs(e_fem[rows] - energy(ops, ref)).max())
-                norm[r] = max(norm[r],
-                              energy_norm(ops, traj.states[rows] - ref).max())
+                norm[r] = max(norm[r], energy_norm(ops, next(reader) - ref).max())
 
     rk4_ansatz(problems, t_final, step, store_stride, observe=observe)
     return gap, norm

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linop import Propagator, matrix_exponential
-from .linwave import BOOLE_WEIGHTS, Trajectory, sweep
+from .linwave import BOOLE_WEIGHTS, ModalTrajectory, sweep
 from .mesh import SpatialOperators, hat_load_from_values, values_at_gauss
 
 
@@ -157,7 +157,7 @@ class WindowReport:
 
 @dataclass
 class PicardResult:
-    trajectory: Trajectory
+    trajectory: ModalTrajectory
     iterations: int
     final_distance: float
     converged: bool
@@ -248,8 +248,9 @@ class _Window:
         states[0] = y
         return z, states, z_prev
 
-    def solve(self, y: np.ndarray) -> tuple[WindowReport, np.ndarray, np.ndarray]:
-        """Iterate from ``y``; returns the report, the states and the last load."""
+    def solve(self, y: np.ndarray) -> tuple:
+        """Iterate from ``y``; returns the report, the accepted iterate's
+        amplitudes on J and its states, and the last load."""
         ops, forcing, config = self.ops, self.forcing, self.config
         n = ops.mesh.n
         rows = (len(BOOLE_WEIGHTS) - 1) * self.nst + 1
@@ -280,7 +281,7 @@ class _Window:
                     f"iterates diverge on window starting at t={self.t_start:g} "
                     f"(distance {dist:.3e}); use a shorter window")
         report.modes = len(self.active)
-        return report, states, load
+        return report, prev, states, load
 
     def certificate(self, report: WindowReport, y: np.ndarray, load: np.ndarray) -> float:
         """Energy-norm bound on what the modes off J change in the window."""
@@ -318,7 +319,9 @@ def picard_solve(ops: SpatialOperators, y0: np.ndarray, config: PicardConfig,
 
     The iterates live on the active sine modes J (see the comment above
     ``TOL``); a window is accepted once its certificate is at most
-    TOL ||y0||_E, or once J holds every mode.
+    TOL ||y0||_E, or once J holds every mode.  The result's trajectory keeps
+    each window's amplitudes on its J, not its nodal states (see
+    ``ModalTrajectory``).
     """
     if forcing is None:
         forcing = DegenerateDamping(config.alpha, config.m)
@@ -330,7 +333,7 @@ def picard_solve(ops: SpatialOperators, y0: np.ndarray, config: PicardConfig,
     tol = TOL * float(np.sqrt(_mode_energy(z0, propagator.mu)))
     active = np.flatnonzero(np.sqrt(propagator.mu) * np.abs(z0) > DETECT * tol)
 
-    chunks = [y[None, :]]
+    segments = []
     windows: list[WindowReport] = []
     total_iters = 0
     done = 0
@@ -341,7 +344,7 @@ def picard_solve(ops: SpatialOperators, y0: np.ndarray, config: PicardConfig,
         while True:
             window = _Window(ops, forcing, propagator, active, config, nst,
                              t_start, tol)
-            report, states, load = window.solve(y)
+            report, z, states, load = window.solve(y)
             active = window.active
             if len(active) == n:
                 break
@@ -353,13 +356,14 @@ def picard_solve(ops: SpatialOperators, y0: np.ndarray, config: PicardConfig,
         report.redone = redone
         total_iters += report.iterations
         windows.append(report)
-        chunks.append(states[1:])
-        y = states[-1]
+        segments.append((active, z))
+        y = states[-1].copy()
         done += nst
 
-    states = np.concatenate(chunks, axis=0)
     times = config.delta * np.arange(config.n_steps + 1)
-    traj = Trajectory(times=times, states=states, delta=config.delta)
+    traj = ModalTrajectory(times=times, y0=np.array(y0, dtype=float),
+                           segments=segments, propagator=propagator,
+                           delta=config.delta)
     return PicardResult(trajectory=traj,
                         iterations=total_iters,
                         final_distance=windows[-1].distance,

@@ -48,8 +48,9 @@ def fig2(mesh99, ops99, prop99):
         problem = AnsatzProblem.for_mesh(mesh99, k,
                                          c0=run.data.amplitude / np.sqrt(2.0))
         sol = rk4_ansatz(problem, T_FINAL, DELTA / 10, store_stride=10)
-        bundle["e_gap"][k] = compare_energy_decay(run.trajectory, sol, ops99)
-        bundle["e_norm"][k] = compare_energy_norm(run.trajectory, sol, ops99)
+        traj = run.trajectory.nodal()
+        bundle["e_gap"][k] = compare_energy_decay(traj, sol, ops99)
+        bundle["e_norm"][k] = compare_energy_norm(traj, sol, ops99)
         bundle["seconds"][k] = time.perf_counter() - t0
         bundle["runs"][k] = run
     return bundle
@@ -60,7 +61,7 @@ def primitive50(mesh99, ops99, prop99, fig2):
     setup = primitive_setup(1, 1, ops99)
     result = primitive_solve(setup, ops99, DELTA, T_FINAL,
                              damped_run=fig2["runs"][1], propagator=prop99)
-    full, = extended([result.trajectory], ops99, setup.damping, 50.0)
+    full, = extended([result.trajectory.nodal()], ops99, setup.damping, 50.0)
     trace = EnergyTrace.from_trajectory(full, ops99)
     return {"setup": setup, "result": result, "trace": trace}
 
@@ -122,7 +123,7 @@ class TestFigureOneQualitative:
         # the matched initial damping rate
         run = fig2["runs"][1]
         mid = mesh99.n // 2
-        traj = run.trajectory
+        traj = run.trajectory.nodal()
         sel = traj.times >= 8.0
         u_nl = np.abs(traj.displacement()[sel, mid]).max()
         beta = (2.0 / np.pi) ** 2
@@ -193,14 +194,15 @@ class TestCriterion4LinearDampedReference:
                               forcing=LinearDamping(self.BETA), propagator=prop)
         lam = np.pi**2
         w = np.sqrt(lam - self.BETA**2 / 4)
+        traj = result.trajectory.nodal()
         errs = []
-        for i in range(0, len(result.trajectory.times), 100):
-            t = result.trajectory.times[i]
+        for i in range(0, len(traj.times), 100):
+            t = traj.times[i]
             decay = np.exp(-self.BETA * t / 2)
             a = c0 * decay * (np.cos(w * t) + self.BETA / (2 * w) * np.sin(w * t))
             ad = -c0 * decay * (lam / w) * np.sin(w * t)
             errs.append(continuum_energy_error(
-                mesh, result.trajectory.states[i],
+                mesh, traj.states[i],
                 lambda x, a=a: a * np.pi * np.cos(np.pi * x),
                 lambda x, ad=ad: ad * np.sin(np.pi * x)))
         return max(errs)

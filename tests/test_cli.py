@@ -319,6 +319,9 @@ def valid_configs(draw):
     # an extension seeds AB5 from at least four steps
     extends = experiment in ("fig3", "primitive")
     t_final = draw(st.integers(4 if extends else 1, 1000)) * delta
+    # the oscillator's step divides both the horizon and 250: 250 / steps
+    osc_steps = draw(st.integers(250, 2_500_000))
+    osc_step = 250.0 / osc_steps
     elements = draw(st.integers(9, 2000))     # 1/h; the mesh has 1/h - 1 nodes
     k_max = (elements - 1) // 8
     # fig1 runs k = 1 and primitive one mode
@@ -339,7 +342,7 @@ def valid_configs(draw):
         epsilon=draw(num(1e-14, 1.0)),
         khat=draw(num(1e-3, 100.0)), radius=draw(num(1e-3, 10.0)),
         samples=draw(st.integers(1, 500)), eps_target=draw(num(1e-6, 1.0)),
-        horizon=draw(num(1e-2, 1e3)), osc_step=draw(num(1e-4, 1.0)),
+        horizon=draw(st.integers(1, 4 * osc_steps)) * osc_step, osc_step=osc_step,
         seed=draw(st.integers(0, 2**31)),
         out=draw(st.text("abcXYZ019_-./#", min_size=1, max_size=20)))
 
@@ -623,6 +626,33 @@ class TestMain:
         assert code == 0
         report = (tmp_path / "o" / "report.txt").read_text()
         assert "never reaches target" in report
+
+    @pytest.mark.parametrize("step,horizon", [("7", "1"), ("0.3", "1"),
+                                              ("0.3", "300")])
+    def test_oscillator_step_not_dividing_the_runs_rejected(self, tmp_path,
+                                                            capsys, step,
+                                                            horizon):
+        # the sweep runs to the horizon, the sample trajectories to
+        # min(horizon, 250); 0.3 divides 300 but not 250
+        code = main(["run", "--preset", "oscillator", "--samples", "8",
+                     "--osc-step", step, "--horizon", horizon,
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "osc_step" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_diagnostics_hold_every_window_deterministically(self, tmp_path):
+        for name in ("a", "b"):
+            config = RunConfig(experiment="custom", out=str(tmp_path / name),
+                               **FAST)
+            assert run(config) == 0
+        text = (tmp_path / "a" / "diagnostics.json").read_bytes()
+        assert text == (tmp_path / "b" / "diagnostics.json").read_bytes()
+        windows = json.loads(text)["picard"]["k=1"]
+        assert [w["t_start"] for w in windows] == [0.0, 0.2]
+        for w in windows:
+            assert sorted(w) == sorted(cli.DIAGNOSTIC_FIELDS)
+            assert w["iterations"] >= 1 and w["redone"] >= 0
 
     def test_oscillator_subcommand_damped(self, tmp_path):
         code = main(["run", "--preset", "oscillator", "--samples", "8",

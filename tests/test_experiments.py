@@ -68,8 +68,8 @@ class TestFrequencySweep:
             parallel = frequency_sweep([1, 2], 1.0, 1, ops99, 2e-3, 0.2,
                                        propagator=prop99, pool=pool)
         for a, b in zip(serial, parallel):
-            np.testing.assert_array_equal(a.trajectory.states,
-                                          b.trajectory.states)
+            np.testing.assert_array_equal(a.trajectory.nodal().states,
+                                          b.trajectory.nodal().states)
 
 
 class TestConservativeComparison:

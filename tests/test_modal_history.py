@@ -1,0 +1,106 @@
+"""Picard's history as modal amplitudes on the active modes.
+
+``picard_solve`` keeps each window's amplitudes z on its modes J instead of
+nodal rows.  The traces come straight from z, nodal rows are synthesized a
+window at a time, and the memory a run keeps grows by 16 |J| bytes per row.
+"""
+
+import tracemalloc
+from functools import lru_cache
+
+import numpy as np
+import pytest
+
+from degenwave import (EnergyTrace, PicardConfig, assemble, frequency_sweep,
+                       matrix_exponential, mesh_from_h, picard, picard_solve)
+from degenwave.experiments import mode_initial_state
+
+DELTA = 2e-3
+
+
+@lru_cache(maxsize=None)
+def operators():
+    ops = assemble(mesh_from_h(0.01))
+    return ops, matrix_exponential(ops, DELTA)
+
+
+def solve_capturing_windows(monkeypatch, k, t_final):
+    """A Picard run of mode k and the nodal states each window returned."""
+    ops, prop = operators()
+    windows = []
+    solve = picard._Window.solve
+
+    def capture(self, y):
+        out = solve(self, y)
+        windows.append(out[2].copy())
+        return out
+
+    monkeypatch.setattr(picard._Window, "solve", capture)
+    result = picard_solve(ops, mode_initial_state(ops, k).y0,
+                          PicardConfig(t_final=t_final, delta=DELTA),
+                          propagator=prop)
+    # a window solved again keeps its last attempt
+    accepted, i = [], 0
+    for w in result.windows:
+        i += w.redone
+        accepted.append(windows[i])
+        i += 1
+    return ops, result, accepted
+
+
+CASES = [(1, False), (8, False), (1, True)]
+
+
+@pytest.mark.parametrize("k, redo", CASES)
+def test_blocks_reproduce_the_window_states(monkeypatch, k, redo):
+    if redo:
+        # only the initial mode joins J, so the certificate redoes window 1
+        monkeypatch.setattr(picard, "DETECT", 0.5 / picard.TOL)
+    ops, result, states = solve_capturing_windows(monkeypatch, k, 2.0)
+    traj = result.trajectory
+    assert [w.redone for w in result.windows] == ([1, 0] if redo else [0, 0])
+    expected = np.concatenate([states[0][:1]] + [s[1:] for s in states])
+    for size in (1, 7, 256, 501, len(traj.times)):
+        got = np.concatenate(list(traj.blocks(size)))
+        np.testing.assert_array_equal(got, expected)
+    np.testing.assert_array_equal(traj.rows(497, 505), expected[497:505])
+    np.testing.assert_array_equal(traj.nodal().states, expected)
+
+
+@pytest.mark.parametrize("k, redo", CASES)
+def test_modal_trace_matches_nodal_trace(monkeypatch, k, redo):
+    if redo:
+        monkeypatch.setattr(picard, "DETECT", 0.5 / picard.TOL)
+    ops, prop = operators()
+    result = picard_solve(ops, mode_initial_state(ops, k).y0,
+                          PicardConfig(t_final=2.0, delta=DELTA),
+                          propagator=prop)
+    modal = EnergyTrace.from_modal(result.trajectory)
+    nodal = EnergyTrace.from_trajectory(result.trajectory.nodal(), ops)
+    np.testing.assert_array_equal(modal.times, nodal.times)
+    for name in ("energy", "l2", "h1"):
+        np.testing.assert_allclose(getattr(modal, name), getattr(nodal, name),
+                                   rtol=1e-13, atol=0.0)
+
+
+def test_history_rows_cost_their_active_modes():
+    # tracemalloc counts NumPy's buffers; a nodal history costs 16 n = 1584
+    # bytes per row at n = 99, the modal one 16 |J| with |J| = 5-6 here
+    ops, prop = operators()
+    frequency_sweep([4], 1.0, 1, ops, DELTA, 2.0, propagator=prop)  # warm-up
+    tracemalloc.start()
+    try:
+        peaks, kept = {}, {}
+        for t_final in (2.0, 8.0):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            run, = frequency_sweep([4], 1.0, 1, ops, DELTA, t_final,
+                                   propagator=prop)
+            current, peaks[t_final] = tracemalloc.get_traced_memory()
+            kept[t_final] = (current - base, run)
+    finally:
+        tracemalloc.stop()
+    assert peaks[8.0] - peaks[2.0] < 1e6
+    retained, run = kept[8.0]
+    modes = max(w.modes for w in run.result.windows)
+    assert retained / len(run.trajectory.times) < 16 * modes + 64

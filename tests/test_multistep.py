@@ -169,7 +169,7 @@ class TestExtendTrajectory:
         config = PicardConfig(t_final=2.0, delta=2e-3)
         result = picard_solve(ops99, data.y0, config, propagator=prop99)
         forcing = DegenerateDamping(1.0, 1)
-        full, = extended([result.trajectory], ops99, forcing, 4.0)
+        full, = extended([result.trajectory.nodal()], ops99, forcing, 4.0)
         e = energy(ops99, full.states)
         assert (np.diff(e) <= 1e-5 * e[0]).all()
         assert e[-1] < e[len(result.trajectory.times) - 1]   # t = 2
@@ -185,9 +185,9 @@ class TestExtendTrajectory:
                               PicardConfig(t_final=1.0, delta=2e-3),
                               propagator=prop99)
         forcing = DegenerateDamping(1.0, 1)
-        new, = extended([result.trajectory], ops99, forcing, 3.0,
+        new, = extended([result.trajectory.nodal()], ops99, forcing, 3.0,
                         propagator=prop99)
-        literal = extend_trajectory(result.trajectory,
+        literal = extend_trajectory(result.trajectory.nodal(),
                                     semilinear_rhs(ops99, forcing), 3.0,
                                     norm_fn=lambda y: float(energy(ops99, y)),
                                     substeps=16)
@@ -212,7 +212,7 @@ class TestBatchedExtension:
     def picard_runs(self, ops99, prop99):
         config = PicardConfig(t_final=0.2, delta=2e-3, window=0.2)
         return [picard_solve(ops99, mode_initial_state(ops99, k).y0, config,
-                             propagator=prop99).trajectory
+                             propagator=prop99).trajectory.nodal()
                 for k in (1, 2, 4, 8, 12)]
 
     def test_batch_matches_one_member_runs(self, ops99, prop99, picard_runs):

@@ -160,7 +160,7 @@ class TestPicardSolve:
         hom = solve_linear_inhomogeneous(ops99, data.y0,
                                          lambda t: np.zeros((len(t), 99)),
                                          1.0, 2e-3, propagator=prop99)
-        np.testing.assert_allclose(result.trajectory.states, hom.states,
+        np.testing.assert_allclose(result.trajectory.nodal().states, hom.states,
                                    atol=1e-12)
 
     def test_distances_geometric(self, ops99, prop99):
@@ -176,7 +176,7 @@ class TestPicardSolve:
         data = mode_initial_state(ops99, 1)
         config = PicardConfig(t_final=2.0, delta=2e-3)
         result = picard_solve(ops99, data.y0, config, propagator=prop99)
-        e = energy(ops99, result.trajectory.states)
+        e = energy(ops99, result.trajectory.nodal().states)
         assert (np.diff(e) <= 1e-6 * e[0]).all()
         assert e[-1] < e[0]
 
@@ -187,7 +187,7 @@ class TestPicardSolve:
         data = mode_initial_state(ops99, 1)
         config = PicardConfig(t_final=1.0, delta=2e-3, epsilon=1e-10)
         result = picard_solve(ops99, data.y0, config, propagator=prop99)
-        traj = result.trajectory
+        traj = result.trajectory.nodal()
         model = DegenerateDamping(1.0, 1)
         ua = _interp_abscissae(traj.displacement())
         va = _interp_abscissae(traj.velocity())
@@ -213,7 +213,7 @@ class TestPicardSolve:
         config = PicardConfig(t_final=1.0, delta=2e-3, alpha=50.0, window=0.05)
         result = picard_solve(ops99, data.y0, config, propagator=prop99)
         assert result.converged
-        e = energy(ops99, result.trajectory.states)
+        e = energy(ops99, result.trajectory.nodal().states)
         assert (np.diff(e) <= 1e-6 * e[0]).all()
 
     def test_max_iterations_reported_not_fatal(self, ops99, prop99):
@@ -232,7 +232,8 @@ class TestPicardSolve:
                           PicardConfig(window=1.0, **tight), propagator=prop99)
         r2 = picard_solve(ops99, data.y0,
                           PicardConfig(window=0.25, **tight), propagator=prop99)
-        assert energy_norm(ops99, r1.trajectory.states - r2.trajectory.states).max() < 1e-8
+        assert energy_norm(ops99, r1.trajectory.nodal().states
+                           - r2.trajectory.nodal().states).max() < 1e-8
 
 
 class TestContractionEstimate:

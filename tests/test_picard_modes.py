@@ -38,7 +38,7 @@ def assert_matches_reference(ops, prop, y0, config, forcing=None):
                                         propagator=prop)
     assert ([w.iterations for w in result.windows]
             == [w.iterations for w in ref.windows])
-    states, expected = result.trajectory.states, ref.trajectory.states
+    states, expected = result.trajectory.nodal().states, ref.trajectory.states
     assert np.abs(states - expected).max() <= 1e-12 * np.abs(expected).max()
     return result
 
@@ -112,7 +112,7 @@ def test_zero_data_stay_zero():
     y0 = np.zeros(2 * ops.mesh.n)
     result = picard_solve(ops, y0, PicardConfig(t_final=0.1, delta=DELTA),
                           propagator=prop)
-    assert result.converged and not result.trajectory.states.any()
+    assert result.converged and not result.trajectory.nodal().states.any()
     assert result.windows[0].modes == 0
 
 

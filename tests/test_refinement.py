@@ -22,10 +22,11 @@ def refinement_pair():
         prob = dw.AnsatzProblem.for_mesh(mesh, 1,
                                          c0=run.data.amplitude / np.sqrt(2.0))
         sol = dw.rk4_ansatz(prob, 10.0, delta / 10, store_stride=10)
+        traj = run.trajectory.nodal()
         out[h] = {
             "E_final": run.trace.energy[-1],
-            "e_gap": dw.compare_energy_decay(run.trajectory, sol, ops),
-            "e_norm": dw.compare_energy_norm(run.trajectory, sol, ops),
+            "e_gap": dw.compare_energy_decay(traj, sol, ops),
+            "e_norm": dw.compare_energy_norm(traj, sol, ops),
         }
     return out
 
