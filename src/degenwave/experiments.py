@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linop import Propagator, energy, h1_norm, l2_norm, matrix_exponential
-from .linwave import BLOCK_ROWS, ModalTrajectory, Trajectory
+from .linwave import ModalTrajectory, Trajectory
 from .mesh import (Mesh, SpatialOperators, hat_load_from_values,
                    values_at_gauss)
 from .multistep import ab5_init, ab5_step
@@ -164,21 +164,16 @@ def conservative_comparison(run: FrequencyRun,
     modal frequency (the exact undamped solution of the discrete system, so
     z carries no dispersion).
     """
-    traj = run.trajectory
+    traj = run.trajectory.nodal()
     mesh = ops.mesh
     u0 = run.data.y0[: mesh.n]
     # sine samples are exact eigenvectors of the (K, M) pencil
     mu, kappa = ops.sine_eigenvalues()
     w = np.sqrt(kappa[run.k - 1] / mu[run.k - 1])
-    parts = []
-    for i, states in zip(range(0, len(traj.times), BLOCK_ROWS), traj.blocks()):
-        t = traj.times[i:i + len(states)]
-        ref = np.concatenate([np.cos(w * t[:, None]) * u0,
-                              -w * np.sin(w * t[:, None]) * u0], axis=1)
-        parts.append(EnergyTrace.from_trajectory(
-            Trajectory(t, states - ref, traj.delta), ops))
-    return EnergyTrace(*(np.concatenate([getattr(p, f) for p in parts])
-                         for f in ("times", "energy", "l2", "h1")))
+    t = traj.times[:, None]
+    ref = np.concatenate([np.cos(w * t) * u0, -w * np.sin(w * t) * u0], axis=1)
+    diff = Trajectory(traj.times, traj.states - ref, traj.delta)
+    return EnergyTrace.from_trajectory(diff, ops)
 
 
 # -- primitive problem ------------------------------------------------------------
