@@ -85,8 +85,11 @@ class Propagator:
         # S is symmetric, so the full S synthesizes as it analyzes; a column
         # block S[:, J] synthesizes through its transpose, the row block S[J, :]
         rows = self.sine if self.sine.shape[0] == self.sine.shape[1] else self.sine.T
-        return np.concatenate([(z.real / self.omega) @ rows,
-                               z.imag @ rows], axis=-1)
+        n = rows.shape[1]
+        out = np.empty(z.shape[:-1] + (2 * n,))
+        np.matmul(z.real / self.omega, rows, out=out[..., :n])
+        np.matmul(z.imag, rows, out=out[..., n:])
+        return out
 
 
 def matrix_exponential(ops: SpatialOperators, step: float) -> Propagator:

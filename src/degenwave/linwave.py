@@ -81,7 +81,9 @@ class ModalTrajectory:
             raise ValueError("times/segments length mismatch")
 
     def rows(self, start: int, stop: int) -> np.ndarray:
-        """Nodal rows ``start``..``stop``-1, for start < stop."""
+        """Nodal rows ``start``..``stop``-1; none when stop <= start."""
+        if stop <= start:
+            return np.empty((0, len(self.y0)))
         return next(self.blocks(stop - start, start, stop))
 
     def blocks(self, size: int = BLOCK_ROWS, start: int = 0, stop: int | None = None):

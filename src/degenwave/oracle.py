@@ -199,8 +199,12 @@ def rk4_ansatz(problems, t_final: float, step: float, store_stride: int = 1,
     return sols[0] if single else sols
 
 
-# stored steps per block of the streamed comparison
-_COMPARE_BLOCK = 256
+# stored steps per block of the streamed comparison: the fold's traced peak
+# on fig2's four modes (n = 99) and fine-mesh's three (n = 499) is 7.9 and
+# 30.8 MB at 256, 5.1 and 20.0 MB at 64, and 4.4 and 17.3 MB at 16, the rest
+# being each reader's synthesized window; the time, 0.6-1.3 s, is the RK4
+# loop's at every size (one thread)
+_COMPARE_BLOCK = 64
 
 
 def reference_errors(trajectories: list, energies: list, problems: list,
@@ -212,10 +216,10 @@ def reference_errors(trajectories: list, energies: list, problems: list,
     ``compare_energy_decay`` and ``compare_energy_norm`` for
     ``trajectories[j]``, whose energies are ``energies[j]``, against
     ``problems[j]``, bit for bit.  One ``rk4_ansatz`` run advances every
-    problem, and each block of 256 stored steps is compared and dropped, so
-    memory does not grow with the horizon.  Each trajectory (``Trajectory``
-    or ``ModalTrajectory``) must lie on the stored reference grid; its rows
-    are read block by block.
+    problem, and each block of ``_COMPARE_BLOCK`` stored steps is compared
+    and dropped, so memory does not grow with the horizon.  Each trajectory
+    (``Trajectory`` or ``ModalTrajectory``) must lie on the stored reference
+    grid; its rows are read block by block.
     """
     if not problems or not len(trajectories) == len(energies) == len(problems):
         raise ValueError("need at least one problem, and one trajectory and one "

@@ -3,7 +3,9 @@
 ``picard.picard_solve`` iterates on the active sine modes only and certifies
 the rest; this is the loop it replaced, which iterates on every mode and
 measures distances in the nodal energy norm.  Per window, the two must take
-the same number of iterations and reach the same states to rounding.
+the same number of iterations and reach the same states to rounding.  Its
+forcing comes from ``interp_abscissae``, the whole-window interpolation that
+``picard`` streams in blocks.
 """
 
 import numpy as np
@@ -12,8 +14,20 @@ from degenwave.linop import Propagator, energy_norm, matrix_exponential
 from degenwave.linwave import BOOLE_WEIGHTS, Trajectory, sweep
 from degenwave.mesh import SpatialOperators
 from degenwave.picard import (DegenerateDamping, PicardConfig,
-                              PicardDivergenceError, PicardResult, WindowReport,
-                              _interp_abscissae)
+                              PicardDivergenceError, PicardResult, WindowReport)
+
+
+def interp_abscissae(x: np.ndarray) -> np.ndarray:
+    """Linear-in-time interpolation of grid samples onto the quadrature
+    abscissae, the whole window at once (``picard`` streams it in blocks)."""
+    r = len(BOOLE_WEIGHTS) - 1
+    nsteps = x.shape[0] - 1
+    out = np.empty((r * nsteps + 1,) + x.shape[1:])
+    out[::r] = x
+    for j in range(1, r):
+        fr = j / r
+        out[j::r] = (1.0 - fr) * x[:-1] + fr * x[1:]
+    return out
 
 
 # a blow-up is reported by the finiteness guard, not through overflow warnings
@@ -52,8 +66,8 @@ def picard_solve(ops: SpatialOperators, y0: np.ndarray, config: PicardConfig,
                               converged=False)
         grow = 0
         for _ in range(config.max_iterations):
-            ua = _interp_abscissae(prev[:, :n])
-            va = _interp_abscissae(prev[:, n:])
+            ua = interp_abscissae(prev[:, :n])
+            va = interp_abscissae(prev[:, n:])
             f_absc = forcing.load(ops, ua, va)
             cur = sweep(propagator, y, f_absc)
             dist = float(energy_norm(ops, cur - prev).max())

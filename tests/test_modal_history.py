@@ -83,6 +83,18 @@ def test_modal_trace_matches_nodal_trace(monkeypatch, k, redo):
                                    rtol=1e-13, atol=0.0)
 
 
+@pytest.mark.parametrize("modal", [True, False], ids=["ModalTrajectory", "Trajectory"])
+@pytest.mark.parametrize("start, stop", [(0, 0), (7, 7), (5, 2)])
+def test_rows_of_an_empty_range_are_empty(modal, start, stop):
+    ops, prop = operators()
+    result = picard_solve(ops, mode_initial_state(ops, 1).y0,
+                          PicardConfig(t_final=0.02, delta=DELTA),
+                          propagator=prop)
+    traj = result.trajectory if modal else result.trajectory.nodal()
+    rows = traj.rows(start, stop)
+    assert rows.shape == (0, 2 * ops.mesh.n)
+
+
 def test_history_rows_cost_their_active_modes():
     # tracemalloc counts NumPy's buffers; a nodal history costs 16 n = 1584
     # bytes per row at n = 99, the modal one 16 |J| with |J| = 5-6 here

@@ -250,8 +250,9 @@ class TestStreamedErrors:
 
     def test_states_built_once_per_block_and_mode(self, mesh99, ops99,
                                                   monkeypatch):
-        # 301 stored steps make two blocks; both comparisons of a block
-        # share one build of each mode's reference states
+        # 301 stored steps make ceil(301 / _COMPARE_BLOCK) blocks; both
+        # comparisons of a block share one build of each mode's reference
+        # states
         problems = [make_problem(mesh99, k=k) for k in (1, 2, 4)]
         sols = rk4_ansatz(problems, 0.06, 2e-4)
         trajs = [Trajectory(sol.times, oracle_states(sol, mesh99), 2e-4)
@@ -263,7 +264,9 @@ class TestStreamedErrors:
         gaps, norms = reference_errors(
             trajs, [energy(ops99, traj.states) for traj in trajs], problems,
             ops99, 0.06, 2e-4)
-        assert len(built) == 2 * len(problems)
+        blocks = -(-301 // oracle._COMPARE_BLOCK)
+        assert blocks >= 2
+        assert len(built) == blocks * len(problems)
         np.testing.assert_array_equal(gaps, 0.0)
         np.testing.assert_array_equal(norms, 0.0)
 

@@ -182,15 +182,15 @@ class TestPicardSolve:
 
     def test_fixed_point_property(self, ops99, prop99):
         # re-solving the linear problem with the converged forcing barely moves it
-        from degenwave.picard import _interp_abscissae
         from degenwave.linwave import sweep
+        from picard_reference import interp_abscissae
         data = mode_initial_state(ops99, 1)
         config = PicardConfig(t_final=1.0, delta=2e-3, epsilon=1e-10)
         result = picard_solve(ops99, data.y0, config, propagator=prop99)
         traj = result.trajectory.nodal()
         model = DegenerateDamping(1.0, 1)
-        ua = _interp_abscissae(traj.displacement())
-        va = _interp_abscissae(traj.velocity())
+        ua = interp_abscissae(traj.displacement())
+        va = interp_abscissae(traj.velocity())
         resolve = sweep(prop99, data.y0, model.load(ops99, ua, va))
         assert energy_norm(ops99, resolve - traj.states).max() < config.epsilon * 10
 

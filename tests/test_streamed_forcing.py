@@ -1,0 +1,65 @@
+"""Picard's forcing streamed through blocks of steps into one load buffer.
+
+Each iteration of a window fills one (4 nst + 1, n) load buffer, a block of
+``picard._LOAD_STEPS`` steps at a time, instead of building the interpolated
+states and the loads of the whole window.  The loads must equal the
+whole-window evaluation bit for bit, and a window's working set must stay a
+small multiple of one load array.
+"""
+
+import tracemalloc
+from functools import lru_cache
+
+import numpy as np
+import pytest
+
+from degenwave import (DegenerateDamping, LinearDamping, PicardConfig,
+                       PrimitiveDamping, assemble, matrix_exponential,
+                       mesh_from_h, picard, picard_solve)
+from degenwave.experiments import mode_initial_state
+from picard_reference import interp_abscissae
+
+DELTA = 2e-3
+FORCINGS = [DegenerateDamping(1.0, 1), DegenerateDamping(1.0, 2),
+            PrimitiveDamping(1.0, 1), PrimitiveDamping(0.5, 2),
+            LinearDamping(0.7)]
+BLOCK = picard._LOAD_STEPS
+
+
+@pytest.mark.parametrize("nst", [1, BLOCK - 1, BLOCK, BLOCK + 1, 500])
+@pytest.mark.parametrize("forcing", FORCINGS, ids=lambda f: type(f).__name__
+                         + str(getattr(f, "m", "")))
+def test_streamed_loads_equal_the_whole_window(ops99, rng, forcing, nst):
+    n = ops99.mesh.n
+    states = rng.standard_normal((nst + 1, 2 * n))
+    expected = forcing.load(ops99, interp_abscissae(states[:, :n]),
+                            interp_abscissae(states[:, n:]))
+    out = np.full((4 * nst + 1, n), np.nan)   # every row must be written
+    got = picard._abscissa_loads(ops99, forcing, states, out)
+    assert got is out
+    np.testing.assert_array_equal(got, expected)
+
+
+@lru_cache(maxsize=None)
+def fine_operators():
+    ops = assemble(mesh_from_h(0.002))
+    return ops, matrix_exponential(ops, DELTA)
+
+
+@pytest.mark.parametrize("k, m", [(1, 1), (4, 2)])
+def test_window_working_set_is_a_few_load_arrays(k, m):
+    # the whole-window evaluation peaked at 6.2 (m = 1) and 23 (m = 2) load
+    # arrays here; streamed, one buffer, the window's states and a block
+    ops, prop = fine_operators()
+    config = PicardConfig(t_final=2.0, delta=DELTA, m=m)
+    y0 = mode_initial_state(ops, k).y0
+    picard_solve(ops, y0, config, propagator=prop)   # warm-up
+    tracemalloc.start()
+    try:
+        result = picard_solve(ops, y0, config, propagator=prop)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.converged
+    load_bytes = (4 * config.window_steps + 1) * ops.mesh.n * 8
+    assert peak < 3.5 * load_bytes
