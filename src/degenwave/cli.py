@@ -30,14 +30,14 @@ from .experiments import (EnergyTrace, check_resolved,
                           dissipation_exponent, extend_traces,
                           extend_with_ab5, frequency_sweep, lower_order_decay,
                           mode_initial_state, primitive_setup, primitive_solve)
-from .linop import energy, matrix_exponential
+from .linop import energy
 from .linwave import Trajectory, analytic_linear_damped
-from .mesh import assemble, mesh_from_h
+from .mesh import assemble, mesh_from_h, whole_steps
 from .multistep import BlowupError
 from .oracle import (AnsatzProblem, oracle_states, reference_errors, rk4_ansatz,
                      simulate_oscillator, uniform_stability_sweep,
                      OscillatorProblem)
-from .picard import DegenerateDamping, PicardDivergenceError, divides
+from .picard import DegenerateDamping, PicardDivergenceError, check_damping
 from .svgplot import Series, downsample, render_line_plot
 
 @dataclass(frozen=True)
@@ -79,8 +79,7 @@ class RunConfig:
         for name in ("m", "samples"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
+        check_damping(self.alpha, self.m)
         if (not self.ks or any(type(k) is not int or k < 1 for k in self.ks)
                 or len(set(self.ks)) < len(self.ks)):
             raise ValueError(f"modes must be distinct integers >= 1, got {self.ks!r}")
@@ -91,25 +90,22 @@ class RunConfig:
         if self.experiment == "primitive" and len(self.ks) > 1:
             raise ValueError("primitive runs one mode")
         # the sweep runs to the horizon, the sample trajectories to at most 250
-        if self.experiment == "oscillator" and not (
-                divides(self.osc_step, self.horizon)
-                and divides(self.osc_step, min(self.horizon, 250.0))):
-            raise ValueError(f"osc_step {self.osc_step!r} must divide the horizon "
-                             f"{self.horizon!r} and min(horizon, 250)")
-        if not divides(self.delta, self.t_final):
-            raise ValueError("delta must divide t_final")
-        if not divides(self.delta, self.window):
-            raise ValueError("delta must divide window")
-        nsteps = round(self.t_final / self.delta)
+        if self.experiment == "oscillator":
+            for length in (self.horizon, min(self.horizon, 250.0)):
+                whole_steps(length, self.osc_step,
+                            f"osc_step {self.osc_step!r} must divide the horizon "
+                            f"{self.horizon!r} and min(horizon, 250)")
+        nsteps = whole_steps(self.t_final, self.delta, "delta must divide t_final")
+        whole_steps(self.window, self.delta, "delta must divide window")
         if self.experiment in ("fig3", "primitive"):
             if self.t_extend < self.t_final:
                 raise ValueError("t_extend must not precede t_final")
             if self.t_extend > self.t_final and nsteps < 4:
                 raise ValueError("extending needs at least 4 steps of delta "
                                  "up to t_final to seed AB5")
-            n_out = round((self.t_extend - nsteps * self.delta) / self.delta)
-            if abs(nsteps * self.delta + n_out * self.delta - self.t_extend) > 1e-9:
-                raise ValueError("delta must tile the extension interval")
+            # the extension starts where the run's grid ends, at nsteps * delta
+            whole_steps(self.t_extend - nsteps * self.delta, self.delta,
+                        "delta must tile the extension interval", least=0)
         if self.experiment != "oscillator":
             mesh = mesh_from_h(self.h)
             for k in self.ks:
@@ -280,19 +276,14 @@ def _pool_size(n_tasks: int) -> int:
     return min(int(text), n_tasks)
 
 
-def _spatial(config: RunConfig):
-    ops = assemble(mesh_from_h(config.h))
-    return ops, matrix_exponential(ops, config.delta)
-
-
-def _run_sweep(config: RunConfig, ops, prop):
+def _run_sweep(config: RunConfig, ops):
     workers = _pool_size(len(config.ks))
     with (ThreadPoolExecutor(max_workers=workers) if workers > 1
           else nullcontext()) as pool:
         return frequency_sweep(config.ks, config.alpha, config.m, ops,
                                config.delta, config.t_final,
                                window=config.window, epsilon=config.epsilon,
-                               propagator=prop, pool=pool)
+                               pool=pool)
 
 
 def _oracle_problems(config: RunConfig, mesh, ks, amplitudes) -> list:
@@ -324,7 +315,7 @@ def _oracle_errors(config: RunConfig, ops, runs) -> dict:
 SPLICE_WINDOW = 0.2
 
 
-def _check_splice(runs, ops, prop, forcing) -> list:
+def _check_splice(runs, ops, forcing) -> list:
     """Restart AB5 from the Picard states SPLICE_WINDOW before the splice,
     all runs in one extension, and require each to reproduce its Picard
     energy history up to the splice.
@@ -358,8 +349,7 @@ def _check_splice(runs, ops, prop, forcing) -> list:
         np.maximum(gaps, np.abs(e - picard[:, j0:j0 + e.shape[1]]).max(axis=1),
                    out=gaps)
 
-    extend_with_ab5(heads, ops, forcing, traj.times[-1], observe,
-                    propagator=prop)
+    extend_with_ab5(heads, ops, forcing, traj.times[-1], observe)
     lines = []
     for name, run, gap in zip(names, runs, gaps):
         tol = traj.delta**2 * run.trace.energy[0]
@@ -383,8 +373,8 @@ def _report_line(report: Report, name: str, ok, detail: str) -> None:
 def _exp_frequency(config: RunConfig, dirs, report: Report) -> None:
     """fig2 and custom: the frequency sweep; fig3: the same, extended."""
     extend = config.experiment == "fig3"
-    ops, prop = _spatial(config)
-    runs = _run_sweep(config, ops, prop)
+    ops = assemble(mesh_from_h(config.h))
+    runs = _run_sweep(config, ops)
     conservative = config.alpha == 0.0
     e_table = {} if conservative else _oracle_errors(config, ops, runs)
     full = [run.trace for run in runs]
@@ -392,8 +382,8 @@ def _exp_frequency(config: RunConfig, dirs, report: Report) -> None:
     if extend and config.t_extend > config.t_final:
         forcing = DegenerateDamping(config.alpha, config.m)
         full = extend_traces([run.trajectory for run in runs], full, ops,
-                             forcing, config.t_extend, propagator=prop)
-        splices = _check_splice(runs, ops, prop, forcing)
+                             forcing, config.t_extend)
+        splices = _check_splice(runs, ops, forcing)
     traces = {}
     for run, trace, splice in zip(runs, full, splices):
         if splice is not None:
@@ -435,8 +425,8 @@ def _exp_frequency(config: RunConfig, dirs, report: Report) -> None:
 
 
 def _exp_fig1(config: RunConfig, dirs, report: Report) -> None:
-    ops, prop = _spatial(config)
-    run = _run_sweep(config, ops, prop)[0]
+    ops = assemble(mesh_from_h(config.h))
+    run = _run_sweep(config, ops)[0]
     mesh = ops.mesh
     report.picard("k=1", run.result.windows)
     write_trace_csv(dirs["traces"] / "trace_k1.csv", run.trace)
@@ -463,7 +453,7 @@ def _exp_fig1(config: RunConfig, dirs, report: Report) -> None:
 
 
 def _exp_primitive(config: RunConfig, dirs, report: Report) -> None:
-    ops, prop = _spatial(config)
+    ops = assemble(mesh_from_h(config.h))
     mesh = ops.mesh
     k = config.ks[0]
     setup = primitive_setup(k, config.m, ops, alpha=config.alpha)
@@ -473,8 +463,7 @@ def _exp_primitive(config: RunConfig, dirs, report: Report) -> None:
         report.check("potential matches closed form", err < 50 * mesh.h**2,
                      f"max nodal error {err:.2e}")
     result = primitive_solve(setup, ops, config.delta, config.t_final,
-                             window=config.window, epsilon=config.epsilon,
-                             propagator=prop)
+                             window=config.window, epsilon=config.epsilon)
     report.picard(f"primitive k={k}", result.windows)
     report.picard(f"k={k}", result.damped_run.result.windows)
     write_trace_csv(dirs["traces"] / f"primitive_k{k}.csv", result.trace)
@@ -491,7 +480,7 @@ def _exp_primitive(config: RunConfig, dirs, report: Report) -> None:
 
     if config.t_extend > config.t_final:
         trace, = extend_traces([result.trajectory], [result.trace], ops,
-                               setup.damping, config.t_extend, propagator=prop)
+                               setup.damping, config.t_extend)
         write_trace_csv(dirs["traces"] / f"primitive_k{k}_extended.csv", trace)
         _check_trace_energy_laws(report, trace, "primitive extended",
                                  conservative=False)

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linop import Propagator, energy, h1_norm, l2_norm, matrix_exponential
+from .linop import energy, h1_norm, l2_norm, matrix_exponential
 from .linwave import ModalTrajectory, Trajectory
 from .mesh import (Mesh, SpatialOperators, hat_load_from_values,
-                   values_at_gauss)
+                   values_at_gauss, whole_steps)
 from .multistep import ab5_init, ab5_step
 from .picard import (PicardConfig, PicardResult, PrimitiveDamping,
                      picard_solve)
@@ -126,23 +126,19 @@ class FrequencyRun:
 
 def frequency_sweep(ks, alpha: float, m: int, ops: SpatialOperators,
                     delta: float, t_final: float, window: float = 1.0,
-                    epsilon: float = 1e-8,
-                    propagator: Propagator | None = None,
-                    pool=None) -> list[FrequencyRun]:
+                    epsilon: float = 1e-8, pool=None) -> list[FrequencyRun]:
     """One converged run per frequency, all from unit-energy data.
 
     Runs are independent; ``pool`` may be a concurrent.futures executor to
     fan them out.  Results come back ordered by the input frequencies
     regardless of scheduling.
     """
-    if propagator is None:
-        propagator = matrix_exponential(ops, delta)
     config = PicardConfig(t_final=t_final, delta=delta, alpha=alpha, m=m,
                           epsilon=epsilon, window=window)
 
     def run_one(k: int) -> FrequencyRun:
         data = mode_initial_state(ops, k)
-        result = picard_solve(ops, data.y0, config, propagator=propagator)
+        result = picard_solve(ops, data.y0, config)
         trace = EnergyTrace.from_modal(result.trajectory)
         return FrequencyRun(k=k, data=data, result=result, trace=trace)
 
@@ -255,18 +251,16 @@ class PrimitiveResult:
 def primitive_solve(setup: PrimitiveSetup, ops: SpatialOperators,
                     delta: float, t_final: float,
                     window: float = 1.0, epsilon: float = 1e-8,
-                    damped_run: FrequencyRun | None = None,
-                    propagator: Propagator | None = None) -> PrimitiveResult:
+                    damped_run: FrequencyRun | None = None) -> PrimitiveResult:
     """Integrate the primitive problem and compare its velocity to the damped run."""
     config = PicardConfig(t_final=t_final, delta=delta, alpha=setup.alpha,
                           m=setup.m, epsilon=epsilon, window=window)
     result = picard_solve(ops, setup.initial_state(), config,
-                          forcing=setup.damping, propagator=propagator)
+                          forcing=setup.damping)
     if damped_run is None:
         damped_run = frequency_sweep([setup.k], setup.alpha, setup.m, ops,
                                      delta, t_final, window=window,
-                                     epsilon=epsilon,
-                                     propagator=propagator)[0]
+                                     epsilon=epsilon)[0]
     n = ops.mesh.n
     gap = max(float(l2_norm(ops, primitive[:, n:] - damped[:, :n]).max())
               for primitive, damped in zip(result.trajectory.blocks(),
@@ -281,9 +275,20 @@ def primitive_solve(setup: PrimitiveSetup, ops: SpatialOperators,
 EXTENSION_BLOCK = 256
 
 
+def _extension_grid(trajs: list, t_final: float) -> tuple:
+    """(t1, delta, output steps) of extending ``trajs`` to ``t_final``."""
+    t1, delta = trajs[0].times[-1], trajs[0].delta
+    if any(tr.times[-1] != t1 or tr.delta != delta for tr in trajs):
+        raise ValueError("the trajectories must end on one shared time grid")
+    if t_final < t1 - 1e-9:
+        raise ValueError("extension target lies before the trajectory end")
+    return t1, delta, whole_steps(t_final - t1, delta,
+                                  "delta must tile the extension interval",
+                                  least=0)
+
+
 def extend_with_ab5(trajs: list, ops: SpatialOperators, forcing,
-                    t_final: float, observe,
-                    propagator: Propagator | None = None) -> None:
+                    t_final: float, observe) -> None:
     """Extend the trajectories ``trajs`` to ``t_final`` by AB5 in the
     rotating sine frame, all in one loop, keeping no extended history.
 
@@ -304,18 +309,10 @@ def extend_with_ab5(trajs: list, ops: SpatialOperators, forcing,
     ``BlowupError`` stops the run once a member's modal energy
     1/2 sum mu_j |w_j|^2 exceeds ten times its start.
     """
-    t1, delta = trajs[0].times[-1], trajs[0].delta
-    if any(tr.times[-1] != t1 or tr.delta != delta for tr in trajs):
-        raise ValueError("the trajectories must end on one shared time grid")
-    n_out = int(round((t_final - t1) / delta))
-    if n_out < 0:
-        raise ValueError("extension target lies before the trajectory end")
-    if abs(t1 + n_out * delta - t_final) > 1e-9:
-        raise ValueError("delta must tile the extension interval")
+    _, delta, n_out = _extension_grid(trajs, t_final)
     if min(len(tr.times) for tr in trajs) < 5:
         raise ValueError("need five history points to start the scheme")
-    if propagator is None:
-        propagator = matrix_exponential(ops, delta)
+    propagator = matrix_exponential(ops, delta)
     n, omega = ops.mesh.n, propagator.omega
     block = np.empty((len(trajs), min(n_out, EXTENSION_BLOCK), 2 * n))
     # (j delta)(-i omega) rounds as -i (j delta omega): Propagator.phases' values
@@ -347,13 +344,11 @@ def extend_with_ab5(trajs: list, ops: SpatialOperators, forcing,
 
 
 def extend_traces(trajs: list, traces: list, ops: SpatialOperators, forcing,
-                  t_final: float,
-                  propagator: Propagator | None = None) -> list[EnergyTrace]:
+                  t_final: float) -> list[EnergyTrace]:
     """Each run's ``EnergyTrace`` continued to ``t_final`` by one
     ``extend_with_ab5`` of all the runs; its rows up to the runs' end are
     kept as they are."""
-    t1, delta = trajs[0].times[-1], trajs[0].delta
-    n_out = int(round((t_final - t1) / delta))
+    t1, delta, n_out = _extension_grid(trajs, t_final)
     n = ops.mesh.n
     rows = np.empty((3, len(trajs), n_out))
 
@@ -363,7 +358,7 @@ def extend_traces(trajs: list, traces: list, ops: SpatialOperators, forcing,
                                       h1_norm(ops, u))):
             row[:, j0:j0 + block.shape[1]] = values
 
-    extend_with_ab5(trajs, ops, forcing, t_final, observe, propagator=propagator)
+    extend_with_ab5(trajs, ops, forcing, t_final, observe)
     times = t1 + delta * np.arange(1, n_out + 1)
     return [EnergyTrace(times=np.concatenate([tr.times, times]),
                         energy=np.concatenate([tr.energy, e]),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linop import Propagator, matrix_exponential
-from .mesh import SpatialOperators
+from .mesh import SpatialOperators, whole_steps
 
 # Boole's rule on [0, 1]: weights of the five equally spaced abscissae (sum to 1)
 BOOLE_WEIGHTS = np.array([7.0, 32.0, 12.0, 32.0, 7.0]) / 90.0
@@ -74,11 +74,14 @@ class ModalTrajectory:
     y0: np.ndarray
     segments: list
     propagator: Propagator
-    delta: float
 
     def __post_init__(self):
         if len(self.times) != 1 + sum(len(z) - 1 for _, z in self.segments):
             raise ValueError("times/segments length mismatch")
+
+    @property
+    def delta(self) -> float:
+        return self.propagator.step
 
     def rows(self, start: int, stop: int) -> np.ndarray:
         """Nodal rows ``start``..``stop``-1; none when stop <= start."""
@@ -161,7 +164,6 @@ def sweep(prop: Propagator, y0: np.ndarray, f_absc: np.ndarray, *,
 
 def solve_linear_inhomogeneous(ops: SpatialOperators, y0: np.ndarray, forcing,
                                t_final: float, delta: float,
-                               propagator: Propagator | None = None,
                                t0: float = 0.0) -> Trajectory:
     """Integrate y' = A y + (0, f(t)) over [t0, t_final] on a uniform grid.
 
@@ -170,11 +172,8 @@ def solve_linear_inhomogeneous(ops: SpatialOperators, y0: np.ndarray, forcing,
     abscissae, and ``sweep`` gets their loads M f.  The homogeneous part is
     advanced by the exact per-mode rotations of the propagator.
     """
-    nsteps = int(round((t_final - t0) / delta))
-    if nsteps < 1 or abs(t0 + nsteps * delta - t_final) > 1e-9:
-        raise ValueError("the step must tile the interval")
-    if propagator is None:
-        propagator = matrix_exponential(ops, delta)
+    nsteps = whole_steps(t_final - t0, delta, "the step must tile the interval")
+    propagator = matrix_exponential(ops, delta)
     absc = t0 + propagator.theta * np.arange((len(BOOLE_WEIGHTS) - 1) * nsteps + 1)
     f_absc = ops.apply_mass(np.asarray(forcing(absc), dtype=float))
     states = sweep(propagator, y0, f_absc)

@@ -55,12 +55,22 @@ def build_mesh(n: int) -> Mesh:
     return Mesh(n=n, h=h, nodes=h * np.arange(1, n + 1))
 
 
+def whole_steps(length: float, step: float, message: str, least: int = 1) -> int:
+    """The number of steps ``step`` in ``length``, the one grid rule of the
+    package: the step must be positive and the count a whole number, to 1e-9
+    in ``length``, and at least ``least``; otherwise ``ValueError(message)``."""
+    if not step > 0:
+        raise ValueError(message)
+    count = round(length / step)
+    if count < least or abs(count * step - length) > 1e-9:
+        raise ValueError(message)
+    return count
+
+
 def mesh_from_h(h: float) -> Mesh:
     """Mesh whose element size is (the nearest representable) ``h``."""
-    n = int(round(1.0 / h)) - 1
-    if abs((n + 1) * h - 1.0) > 1e-9:
-        raise ValueError(f"1/h = {1.0 / h} is not close to an integer")
-    return build_mesh(n)
+    elements = whole_steps(1.0, h, f"1/h = {1.0 / h} is not close to an integer")
+    return build_mesh(elements - 1)
 
 
 # elements per block of a batched ``QuarticTensor.contract``: 2^14 beat 2^12,

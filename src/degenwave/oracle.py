@@ -21,15 +21,8 @@ import numpy as np
 
 from .linop import SpatialOperators, energy, energy_norm
 from .linwave import Trajectory
-from .mesh import Mesh
-
-
-def _check_damping(alpha: float, m) -> None:
-    """The damping alpha x^{2m} x' dissipates for alpha >= 0 and integer m >= 1."""
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    if m < 1 or int(m) != m:
-        raise ValueError("the exponent half m must be a positive integer")
+from .mesh import Mesh, whole_steps
+from .picard import check_damping
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,7 +48,7 @@ class AnsatzProblem:
         x = np.asarray(self.x)
         if (x < 0).any() or (x > 1).any():
             raise ValueError("sample positions must lie in [0, 1]")
-        _check_damping(self.alpha, self.m)
+        check_damping(self.alpha, self.m)
 
     @classmethod
     def for_mesh(cls, mesh: Mesh, k: int, c0: float, c1: float = 0.0,
@@ -85,14 +78,8 @@ class OracleSolution:
         return 0.5 * self.problem.lam * self.phi**2 + 0.5 * self.phidot**2
 
 
-def _stored_step_count(t_final: float, step: float, store_stride: int) -> int:
-    """Stored steps after t = 0 of an RK4 run; validates the grid."""
-    nsteps = int(round(t_final / step))
-    if nsteps < 1 or abs(nsteps * step - t_final) > 1e-9:
-        raise ValueError("step must divide the horizon")
-    if store_stride < 1 or nsteps % store_stride != 0:
-        raise ValueError("store stride must divide the step count")
-    return nsteps // store_stride
+# the grid rule of an RK4 run that stores every store_stride-th step
+_STORED_GRID = "the stored step, step * store_stride, must divide the horizon"
 
 
 def _rk4_oscillators(neg_lam, coeff, m: int, y0: np.ndarray, h: float,
@@ -160,7 +147,7 @@ def rk4_ansatz(problems, t_final: float, step: float, store_stride: int = 1,
         raise ValueError("problems in one batch must share the exponent m")
     if any(not np.array_equal(p.x, first.x) for p in batch):
         raise ValueError("problems in one batch must share the sample positions")
-    n_stored = _stored_step_count(t_final, step, store_stride)
+    n_stored = whole_steps(t_final, step * store_stride, _STORED_GRID)
     collect = observe is None
     if collect:
         history = np.empty((2, len(batch), n_stored + 1, len(first.x)))
@@ -224,7 +211,7 @@ def reference_errors(trajectories: list, energies: list, problems: list,
     if not problems or not len(trajectories) == len(energies) == len(problems):
         raise ValueError("need at least one problem, and one trajectory and one "
                          "energy history per problem")
-    n_stored = _stored_step_count(t_final, step, store_stride)
+    n_stored = whole_steps(t_final, step * store_stride, _STORED_GRID)
     grid = (step * store_stride) * np.arange(n_stored + 1)
     for traj in trajectories:
         _check_aligned(traj.times, grid)
@@ -308,7 +295,7 @@ class OscillatorProblem:
     def __post_init__(self):
         if self.khat <= 0:
             raise ValueError("stiffness must be positive")
-        _check_damping(self.alpha, self.m)
+        check_damping(self.alpha, self.m)
 
     def equivalent_norm(self, y: np.ndarray) -> np.ndarray:
         """sqrt(khat/2 y1^2 + 1/2 y2^2), batched over leading axes."""
@@ -326,9 +313,7 @@ class OscillatorTrace:
 def simulate_oscillator(problem: OscillatorProblem, t_final: float,
                         step: float) -> OscillatorTrace:
     """RK4 trajectory of the oscillator with its equivalent-norm history."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    nsteps = int(round(t_final / step))
+    nsteps = whole_steps(t_final, step, "step must divide t_final")
     states = np.empty((nsteps + 1, 2))
     states[0] = (problem.x0, problem.x1)
 
@@ -387,6 +372,7 @@ def uniform_stability_sweep(khat: float, alpha: float, m: int, radius: float,
     never get there within the horizon are reported with an infinite time,
     not an error, so conservative runs (alpha = 0) remain inspectable.
     """
+    nsteps = whole_steps(horizon, step, "step must divide the horizon")
     y = ball_samples(radius, n_samples, khat, angle_offset)
     problem = OscillatorProblem(khat=khat, alpha=alpha, m=m, x0=0.0, x1=0.0)
     norms0 = problem.equivalent_norm(y)
@@ -397,6 +383,5 @@ def uniform_stability_sweep(khat: float, alpha: float, m: int, radius: float,
         first[hit] = i * step
         return np.isfinite(first).all()
 
-    _rk4_oscillators(-khat, alpha, m, y.T, step,
-                     int(round(horizon / step)), record)
+    _rk4_oscillators(-khat, alpha, m, y.T, step, nsteps, record)
     return StabilitySweep(samples=y, initial_norms=norms0, times_to_eps=first)

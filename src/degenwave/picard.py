@@ -15,7 +15,8 @@ import numpy as np
 
 from .linop import Propagator, matrix_exponential
 from .linwave import BOOLE_WEIGHTS, ModalTrajectory, sweep
-from .mesh import SpatialOperators, hat_load_from_values, values_at_gauss
+from .mesh import (SpatialOperators, hat_load_from_values, values_at_gauss,
+                   whole_steps)
 
 
 class PicardDivergenceError(RuntimeError):
@@ -34,15 +35,20 @@ class _ForcingModel:
         return ops.solve_mass(self.load(ops, u, v))
 
 
+def check_damping(alpha: float, m) -> None:
+    """The damping alpha u^{2m} u_t dissipates for alpha >= 0 and integer m >= 1."""
+    if alpha < 0:
+        raise ValueError("alpha must be nonnegative")
+    if m < 1 or int(m) != m:
+        raise ValueError("the exponent half m must be a positive integer")
+
+
 class _PowerDamping(_ForcingModel):
     """The power-law dampings' shared parameters: strength alpha >= 0 and
     exponent half m, a positive integer."""
 
     def __init__(self, alpha: float = 1.0, m: int = 1):
-        if alpha < 0:
-            raise ValueError("alpha must be nonnegative")
-        if m < 1 or int(m) != m:
-            raise ValueError("the exponent half m must be a positive integer")
+        check_damping(alpha, m)
         self.alpha = float(alpha)
         self.m = int(m)
 
@@ -105,13 +111,6 @@ def _nonlinear_load(ops, pointwise, u, v, degree: int):
 
 # -- configuration and results ------------------------------------------------
 
-def divides(delta: float, length: float) -> bool:
-    """Whether ``length`` is a positive whole number of steps ``delta``,
-    to 1e-9."""
-    steps = round(length / delta)
-    return steps >= 1 and abs(steps * delta - length) <= 1e-9
-
-
 @dataclass(frozen=True)
 class PicardConfig:
     t_final: float
@@ -119,28 +118,21 @@ class PicardConfig:
     alpha: float = 1.0
     m: int = 1
     epsilon: float = 1e-8
-    max_iterations: int = 50
     window: float = 1.0
 
     def __post_init__(self):
         if self.t_final <= 0 or self.delta <= 0 or self.epsilon <= 0 or self.window <= 0:
             raise ValueError("t_final, delta, epsilon and window must be positive")
-        if not divides(self.delta, self.t_final):
-            raise ValueError("delta must divide t_final")
-        if not divides(self.delta, self.window):
-            raise ValueError("delta must divide window")
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
-        if self.m < 1 or int(self.m) != self.m:
-            raise ValueError("m must be a positive integer")
+        self.n_steps, self.window_steps   # each raises unless a whole number
+        check_damping(self.alpha, self.m)
 
     @property
     def n_steps(self) -> int:
-        return int(round(self.t_final / self.delta))
+        return whole_steps(self.t_final, self.delta, "delta must divide t_final")
 
     @property
     def window_steps(self) -> int:
-        return int(round(self.window / self.delta))
+        return whole_steps(self.window, self.delta, "delta must divide window")
 
 
 @dataclass
@@ -181,6 +173,7 @@ class PicardResult:
 
 TOL = 1e-13        # certified truncation error, relative to ||y0||_E
 DETECT = 1e-1      # a mode joins J at DETECT * TOL ||y0||_E of reach
+MAX_ITERATIONS = 50   # a window that has not converged by then is reported
 _DETECT_ROWS = 9   # abscissa rows of each forcing searched for new modes
 
 
@@ -283,7 +276,7 @@ class _Window:
                               converged=False)
         grow = 0
         buffer = np.empty((rows, n))   # every iteration's load
-        for _ in range(config.max_iterations):
+        for _ in range(MAX_ITERATIONS):
             load = _abscissa_loads(ops, forcing, states, buffer)
             cur, states, prev = self._sweep(y, load, prev)
             dist = float(np.sqrt(_mode_energy(cur - prev, self.prop.mu).max()))
@@ -328,7 +321,7 @@ class _Window:
 # a blow-up is reported by the finiteness guard, not through overflow warnings
 @np.errstate(over="ignore", invalid="ignore")
 def picard_solve(ops: SpatialOperators, y0: np.ndarray, config: PicardConfig,
-                 forcing=None, propagator: Propagator | None = None) -> PicardResult:
+                 forcing=None) -> PicardResult:
     """Fixed-point solve of the semilinear problem on [0, t_final].
 
     The first iterate of every window uses the constant-in-time forcing of
@@ -347,8 +340,7 @@ def picard_solve(ops: SpatialOperators, y0: np.ndarray, config: PicardConfig,
     """
     if forcing is None:
         forcing = DegenerateDamping(config.alpha, config.m)
-    if propagator is None:
-        propagator = matrix_exponential(ops, config.delta)
+    propagator = matrix_exponential(ops, config.delta)
     n = ops.mesh.n
     y = np.asarray(y0, dtype=float)
     z0 = propagator.modal(y)
@@ -386,8 +378,7 @@ def picard_solve(ops: SpatialOperators, y0: np.ndarray, config: PicardConfig,
 
     times = config.delta * np.arange(config.n_steps + 1)
     traj = ModalTrajectory(times=times, y0=np.array(y0, dtype=float),
-                           segments=segments, propagator=propagator,
-                           delta=config.delta)
+                           segments=segments, propagator=propagator)
     return PicardResult(trajectory=traj,
                         iterations=total_iters,
                         final_distance=windows[-1].distance,

@@ -6,7 +6,7 @@ from degenwave.experiments import extend_with_ab5
 from degenwave.linwave import Trajectory
 
 
-def extended(trajs, ops, forcing, t_final, propagator=None) -> list:
+def extended(trajs, ops, forcing, t_final) -> list:
     """Each of ``trajs`` continued to ``t_final`` by one ``extend_with_ab5``
     call, as a ``Trajectory`` holding its input rows and the observed ones."""
     t1, delta = trajs[0].times[-1], trajs[0].delta
@@ -16,7 +16,7 @@ def extended(trajs, ops, forcing, t_final, propagator=None) -> list:
     def observe(j0, block):
         new[:, j0:j0 + block.shape[1]] = block
 
-    extend_with_ab5(trajs, ops, forcing, t_final, observe, propagator=propagator)
+    extend_with_ab5(trajs, ops, forcing, t_final, observe)
     times = t1 + delta * np.arange(1, n_out + 1)
     return [Trajectory(times=np.concatenate([tr.times, times]),
                        states=np.vstack([tr.states, rows]), delta=delta)

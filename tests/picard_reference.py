@@ -10,7 +10,8 @@ forcing comes from ``interp_abscissae``, the whole-window interpolation that
 
 import numpy as np
 
-from degenwave.linop import Propagator, energy_norm, matrix_exponential
+from degenwave import picard
+from degenwave.linop import energy_norm, matrix_exponential
 from degenwave.linwave import BOOLE_WEIGHTS, Trajectory, sweep
 from degenwave.mesh import SpatialOperators
 from degenwave.picard import (DegenerateDamping, PicardConfig,
@@ -33,7 +34,7 @@ def interp_abscissae(x: np.ndarray) -> np.ndarray:
 # a blow-up is reported by the finiteness guard, not through overflow warnings
 @np.errstate(over="ignore", invalid="ignore")
 def picard_solve(ops: SpatialOperators, y0: np.ndarray, config: PicardConfig,
-                 forcing=None, propagator: Propagator | None = None) -> PicardResult:
+                 forcing=None) -> PicardResult:
     """Fixed-point solve of the semilinear problem on [0, t_final].
 
     The first iterate of every window uses the constant-in-time forcing of
@@ -46,8 +47,7 @@ def picard_solve(ops: SpatialOperators, y0: np.ndarray, config: PicardConfig,
     """
     if forcing is None:
         forcing = DegenerateDamping(config.alpha, config.m)
-    if propagator is None:
-        propagator = matrix_exponential(ops, config.delta)
+    propagator = matrix_exponential(ops, config.delta)
     n = ops.mesh.n
 
     chunks = [y0[None, :]]
@@ -65,7 +65,7 @@ def picard_solve(ops: SpatialOperators, y0: np.ndarray, config: PicardConfig,
         report = WindowReport(t_start=t_start, iterations=0, distance=np.inf,
                               converged=False)
         grow = 0
-        for _ in range(config.max_iterations):
+        for _ in range(picard.MAX_ITERATIONS):
             ua = interp_abscissae(prev[:, :n])
             va = interp_abscissae(prev[:, n:])
             f_absc = forcing.load(ops, ua, va)

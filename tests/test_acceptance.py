@@ -19,7 +19,7 @@ from degenwave import (LinearDamping, PicardConfig,
                        continuum_energy_error, decay_rate_fit,
                        dissipation_exponent, energy,
                        frequency_sweep, lower_order_decay,
-                       matrix_exponential, picard_solve,
+                       picard_solve,
                        primitive_setup, primitive_solve, rk4_ansatz,
                        uniform_stability_sweep)
 from degenwave.experiments import EnergyTrace
@@ -38,13 +38,12 @@ def crit(name: str, ok: bool, detail: str) -> None:
 
 
 @pytest.fixture(scope="session")
-def fig2(mesh99, ops99, prop99):
+def fig2(mesh99, ops99):
     """The frequency sweep at the reference resolution, with oracle errors."""
     bundle = {"runs": {}, "e_gap": {}, "e_norm": {}, "seconds": {}}
     for k in (1, 2, 4, 8):
         t0 = time.perf_counter()
-        run = frequency_sweep([k], 1.0, 1, ops99, DELTA, T_FINAL,
-                              propagator=prop99)[0]
+        run = frequency_sweep([k], 1.0, 1, ops99, DELTA, T_FINAL)[0]
         problem = AnsatzProblem.for_mesh(mesh99, k,
                                          c0=run.data.amplitude / np.sqrt(2.0))
         sol = rk4_ansatz(problem, T_FINAL, DELTA / 10, store_stride=10)
@@ -57,10 +56,10 @@ def fig2(mesh99, ops99, prop99):
 
 
 @pytest.fixture(scope="session")
-def primitive50(mesh99, ops99, prop99, fig2):
+def primitive50(mesh99, ops99, fig2):
     setup = primitive_setup(1, 1, ops99)
     result = primitive_solve(setup, ops99, DELTA, T_FINAL,
-                             damped_run=fig2["runs"][1], propagator=prop99)
+                             damped_run=fig2["runs"][1])
     full, = extended([result.trajectory.nodal()], ops99, setup.damping, 50.0)
     trace = EnergyTrace.from_trajectory(full, ops99)
     return {"setup": setup, "result": result, "trace": trace}
@@ -170,9 +169,8 @@ class TestCriterion3EnergyLaws:
         crit("criterion 3b (strict decrease over unit windows)", ok,
              "checked k = 1, 2, 4, 8 on [0, 10]")
 
-    def test_undamped_conservation(self, mesh99, ops99, prop99):
-        runs = frequency_sweep([1], 0.0, 1, ops99, DELTA, T_FINAL,
-                               propagator=prop99)
+    def test_undamped_conservation(self, mesh99, ops99):
+        runs = frequency_sweep([1], 0.0, 1, ops99, DELTA, T_FINAL)
         e = runs[0].trace.energy
         drift = np.abs(e - e[0]).max() / e[0]
         crit("criterion 3c (conservative limit)", drift < 1e-9,
@@ -185,13 +183,12 @@ class TestCriterion4LinearDampedReference:
     def _fem_error(self, h):
         mesh = build_mesh(int(round(1 / h)) - 1)
         ops = assemble(mesh)
-        prop = matrix_exponential(ops, DELTA)
         c0 = 2.0 / np.pi
         u0 = c0 * np.sin(np.pi * mesh.nodes)
         y0 = np.concatenate([u0, np.zeros(mesh.n)])
         config = PicardConfig(t_final=T_FINAL, delta=DELTA)
         result = picard_solve(ops, y0, config,
-                              forcing=LinearDamping(self.BETA), propagator=prop)
+                              forcing=LinearDamping(self.BETA))
         lam = np.pi**2
         w = np.sqrt(lam - self.BETA**2 / 4)
         traj = result.trajectory.nodal()
@@ -253,13 +250,11 @@ class TestCriterion5SchemeOrders:
         nu, s = 2.0, np.array([1.0])
         errs = []
         for d in (0.1, 0.05):
-            prop = matrix_exponential(ops, d)
-
             def forcing(t):
                 return ((lam_h - nu**2) * np.sin(nu * t))[:, None] * s
 
             traj = solve_linear_inhomogeneous(ops, np.array([0.0, nu]), forcing,
-                                              2.0, d, propagator=prop)
+                                              2.0, d)
             exact = np.stack([np.sin(nu * traj.times),
                               nu * np.cos(nu * traj.times)], axis=1)
             from degenwave import energy_norm

@@ -12,9 +12,10 @@ from degenwave import cli
 from degenwave.cli import (EXPERIMENTS, PRESETS, Report, RunConfig,
                            _check_splice, _check_trace_energy_laws,
                            _config_from_args, _report_line, _run_sweep,
-                           _spatial, build_parser, emit_plot, main,
-                           parse_config_file, run)
+                           build_parser, emit_plot, main, parse_config_file,
+                           run)
 from degenwave.experiments import EnergyTrace
+from degenwave.mesh import assemble, mesh_from_h
 from degenwave.picard import DegenerateDamping
 
 FAST = dict(h=0.1, delta=0.02, t_final=0.4, t_extend=0.4, ks=(1,),
@@ -522,11 +523,11 @@ class TestRun:
         # window; the damped one reproduces it
         config = RunConfig(experiment="fig3", h=0.1, delta=0.02, t_final=0.4,
                            ks=(1,), window=0.2)
-        ops, prop = _spatial(config)
-        run = _run_sweep(config, ops, prop)[0]
+        ops = assemble(mesh_from_h(config.h))
+        run = _run_sweep(config, ops)[0]
         for alpha, tag in [(1.0, "[PASS]"), (0.0, "[FAIL]")]:
             report = Report()
-            _report_line(report, *_check_splice([run], ops, prop,
+            _report_line(report, *_check_splice([run], ops,
                                                 DegenerateDamping(alpha))[0])
             assert report.lines[0].startswith(f"{tag} k=1 splice continuity")
 

@@ -39,9 +39,8 @@ class TestEnergyTrace:
                         energy=np.array([1.0, np.nan]),
                         l2=np.zeros(2), h1=np.zeros(2))
 
-    def test_from_trajectory(self, ops99, prop99):
-        runs = frequency_sweep([1], 1.0, 1, ops99, 2e-3, 0.1,
-                               propagator=prop99)
+    def test_from_trajectory(self, ops99):
+        runs = frequency_sweep([1], 1.0, 1, ops99, 2e-3, 0.1)
         tr = runs[0].trace
         assert tr.energy[0] == pytest.approx(1.0, abs=1e-12)
         assert tr.l2[0] == pytest.approx(l2_norm(ops99, runs[0].data.y0[:99]))
@@ -49,41 +48,35 @@ class TestEnergyTrace:
 
 
 class TestFrequencySweep:
-    def test_conservative_traces_flat(self, ops99, prop99):
-        runs = frequency_sweep([1, 2], 0.0, 1, ops99, 2e-3, 1.0,
-                               propagator=prop99)
+    def test_conservative_traces_flat(self, ops99):
+        runs = frequency_sweep([1, 2], 0.0, 1, ops99, 2e-3, 1.0)
         for run in runs:
             np.testing.assert_allclose(run.trace.energy, 1.0, atol=1e-9)
 
-    def test_order_is_input_order(self, ops99, prop99):
-        runs = frequency_sweep([2, 1], 0.0, 1, ops99, 2e-3, 0.01,
-                               propagator=prop99)
+    def test_order_is_input_order(self, ops99):
+        runs = frequency_sweep([2, 1], 0.0, 1, ops99, 2e-3, 0.01)
         assert [r.k for r in runs] == [2, 1]
 
-    def test_thread_pool_matches_serial(self, ops99, prop99):
+    def test_thread_pool_matches_serial(self, ops99):
         from concurrent.futures import ThreadPoolExecutor
-        serial = frequency_sweep([1, 2], 1.0, 1, ops99, 2e-3, 0.2,
-                                 propagator=prop99)
+        serial = frequency_sweep([1, 2], 1.0, 1, ops99, 2e-3, 0.2)
         with ThreadPoolExecutor(max_workers=2) as pool:
-            parallel = frequency_sweep([1, 2], 1.0, 1, ops99, 2e-3, 0.2,
-                                       propagator=prop99, pool=pool)
+            parallel = frequency_sweep([1, 2], 1.0, 1, ops99, 2e-3, 0.2, pool=pool)
         for a, b in zip(serial, parallel):
             np.testing.assert_array_equal(a.trajectory.nodal().states,
                                           b.trajectory.nodal().states)
 
 
 class TestConservativeComparison:
-    def test_zero_at_start(self, ops99, prop99):
-        runs = frequency_sweep([1], 1.0, 1, ops99, 2e-3, 0.5,
-                               propagator=prop99)
+    def test_zero_at_start(self, ops99):
+        runs = frequency_sweep([1], 1.0, 1, ops99, 2e-3, 0.5)
         tz = conservative_comparison(runs[0], ops99)
         assert tz.energy[0] < 1e-25
 
-    def test_undamped_difference_vanishes(self, ops99, prop99):
+    def test_undamped_difference_vanishes(self, ops99):
         # with the reference at the mesh frequency, no damping means the two
         # flows coincide to rounding
-        runs = frequency_sweep([1], 0.0, 1, ops99, 2e-3, 10.0,
-                               propagator=prop99)
+        runs = frequency_sweep([1], 0.0, 1, ops99, 2e-3, 10.0)
         tz = conservative_comparison(runs[0], ops99)
         assert tz.energy.max() < 1e-18
 
@@ -121,10 +114,9 @@ class TestPrimitiveSetup:
 
 
 @pytest.fixture(scope="module")
-def short_primitive(ops99, prop99):
+def short_primitive(ops99):
     setup = primitive_setup(1, 1, ops99)
-    return setup, primitive_solve(setup, ops99, 2e-3, 2.0,
-                                  propagator=prop99)
+    return setup, primitive_solve(setup, ops99, 2e-3, 2.0)
 
 
 class TestPrimitiveSolve:
@@ -153,13 +145,12 @@ class TestPrimitiveSolve:
         assert report.all_satisfied
         assert report.bound == pytest.approx(setup.energy_bound(ops99))
 
-    def test_undamped_identity_exact(self, ops99, prop99):
+    def test_undamped_identity_exact(self, ops99):
         # without damping the potential vanishes and the velocity of the
         # potential flow equals the undamped solution to rounding
         setup = primitive_setup(1, 1, ops99, alpha=0.0)
         assert np.abs(setup.phi0).max() == 0.0
-        result = primitive_solve(setup, ops99, 2e-3, 0.5,
-                                 propagator=prop99)
+        result = primitive_solve(setup, ops99, 2e-3, 0.5)
         assert result.velocity_gap_l2 < 1e-10
 
 
@@ -193,9 +184,8 @@ class TestDecayRateFit:
 
 
 class TestLowerOrderOscillation:
-    def test_conservative_l2_does_not_decay(self, ops99, prop99):
-        runs = frequency_sweep([1], 0.0, 1, ops99, 2e-3, 10.0,
-                               propagator=prop99)
+    def test_conservative_l2_does_not_decay(self, ops99):
+        runs = frequency_sweep([1], 0.0, 1, ops99, 2e-3, 10.0)
         l2 = runs[0].trace.l2
         times = runs[0].trace.times
         early = l2[times <= 2.0].max()

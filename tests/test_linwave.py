@@ -85,27 +85,27 @@ class TestDuhamelStep:
 
 
 class TestSolveLinear:
-    def test_homogeneous_matches_discrete_rotation(self, mesh99, ops99, prop99):
+    def test_homogeneous_matches_discrete_rotation(self, mesh99, ops99):
         # same operator on both sides: the sine samples are exact eigenvectors,
         # so the semi-discrete flow is a rotation at the discrete frequency
         u0 = np.sin(np.pi * mesh99.nodes)
         y0 = np.concatenate([u0, np.zeros(99)])
         traj = solve_linear_inhomogeneous(ops99, y0, lambda t: np.zeros((len(t), 99)),
-                                          10.0, 2e-3, propagator=prop99)
+                                          10.0, 2e-3)
         w = np.sqrt(discrete_eigenvalue(ops99, 1))
         t = traj.times[:, None]
         exact = np.concatenate([np.cos(w * t) * u0, -w * np.sin(w * t) * u0],
                                axis=1)
         assert energy_norm(ops99, traj.states - exact).max() < 1e-8
 
-    def test_homogeneous_energy_constant(self, ops99, prop99, rng):
+    def test_homogeneous_energy_constant(self, ops99, rng):
         y0 = rng.normal(size=198)
         traj = solve_linear_inhomogeneous(ops99, y0, lambda t: np.zeros((len(t), 99)),
-                                          10.0, 2e-3, propagator=prop99)
+                                          10.0, 2e-3)
         e = energy(ops99, traj.states)
         assert np.abs(e - e[0]).max() / e[0] < 1e-9
 
-    def test_manufactured_solution(self, mesh99, ops99, prop99):
+    def test_manufactured_solution(self, mesh99, ops99):
         # u(t) = t^2 sin(pi x) solves the semi-discrete system with forcing
         # (2 + lambda_h t^2) sin(pi x)
         s = np.sin(np.pi * mesh99.nodes)
@@ -115,7 +115,7 @@ class TestSolveLinear:
             return (2.0 + lam_h * t**2)[:, None] * s
 
         traj = solve_linear_inhomogeneous(ops99, np.zeros(198), forcing, 2.0,
-                                          2e-3, propagator=prop99)
+                                          2e-3)
         t = traj.times[:, None]
         exact = np.concatenate([t**2 * s, 2 * t * s], axis=1)
         assert energy_norm(ops99, traj.states - exact).max() < 1e-6
@@ -131,25 +131,22 @@ class TestSolveLinear:
         s = np.array([1.0])
         errs = []
         for d in (0.1, 0.05):
-            prop = matrix_exponential(ops, d)
-
             def forcing(t):
                 return ((lam_h - nu**2) * np.sin(nu * t))[:, None] * s
 
             y0 = np.concatenate([0.0 * s, nu * s])
-            traj = solve_linear_inhomogeneous(ops, y0, forcing, 2.0, d,
-                                              propagator=prop)
+            traj = solve_linear_inhomogeneous(ops, y0, forcing, 2.0, d)
             exact = np.stack([np.sin(nu * traj.times),
                               nu * np.cos(nu * traj.times)], axis=1)
             errs.append(energy_norm(ops, traj.states - exact).max())
         ratio = errs[0] / errs[1]
         assert ratio == pytest.approx(2.0**order, rel=0.2)
 
-    def test_step_must_tile_interval(self, ops99, prop99):
+    def test_step_must_tile_interval(self, ops99):
         with pytest.raises(ValueError):
             solve_linear_inhomogeneous(ops99, np.zeros(198),
                                        lambda t: np.zeros((len(t), 99)),
-                                       1.0, 0.3, propagator=prop99)
+                                       1.0, 0.3)
 
 
 class TestAnalyticLinearDamped:

@@ -8,7 +8,7 @@ from scipy.linalg import eigh
 
 from degenwave import assemble, build_mesh, l2_project, mesh_from_h
 from degenwave import mesh as mesh_module
-from degenwave.mesh import hat_load, values_at_gauss
+from degenwave.mesh import hat_load, values_at_gauss, whole_steps
 from mass_reference import banded_mass_solve
 
 
@@ -56,6 +56,20 @@ class TestBuildMesh:
         assert mesh_from_h(1e-2).n == 99
         with pytest.raises(ValueError):
             mesh_from_h(0.3)
+
+
+class TestWholeSteps:
+    def test_counts_the_steps(self):
+        assert whole_steps(10.0, 2e-3, "unused") == 5000
+        assert whole_steps(0.3, 0.1, "unused") == 3
+        assert whole_steps(-1e-12, 0.1, "unused", least=0) == 0
+
+    @pytest.mark.parametrize("length, step, least", [
+        (1.0, 0.3, 1), (0.0, 0.1, 1), (-0.2, 0.1, 0), (1.0, 0.0, 1),
+        (1.0, -0.5, 1), (1.0 + 2e-9, 0.5, 1)])
+    def test_rejects_with_the_callers_message(self, length, step, least):
+        with pytest.raises(ValueError, match="^the quantity$"):
+            whole_steps(length, step, "the quantity", least)
 
 
 class TestAssemble:

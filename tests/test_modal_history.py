@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from degenwave import (EnergyTrace, PicardConfig, assemble, frequency_sweep,
-                       matrix_exponential, mesh_from_h, picard, picard_solve)
+                       mesh_from_h, picard, picard_solve)
 from degenwave.experiments import mode_initial_state
 
 DELTA = 2e-3
@@ -20,13 +20,12 @@ DELTA = 2e-3
 
 @lru_cache(maxsize=None)
 def operators():
-    ops = assemble(mesh_from_h(0.01))
-    return ops, matrix_exponential(ops, DELTA)
+    return assemble(mesh_from_h(0.01))
 
 
 def solve_capturing_windows(monkeypatch, k, t_final):
     """A Picard run of mode k and the nodal states each window returned."""
-    ops, prop = operators()
+    ops = operators()
     windows = []
     solve = picard._Window.solve
 
@@ -37,8 +36,7 @@ def solve_capturing_windows(monkeypatch, k, t_final):
 
     monkeypatch.setattr(picard._Window, "solve", capture)
     result = picard_solve(ops, mode_initial_state(ops, k).y0,
-                          PicardConfig(t_final=t_final, delta=DELTA),
-                          propagator=prop)
+                          PicardConfig(t_final=t_final, delta=DELTA))
     # a window solved again keeps its last attempt
     accepted, i = [], 0
     for w in result.windows:
@@ -71,10 +69,9 @@ def test_blocks_reproduce_the_window_states(monkeypatch, k, redo):
 def test_modal_trace_matches_nodal_trace(monkeypatch, k, redo):
     if redo:
         monkeypatch.setattr(picard, "DETECT", 0.5 / picard.TOL)
-    ops, prop = operators()
+    ops = operators()
     result = picard_solve(ops, mode_initial_state(ops, k).y0,
-                          PicardConfig(t_final=2.0, delta=DELTA),
-                          propagator=prop)
+                          PicardConfig(t_final=2.0, delta=DELTA))
     modal = EnergyTrace.from_modal(result.trajectory)
     nodal = EnergyTrace.from_trajectory(result.trajectory.nodal(), ops)
     np.testing.assert_array_equal(modal.times, nodal.times)
@@ -83,13 +80,19 @@ def test_modal_trace_matches_nodal_trace(monkeypatch, k, redo):
                                    rtol=1e-13, atol=0.0)
 
 
+def test_step_is_the_propagators():
+    ops = operators()
+    traj = picard_solve(ops, mode_initial_state(ops, 1).y0,
+                        PicardConfig(t_final=0.02, delta=DELTA)).trajectory
+    assert traj.delta == traj.propagator.step == DELTA
+
+
 @pytest.mark.parametrize("modal", [True, False], ids=["ModalTrajectory", "Trajectory"])
 @pytest.mark.parametrize("start, stop", [(0, 0), (7, 7), (5, 2)])
 def test_rows_of_an_empty_range_are_empty(modal, start, stop):
-    ops, prop = operators()
+    ops = operators()
     result = picard_solve(ops, mode_initial_state(ops, 1).y0,
-                          PicardConfig(t_final=0.02, delta=DELTA),
-                          propagator=prop)
+                          PicardConfig(t_final=0.02, delta=DELTA))
     traj = result.trajectory if modal else result.trajectory.nodal()
     rows = traj.rows(start, stop)
     assert rows.shape == (0, 2 * ops.mesh.n)
@@ -98,16 +101,15 @@ def test_rows_of_an_empty_range_are_empty(modal, start, stop):
 def test_history_rows_cost_their_active_modes():
     # tracemalloc counts NumPy's buffers; a nodal history costs 16 n = 1584
     # bytes per row at n = 99, the modal one 16 |J| with |J| = 5-6 here
-    ops, prop = operators()
-    frequency_sweep([4], 1.0, 1, ops, DELTA, 2.0, propagator=prop)  # warm-up
+    ops = operators()
+    frequency_sweep([4], 1.0, 1, ops, DELTA, 2.0)  # warm-up
     tracemalloc.start()
     try:
         peaks, kept = {}, {}
         for t_final in (2.0, 8.0):
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            run, = frequency_sweep([4], 1.0, 1, ops, DELTA, t_final,
-                                   propagator=prop)
+            run, = frequency_sweep([4], 1.0, 1, ops, DELTA, t_final)
             current, peaks[t_final] = tracemalloc.get_traced_memory()
             kept[t_final] = (current - base, run)
     finally:

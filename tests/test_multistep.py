@@ -7,7 +7,8 @@ from degenwave import (AB5_COEFFS, ABState, BlowupError, DegenerateDamping,
                        PicardConfig, ab5_init, ab5_step, energy, energy_norm,
                        extend_trajectory, picard_solve, semilinear_rhs,
                        solve_linear_inhomogeneous)
-from degenwave.experiments import (EXTENSION_BLOCK, extend_with_ab5,
+from degenwave.experiments import (EXTENSION_BLOCK, EnergyTrace,
+                                   extend_traces, extend_with_ab5,
                                    mode_initial_state)
 from degenwave.linwave import Trajectory
 from extension_helpers import extended
@@ -51,12 +52,12 @@ class TestAB5Basics:
             y = ab5_step(state)
         np.testing.assert_allclose(y, val)
 
-    def test_history_from_linear_flow(self, ops99, prop99):
+    def test_history_from_linear_flow(self, ops99):
         # rhs of the undamped system evaluated on its own trajectory
         data = mode_initial_state(ops99, 1)
         traj = solve_linear_inhomogeneous(ops99, data.y0,
                                           lambda t: np.zeros((len(t), 99)),
-                                          0.01, 2e-3, propagator=prop99)
+                                          0.01, 2e-3)
         rhs = semilinear_rhs(ops99, UNDAMPED)
         state = ab5_init(traj.times[-5:], list(traj.states[-5:]), rhs)
         # dense reference (v, -M^{-1} K u); on the smooth mode K u cancels
@@ -115,21 +116,20 @@ class TestAB5Basics:
 
 
 class TestExtendTrajectory:
-    def _homogeneous_traj(self, prop, ops, t_final, k=1):
+    def _homogeneous_traj(self, ops, t_final, k=1):
         data = mode_initial_state(ops, k)
         return data, solve_linear_inhomogeneous(
-            ops, data.y0, lambda t: np.zeros((len(t), 99)), t_final, 2e-3,
-            propagator=prop)
+            ops, data.y0, lambda t: np.zeros((len(t), 99)), t_final, 2e-3)
 
-    def test_extension_to_same_time_returns_input(self, ops99, prop99):
-        _, traj = self._homogeneous_traj(prop99, ops99, 0.1)
+    def test_extension_to_same_time_returns_input(self, ops99):
+        _, traj = self._homogeneous_traj(ops99, 0.1)
         rhs = semilinear_rhs(ops99, UNDAMPED)
         assert extend_trajectory(traj, rhs, 0.1) is traj
 
-    def test_literal_step_blows_up_on_stiff_wave(self, ops99, prop99):
+    def test_literal_step_blows_up_on_stiff_wave(self, ops99):
         # the output step is far outside the scheme's imaginary-axis
         # stability for the top mesh frequencies; the guard must trip
-        _, traj = self._homogeneous_traj(prop99, ops99, 0.1)
+        _, traj = self._homogeneous_traj(ops99, 0.1)
         rhs = semilinear_rhs(ops99, UNDAMPED)
         with pytest.raises(BlowupError):
             extend_trajectory(traj, rhs, 2.0,
@@ -137,12 +137,11 @@ class TestExtendTrajectory:
                               substeps=1)
 
     @pytest.mark.parametrize("k", [1, 8])
-    def test_stabilized_extension_tracks_discrete_rotation(self, ops99,
-                                                           prop99, k):
+    def test_stabilized_extension_tracks_discrete_rotation(self, ops99, k):
         # undamped, the rotating-frame amplitudes stand still: the extension
         # is the exact rotation up to rounding
-        data, traj = self._homogeneous_traj(prop99, ops99, 2.0, k)
-        full, = extended([traj], ops99, UNDAMPED, 6.0, propagator=prop99)
+        data, traj = self._homogeneous_traj(ops99, 2.0, k)
+        full, = extended([traj], ops99, UNDAMPED, 6.0)
         h = ops99.mesh.h
         c = np.cos(k * np.pi * h)
         w = np.sqrt((6 / h**2) * (1 - c) / (2 + c))
@@ -155,8 +154,8 @@ class TestExtendTrajectory:
         e = energy(ops99, full.states)
         assert np.abs(e - e[0]).max() / e[0] <= 1e-13
 
-    def test_splice_grid_and_continuity(self, ops99, prop99):
-        _, traj = self._homogeneous_traj(prop99, ops99, 2.0)
+    def test_splice_grid_and_continuity(self, ops99):
+        _, traj = self._homogeneous_traj(ops99, 2.0)
         full, = extended([traj], ops99, UNDAMPED, 4.0)
         assert full.delta == traj.delta
         np.testing.assert_allclose(full.times[:len(traj.times)], traj.times)
@@ -164,10 +163,10 @@ class TestExtendTrajectory:
         assert energy_norm(ops99, full.states[i1] - traj.states[-1]) == 0.0
         np.testing.assert_allclose(np.diff(full.times), traj.delta, rtol=1e-9)
 
-    def test_nonlinear_extension_monotone_energy(self, ops99, prop99):
+    def test_nonlinear_extension_monotone_energy(self, ops99):
         data = mode_initial_state(ops99, 1)
         config = PicardConfig(t_final=2.0, delta=2e-3)
-        result = picard_solve(ops99, data.y0, config, propagator=prop99)
+        result = picard_solve(ops99, data.y0, config)
         forcing = DegenerateDamping(1.0, 1)
         full, = extended([result.trajectory.nodal()], ops99, forcing, 4.0)
         e = energy(ops99, full.states)
@@ -175,18 +174,16 @@ class TestExtendTrajectory:
         assert e[-1] < e[len(result.trajectory.times) - 1]   # t = 2
 
     @pytest.mark.parametrize("k", [8, 12])
-    def test_matches_literal_scheme_at_sixteen_substeps(self, ops99, prop99, k):
+    def test_matches_literal_scheme_at_sixteen_substeps(self, ops99, k):
         # the literal AB5 at 16 substeps is the reference; the energies of
         # the two extensions over [1, 3] were 5.6e-9 apart at most, while
         # the literal scheme at 4 substeps misses it by 1.0e-8 (k = 8) and
         # 1.2e-7 (k = 12)
         data = mode_initial_state(ops99, k)
         result = picard_solve(ops99, data.y0,
-                              PicardConfig(t_final=1.0, delta=2e-3),
-                              propagator=prop99)
+                              PicardConfig(t_final=1.0, delta=2e-3))
         forcing = DegenerateDamping(1.0, 1)
-        new, = extended([result.trajectory.nodal()], ops99, forcing, 3.0,
-                        propagator=prop99)
+        new, = extended([result.trajectory.nodal()], ops99, forcing, 3.0)
         literal = extend_trajectory(result.trajectory.nodal(),
                                     semilinear_rhs(ops99, forcing), 3.0,
                                     norm_fn=lambda y: float(energy(ops99, y)),
@@ -195,13 +192,13 @@ class TestExtendTrajectory:
         gap = np.abs(energy(ops99, new.states) - energy(ops99, literal.states))
         assert gap.max() <= 1e-8
 
-    def test_history_too_short_rejected(self, ops99, prop99):
-        _, traj = self._homogeneous_traj(prop99, ops99, 0.006)
+    def test_history_too_short_rejected(self, ops99):
+        _, traj = self._homogeneous_traj(ops99, 0.006)
         with pytest.raises(ValueError, match="five history points"):
-            extended([traj], ops99, UNDAMPED, 0.1, propagator=prop99)
+            extended([traj], ops99, UNDAMPED, 0.1)
 
-    def test_target_before_end_rejected(self, ops99, prop99):
-        _, traj = self._homogeneous_traj(prop99, ops99, 0.1)
+    def test_target_before_end_rejected(self, ops99):
+        _, traj = self._homogeneous_traj(ops99, 0.1)
         rhs = semilinear_rhs(ops99, UNDAMPED)
         with pytest.raises(ValueError):
             extend_trajectory(traj, rhs, 0.05)
@@ -209,23 +206,23 @@ class TestExtendTrajectory:
 
 class TestBatchedExtension:
     @pytest.fixture(scope="class")
-    def picard_runs(self, ops99, prop99):
+    def picard_runs(self, ops99):
         config = PicardConfig(t_final=0.2, delta=2e-3, window=0.2)
-        return [picard_solve(ops99, mode_initial_state(ops99, k).y0, config,
-                             propagator=prop99).trajectory.nodal()
+        return [picard_solve(ops99, mode_initial_state(ops99, k).y0,
+                             config).trajectory.nodal()
                 for k in (1, 2, 4, 8, 12)]
 
-    def test_batch_matches_one_member_runs(self, ops99, prop99, picard_runs):
+    def test_batch_matches_one_member_runs(self, ops99, picard_runs):
         forcing = DegenerateDamping(1.0, 1)
-        batch = extended(picard_runs, ops99, forcing, 1.2, propagator=prop99)
+        batch = extended(picard_runs, ops99, forcing, 1.2)
         for traj, full in zip(picard_runs, batch):
-            alone, = extended([traj], ops99, forcing, 1.2, propagator=prop99)
+            alone, = extended([traj], ops99, forcing, 1.2)
             np.testing.assert_array_equal(full.times, alone.times)
             scale = np.abs(alone.states).max()
             assert np.abs(full.states - alone.states).max() <= 1e-12 * scale
 
     @pytest.mark.parametrize("n_out", [0, 1, 255, 256, 257])
-    def test_observer_sees_each_step_once_in_order(self, ops99, prop99,
+    def test_observer_sees_each_step_once_in_order(self, ops99,
                                                    picard_runs, n_out):
         trajs = picard_runs[:2]
         seen = []
@@ -235,12 +232,11 @@ class TestBatchedExtension:
             assert 1 <= block.shape[1] <= EXTENSION_BLOCK
             seen.append((j0, block.shape[1]))
 
-        extend_with_ab5(trajs, ops99, UNDAMPED, 0.2 + n_out * 2e-3, observe,
-                        propagator=prop99)
+        extend_with_ab5(trajs, ops99, UNDAMPED, 0.2 + n_out * 2e-3, observe)
         steps = [j0 + i for j0, b in seen for i in range(b)]
         assert steps == list(range(n_out))
 
-    def test_memory_does_not_grow_with_the_horizon(self, ops99, prop99,
+    def test_memory_does_not_grow_with_the_horizon(self, ops99,
                                                    picard_runs):
         forcing = DegenerateDamping(1.0, 1)
         trajs = picard_runs[:4]
@@ -249,7 +245,7 @@ class TestBatchedExtension:
             tracemalloc.start()
             try:
                 extend_with_ab5(trajs, ops99, forcing, t_final,
-                                lambda j0, block: None, propagator=prop99)
+                                lambda j0, block: None)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -257,9 +253,16 @@ class TestBatchedExtension:
         short, long = peak(2.1), peak(6.1)
         assert long <= 1.05 * short, (short, long)
 
-    def test_grids_must_be_shared(self, ops99, prop99, picard_runs):
+    def test_grids_must_be_shared(self, ops99, picard_runs):
         traj = picard_runs[0]
         shorter = Trajectory(traj.times[:-1], traj.states[:-1], traj.delta)
         with pytest.raises(ValueError, match="shared time grid"):
             extend_with_ab5([traj, shorter], ops99, UNDAMPED, 0.4,
-                            lambda j0, block: None, propagator=prop99)
+                            lambda j0, block: None)
+
+    def test_traces_reject_a_target_before_the_end(self, ops99, picard_runs):
+        # the target is checked before any row of the extension is allocated
+        trajs = picard_runs[:2]
+        traces = [EnergyTrace.from_trajectory(tr, ops99) for tr in trajs]
+        with pytest.raises(ValueError, match="before the trajectory end"):
+            extend_traces(trajs, traces, ops99, UNDAMPED, 0.1)

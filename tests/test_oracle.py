@@ -368,6 +368,11 @@ class TestOscillator:
         np.testing.assert_array_equal(tr.states[0], [0.8, -0.3])
         np.testing.assert_array_equal(tr.states[1:], want[:, :, 0])
 
+    def test_step_must_divide_the_horizon(self):
+        prob = OscillatorProblem(khat=1.0, alpha=1.0, m=1, x0=1.0, x1=0.0)
+        with pytest.raises(ValueError, match="step must divide t_final"):
+            simulate_oscillator(prob, 1.0, 0.3)
+
     def test_invalid_stiffness(self):
         with pytest.raises(ValueError):
             OscillatorProblem(khat=0.0, alpha=1.0, m=1, x0=1.0, x1=0.0)
@@ -439,6 +444,11 @@ class TestStabilitySweep:
                                      horizon, step)
             inside = np.flatnonzero(tr.norms < eps)
             assert t == (tr.times[inside[0]] if len(inside) else np.inf)
+
+    def test_step_must_divide_the_horizon(self):
+        with pytest.raises(ValueError, match="step must divide the horizon"):
+            uniform_stability_sweep(1.0, 1.0, 1, 1.0, 8, 0.1, horizon=1.0,
+                                    step=0.3)
 
     def test_invalid_sample_count(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,8 @@ from the slowest mode, or if the rule's bound on omega * step is raised to
 import pytest
 
 from degenwave.cli import (RunConfig, _oracle_errors, _oracle_grid,
-                           _oracle_problems, _run_sweep, _spatial)
+                           _oracle_problems, _run_sweep)
+from degenwave.mesh import assemble, mesh_from_h
 from degenwave.oracle import reference_errors
 
 # (h, T, mode lists); each list is one report, whose fastest mode sets the step
@@ -33,8 +34,8 @@ def sweeps():
         ks = sorted({k for ks in lists for k in ks})
         config = RunConfig(experiment="custom", h=h, t_final=t_final,
                            ks=tuple(ks))
-        ops, prop = _spatial(config)
-        out[h, t_final] = ops, dict(zip(ks, _run_sweep(config, ops, prop)))
+        ops = assemble(mesh_from_h(h))
+        out[h, t_final] = ops, dict(zip(ks, _run_sweep(config, ops)))
     return out
 
 

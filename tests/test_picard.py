@@ -5,7 +5,7 @@ from numpy.polynomial.legendre import leggauss
 from degenwave import (DegenerateDamping, LinearDamping, PicardConfig,
                        PicardDivergenceError, PrimitiveDamping, assemble,
                        build_mesh, energy, energy_norm,
-                       estimate_contraction, picard_solve,
+                       estimate_contraction, picard, picard_solve,
                        solve_linear_inhomogeneous)
 from degenwave.experiments import mode_initial_state
 
@@ -150,32 +150,32 @@ class TestConfig:
 
 
 class TestPicardSolve:
-    def test_undamped_converges_first_iteration(self, ops99, prop99):
+    def test_undamped_converges_first_iteration(self, ops99):
         data = mode_initial_state(ops99, 1)
         config = PicardConfig(t_final=1.0, delta=2e-3, alpha=0.0, window=1.0)
-        result = picard_solve(ops99, data.y0, config, propagator=prop99)
+        result = picard_solve(ops99, data.y0, config)
         assert result.converged
         assert result.iterations == 1
         assert result.final_distance == 0.0
         hom = solve_linear_inhomogeneous(ops99, data.y0,
                                          lambda t: np.zeros((len(t), 99)),
-                                         1.0, 2e-3, propagator=prop99)
+                                         1.0, 2e-3)
         np.testing.assert_allclose(result.trajectory.nodal().states, hom.states,
                                    atol=1e-12)
 
-    def test_distances_geometric(self, ops99, prop99):
+    def test_distances_geometric(self, ops99):
         data = mode_initial_state(ops99, 1)
         config = PicardConfig(t_final=0.5, delta=2e-3, window=0.5, epsilon=1e-12)
-        result = picard_solve(ops99, data.y0, config, propagator=prop99)
+        result = picard_solve(ops99, data.y0, config)
         d = result.windows[0].distances
         ratios = [d[i + 1] / d[i] for i in range(len(d) - 1) if d[i] > 0]
         assert len(ratios) >= 2
         assert all(r < 0.1 for r in ratios)
 
-    def test_energy_monotone(self, ops99, prop99):
+    def test_energy_monotone(self, ops99):
         data = mode_initial_state(ops99, 1)
         config = PicardConfig(t_final=2.0, delta=2e-3)
-        result = picard_solve(ops99, data.y0, config, propagator=prop99)
+        result = picard_solve(ops99, data.y0, config)
         e = energy(ops99, result.trajectory.nodal().states)
         assert (np.diff(e) <= 1e-6 * e[0]).all()
         assert e[-1] < e[0]
@@ -186,7 +186,7 @@ class TestPicardSolve:
         from picard_reference import interp_abscissae
         data = mode_initial_state(ops99, 1)
         config = PicardConfig(t_final=1.0, delta=2e-3, epsilon=1e-10)
-        result = picard_solve(ops99, data.y0, config, propagator=prop99)
+        result = picard_solve(ops99, data.y0, config)
         traj = result.trajectory.nodal()
         model = DegenerateDamping(1.0, 1)
         ua = interp_abscissae(traj.displacement())
@@ -194,44 +194,45 @@ class TestPicardSolve:
         resolve = sweep(prop99, data.y0, model.load(ops99, ua, va))
         assert energy_norm(ops99, resolve - traj.states).max() < config.epsilon * 10
 
-    def test_divergence_detected(self, ops99, prop99):
+    def test_divergence_detected(self, ops99):
         data = mode_initial_state(ops99, 1)
         config = PicardConfig(t_final=1.0, delta=2e-3, alpha=50.0, window=1.0)
         with pytest.raises(PicardDivergenceError, match="shorter window"):
-            picard_solve(ops99, data.y0, config, propagator=prop99)
+            picard_solve(ops99, data.y0, config)
 
-    def test_non_finite_iterate_detected(self, ops99, prop99):
+    def test_non_finite_iterate_detected(self, ops99):
         # the forcing overflows: a numerical failure, not a configuration error
         data = mode_initial_state(ops99, 1)
         config = PicardConfig(t_final=0.1, delta=2e-3, alpha=1e300)
         with pytest.raises(PicardDivergenceError, match="non-finite"):
-            picard_solve(ops99, data.y0, config, propagator=prop99)
+            picard_solve(ops99, data.y0, config)
 
-    def test_strong_damping_converges_with_short_window(self, ops99, prop99):
+    def test_strong_damping_converges_with_short_window(self, ops99):
         # the same problem succeeds once the window honors the contraction bound
         data = mode_initial_state(ops99, 1)
         config = PicardConfig(t_final=1.0, delta=2e-3, alpha=50.0, window=0.05)
-        result = picard_solve(ops99, data.y0, config, propagator=prop99)
+        result = picard_solve(ops99, data.y0, config)
         assert result.converged
         e = energy(ops99, result.trajectory.nodal().states)
         assert (np.diff(e) <= 1e-6 * e[0]).all()
 
-    def test_max_iterations_reported_not_fatal(self, ops99, prop99):
+    def test_max_iterations_reported_not_fatal(self, ops99, monkeypatch):
+        monkeypatch.setattr(picard, "MAX_ITERATIONS", 3)
         data = mode_initial_state(ops99, 1)
         config = PicardConfig(t_final=0.5, delta=2e-3, window=0.5,
-                              epsilon=1e-30, max_iterations=3)
-        result = picard_solve(ops99, data.y0, config, propagator=prop99)
+                              epsilon=1e-30)
+        result = picard_solve(ops99, data.y0, config)
         assert not result.converged
         assert result.iterations == 3
 
-    def test_windowing_matches_single_window(self, ops99, prop99):
+    def test_windowing_matches_single_window(self, ops99):
         # restarting every 0.25 reproduces the single-window fixed point
         data = mode_initial_state(ops99, 1)
         tight = dict(t_final=1.0, delta=2e-3, epsilon=1e-11)
         r1 = picard_solve(ops99, data.y0,
-                          PicardConfig(window=1.0, **tight), propagator=prop99)
+                          PicardConfig(window=1.0, **tight))
         r2 = picard_solve(ops99, data.y0,
-                          PicardConfig(window=0.25, **tight), propagator=prop99)
+                          PicardConfig(window=0.25, **tight))
         assert energy_norm(ops99, r1.trajectory.nodal().states
                            - r2.trajectory.nodal().states).max() < 1e-8
 
@@ -258,14 +259,14 @@ class TestContractionEstimate:
             assert estimate_contraction(np.sqrt(2.0), t, 1.0, 1) == pytest.approx(
                 expected, rel=1e-12)
 
-    def test_certified_window_converges(self, ops99, prop99):
+    def test_certified_window_converges(self, ops99):
         # pick the window from the bound; the observed ratio must beat gamma
         gamma_target = 0.5
         t_w = gamma_target / estimate_contraction(np.sqrt(2.0), 1.0, 1.0, 1)
         t_w = round(t_w / 2e-3) * 2e-3
         data = mode_initial_state(ops99, 1)
         config = PicardConfig(t_final=t_w, delta=2e-3, window=t_w, epsilon=1e-12)
-        result = picard_solve(ops99, data.y0, config, propagator=prop99)
+        result = picard_solve(ops99, data.y0, config)
         d = result.windows[0].distances
         ratios = [d[i + 1] / d[i] for i in range(len(d) - 1) if d[i] > 0]
         assert max(ratios) < gamma_target

@@ -32,10 +32,9 @@ def energy_norm_modal(prop, y):
     return float(np.sqrt((np.abs(z) ** 2) @ prop.mu))
 
 
-def assert_matches_reference(ops, prop, y0, config, forcing=None):
-    result = picard_solve(ops, y0, config, forcing=forcing, propagator=prop)
-    ref = picard_reference.picard_solve(ops, y0, config, forcing=forcing,
-                                        propagator=prop)
+def assert_matches_reference(ops, y0, config, forcing=None):
+    result = picard_solve(ops, y0, config, forcing=forcing)
+    ref = picard_reference.picard_solve(ops, y0, config, forcing=forcing)
     assert ([w.iterations for w in result.windows]
             == [w.iterations for w in ref.windows])
     states, expected = result.trajectory.nodal().states, ref.trajectory.states
@@ -49,7 +48,7 @@ def assert_matches_reference(ops, prop, y0, config, forcing=None):
 def test_single_mode_matches_full_modes(h, t_final, k):
     ops, prop = operators(h)
     y0 = mode_initial_state(ops, k).y0
-    result = assert_matches_reference(ops, prop, y0,
+    result = assert_matches_reference(ops, y0,
                                       PicardConfig(t_final=t_final, delta=DELTA))
     tol = picard.TOL * energy_norm_modal(prop, y0)
     for w in result.windows:
@@ -60,7 +59,7 @@ def test_single_mode_matches_full_modes(h, t_final, k):
 def test_primitive_damping_matches_full_modes():
     ops, prop = operators(0.01)
     setup = primitive_setup(1, 1, ops)
-    result = assert_matches_reference(ops, prop, setup.initial_state(),
+    result = assert_matches_reference(ops, setup.initial_state(),
                                       PicardConfig(t_final=2.0, delta=DELTA),
                                       forcing=setup.damping)
     assert all(w.modes < ops.mesh.n for w in result.windows)
@@ -74,7 +73,7 @@ def test_mixed_mode_data_run_on_every_mode():
     j = np.arange(1, n + 1)
     z0 = (rng.normal(size=n) + 1j * rng.normal(size=n)) / j
     y0 = prop.nodal(z0 * np.sqrt(2.0) / np.sqrt((np.abs(z0) ** 2) @ prop.mu))
-    result = assert_matches_reference(ops, prop, y0,
+    result = assert_matches_reference(ops, y0,
                                       PicardConfig(t_final=1.0, delta=DELTA,
                                                    window=0.5))
     assert all(w.modes == n and w.bound == 0.0 for w in result.windows)
@@ -83,8 +82,7 @@ def test_mixed_mode_data_run_on_every_mode():
 def test_fig2_windows_certified_on_few_modes():
     ops, prop = operators(0.01)
     y0 = mode_initial_state(ops, 1).y0
-    result = picard_solve(ops, y0, PicardConfig(t_final=10.0, delta=DELTA),
-                          propagator=prop)
+    result = picard_solve(ops, y0, PicardConfig(t_final=10.0, delta=DELTA))
     tol = picard.TOL * energy_norm_modal(prop, y0)
     assert len(result.windows) == 10
     for w in result.windows:
@@ -99,7 +97,7 @@ def test_certificate_redoes_a_window_detection_missed(monkeypatch):
     monkeypatch.setattr(picard, "DETECT", 0.5 / picard.TOL)
     ops, prop = operators(0.01)
     y0 = mode_initial_state(ops, 1).y0
-    result = assert_matches_reference(ops, prop, y0,
+    result = assert_matches_reference(ops, y0,
                                       PicardConfig(t_final=2.0, delta=DELTA))
     first, second = result.windows
     assert first.redone == 1 and first.modes == ops.mesh.n
@@ -110,8 +108,7 @@ def test_certificate_redoes_a_window_detection_missed(monkeypatch):
 def test_zero_data_stay_zero():
     ops, prop = operators(0.01)
     y0 = np.zeros(2 * ops.mesh.n)
-    result = picard_solve(ops, y0, PicardConfig(t_final=0.1, delta=DELTA),
-                          propagator=prop)
+    result = picard_solve(ops, y0, PicardConfig(t_final=0.1, delta=DELTA))
     assert result.converged and not result.trajectory.nodal().states.any()
     assert result.windows[0].modes == 0
 

@@ -16,9 +16,7 @@ def refinement_pair():
     for h, delta in ((1e-2, 2e-3), (5e-3, 1e-3)):
         mesh = dw.mesh_from_h(h)
         ops = dw.assemble(mesh)
-        prop = dw.matrix_exponential(ops, delta)
-        run = dw.frequency_sweep([1], 1.0, 1, ops, delta, 10.0,
-                                 propagator=prop)[0]
+        run = dw.frequency_sweep([1], 1.0, 1, ops, delta, 10.0)[0]
         prob = dw.AnsatzProblem.for_mesh(mesh, 1,
                                          c0=run.data.amplitude / np.sqrt(2.0))
         sol = dw.rk4_ansatz(prob, 10.0, delta / 10, store_stride=10)

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from degenwave import (DegenerateDamping, LinearDamping, PicardConfig,
-                       PrimitiveDamping, assemble, matrix_exponential,
-                       mesh_from_h, picard, picard_solve)
+                       PrimitiveDamping, assemble, mesh_from_h, picard,
+                       picard_solve)
 from degenwave.experiments import mode_initial_state
 from picard_reference import interp_abscissae
 
@@ -42,21 +42,20 @@ def test_streamed_loads_equal_the_whole_window(ops99, rng, forcing, nst):
 
 @lru_cache(maxsize=None)
 def fine_operators():
-    ops = assemble(mesh_from_h(0.002))
-    return ops, matrix_exponential(ops, DELTA)
+    return assemble(mesh_from_h(0.002))
 
 
 @pytest.mark.parametrize("k, m", [(1, 1), (4, 2)])
 def test_window_working_set_is_a_few_load_arrays(k, m):
     # the whole-window evaluation peaked at 6.2 (m = 1) and 23 (m = 2) load
     # arrays here; streamed, one buffer, the window's states and a block
-    ops, prop = fine_operators()
+    ops = fine_operators()
     config = PicardConfig(t_final=2.0, delta=DELTA, m=m)
     y0 = mode_initial_state(ops, k).y0
-    picard_solve(ops, y0, config, propagator=prop)   # warm-up
+    picard_solve(ops, y0, config)   # warm-up
     tracemalloc.start()
     try:
-        result = picard_solve(ops, y0, config, propagator=prop)
+        result = picard_solve(ops, y0, config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
