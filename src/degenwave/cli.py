@@ -4,7 +4,8 @@ Every run writes a manifest with the fully resolved configuration, one CSV
 per trace with fixed 17-significant-digit formatting (so reruns are
 byte-identical), static SVG plots, a report with pass/fail lines for
 the built-in invariant checks, and ``diagnostics.json`` with each Picard
-window's iterations, distance, active modes, certificate bound and redos.
+window's iterations, distance, active modes, certificate bound with its
+terms and contraction ratio, and redos.
 
 Exit codes: 0 success, 1 configuration error, 2 numerical failure,
 3 invariant-check failure.
@@ -200,7 +201,7 @@ def emit_plot(traces: list, path: Path, title: str, xlabel: str = "t",
 
 # the WindowReport fields diagnostics.json holds per window
 DIAGNOSTIC_FIELDS = ("t_start", "iterations", "distance", "modes", "bound",
-                     "redone")
+                     "terms", "gamma", "redone")
 
 
 class Report:

@@ -40,6 +40,20 @@ class ModeData:
     scale: float
     y0: np.ndarray
 
+    def amplitudes(self, ops: SpatialOperators) -> np.ndarray:
+        """The modal amplitudes z = omega S u + i S v of the state, exactly.
+
+        The nodal sine is amplitude / sqrt(2h) times the sine column k (see
+        ``SpatialOperators.sine_basis``), so z has the one entry
+        omega_k amplitude / sqrt(2h); ``Propagator.modal(y0)`` adds rounding
+        in every mode.
+        """
+        mu, kappa = ops.sine_eigenvalues()
+        z = np.zeros(ops.mesh.n, dtype=complex)
+        z[self.k - 1] = (np.sqrt(kappa[self.k - 1] / mu[self.k - 1]) * self.amplitude
+                         / np.sqrt(2.0 * ops.mesh.h))
+        return z
+
 
 def check_resolved(mesh: Mesh, k: int) -> None:
     """Reject a mode index below one or too fine for the mesh (8k > n)."""
@@ -138,7 +152,7 @@ def frequency_sweep(ks, alpha: float, m: int, ops: SpatialOperators,
 
     def run_one(k: int) -> FrequencyRun:
         data = mode_initial_state(ops, k)
-        result = picard_solve(ops, data.y0, config)
+        result = picard_solve(ops, data.y0, config, z0=data.amplitudes(ops))
         trace = EnergyTrace.from_modal(result.trajectory)
         return FrequencyRun(k=k, data=data, result=result, trace=trace)
 

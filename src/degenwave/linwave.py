@@ -55,6 +55,58 @@ class Trajectory:
             yield self.states[a:min(a + size, stop)]
 
 
+# nodal entries per block of a window's synthesis: 165 rows at n = 99, 32
+# at n = 499 and 16 at n = 999.  A product's rows depend on how many rows it
+# takes, so every reader synthesizes a row within the same block of its
+# window, and all of them get the same bits.
+SYNTH_BLOCK = 2**15
+
+
+class WindowRows:
+    """Nodal rows of one window's amplitudes, synthesized block by block.
+
+    ``z`` holds the window's (nst + 1, |J|) amplitudes on the modes of
+    ``prop``.  Slicing (or indexing) synthesizes the rows with
+    ``Propagator.nodal``, ``SYNTH_BLOCK // 2n`` rows at a time on one
+    partition of z that starts at row 0, and returns a new array; the two
+    most recent blocks are kept.  Row 0 reads ``first`` when it is given.
+    """
+
+    def __init__(self, prop: Propagator, z: np.ndarray,
+                 first: np.ndarray | None = None):
+        self.prop, self.z, self.first = prop, z, first
+        self.size = max(1, SYNTH_BLOCK // (2 * prop.sine.shape[0]))
+        self._kept = {}
+
+    def __len__(self) -> int:
+        return len(self.z)
+
+    def _block(self, k: int) -> np.ndarray:
+        if k not in self._kept:
+            rows = self.prop.nodal(self.z[k * self.size:(k + 1) * self.size])
+            if k == 0 and self.first is not None:
+                rows[0] = self.first
+            previous = self._kept.get(k - 1)
+            self._kept = {k: rows} if previous is None else {k - 1: previous, k: rows}
+        return self._kept[k]
+
+    def __getitem__(self, index) -> np.ndarray:
+        if not isinstance(index, slice):
+            i = range(len(self))[index]
+            return self[i:i + 1][0]
+        a, b, stride = index.indices(len(self))
+        if stride != 1:
+            raise IndexError("rows are read in steps of one")
+        out = np.empty((max(b - a, 0), 2 * self.prop.sine.shape[0]))
+        i = a
+        while i < b:
+            k, j = divmod(i, self.size)
+            rows = self._block(k)[j:j + b - i]
+            out[i - a:i - a + len(rows)] = rows
+            i += len(rows)
+        return out
+
+
 @dataclass(eq=False)
 class ModalTrajectory:
     """Uniformly sampled states kept as modal amplitudes, window by window.
@@ -65,9 +117,10 @@ class ModalTrajectory:
     ``Propagator.restrict``), its row 0 being the previous window's last row.
     A row thus costs 16 |J| bytes where a nodal row costs 16 n.
 
-    ``rows`` and ``blocks`` synthesize nodal rows one window at a time, by
-    ``Propagator.nodal`` of the window's whole z: the product the solver
-    took, so the rows equal the solver's states bit for bit.
+    ``rows`` and ``blocks`` synthesize nodal rows through ``WindowRows``,
+    one block of one window at a time, on the partition the solver
+    synthesized its states on, so the rows equal the solver's states bit for
+    bit and no whole window of nodal rows is built.
     """
 
     times: np.ndarray
@@ -91,11 +144,11 @@ class ModalTrajectory:
 
     def blocks(self, size: int = BLOCK_ROWS, start: int = 0, stop: int | None = None):
         """The nodal rows ``start``..``stop``-1 in consecutive blocks of at
-        most ``size`` rows, each window synthesized once."""
+        most ``size`` rows."""
         stop = len(self.times) if stop is None else stop
         # window w holds the rows first_w + 1..last[w], first_w its start row
         last = np.cumsum([len(z) - 1 for _, z in self.segments])
-        current = (-1, 0, None)     # window index, its start row, its states
+        current = (-1, None)     # window index, its rows
         for a in range(start, stop, size):
             block = np.empty((min(size, stop - a), len(self.y0)))
             i, b = a, a + len(block)
@@ -104,13 +157,12 @@ class ModalTrajectory:
                 i = 1
             while i < b:
                 w = int(np.searchsorted(last, i))
+                modes, z = self.segments[w]
                 if current[0] != w:
-                    modes, z = self.segments[w]
-                    current = (w, last[w] - (len(z) - 1),
-                               self.propagator.restrict(modes).nodal(z))
-                _, first, states = current
+                    current = (w, WindowRows(self.propagator.restrict(modes), z))
+                first = last[w] - (len(z) - 1)
                 j = min(b, last[w] + 1)
-                block[i - a:j - a] = states[i - first:j - first]
+                block[i - a:j - a] = current[1][i - first:j - first]
                 i = j
             yield block
 
@@ -122,8 +174,14 @@ class ModalTrajectory:
 
 # -- Duhamel stepping --------------------------------------------------------
 
+# amplitudes per block of a sweep's streamed forcing transform and
+# cumulative sum: a 500-step window on up to 32 modes is one block, an
+# all-mode sweep takes 32 steps at a time at n = 499 and 16 at n = 999
+SWEEP_BLOCK = 2**14
+
+
 def sweep(prop: Propagator, y0: np.ndarray, f_absc: np.ndarray, *,
-          modal: bool = False) -> np.ndarray:
+          modal: bool = False, z0: np.ndarray | None = None) -> np.ndarray:
     """Repeated Duhamel steps with pre-tabulated forcing loads.
 
     Step i applies y_{i+1} = P y_i + sum_j w_j exp((step - j theta) A) (0, f_ij)
@@ -132,29 +190,42 @@ def sweep(prop: Propagator, y0: np.ndarray, f_absc: np.ndarray, *,
     run, shape (4*nsteps + 1, n); consecutive steps share their endpoint
     sample.  Returns the (nsteps+1, 2n) array of states including y0, or
     with ``modal`` their (nsteps+1, |J|) complex amplitudes on the modes J of
-    ``prop`` (see ``Propagator.restrict``).
+    ``prop`` (see ``Propagator.restrict``).  ``z0``, when given, holds the
+    start amplitudes on J in place of ``prop.modal(y0)``.
 
     In the modal amplitudes z of ``Propagator.modal`` the forcing enters as
     z' = -i omega z + i S f, where S f = (S M f) / mu as S M S = diag(mu).
     With P_i = exp(-i omega i step) the states are
     z_i = P_i (z_0 + sum_{l<i} conj(P_{l+1}) c_l), where c_l is the step's
     weighted, phase-shifted forcing sum: one cumulative sum over the steps.
-    A load broadcast along time (first-axis stride 0) is transformed once.
+    The loads are transformed, weighted and summed in blocks of
+    ``SWEEP_BLOCK // |J|`` steps; each block's cumulative sum starts from
+    the previous block's last partial sum, so it adds in the order of one
+    sum over all steps.  A load broadcast along time (first-axis stride 0)
+    is transformed as one row.
     """
     r = len(BOOLE_WEIGHTS) - 1
     nsteps = (f_absc.shape[0] - 1) // r
     if f_absc.shape[0] != r * nsteps + 1:
         raise ValueError("forcing sample count does not tile the steps")
     w = prop.step * BOOLE_WEIGHTS
-    g = prop.forcing_modes(f_absc[:1] if f_absc.strides[0] == 0 else f_absc)
-    g = np.broadcast_to(g, (f_absc.shape[0], g.shape[-1]))
-    c = sum(1j * w[j] * prop.powers[r - j] * g[j: j + r * (nsteps - 1) + 1: r]
-            for j in range(r + 1))
+    weights = [1j * w[j] * prop.powers[r - j] for j in range(r + 1)]
     phase = prop.phases(nsteps)
+    # z[i] holds the partial sums until the start amplitudes are added
     z = np.empty_like(phase)
-    z[0] = prop.modal(y0)
-    z[1:] = z[0] + np.cumsum(phase[1:].conj() * c, axis=0)
-    z = phase * z
+    block = max(1, SWEEP_BLOCK // max(1, len(prop.omega)))
+    for s in range(0, nsteps, block):
+        e = min(s + block, nsteps)
+        loads = f_absc[r * s:r * e + 1]
+        g = prop.forcing_modes(loads[:1] if loads.strides[0] == 0 else loads)
+        g = np.broadcast_to(g, (len(loads), g.shape[-1]))
+        c = sum(weights[j] * g[j: j + r * (e - s - 1) + 1: r] for j in range(r + 1))
+        np.multiply(phase[s + 1:e + 1].conj(), c, out=z[s + 1:e + 1])
+        # the first block has no partial sum before it
+        np.cumsum(z[max(s, 1):e + 1], axis=0, out=z[max(s, 1):e + 1])
+    z[0] = prop.modal(y0) if z0 is None else z0
+    z[1:] += z[0]
+    np.multiply(phase, z, out=z)   # in the parent's operand order: bit for bit
     if modal:
         return z
     states = prop.nodal(z)

@@ -10,7 +10,7 @@ not from quadrature.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -40,11 +40,20 @@ class Mesh:
         coordinates in (0, 1) and ``w`` the reference weights (summing to 1;
         multiply by ``h`` for physical measure).
         """
-        gp, gw = np.polynomial.legendre.leggauss(npts)
-        xi = 0.5 * (gp + 1.0)
-        w = 0.5 * gw
+        xi, w = gauss_rule(npts)
         left = self.nodes_full[:-1]
         return left[:, None] + self.h * xi[None, :], xi, w
+
+
+@lru_cache(maxsize=None)
+def gauss_rule(npts: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``npts``-point Gauss-Legendre rule on (0, 1): the abscissae
+    and the weights (summing to 1), built once per ``npts``."""
+    gp, gw = np.polynomial.legendre.leggauss(npts)
+    xi, w = 0.5 * (gp + 1.0), 0.5 * gw
+    for a in (xi, w):
+        a.flags.writeable = False
+    return xi, w
 
 
 def build_mesh(n: int) -> Mesh:

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linop import Propagator, matrix_exponential
-from .linwave import BOOLE_WEIGHTS, ModalTrajectory, sweep
-from .mesh import (SpatialOperators, hat_load_from_values, values_at_gauss,
-                   whole_steps)
+from .linwave import BOOLE_WEIGHTS, ModalTrajectory, WindowRows, sweep
+from .mesh import (SpatialOperators, gauss_rule, hat_load_from_values,
+                   values_at_gauss, whole_steps)
 
 
 class PicardDivergenceError(RuntimeError):
@@ -62,7 +62,7 @@ class DegenerateDamping(_PowerDamping):
         if self.m == 1:
             # cubic case: the quartic hat tensor integrates u*u*v exactly
             return -self.alpha * ops.quartic.contract(u, u, v)
-        return -self.alpha * _nonlinear_load(ops, lambda ug, vg: ug ** (2 * self.m) * vg,
+        return -self.alpha * _nonlinear_load(ops, lambda ug, vg: _even_power(ug, self.m) * vg,
                                              u, v, degree=2 * self.m + 2)
 
 
@@ -82,7 +82,7 @@ class PrimitiveDamping(_PowerDamping):
         scale = -self.alpha / (2 * self.m + 1)
         if self.m == 1:
             return scale * ops.quartic.contract(v, v, v)
-        return scale * _nonlinear_load(ops, lambda ug, vg: vg ** (2 * self.m + 1),
+        return scale * _nonlinear_load(ops, lambda ug, vg: _even_power(vg, self.m) * vg,
                                        u, v, degree=2 * self.m + 2)
 
 
@@ -96,6 +96,19 @@ class LinearDamping(_ForcingModel):
         return -self.beta * ops.apply_mass(v)
 
 
+def _even_power(x: np.ndarray, m: int) -> np.ndarray:
+    """x^(2m) by repeated squaring: a float power costs several times as
+    much per element and agrees to rounding."""
+    square, out = x * x, None
+    while True:
+        if m & 1:
+            out = square if out is None else out * square
+        m >>= 1
+        if not m:
+            return out
+        square = square * square
+
+
 def _nonlinear_load(ops, pointwise, u, v, degree: int):
     """Load vector of a pointwise nonlinearity of the interpolants.
 
@@ -103,7 +116,7 @@ def _nonlinear_load(ops, pointwise, u, v, degree: int):
     hat factor; batched over leading axes of u, v.
     """
     npts = max(4, (degree + 2) // 2)
-    _, xi, w = ops.mesh.element_gauss(npts)
+    xi, w = gauss_rule(npts)
     ug = values_at_gauss(ops.mesh, u, xi)
     vg = values_at_gauss(ops.mesh, v, xi)
     return hat_load_from_values(ops.mesh, pointwise(ug, vg), xi, w)
@@ -143,7 +156,13 @@ class WindowReport:
     converged: bool
     distances: list = field(default_factory=list)
     modes: int = 0        # active sine modes |J| when the window was accepted
-    bound: float = 0.0    # certified energy-norm effect of the other modes
+    # the certificate: the energy-norm effect of the modes off J, bound =
+    # (sum of terms) / (1 - gamma), its terms the forcing's and the start
+    # state's parts off J; a window solved again on all modes keeps the
+    # certificate that failed, and one that ran on all modes has none (0)
+    bound: float = 0.0
+    terms: tuple = (0.0, 0.0)
+    gamma: float = 0.0
     redone: int = 0       # times the window was solved again on more modes
 
 
@@ -165,11 +184,17 @@ class PicardResult:
 # norm, so to first order the truncation changes the window by at most the
 # start state's part off J plus the time integral of the forcing's part off
 # J, amplified by 1/(1 - gamma) for a map contracting by gamma, the ratio of
-# the window's last two distances.  A window whose bound exceeds
-# TOL ||y0||_E, or that did not contract, is solved again on all modes, and J
-# keeps every mode from then on.  Both constants are fixed: below
-# DETECT = 1e-1 the detection picks up the rounding noise of the high modes
-# (about 2e-14 ||y0||_E at n = 499).
+# the window's last two distances.  Each window starts from the amplitudes
+# on J that the previous one ended with, so the start state's part is zero
+# after the first window; in the first it is that of the initial amplitudes.
+# The forcing's part is bounded without the full transform: with
+# r = L - (L S_J) S_J^T a load's part off J, the sum over the modes j off J
+# of mu_j g_j^2 is r^T M^{-1} r <= |r|^2 / mu_min, mu_min the least mu_j off
+# J, which is looser by at most sqrt(max mu / min mu) = sqrt(3).  A window
+# whose bound exceeds TOL ||y0||_E, or that did not contract, is solved
+# again on all modes, and J keeps every mode from then on.  Both constants
+# are fixed: below DETECT = 1e-1 the detection picks up the rounding noise
+# of the high modes (about 2e-14 ||y0||_E at n = 499).
 
 TOL = 1e-13        # certified truncation error, relative to ||y0||_E
 DETECT = 1e-1      # a mode joins J at DETECT * TOL ||y0||_E of reach
@@ -185,15 +210,15 @@ _DETECT_ROWS = 9   # abscissa rows of each forcing searched for new modes
 _LOAD_STEPS = 32
 
 
-def _abscissa_loads(ops: SpatialOperators, forcing, states: np.ndarray,
+def _abscissa_loads(ops: SpatialOperators, forcing, states,
                     out: np.ndarray) -> np.ndarray:
     """Fill ``out`` with the forcing's loads at every quadrature abscissa.
 
-    The grid states (nst + 1 stacked rows) are interpolated linearly in
-    time onto the 4 nst + 1 abscissae, ``_LOAD_STEPS`` steps at a time, so
-    one block of interpolated states exists at once; ``out`` has shape
-    (4 nst + 1, n).  Every row equals that of the whole-window evaluation
-    bit for bit.
+    The grid states (nst + 1 rows of an array or a ``WindowRows``) are read
+    and interpolated linearly in time onto the 4 nst + 1 abscissae,
+    ``_LOAD_STEPS`` steps at a time, so one block of states and of
+    interpolated states exists at once; ``out`` has shape (4 nst + 1, n).
+    Every row equals that of the whole-window evaluation bit for bit.
     """
     r = len(BOOLE_WEIGHTS) - 1
     n = ops.mesh.n
@@ -208,6 +233,17 @@ def _abscissa_loads(ops: SpatialOperators, forcing, states: np.ndarray,
             fr = j / r
             ya[j::r] = (1.0 - fr) * x[:-1] + fr * x[1:]
         out[r * s:r * s + len(ya)] = forcing.load(ops, ya[:, :n], ya[:, n:])
+    return out
+
+
+def _off_norms(sine: np.ndarray, load: np.ndarray) -> np.ndarray:
+    """Norm of each load row's part r = L - (L S_J) S_J^T off the modes J of
+    the column block ``sine`` = S[:, J], ``_LOAD_STEPS`` steps at a time."""
+    rows = (len(BOOLE_WEIGHTS) - 1) * _LOAD_STEPS
+    out = np.empty(len(load))
+    for a in range(0, len(load), rows):
+        x = load[a:a + rows]
+        out[a:a + rows] = np.linalg.norm(x - (x @ sine) @ sine.T, axis=1)
     return out
 
 
@@ -241,9 +277,11 @@ class _Window:
         self.level = DETECT * tol / (nst * config.delta)
         self.active, self.prop = active, full.restrict(active)
 
-    def _sweep(self, y: np.ndarray, load: np.ndarray, z_prev: np.ndarray | None):
-        """Widen J by the modes ``load`` reaches, then sweep; returns the
-        iterate's amplitudes and states, and ``z_prev`` on the new J."""
+    def _sweep(self, y: np.ndarray, z0: np.ndarray, load: np.ndarray,
+               z_prev: np.ndarray | None):
+        """Widen J by the modes ``load`` reaches, then sweep from the start
+        amplitudes ``z0`` (on every mode); returns the iterate's amplitudes
+        and its rows, and ``z_prev`` on the new J."""
         old = self.active
         if len(old) < len(self.full.omega):
             rows = np.linspace(0, len(load) - 1, _DETECT_ROWS).round().astype(int)
@@ -258,19 +296,18 @@ class _Window:
                 if z_prev is not None:
                     z_prev, kept = np.zeros((len(z_prev), len(self.active)), complex), z_prev
                     z_prev[:, np.searchsorted(self.active, old)] = kept
-        z = sweep(self.prop, y, load, modal=True)
-        states = self.prop.nodal(z)
-        states[0] = y
-        return z, states, z_prev
+        z = sweep(self.prop, y, load, modal=True, z0=z0[self.active])
+        return z, WindowRows(self.prop, z, y), z_prev
 
-    def solve(self, y: np.ndarray) -> tuple:
-        """Iterate from ``y``; returns the report, the accepted iterate's
-        amplitudes on J and its states, and the last load."""
+    def solve(self, y: np.ndarray, z0: np.ndarray) -> tuple:
+        """Iterate from the nodal state ``y``, whose amplitudes on every mode
+        are ``z0``; returns the report, the accepted iterate's amplitudes on
+        J and its rows, and the last load."""
         ops, forcing, config = self.ops, self.forcing, self.config
         n = ops.mesh.n
         rows = (len(BOOLE_WEIGHTS) - 1) * self.nst + 1
         load = np.broadcast_to(forcing.load(ops, y[:n], y[n:]), (rows, n))
-        prev, states, _ = self._sweep(y, load, None)
+        prev, states, _ = self._sweep(y, z0, load, None)
 
         report = WindowReport(t_start=self.t_start, iterations=0, distance=np.inf,
                               converged=False)
@@ -278,7 +315,7 @@ class _Window:
         buffer = np.empty((rows, n))   # every iteration's load
         for _ in range(MAX_ITERATIONS):
             load = _abscissa_loads(ops, forcing, states, buffer)
-            cur, states, prev = self._sweep(y, load, prev)
+            cur, states, prev = self._sweep(y, z0, load, prev)
             dist = float(np.sqrt(_mode_energy(cur - prev, self.prop.mu).max()))
             if not np.isfinite(dist):
                 # a non-finite forcing or iterate makes the distance non-finite
@@ -298,30 +335,27 @@ class _Window:
         report.modes = len(self.active)
         return report, prev, states, load
 
-    def certificate(self, report: WindowReport, y: np.ndarray, load: np.ndarray) -> float:
-        """Energy-norm bound on what the modes off J change in the window."""
+    def certify(self, report: WindowReport, z0: np.ndarray, load: np.ndarray) -> None:
+        """Record the energy-norm bound on what the modes off J change in the
+        window, its two terms and the gamma it divides by."""
         full = self.full
         d = report.distances
         gamma = d[-1] / d[-2] if len(d) >= 2 and d[-2] > 0 else 0.0
-        if not gamma < 1:
-            return np.inf
-        g = full.forcing_modes(load)   # squared and weighted in place
-        g *= g
-        g *= full.mu
-        g[:, self.active] = 0.0
-        z = full.modal(y)
-        z[self.active] = 0.0
-        bound = ((_boole_integral(np.sqrt(g.sum(axis=1)), self.config.delta)
-                  + np.sqrt(_mode_energy(z, full.mu))) / (1.0 - gamma))
-        if not np.isfinite(bound):
+        off = np.ones(len(full.mu), bool)
+        off[self.active] = False
+        terms = (_boole_integral(_off_norms(self.prop.sine, load), self.config.delta)
+                 / float(np.sqrt(full.mu[off].min())),
+                 float(np.sqrt(_mode_energy(z0[off], full.mu[off]))))
+        if not np.isfinite(sum(terms)):
             raise _non_finite(self.t_start)
-        return float(bound)
+        report.terms, report.gamma = terms, float(gamma)
+        report.bound = sum(terms) / (1.0 - gamma) if gamma < 1 else np.inf
 
 
 # a blow-up is reported by the finiteness guard, not through overflow warnings
 @np.errstate(over="ignore", invalid="ignore")
 def picard_solve(ops: SpatialOperators, y0: np.ndarray, config: PicardConfig,
-                 forcing=None) -> PicardResult:
+                 forcing=None, z0: np.ndarray | None = None) -> PicardResult:
     """Fixed-point solve of the semilinear problem on [0, t_final].
 
     The first iterate of every window uses the constant-in-time forcing of
@@ -334,18 +368,22 @@ def picard_solve(ops: SpatialOperators, y0: np.ndarray, config: PicardConfig,
 
     The iterates live on the active sine modes J (see the comment above
     ``TOL``); a window is accepted once its certificate is at most
-    TOL ||y0||_E, or once J holds every mode.  The result's trajectory keeps
-    each window's amplitudes on its J, not its nodal states (see
-    ``ModalTrajectory``).
+    TOL ||y0||_E, or once J holds every mode.  Each window starts from the
+    amplitudes the previous one ended with.  ``z0`` gives ``y0``'s
+    amplitudes on every mode (``Propagator.modal``) where they are known
+    exactly, as for single-mode data; by default they are ``modal(y0)``,
+    whose rounding off J counts in the first window's certificate.  The
+    result's trajectory keeps each window's amplitudes on its J, not its
+    nodal states (see ``ModalTrajectory``).
     """
     if forcing is None:
         forcing = DegenerateDamping(config.alpha, config.m)
     propagator = matrix_exponential(ops, config.delta)
     n = ops.mesh.n
     y = np.asarray(y0, dtype=float)
-    z0 = propagator.modal(y)
-    tol = TOL * float(np.sqrt(_mode_energy(z0, propagator.mu)))
-    active = np.flatnonzero(np.sqrt(propagator.mu) * np.abs(z0) > DETECT * tol)
+    z_start = propagator.modal(y) if z0 is None else np.asarray(z0, dtype=complex)
+    tol = TOL * float(np.sqrt(_mode_energy(z_start, propagator.mu)))
+    active = np.flatnonzero(np.sqrt(propagator.mu) * np.abs(z_start) > DETECT * tol)
 
     segments = []
     windows: list[WindowReport] = []
@@ -354,26 +392,30 @@ def picard_solve(ops: SpatialOperators, y0: np.ndarray, config: PicardConfig,
     while done < config.n_steps:
         nst = min(config.window_steps, config.n_steps - done)
         t_start = done * config.delta
-        redone = 0
+        redone, failed = 0, None   # failed: the report of the attempt redone
         while True:
             window = _Window(ops, forcing, propagator, active, config, nst,
                              t_start, tol)
-            report, z, states, load = window.solve(y)
+            report, z, states, load = window.solve(y, z_start)
             active = window.active
             if len(active) < n:
-                report.bound = window.certificate(report, y, load)
-            # free this attempt's states and loads before the next allocates
-            y_end = states[-1].copy()
-            del states, load
+                window.certify(report, z_start, load)
+            # free this attempt's loads before the next allocates
+            del load
             if len(active) == n or report.bound <= tol:
                 break
             active = np.arange(n)
-            redone += 1
+            redone, failed = redone + 1, report
         report.redone = redone
+        if failed is not None:
+            report.bound, report.terms, report.gamma = (failed.bound, failed.terms,
+                                                         failed.gamma)
         total_iters += report.iterations
         windows.append(report)
         segments.append((active, z))
-        y = y_end
+        y = states[-1]
+        z_start = np.zeros(n, complex)
+        z_start[active] = z[-1]
         done += nst
 
     times = config.delta * np.arange(config.n_steps + 1)

@@ -29,9 +29,9 @@ def solve_capturing_windows(monkeypatch, k, t_final):
     windows = []
     solve = picard._Window.solve
 
-    def capture(self, y):
-        out = solve(self, y)
-        windows.append(out[2].copy())
+    def capture(self, *args):
+        out = solve(self, *args)
+        windows.append(out[2][:])   # every row of the window, synthesized
         return out
 
     monkeypatch.setattr(picard._Window, "solve", capture)

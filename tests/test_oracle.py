@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,7 @@ from degenwave import (AnsatzProblem, OscillatorProblem, ball_samples,
                        energy, oracle, oracle_states, reference_errors,
                        rk4_ansatz, simulate_oscillator, uniform_stability_sweep)
 from degenwave.experiments import mode_initial_state
-from degenwave.linwave import Trajectory
+from degenwave.linwave import ModalTrajectory, Trajectory
 from rk4_reference import allocating_rk4
 
 
@@ -269,6 +271,31 @@ class TestStreamedErrors:
         assert len(built) == blocks * len(problems)
         np.testing.assert_array_equal(gaps, 0.0)
         np.testing.assert_array_equal(norms, 0.0)
+
+    def test_peak_does_not_grow_with_the_window(self, mesh99, ops99, prop99, rng):
+        # a modal trajectory is read one synthesis block at a time, so the
+        # comparison's traced peak is the same for windows of 500 and 2000
+        # steps; a reader that synthesizes a whole window holds 2001 nodal
+        # rows (3.2 MB at n = 99) instead of 501
+        n_steps, modes = 2000, np.array([0, 2, 4, 6, 8])
+        problem = make_problem(mesh99)
+        peaks = {}
+        for window in (500, 2000):
+            segments = [(modes, rng.standard_normal((window + 1, len(modes)))
+                         + 1j * rng.standard_normal((window + 1, len(modes))))
+                        for _ in range(n_steps // window)]
+            traj = ModalTrajectory(times=2e-3 * np.arange(n_steps + 1),
+                                   y0=rng.standard_normal(2 * mesh99.n),
+                                   segments=segments, propagator=prop99)
+            energies = np.ones(n_steps + 1)
+            reference_errors([traj], [energies], [problem], ops99, 4.0, 2e-3)
+            tracemalloc.start()
+            try:
+                reference_errors([traj], [energies], [problem], ops99, 4.0, 2e-3)
+                peaks[window] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[2000] - peaks[500] < 64_000
 
     def test_no_problem_rejected(self, ops99):
         with pytest.raises(ValueError, match="at least one problem"):

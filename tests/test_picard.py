@@ -8,6 +8,7 @@ from degenwave import (DegenerateDamping, LinearDamping, PicardConfig,
                        estimate_contraction, picard, picard_solve,
                        solve_linear_inhomogeneous)
 from degenwave.experiments import mode_initial_state
+from degenwave.mesh import hat_load_from_values, values_at_gauss
 
 
 def quadrature_projection(ops, pointwise, npts=20):
@@ -61,6 +62,24 @@ class TestForcingModels:
         np.testing.assert_allclose(
             DegenerateDamping(alpha=2.5).coefficients(ops, u, v),
             2.5 * DegenerateDamping().coefficients(ops, u, v), atol=1e-14)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_squared_powers_match_float_powers(self, ops99, rng, m):
+        # the m >= 2 loads raise the Gauss values by repeated squaring; the
+        # float-power path they replaced, with a fresh Legendre rule, must
+        # agree to rounding on a batch of (u, v) rows
+        mesh = ops99.mesh
+        u, v = rng.normal(size=(2, 7, mesh.n))
+        npts = max(4, (2 * m + 4) // 2)
+        gp, gw = leggauss(npts)
+        xi, w = 0.5 * (gp + 1.0), 0.5 * gw
+        ug, vg = values_at_gauss(mesh, u, xi), values_at_gauss(mesh, v, xi)
+        for model, values in [
+                (DegenerateDamping(1.3, m), -1.3 * ug ** (2 * m) * vg),
+                (PrimitiveDamping(0.7, m), -0.7 / (2 * m + 1) * vg ** (2 * m + 1))]:
+            expected = hat_load_from_values(mesh, values, xi, w)
+            got = model.load(ops99, u, v)
+            assert np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()
 
     def test_higher_exponent_matches_quadrature(self, rng):
         ops = assemble(build_mesh(8))

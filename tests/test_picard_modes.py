@@ -105,6 +105,50 @@ def test_certificate_redoes_a_window_detection_missed(monkeypatch):
     assert second.redone == 0 and second.modes == ops.mesh.n
 
 
+def test_windows_hand_over_amplitudes():
+    # the first window starts from modal(y0), whose rounding off J it
+    # certifies; every later one from the amplitudes on J the previous one
+    # ended with, which have no part off J at all
+    ops, prop = operators(0.01)
+    y0 = mode_initial_state(ops, 1).y0
+    result = picard_solve(ops, y0, PicardConfig(t_final=3.0, delta=DELTA))
+    first, *later = result.windows
+    assert first.terms[1] > 0.0
+    for w in later:
+        assert w.terms[1] == 0.0 and w.terms[0] > 0.0
+    for w in result.windows:
+        assert 0.0 < w.gamma < 1.0
+        assert w.bound == sum(w.terms) / (1.0 - w.gamma)
+
+
+def test_single_mode_amplitudes_leave_no_start_term():
+    # built as amplitudes, single-mode data lie exactly in J = {k}
+    ops, prop = operators(0.002)
+    data = mode_initial_state(ops, 16)
+    z0 = data.amplitudes(ops)
+    np.testing.assert_allclose(z0, prop.modal(data.y0), rtol=0,
+                               atol=1e-13 * np.abs(z0).max())
+    assert np.flatnonzero(z0).tolist() == [15]
+    result = picard_solve(ops, data.y0, PicardConfig(t_final=1.0, delta=DELTA),
+                          z0=z0)
+    assert result.windows[0].terms[1] == 0.0
+
+
+def test_nodal_rounding_no_longer_forces_every_mode(monkeypatch):
+    # At this tolerance the rounding of modal(y_end) alone failed the second
+    # window's certificate when each window restarted from its nodal start
+    # state, and that window was redone on all 499 modes; started from the
+    # amplitudes on J, every window stays truncated and certified.
+    monkeypatch.setattr(picard, "TOL", 1e-14)
+    ops, prop = operators(0.002)
+    y0 = mode_initial_state(ops, 1).y0
+    result = picard_solve(ops, y0, PicardConfig(t_final=2.0, delta=DELTA))
+    tol = picard.TOL * energy_norm_modal(prop, y0)
+    assert [w.redone for w in result.windows] == [0, 0]
+    for w in result.windows:
+        assert w.modes < ops.mesh.n and w.bound <= tol
+
+
 def test_zero_data_stay_zero():
     ops, prop = operators(0.01)
     y0 = np.zeros(2 * ops.mesh.n)
