@@ -16,10 +16,7 @@ from __future__ import annotations
 import argparse
 import ast
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -68,8 +65,8 @@ class RunConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "float" and not (isinstance(value, (int, float))
-                                          and np.isfinite(value)):
+            if f.type == "float" and (isinstance(value, bool) or not (
+                    isinstance(value, (int, float)) and np.isfinite(value))):
                 raise ValueError(f"{f.name} must be a finite number, got {value!r}")
             if f.type == "int" and type(value) is not int:
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
@@ -270,21 +267,10 @@ def _check_trace_energy_laws(report: Report, trace: EnergyTrace, label: str,
 
 # -- shared pipeline pieces -------------------------------------------------------
 
-def _pool_size(n_tasks: int) -> int:
-    text = os.environ.get("DEGENWAVE_THREADS", "4")
-    if not (text.strip().isdecimal() and int(text) >= 1):
-        raise ValueError(f"DEGENWAVE_THREADS must be a positive integer, got {text!r}")
-    return min(int(text), n_tasks)
-
-
 def _run_sweep(config: RunConfig, ops):
-    workers = _pool_size(len(config.ks))
-    with (ThreadPoolExecutor(max_workers=workers) if workers > 1
-          else nullcontext()) as pool:
-        return frequency_sweep(config.ks, config.alpha, config.m, ops,
-                               config.delta, config.t_final,
-                               window=config.window, epsilon=config.epsilon,
-                               pool=pool)
+    return frequency_sweep(config.ks, config.alpha, config.m, ops, config.delta,
+                           config.t_final, window=config.window,
+                           epsilon=config.epsilon)
 
 
 def _oracle_problems(config: RunConfig, mesh, ks, amplitudes) -> list:
@@ -587,7 +573,6 @@ def run(config: RunConfig) -> int:
     """Execute one experiment; returns the process exit code."""
     try:
         config.validate()
-        _pool_size(len(config.ks))   # rejects a bad DEGENWAVE_THREADS
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

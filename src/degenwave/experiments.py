@@ -140,27 +140,18 @@ class FrequencyRun:
 
 def frequency_sweep(ks, alpha: float, m: int, ops: SpatialOperators,
                     delta: float, t_final: float, window: float = 1.0,
-                    epsilon: float = 1e-8, pool=None) -> list[FrequencyRun]:
-    """One converged run per frequency, all from unit-energy data.
-
-    Runs are independent; ``pool`` may be a concurrent.futures executor to
-    fan them out.  Results come back ordered by the input frequencies
-    regardless of scheduling.
-    """
+                    epsilon: float = 1e-8) -> list[FrequencyRun]:
+    """One converged run per frequency, all from unit-energy data, in the
+    order of ``ks``."""
     config = PicardConfig(t_final=t_final, delta=delta, alpha=alpha, m=m,
                           epsilon=epsilon, window=window)
-
-    def run_one(k: int) -> FrequencyRun:
+    runs = []
+    for k in ks:
         data = mode_initial_state(ops, k)
         result = picard_solve(ops, data.y0, config, z0=data.amplitudes(ops))
-        trace = EnergyTrace.from_modal(result.trajectory)
-        return FrequencyRun(k=k, data=data, result=result, trace=trace)
-
-    ks = list(ks)
-    if pool is None:
-        return [run_one(k) for k in ks]
-    futures = [pool.submit(run_one, k) for k in ks]
-    return [f.result() for f in futures]
+        runs.append(FrequencyRun(k=k, data=data, result=result,
+                                 trace=EnergyTrace.from_modal(result.trajectory)))
+    return runs
 
 
 def conservative_comparison(run: FrequencyRun,
@@ -266,9 +257,14 @@ def primitive_solve(setup: PrimitiveSetup, ops: SpatialOperators,
                     delta: float, t_final: float,
                     window: float = 1.0, epsilon: float = 1e-8,
                     damped_run: FrequencyRun | None = None) -> PrimitiveResult:
-    """Integrate the primitive problem and compare its velocity to the damped run."""
+    """Integrate the primitive problem and compare its velocity to the damped
+    run, which must be a run of mode ``setup.k`` on this run's time grid."""
     config = PicardConfig(t_final=t_final, delta=delta, alpha=setup.alpha,
                           m=setup.m, epsilon=epsilon, window=window)
+    if damped_run is not None and (damped_run.k != setup.k or not np.array_equal(
+            damped_run.trajectory.times, config.times)):
+        raise ValueError("damped_run must be a run of the same mode on the same "
+                         "time grid")
     result = picard_solve(ops, setup.initial_state(), config,
                           forcing=setup.damping)
     if damped_run is None:

@@ -27,7 +27,7 @@ class Propagator:
     ``powers[j]`` holds the per-mode phase factors of exp(j * theta * A)
     with theta = step/(points-1); the last entry is the full step.  No array
     is modified after construction, and ``phases`` stores a table only once
-    it is fully built, so one instance can be shared across threads.
+    it is fully built.
 
     ``restrict`` keeps a subset J of the modes: ``sine`` becomes the column
     block S[:, J], and ``modal``, ``forcing_modes``, ``nodal`` and the phase

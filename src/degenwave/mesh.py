@@ -67,10 +67,12 @@ def build_mesh(n: int) -> Mesh:
 def whole_steps(length: float, step: float, message: str, least: int = 1) -> int:
     """The number of steps ``step`` in ``length``, the one grid rule of the
     package: the step must be positive and the count a whole number, to 1e-9
-    in ``length``, and at least ``least``; otherwise ``ValueError(message)``."""
-    if not step > 0:
+    in ``length``, and at least ``least``; otherwise ``ValueError(message)``,
+    also for an infinite or NaN length or step."""
+    ratio = length / step if 0 < step < np.inf else np.nan
+    if not abs(ratio) < np.inf:   # false for NaN too
         raise ValueError(message)
-    count = round(length / step)
+    count = round(ratio)
     if count < least or abs(count * step - length) > 1e-9:
         raise ValueError(message)
     return count
@@ -169,8 +171,7 @@ class SpatialOperators:
     built on demand.  The consistent (non-lumped) mass matrix is kept.  The
     discrete sine modes diagonalize it and the stiffness together; their
     matrix and eigenvalues are built once, read-only, and carry every solve
-    with M.  Instances are immutable in practice and safe to share across
-    threads.
+    with M.  Instances are immutable in practice.
     """
 
     mesh: Mesh

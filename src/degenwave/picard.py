@@ -36,11 +36,13 @@ class _ForcingModel:
 
 
 def check_damping(alpha: float, m) -> None:
-    """The damping alpha u^{2m} u_t dissipates for alpha >= 0 and integer m >= 1."""
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    if m < 1 or int(m) != m:
-        raise ValueError("the exponent half m must be a positive integer")
+    """The damping alpha u^{2m} u_t dissipates for finite alpha >= 0 and
+    integer m >= 1.  NaN fails the chained comparisons, so it is rejected."""
+    if not 0 <= alpha < np.inf:
+        raise ValueError(f"alpha must be finite and nonnegative, got {alpha!r}")
+    if not (1 <= m < np.inf and int(m) == m):
+        raise ValueError("the exponent half m must be a positive integer, "
+                         f"got {m!r}")
 
 
 class _PowerDamping(_ForcingModel):
@@ -146,6 +148,11 @@ class PicardConfig:
     @property
     def window_steps(self) -> int:
         return whole_steps(self.window, self.delta, "delta must divide window")
+
+    @property
+    def times(self) -> np.ndarray:
+        """The run's time grid, delta times the step index."""
+        return self.delta * np.arange(self.n_steps + 1)
 
 
 @dataclass
@@ -418,8 +425,7 @@ def picard_solve(ops: SpatialOperators, y0: np.ndarray, config: PicardConfig,
         z_start[active] = z[-1]
         done += nst
 
-    times = config.delta * np.arange(config.n_steps + 1)
-    traj = ModalTrajectory(times=times, y0=np.array(y0, dtype=float),
+    traj = ModalTrajectory(times=config.times, y0=np.array(y0, dtype=float),
                            segments=segments, propagator=propagator)
     return PicardResult(trajectory=traj,
                         iterations=total_iters,

@@ -57,15 +57,6 @@ class TestFrequencySweep:
         runs = frequency_sweep([2, 1], 0.0, 1, ops99, 2e-3, 0.01)
         assert [r.k for r in runs] == [2, 1]
 
-    def test_thread_pool_matches_serial(self, ops99):
-        from concurrent.futures import ThreadPoolExecutor
-        serial = frequency_sweep([1, 2], 1.0, 1, ops99, 2e-3, 0.2)
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            parallel = frequency_sweep([1, 2], 1.0, 1, ops99, 2e-3, 0.2, pool=pool)
-        for a, b in zip(serial, parallel):
-            np.testing.assert_array_equal(a.trajectory.nodal().states,
-                                          b.trajectory.nodal().states)
-
 
 class TestConservativeComparison:
     def test_zero_at_start(self, ops99):
@@ -126,6 +117,17 @@ class TestPrimitiveSolve:
         # the forcing quadratures match, so the gap sits at solver tolerance
         _, result = short_primitive
         assert result.velocity_gap_l2 < 1e-6
+
+    @pytest.mark.parametrize("k,delta,t_final", [
+        (2, 2e-3, 0.1), (1, 1e-2, 0.5), (1, 2e-3, 0.2)],
+        ids=["other mode", "other step, same rows", "other length"])
+    def test_damped_run_of_another_problem_rejected(self, ops99, k, delta,
+                                                    t_final):
+        # the velocity gap compares the runs row by row
+        setup = primitive_setup(1, 1, ops99)
+        other = frequency_sweep([k], 1.0, 1, ops99, delta, t_final)[0]
+        with pytest.raises(ValueError, match="same mode on the same time grid"):
+            primitive_solve(setup, ops99, 2e-3, 0.1, damped_run=other)
 
     def test_zero_initial_acceleration(self, short_primitive, ops99):
         setup, result = short_primitive

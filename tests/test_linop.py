@@ -157,7 +157,7 @@ class TestPropagator:
             short, np.exp(-1j * np.outer(prop.step * np.arange(121), prop.omega)))
 
     def test_phase_table_shared_across_threads(self, ops99):
-        # the default pool shares one propagator: every caller gets a
+        # callers on several threads sharing one propagator each get a
         # complete table, however the threads interleave
         prop = matrix_exponential(ops99, 2e-3)
         counts = [50, 80, 120, 50, 80, 120, 50, 80] * 3

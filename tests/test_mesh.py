@@ -66,7 +66,9 @@ class TestWholeSteps:
 
     @pytest.mark.parametrize("length, step, least", [
         (1.0, 0.3, 1), (0.0, 0.1, 1), (-0.2, 0.1, 0), (1.0, 0.0, 1),
-        (1.0, -0.5, 1), (1.0 + 2e-9, 0.5, 1)])
+        (1.0, -0.5, 1), (1.0 + 2e-9, 0.5, 1), (np.inf, 0.002, 1),
+        (np.nan, 0.1, 0), (1.0, np.nan, 1), (1.0, np.inf, 0),
+        (1e300, 1e-300, 1)])
     def test_rejects_with_the_callers_message(self, length, step, least):
         with pytest.raises(ValueError, match="^the quantity$"):
             whole_steps(length, step, "the quantity", least)

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from degenwave import (DegenerateDamping, LinearDamping, PicardConfig,
-                       PicardDivergenceError, PrimitiveDamping, assemble,
-                       build_mesh, energy, energy_norm,
-                       estimate_contraction, picard, picard_solve,
+from degenwave import (AnsatzProblem, DegenerateDamping, LinearDamping,
+                       OscillatorProblem, PicardConfig, PicardDivergenceError,
+                       PrimitiveDamping, assemble, build_mesh, energy,
+                       energy_norm, estimate_contraction, picard, picard_solve,
                        solve_linear_inhomogeneous)
 from degenwave.experiments import mode_initial_state
 from degenwave.mesh import hat_load_from_values, values_at_gauss
@@ -150,6 +150,21 @@ class TestForcingModels:
         with pytest.raises(ValueError):
             PrimitiveDamping(m=0)
 
+    @pytest.mark.parametrize("alpha,m", [(np.nan, 1), (np.inf, 1), (-np.inf, 1),
+                                         (1.0, np.inf), (1.0, np.nan)])
+    @pytest.mark.parametrize("build", [
+        DegenerateDamping,
+        lambda alpha, m: PicardConfig(t_final=1.0, delta=0.1, alpha=alpha, m=m),
+        lambda alpha, m: AnsatzProblem(k=1, c0=1.0, c1=0.0, alpha=alpha, m=m,
+                                       x=np.array([0.0, 1.0])),
+        lambda alpha, m: OscillatorProblem(khat=1.0, alpha=alpha, m=m,
+                                           x0=1.0, x1=0.0)],
+        ids=["damping", "picard", "ansatz", "oscillator"])
+    def test_non_finite_parameters_rejected(self, build, alpha, m):
+        # alpha < 0 is false for NaN, and int(inf) overflows
+        with pytest.raises(ValueError, match="alpha must be finite|exponent half m"):
+            build(alpha, m)
+
 
 class TestConfig:
     def test_delta_must_divide(self):
@@ -160,6 +175,11 @@ class TestConfig:
     def test_window_must_be_whole_steps(self, window):
         with pytest.raises(ValueError, match="delta must divide window"):
             PicardConfig(t_final=1.0, delta=2e-3, window=window)
+
+    @pytest.mark.parametrize("t_final", [np.inf, np.nan])
+    def test_non_finite_horizon_rejected(self, t_final):
+        with pytest.raises(ValueError, match="delta must divide t_final"):
+            PicardConfig(t_final=t_final, delta=0.002)
 
     def test_positive_fields(self):
         with pytest.raises(ValueError):
