@@ -324,10 +324,7 @@ def _check_splice(runs, ops, forcing) -> list:
         return [(name, None, "not checked, the trajectory is too short to "
                  "restart") for name in names]
     start = last - back
-    # AB5 reads the last five rows of each head
-    heads = [Trajectory(times=traj.times[start - 4:start + 1],
-                        states=run.trajectory.rows(start - 4, start + 1),
-                        delta=traj.delta) for run in runs]
+    heads = [run.trajectory.prefix(start + 1) for run in runs]
     picard = np.array([run.trace.energy[start + 1:] for run in runs])
     gaps = np.zeros(len(runs))
 
@@ -425,9 +422,8 @@ def _exp_fig1(config: RunConfig, dirs, report: Report) -> None:
         report.info("midpoint", f"nearest node to 0.5 is x={mesh.nodes[mid]:.4f}")
     u_mid = np.concatenate([rows[:, mid] for rows in run.trajectory.blocks()])
     c0 = run.data.amplitude
-    u_lin = np.array([analytic_linear_damped(config.beta, 1, c0, t,
-                                             np.array([0.5]))[0][0]
-                      for t in run.trajectory.times])
+    u_lin = analytic_linear_damped(config.beta, 1, c0, run.trajectory.times,
+                                   0.5)[0]
     write_columns_csv(dirs["traces"] / "point_x0.5.csv",
                       ["t", "u_nonlinear", "u_linear_damped"],
                       [run.trajectory.times, u_mid, u_lin])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linop import energy, h1_norm, l2_norm, matrix_exponential
+from .linop import energy, h1_norm, l2_norm
 from .linwave import ModalTrajectory, Trajectory
 from .mesh import (Mesh, SpatialOperators, hat_load_from_values,
                    values_at_gauss, whole_steps)
@@ -302,8 +302,8 @@ def extend_with_ab5(trajs: list, ops: SpatialOperators, forcing,
     """Extend the trajectories ``trajs`` to ``t_final`` by AB5 in the
     rotating sine frame, all in one loop, keeping no extended history.
 
-    The trajectories (``Trajectory`` or ``ModalTrajectory``) share one time
-    grid; only their last five rows are read.  Output step j, at
+    The ``ModalTrajectory`` inputs share one time grid; only the amplitudes
+    of their last five rows are read.  Output step j, at
     t1 + (j + 1) delta with t1 the grid's end, reaches ``observe(j0, block)``
     in blocks of at most ``EXTENSION_BLOCK`` steps: ``block`` has shape
     (len(trajs), b, 2n), its row i is step j0 + i, and it is overwritten
@@ -315,14 +315,15 @@ def extend_with_ab5(trajs: list, ops: SpatialOperators, forcing,
     w' = exp(i omega (t - t1)) i S f(u, v) (Lawson's integrating factor),
     with S f from the forcing's load by ``Propagator.forcing_modes``.
     AB5 steps w, as the float view of its complex array (Re, Im pairs),
-    from the last five states, one step per output step on any mesh.
+    from the last five rows' ``ModalTrajectory.amplitudes``, one step per
+    output step on any mesh.
     ``BlowupError`` stops the run once a member's modal energy
     1/2 sum mu_j |w_j|^2 exceeds ten times its start.
     """
     _, delta, n_out = _extension_grid(trajs, t_final)
     if min(len(tr.times) for tr in trajs) < 5:
         raise ValueError("need five history points to start the scheme")
-    propagator = matrix_exponential(ops, delta)
+    propagator = trajs[0].propagator
     n, omega = ops.mesh.n, propagator.omega
     block = np.empty((len(trajs), min(n_out, EXTENSION_BLOCK), 2 * n))
     # (j delta)(-i omega) rounds as -i (j delta omega): Propagator.phases' values
@@ -340,7 +341,7 @@ def extend_with_ab5(trajs: list, ops: SpatialOperators, forcing,
         return (1j * delta * phase.conj() * g).view(float)
 
     steps = np.arange(-4.0, 1.0)
-    z0 = np.stack([propagator.modal(tr.rows(len(tr.times) - 5, len(tr.times)))
+    z0 = np.stack([tr.amplitudes(len(tr.times) - 5, len(tr.times))
                    for tr in trajs], axis=1)
     w = np.exp(1j * delta * steps[:, None, None] * omega) * z0
     half_mu = np.repeat(0.5 * propagator.mu, 2)

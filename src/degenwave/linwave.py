@@ -44,67 +44,12 @@ class Trajectory:
     def velocity(self) -> np.ndarray:
         return self.states[:, self.n_nodes:]
 
-    def rows(self, start: int, stop: int) -> np.ndarray:
-        return self.states[start:stop]
-
     def blocks(self, size: int = BLOCK_ROWS, start: int = 0, stop: int | None = None):
         """The rows ``start``..``stop``-1 in consecutive blocks of at most
         ``size`` rows."""
         stop = len(self.times) if stop is None else stop
         for a in range(start, stop, size):
             yield self.states[a:min(a + size, stop)]
-
-
-# nodal entries per block of a window's synthesis: 165 rows at n = 99, 32
-# at n = 499 and 16 at n = 999.  A product's rows depend on how many rows it
-# takes, so every reader synthesizes a row within the same block of its
-# window, and all of them get the same bits.
-SYNTH_BLOCK = 2**15
-
-
-class WindowRows:
-    """Nodal rows of one window's amplitudes, synthesized block by block.
-
-    ``z`` holds the window's (nst + 1, |J|) amplitudes on the modes of
-    ``prop``.  Slicing (or indexing) synthesizes the rows with
-    ``Propagator.nodal``, ``SYNTH_BLOCK // 2n`` rows at a time on one
-    partition of z that starts at row 0, and returns a new array; the two
-    most recent blocks are kept.  Row 0 reads ``first`` when it is given.
-    """
-
-    def __init__(self, prop: Propagator, z: np.ndarray,
-                 first: np.ndarray | None = None):
-        self.prop, self.z, self.first = prop, z, first
-        self.size = max(1, SYNTH_BLOCK // (2 * prop.sine.shape[0]))
-        self._kept = {}
-
-    def __len__(self) -> int:
-        return len(self.z)
-
-    def _block(self, k: int) -> np.ndarray:
-        if k not in self._kept:
-            rows = self.prop.nodal(self.z[k * self.size:(k + 1) * self.size])
-            if k == 0 and self.first is not None:
-                rows[0] = self.first
-            previous = self._kept.get(k - 1)
-            self._kept = {k: rows} if previous is None else {k - 1: previous, k: rows}
-        return self._kept[k]
-
-    def __getitem__(self, index) -> np.ndarray:
-        if not isinstance(index, slice):
-            i = range(len(self))[index]
-            return self[i:i + 1][0]
-        a, b, stride = index.indices(len(self))
-        if stride != 1:
-            raise IndexError("rows are read in steps of one")
-        out = np.empty((max(b - a, 0), 2 * self.prop.sine.shape[0]))
-        i = a
-        while i < b:
-            k, j = divmod(i, self.size)
-            rows = self._block(k)[j:j + b - i]
-            out[i - a:i - a + len(rows)] = rows
-            i += len(rows)
-        return out
 
 
 @dataclass(eq=False)
@@ -117,10 +62,10 @@ class ModalTrajectory:
     ``Propagator.restrict``), its row 0 being the previous window's last row.
     A row thus costs 16 |J| bytes where a nodal row costs 16 n.
 
-    ``rows`` and ``blocks`` synthesize nodal rows through ``WindowRows``,
-    one block of one window at a time, on the partition the solver
-    synthesized its states on, so the rows equal the solver's states bit for
-    bit and no whole window of nodal rows is built.
+    ``rows`` and ``blocks`` synthesize nodal rows from the amplitudes with
+    each window's restricted propagator, a block at a time, so no whole
+    window of nodal rows is built.  A read of a nonempty range of rows
+    outside 0..len(times)-1 raises ``ValueError``.
     """
 
     times: np.ndarray
@@ -136,35 +81,54 @@ class ModalTrajectory:
     def delta(self) -> float:
         return self.propagator.step
 
+    def _check(self, start: int, stop: int) -> None:
+        if stop > start and not 0 <= start < stop <= len(self.times):
+            raise ValueError(f"rows {start}..{stop - 1} are not all within "
+                             f"0..{len(self.times) - 1}")
+
+    def _windows(self, start: int, stop: int):
+        """(w, i, j, z) for each window w that holds rows of start..stop-1
+        past row 0: its rows i..j-1 and their amplitudes z on its modes."""
+        self._check(start, stop)
+        first = 0     # the row a window starts from, its z[0]
+        for w, (_, z) in enumerate(self.segments):
+            i, j = max(start, first + 1), min(stop, first + len(z))
+            if i < j:
+                yield w, i, j, z[i - first:j - first]
+            first += len(z) - 1
+
     def rows(self, start: int, stop: int) -> np.ndarray:
         """Nodal rows ``start``..``stop``-1; none when stop <= start."""
-        if stop <= start:
-            return np.empty((0, len(self.y0)))
-        return next(self.blocks(stop - start, start, stop))
+        out = np.empty((max(stop - start, 0), len(self.y0)))
+        for w, i, j, z in self._windows(start, stop):
+            prop = self.propagator.restrict(self.segments[w][0])
+            out[i - start:j - start] = prop.nodal(z)
+        if start == 0 < stop:
+            out[0] = self.y0
+        return out
 
     def blocks(self, size: int = BLOCK_ROWS, start: int = 0, stop: int | None = None):
         """The nodal rows ``start``..``stop``-1 in consecutive blocks of at
         most ``size`` rows."""
         stop = len(self.times) if stop is None else stop
-        # window w holds the rows first_w + 1..last[w], first_w its start row
-        last = np.cumsum([len(z) - 1 for _, z in self.segments])
-        current = (-1, None)     # window index, its rows
-        for a in range(start, stop, size):
-            block = np.empty((min(size, stop - a), len(self.y0)))
-            i, b = a, a + len(block)
-            if i == 0:
-                block[0] = self.y0
-                i = 1
-            while i < b:
-                w = int(np.searchsorted(last, i))
-                modes, z = self.segments[w]
-                if current[0] != w:
-                    current = (w, WindowRows(self.propagator.restrict(modes), z))
-                first = last[w] - (len(z) - 1)
-                j = min(b, last[w] + 1)
-                block[i - a:j - a] = current[1][i - first:j - first]
-                i = j
-            yield block
+        self._check(start, stop)
+        return (self.rows(a, min(a + size, stop)) for a in range(start, stop, size))
+
+    def amplitudes(self, start: int, stop: int) -> np.ndarray:
+        """The amplitudes of rows ``start``..``stop``-1 on every mode, zero
+        off each window's modes; row 0 has those of ``modal(y0)``."""
+        out = np.zeros((max(stop - start, 0), len(self.propagator.omega)), complex)
+        for w, i, j, z in self._windows(start, stop):
+            out[i - start:j - start, self.segments[w][0]] = z
+        if start == 0 < stop:
+            out[0] = self.propagator.modal(self.y0)
+        return out
+
+    def prefix(self, stop: int) -> ModalTrajectory:
+        """The rows 0..``stop``-1 as a trajectory of their own."""
+        return ModalTrajectory(self.times[:stop], self.y0, [
+            (self.segments[w][0], self.segments[w][1][:j - i + 1])
+            for w, i, j, _ in self._windows(1, stop)], self.propagator)
 
     def nodal(self) -> Trajectory:
         """Every row as a nodal ``Trajectory``."""
@@ -254,12 +218,13 @@ def solve_linear_inhomogeneous(ops: SpatialOperators, y0: np.ndarray, forcing,
 
 # -- closed-form single-mode solution with viscous damping -------------------
 
-def analytic_linear_damped(beta: float, k: int, c0: float, t: float,
-                           x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def analytic_linear_damped(beta: float, k: int, c0: float, t: np.ndarray | float,
+                           x: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
     """Exact solution of w_tt - w_xx + beta w_t = 0 for single-mode data.
 
     Initial data w(0) = c0 sin(k pi x), w_t(0) = 0; requires the underdamped
-    regime beta < 2 k pi.  Returns (w(t, x), w_t(t, x)).
+    regime beta < 2 k pi.  Returns (w(t, x), w_t(t, x)) with ``t`` and ``x``
+    broadcast against each other.
     """
     lam = (k * np.pi) ** 2
     if not 0.0 < beta < 2.0 * np.sqrt(lam):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linop import Propagator, matrix_exponential
-from .linwave import BOOLE_WEIGHTS, ModalTrajectory, WindowRows, sweep
+from .linwave import BOOLE_WEIGHTS, ModalTrajectory, sweep
 from .mesh import (SpatialOperators, gauss_rule, hat_load_from_values,
                    values_at_gauss, whole_steps)
 
@@ -217,22 +217,23 @@ _DETECT_ROWS = 9   # abscissa rows of each forcing searched for new modes
 _LOAD_STEPS = 32
 
 
-def _abscissa_loads(ops: SpatialOperators, forcing, states,
+def _abscissa_loads(ops: SpatialOperators, forcing, grid: np.ndarray, nodal,
                     out: np.ndarray) -> np.ndarray:
     """Fill ``out`` with the forcing's loads at every quadrature abscissa.
 
-    The grid states (nst + 1 rows of an array or a ``WindowRows``) are read
-    and interpolated linearly in time onto the 4 nst + 1 abscissae,
-    ``_LOAD_STEPS`` steps at a time, so one block of states and of
-    interpolated states exists at once; ``out`` has shape (4 nst + 1, n).
-    Every row equals that of the whole-window evaluation bit for bit.
+    ``nodal`` maps rows of ``grid`` to the grid states (``Propagator.nodal``
+    of amplitudes), ``_LOAD_STEPS`` steps at a time, and the nst + 1 states
+    are interpolated linearly in time onto the 4 nst + 1 abscissae, so one
+    block of states and of interpolated states exists at once; ``out`` has
+    shape (4 nst + 1, n).  Every row equals that of the whole-window
+    evaluation of the same states bit for bit.
     """
     r = len(BOOLE_WEIGHTS) - 1
     n = ops.mesh.n
-    nst = len(states) - 1
+    nst = len(grid) - 1
     for s in range(0, nst, _LOAD_STEPS):
         e = min(s + _LOAD_STEPS, nst)
-        x = states[s:e + 1]
+        x = nodal(grid[s:e + 1])
         # the abscissae of steps s..e-1; the last block adds the window's end
         ya = np.empty((r * (e - s) + (e == nst), 2 * n))
         ya[::r] = x[:e - s + (e == nst)]
@@ -284,11 +285,10 @@ class _Window:
         self.level = DETECT * tol / (nst * config.delta)
         self.active, self.prop = active, full.restrict(active)
 
-    def _sweep(self, y: np.ndarray, z0: np.ndarray, load: np.ndarray,
-               z_prev: np.ndarray | None):
+    def _sweep(self, z0: np.ndarray, load: np.ndarray, z_prev: np.ndarray | None):
         """Widen J by the modes ``load`` reaches, then sweep from the start
         amplitudes ``z0`` (on every mode); returns the iterate's amplitudes
-        and its rows, and ``z_prev`` on the new J."""
+        and ``z_prev`` on the new J."""
         old = self.active
         if len(old) < len(self.full.omega):
             rows = np.linspace(0, len(load) - 1, _DETECT_ROWS).round().astype(int)
@@ -303,26 +303,25 @@ class _Window:
                 if z_prev is not None:
                     z_prev, kept = np.zeros((len(z_prev), len(self.active)), complex), z_prev
                     z_prev[:, np.searchsorted(self.active, old)] = kept
-        z = sweep(self.prop, y, load, modal=True, z0=z0[self.active])
-        return z, WindowRows(self.prop, z, y), z_prev
+        return sweep(self.prop, None, load, modal=True, z0=z0[self.active]), z_prev
 
-    def solve(self, y: np.ndarray, z0: np.ndarray) -> tuple:
-        """Iterate from the nodal state ``y``, whose amplitudes on every mode
-        are ``z0``; returns the report, the accepted iterate's amplitudes on
-        J and its rows, and the last load."""
+    def solve(self, z0: np.ndarray) -> tuple:
+        """Iterate from the amplitudes ``z0`` on every mode; returns the
+        report, the accepted iterate's amplitudes on J and the last load."""
         ops, forcing, config = self.ops, self.forcing, self.config
         n = ops.mesh.n
         rows = (len(BOOLE_WEIGHTS) - 1) * self.nst + 1
+        y = self.prop.nodal(z0[self.active])
         load = np.broadcast_to(forcing.load(ops, y[:n], y[n:]), (rows, n))
-        prev, states, _ = self._sweep(y, z0, load, None)
+        prev, _ = self._sweep(z0, load, None)
 
         report = WindowReport(t_start=self.t_start, iterations=0, distance=np.inf,
                               converged=False)
         grow = 0
         buffer = np.empty((rows, n))   # every iteration's load
         for _ in range(MAX_ITERATIONS):
-            load = _abscissa_loads(ops, forcing, states, buffer)
-            cur, states, prev = self._sweep(y, z0, load, prev)
+            load = _abscissa_loads(ops, forcing, prev, self.prop.nodal, buffer)
+            cur, prev = self._sweep(z0, load, prev)
             dist = float(np.sqrt(_mode_energy(cur - prev, self.prop.mu).max()))
             if not np.isfinite(dist):
                 # a non-finite forcing or iterate makes the distance non-finite
@@ -340,7 +339,7 @@ class _Window:
                     f"iterates diverge on window starting at t={self.t_start:g} "
                     f"(distance {dist:.3e}); use a shorter window")
         report.modes = len(self.active)
-        return report, prev, states, load
+        return report, prev, load
 
     def certify(self, report: WindowReport, z0: np.ndarray, load: np.ndarray) -> None:
         """Record the energy-norm bound on what the modes off J change in the
@@ -387,8 +386,8 @@ def picard_solve(ops: SpatialOperators, y0: np.ndarray, config: PicardConfig,
         forcing = DegenerateDamping(config.alpha, config.m)
     propagator = matrix_exponential(ops, config.delta)
     n = ops.mesh.n
-    y = np.asarray(y0, dtype=float)
-    z_start = propagator.modal(y) if z0 is None else np.asarray(z0, dtype=complex)
+    y0 = np.array(y0, dtype=float)
+    z_start = propagator.modal(y0) if z0 is None else np.asarray(z0, dtype=complex)
     tol = TOL * float(np.sqrt(_mode_energy(z_start, propagator.mu)))
     active = np.flatnonzero(np.sqrt(propagator.mu) * np.abs(z_start) > DETECT * tol)
 
@@ -403,7 +402,7 @@ def picard_solve(ops: SpatialOperators, y0: np.ndarray, config: PicardConfig,
         while True:
             window = _Window(ops, forcing, propagator, active, config, nst,
                              t_start, tol)
-            report, z, states, load = window.solve(y, z_start)
+            report, z, load = window.solve(z_start)
             active = window.active
             if len(active) < n:
                 window.certify(report, z_start, load)
@@ -420,12 +419,11 @@ def picard_solve(ops: SpatialOperators, y0: np.ndarray, config: PicardConfig,
         total_iters += report.iterations
         windows.append(report)
         segments.append((active, z))
-        y = states[-1]
         z_start = np.zeros(n, complex)
         z_start[active] = z[-1]
         done += nst
 
-    traj = ModalTrajectory(times=config.times, y0=np.array(y0, dtype=float),
+    traj = ModalTrajectory(times=config.times, y0=y0,
                            segments=segments, propagator=propagator)
     return PicardResult(trajectory=traj,
                         iterations=total_iters,

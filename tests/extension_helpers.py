@@ -11,7 +11,7 @@ def extended(trajs, ops, forcing, t_final) -> list:
     call, as a ``Trajectory`` holding its input rows and the observed ones."""
     t1, delta = trajs[0].times[-1], trajs[0].delta
     n_out = max(int(round((t_final - t1) / delta)), 0)
-    new = np.empty((len(trajs), n_out, trajs[0].states.shape[1]))
+    new = np.empty((len(trajs), n_out, 2 * len(trajs[0].propagator.omega)))
 
     def observe(j0, block):
         new[:, j0:j0 + block.shape[1]] = block
@@ -19,5 +19,5 @@ def extended(trajs, ops, forcing, t_final) -> list:
     extend_with_ab5(trajs, ops, forcing, t_final, observe)
     times = t1 + delta * np.arange(1, n_out + 1)
     return [Trajectory(times=np.concatenate([tr.times, times]),
-                       states=np.vstack([tr.states, rows]), delta=delta)
+                       states=np.vstack([tr.nodal().states, rows]), delta=delta)
             for tr, rows in zip(trajs, new)]

@@ -60,7 +60,7 @@ def primitive50(mesh99, ops99, fig2):
     setup = primitive_setup(1, 1, ops99)
     result = primitive_solve(setup, ops99, DELTA, T_FINAL,
                              damped_run=fig2["runs"][1])
-    full, = extended([result.trajectory.nodal()], ops99, setup.damping, 50.0)
+    full, = extended([result.trajectory], ops99, setup.damping, 50.0)
     trace = EnergyTrace.from_trajectory(full, ops99)
     return {"setup": setup, "result": result, "trace": trace}
 

@@ -7,10 +7,10 @@ from degenwave import (AB5_COEFFS, ABState, BlowupError, DegenerateDamping,
                        PicardConfig, ab5_init, ab5_step, energy, energy_norm,
                        extend_trajectory, picard_solve, semilinear_rhs,
                        solve_linear_inhomogeneous)
+from degenwave import experiments
 from degenwave.experiments import (EXTENSION_BLOCK, EnergyTrace,
                                    extend_traces, extend_with_ab5,
                                    mode_initial_state)
-from degenwave.linwave import Trajectory
 from extension_helpers import extended
 
 # alpha = 0 switches the damping off: the right-hand side is A y alone
@@ -121,6 +121,14 @@ class TestExtendTrajectory:
         return data, solve_linear_inhomogeneous(
             ops, data.y0, lambda t: np.zeros((len(t), 99)), t_final, 2e-3)
 
+    def _free_modal_traj(self, ops, t_final, k=1):
+        """The undamped flow of mode k as Picard's modal history."""
+        data = mode_initial_state(ops, k)
+        return data, picard_solve(ops, data.y0,
+                                  PicardConfig(t_final=t_final, delta=2e-3,
+                                               alpha=0.0),
+                                  z0=data.amplitudes(ops)).trajectory
+
     def test_extension_to_same_time_returns_input(self, ops99):
         _, traj = self._homogeneous_traj(ops99, 0.1)
         rhs = semilinear_rhs(ops99, UNDAMPED)
@@ -140,7 +148,7 @@ class TestExtendTrajectory:
     def test_stabilized_extension_tracks_discrete_rotation(self, ops99, k):
         # undamped, the rotating-frame amplitudes stand still: the extension
         # is the exact rotation up to rounding
-        data, traj = self._homogeneous_traj(ops99, 2.0, k)
+        data, traj = self._free_modal_traj(ops99, 2.0, k)
         full, = extended([traj], ops99, UNDAMPED, 6.0)
         h = ops99.mesh.h
         c = np.cos(k * np.pi * h)
@@ -155,12 +163,12 @@ class TestExtendTrajectory:
         assert np.abs(e - e[0]).max() / e[0] <= 1e-13
 
     def test_splice_grid_and_continuity(self, ops99):
-        _, traj = self._homogeneous_traj(ops99, 2.0)
+        _, traj = self._free_modal_traj(ops99, 2.0)
         full, = extended([traj], ops99, UNDAMPED, 4.0)
         assert full.delta == traj.delta
         np.testing.assert_allclose(full.times[:len(traj.times)], traj.times)
         i1 = len(traj.times) - 1     # t = 2, the splice
-        assert energy_norm(ops99, full.states[i1] - traj.states[-1]) == 0.0
+        assert energy_norm(ops99, full.states[i1] - traj.nodal().states[-1]) == 0.0
         np.testing.assert_allclose(np.diff(full.times), traj.delta, rtol=1e-9)
 
     def test_nonlinear_extension_monotone_energy(self, ops99):
@@ -168,7 +176,7 @@ class TestExtendTrajectory:
         config = PicardConfig(t_final=2.0, delta=2e-3)
         result = picard_solve(ops99, data.y0, config)
         forcing = DegenerateDamping(1.0, 1)
-        full, = extended([result.trajectory.nodal()], ops99, forcing, 4.0)
+        full, = extended([result.trajectory], ops99, forcing, 4.0)
         e = energy(ops99, full.states)
         assert (np.diff(e) <= 1e-5 * e[0]).all()
         assert e[-1] < e[len(result.trajectory.times) - 1]   # t = 2
@@ -183,7 +191,7 @@ class TestExtendTrajectory:
         result = picard_solve(ops99, data.y0,
                               PicardConfig(t_final=1.0, delta=2e-3))
         forcing = DegenerateDamping(1.0, 1)
-        new, = extended([result.trajectory.nodal()], ops99, forcing, 3.0)
+        new, = extended([result.trajectory], ops99, forcing, 3.0)
         literal = extend_trajectory(result.trajectory.nodal(),
                                     semilinear_rhs(ops99, forcing), 3.0,
                                     norm_fn=lambda y: float(energy(ops99, y)),
@@ -193,7 +201,7 @@ class TestExtendTrajectory:
         assert gap.max() <= 1e-8
 
     def test_history_too_short_rejected(self, ops99):
-        _, traj = self._homogeneous_traj(ops99, 0.006)
+        _, traj = self._free_modal_traj(ops99, 0.006)
         with pytest.raises(ValueError, match="five history points"):
             extended([traj], ops99, UNDAMPED, 0.1)
 
@@ -209,7 +217,7 @@ class TestBatchedExtension:
     def picard_runs(self, ops99):
         config = PicardConfig(t_final=0.2, delta=2e-3, window=0.2)
         return [picard_solve(ops99, mode_initial_state(ops99, k).y0,
-                             config).trajectory.nodal()
+                             config).trajectory
                 for k in (1, 2, 4, 8, 12)]
 
     def test_batch_matches_one_member_runs(self, ops99, picard_runs):
@@ -253,9 +261,30 @@ class TestBatchedExtension:
         short, long = peak(2.1), peak(6.1)
         assert long <= 1.05 * short, (short, long)
 
+    def test_seeds_are_zero_off_the_active_modes(self, ops99, monkeypatch):
+        # AB5 starts from the amplitudes Picard kept on the last window's
+        # modes J; a seed rebuilt through nodal rows carries rounding into
+        # every other mode
+        traj = picard_solve(ops99, mode_initial_state(ops99, 1).y0,
+                            PicardConfig(t_final=1.0, delta=2e-3)).trajectory
+        seeds = []
+
+        def capture(times, ys, rhs, **kwargs):
+            seeds.append(np.array(ys).view(complex))
+            return ab5_init(times, ys, rhs, **kwargs)
+
+        monkeypatch.setattr(experiments, "ab5_init", capture)
+        extend_with_ab5([traj], ops99, DegenerateDamping(1.0, 1), 1.01,
+                        lambda j0, block: None)
+        off = np.ones(99, bool)
+        off[traj.segments[-1][0]] = False
+        assert seeds[0].shape == (5, 1, 99) and 0 < (~off).sum() < 99
+        assert (seeds[0][..., off] == 0.0).all()
+        assert (seeds[0][..., ~off] != 0.0).all()
+
     def test_grids_must_be_shared(self, ops99, picard_runs):
         traj = picard_runs[0]
-        shorter = Trajectory(traj.times[:-1], traj.states[:-1], traj.delta)
+        shorter = traj.prefix(len(traj.times) - 1)
         with pytest.raises(ValueError, match="shared time grid"):
             extend_with_ab5([traj, shorter], ops99, UNDAMPED, 0.4,
                             lambda j0, block: None)
@@ -263,6 +292,6 @@ class TestBatchedExtension:
     def test_traces_reject_a_target_before_the_end(self, ops99, picard_runs):
         # the target is checked before any row of the extension is allocated
         trajs = picard_runs[:2]
-        traces = [EnergyTrace.from_trajectory(tr, ops99) for tr in trajs]
+        traces = [EnergyTrace.from_modal(tr) for tr in trajs]
         with pytest.raises(ValueError, match="before the trajectory end"):
             extend_traces(trajs, traces, ops99, UNDAMPED, 0.1)

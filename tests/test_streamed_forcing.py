@@ -36,7 +36,7 @@ def test_streamed_loads_equal_the_whole_window(ops99, rng, forcing, nst):
     expected = forcing.load(ops99, interp_abscissae(states[:, :n]),
                             interp_abscissae(states[:, n:]))
     out = np.full((4 * nst + 1, n), np.nan)   # every row must be written
-    got = picard._abscissa_loads(ops99, forcing, states, out)
+    got = picard._abscissa_loads(ops99, forcing, states, lambda rows: rows, out)
     assert got is out
     np.testing.assert_array_equal(got, expected)
 
