@@ -12,15 +12,14 @@ pointwise Runge-Kutta reference available for single-mode initial data.
 __version__ = "0.1.0"
 
 from .mesh import (Mesh, QuarticTensor, SpatialOperators, assemble, build_mesh,
-                   hat_load, l2_project, mesh_from_h)
+                   mesh_from_h)
 from .linop import (Propagator, energy, energy_inner, energy_norm, h1_norm,
                     l2_norm, matrix_exponential)
 from .linwave import (BOOLE_WEIGHTS, ModalTrajectory, Trajectory,
-                      analytic_linear_damped,
-                      solve_linear_inhomogeneous)
+                      analytic_linear_damped)
 from .picard import (DegenerateDamping, LinearDamping, PicardConfig,
                      PicardDivergenceError, PicardResult, PrimitiveDamping,
-                     estimate_contraction, picard_solve)
+                     picard_solve)
 from .multistep import (AB5_COEFFS, ABState, BlowupError, ab5_init, ab5_step,
                         extend_trajectory, semilinear_rhs)
 from .oracle import (AnsatzProblem, OracleSolution, OscillatorProblem,
@@ -29,8 +28,7 @@ from .oracle import (AnsatzProblem, OracleSolution, OscillatorProblem,
                      rk4_ansatz, simulate_oscillator, uniform_stability_sweep)
 from .experiments import (EnergyTrace, FrequencyRun, LowerOrderReport,
                           ModeData, PrimitiveResult, PrimitiveSetup,
-                          closed_form_potential_m1, conservative_comparison,
-                          continuum_energy_error, decay_rate_fit,
+                          closed_form_potential_m1, decay_rate_fit,
                           dissipation_exponent, extend_traces,
                           extend_with_ab5, frequency_sweep, lower_order_decay,
                           mode_initial_state, primitive_setup, primitive_solve)

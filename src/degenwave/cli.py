@@ -70,6 +70,9 @@ class RunConfig:
                 raise ValueError(f"{f.name} must be a finite number, got {value!r}")
             if f.type == "int" and type(value) is not int:
                 raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            # an empty path is the working directory
+            if f.type == "str" and not (type(value) is str and value):
+                raise ValueError(f"{f.name} must be a nonempty string, got {value!r}")
         for name in ("h", "delta", "t_final", "window", "epsilon", "khat",
                      "radius", "eps_target", "horizon", "osc_step"):
             if not getattr(self, name) > 0:
@@ -569,38 +572,35 @@ def run(config: RunConfig) -> int:
     """Execute one experiment; returns the process exit code."""
     try:
         config.validate()
-    except ValueError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
+        out = Path(config.out)
+        dirs = {"traces": out / "traces", "plots": out / "plots"}
+        for d in (out, *dirs.values()):
+            d.mkdir(parents=True, exist_ok=True)
+        manifest = {"version": __version__, "config": asdict(config)}
+        manifest["config"]["ks"] = list(config.ks)
+        (out / "manifest.json").write_text(json.dumps(manifest, indent=2,
+                                                      sort_keys=True) + "\n")
 
-    out = Path(config.out)
-    dirs = {"traces": out / "traces", "plots": out / "plots"}
-    for d in (out, *dirs.values()):
-        d.mkdir(parents=True, exist_ok=True)
-    manifest = {"version": __version__, "config": asdict(config)}
-    manifest["config"]["ks"] = list(config.ks)
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2,
-                                                  sort_keys=True) + "\n")
+        report = Report()
+        try:
+            driver, _ = PRESETS[config.experiment]
+            driver(config, dirs, report)
+        except (PicardDivergenceError, BlowupError, FloatingPointError) as exc:
+            report.lines.append(f"[ERROR] numerical failure: {exc}")
+            report.failed = True
+            report.write(out / "report.txt")
+            report.write_diagnostics(out / "diagnostics.json")
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return 2
 
-    report = Report()
-    try:
-        driver, _ = PRESETS[config.experiment]
-        driver(config, dirs, report)
-    except (PicardDivergenceError, BlowupError, FloatingPointError) as exc:
-        report.lines.append(f"[ERROR] numerical failure: {exc}")
-        report.failed = True
         report.write(out / "report.txt")
         report.write_diagnostics(out / "diagnostics.json")
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        print((out / "report.txt").read_text(), end="")
+        return 3 if report.failed else 0
+    # OSError: the outputs cannot be created or written where --out points
+    except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-
-    report.write(out / "report.txt")
-    report.write_diagnostics(out / "diagnostics.json")
-    print((out / "report.txt").read_text(), end="")
-    return 3 if report.failed else 0
 
 
 # -- argument parsing -----------------------------------------------------------

@@ -2,9 +2,9 @@
 
 The central experiment holds the initial energy fixed at one while pushing
 the initial data to higher frequencies, then watches the decay deteriorate.
-Companion constructions (the conservative comparison, the primitive problem
-whose velocity reproduces the damped solution, and the resulting L^2 bound)
-turn the qualitative statements into checkable numbers.
+Companion constructions (the primitive problem whose velocity reproduces
+the damped solution, and the resulting L^2 bound) turn the qualitative
+statements into checkable numbers.
 """
 
 from __future__ import annotations
@@ -152,29 +152,6 @@ def frequency_sweep(ks, alpha: float, m: int, ops: SpatialOperators,
         runs.append(FrequencyRun(k=k, data=data, result=result,
                                  trace=EnergyTrace.from_modal(result.trajectory)))
     return runs
-
-
-def conservative_comparison(run: FrequencyRun,
-                            ops: SpatialOperators) -> EnergyTrace:
-    """Energy history of z = u - w, with w the undamped solution of the
-    same initial data.
-
-    Starting from identical data z(0) = 0, the gap isolates what the damping
-    did; it stays small for high frequencies, which is what keeps the damped
-    solution's energy pinned near one there.  w rotates at the mesh's own
-    modal frequency (the exact undamped solution of the discrete system, so
-    z carries no dispersion).
-    """
-    traj = run.trajectory.nodal()
-    mesh = ops.mesh
-    u0 = run.data.y0[: mesh.n]
-    # sine samples are exact eigenvectors of the (K, M) pencil
-    mu, kappa = ops.sine_eigenvalues()
-    w = np.sqrt(kappa[run.k - 1] / mu[run.k - 1])
-    t = traj.times[:, None]
-    ref = np.concatenate([np.cos(w * t) * u0, -w * np.sin(w * t) * u0], axis=1)
-    diff = Trajectory(traj.times, traj.states - ref, traj.delta)
-    return EnergyTrace.from_trajectory(diff, ops)
 
 
 # -- primitive problem ------------------------------------------------------------
@@ -436,26 +413,3 @@ def lower_order_decay(trace: EnergyTrace, setup: PrimitiveSetup,
     return LowerOrderReport(times=trace.times.copy(), l2=trace.l2.copy(),
                             bound=bound,
                             satisfied=trace.l2**2 <= bound + 1e-12)
-
-
-# -- continuum-norm comparison (for the viscous reference) -----------------------
-
-def continuum_energy_error(mesh: Mesh, state: np.ndarray, ux_exact,
-                           v_exact, npts: int = 6) -> float:
-    """Energy-norm distance between a nodal state and an analytic field.
-
-    Integrates (u_h' - u_x)^2 + (v_h - v)^2 elementwise with Gauss points,
-    treating the state as the piecewise-linear pair it represents.  Unlike
-    the nodal comparison this sees the interpolation error between nodes,
-    the honest first-order part of the spatial error.
-    """
-    n = mesh.n
-    u, v = state[:n], state[n:]
-    x, xi, w = mesh.element_gauss(npts)
-    up = np.concatenate([[0.0], u, [0.0]])
-    vp = np.concatenate([[0.0], v, [0.0]])
-    du = (up[1:] - up[:-1]) / mesh.h          # piecewise-constant derivative
-    err_h1 = mesh.h * np.sum(w * (du[:, None] - ux_exact(x)) ** 2)
-    vg = vp[:-1, None] * (1 - xi) + vp[1:, None] * xi
-    err_l2 = mesh.h * np.sum(w * (vg - v_exact(x)) ** 2)
-    return float(np.sqrt(err_h1 + err_l2))

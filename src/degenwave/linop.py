@@ -24,8 +24,8 @@ class Propagator:
     With u = S a and v = S b, the generator decouples into one oscillator
     a_j'' = -omega_j^2 a_j per mode, and the complex amplitude
     z_j = omega_j a_j + i b_j rotates as z_j(t) = exp(-i omega_j t) z_j(0).
-    ``powers[j]`` holds the per-mode phase factors of exp(j * theta * A)
-    with theta = step/(points-1); the last entry is the full step.  No array
+    ``powers[j]`` holds the per-mode phase factors of
+    exp(j * step/(points-1) * A); the last entry is the full step.  No array
     is modified after construction, and ``phases`` stores a table only once
     it is fully built.
 
@@ -42,13 +42,10 @@ class Propagator:
     powers: tuple
     _phases: dict = field(default_factory=dict, repr=False)
 
+    # test-only: kept for perfbench/traced.py until the next benchmark change
     @property
     def points(self) -> int:
         return len(self.powers)
-
-    @property
-    def theta(self) -> float:
-        return self.step / (self.points - 1)
 
     def phases(self, nsteps: int) -> np.ndarray:
         """Read-only (nsteps+1, n) table exp(-i omega_j i step), i = 0..nsteps."""

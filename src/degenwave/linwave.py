@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linop import Propagator, matrix_exponential
-from .mesh import SpatialOperators, whole_steps
+from .linop import Propagator
 
 # Boole's rule on [0, 1]: weights of the five equally spaced abscissae (sum to 1)
 BOOLE_WEIGHTS = np.array([7.0, 32.0, 12.0, 32.0, 7.0]) / 90.0
@@ -40,9 +39,6 @@ class Trajectory:
 
     def displacement(self) -> np.ndarray:
         return self.states[:, : self.n_nodes]
-
-    def velocity(self) -> np.ndarray:
-        return self.states[:, self.n_nodes:]
 
     def blocks(self, size: int = BLOCK_ROWS, start: int = 0, stop: int | None = None):
         """The rows ``start``..``stop``-1 in consecutive blocks of at most
@@ -130,11 +126,6 @@ class ModalTrajectory:
             (self.segments[w][0], self.segments[w][1][:j - i + 1])
             for w, i, j, _ in self._windows(1, stop)], self.propagator)
 
-    def nodal(self) -> Trajectory:
-        """Every row as a nodal ``Trajectory``."""
-        return Trajectory(times=self.times.copy(),
-                          states=self.rows(0, len(self.times)), delta=self.delta)
-
 
 # -- Duhamel stepping --------------------------------------------------------
 
@@ -144,18 +135,17 @@ class ModalTrajectory:
 SWEEP_BLOCK = 2**14
 
 
-def sweep(prop: Propagator, y0: np.ndarray, f_absc: np.ndarray, *,
-          modal: bool = False, z0: np.ndarray | None = None) -> np.ndarray:
+def sweep(prop: Propagator, z0: np.ndarray, f_absc: np.ndarray) -> np.ndarray:
     """Repeated Duhamel steps with pre-tabulated forcing loads.
 
-    Step i applies y_{i+1} = P y_i + sum_j w_j exp((step - j theta) A) (0, f_ij)
-    with the forcing f_ij sampled at Boole's five equally spaced abscissae.
-    ``f_absc`` holds the forcing's load vectors M f at every abscissa of the
-    run, shape (4*nsteps + 1, n); consecutive steps share their endpoint
-    sample.  Returns the (nsteps+1, 2n) array of states including y0, or
-    with ``modal`` their (nsteps+1, |J|) complex amplitudes on the modes J of
-    ``prop`` (see ``Propagator.restrict``).  ``z0``, when given, holds the
-    start amplitudes on J in place of ``prop.modal(y0)``.
+    Step i applies y_{i+1} = P y_i + sum_j w_j exp((step - j step/4) A) (0, f_ij)
+    with the forcing f_ij sampled at Boole's five equally spaced abscissae,
+    to states y_i given by their complex amplitudes z_i on the modes J of
+    ``prop`` (see ``Propagator.restrict``).  ``z0`` holds the start
+    amplitudes, shape (|J|,), and ``f_absc`` the forcing's load vectors M f
+    at every abscissa of the run, shape (4*nsteps + 1, n); consecutive steps
+    share their endpoint sample.  Returns the (nsteps+1, |J|) amplitudes,
+    ``z0`` first.
 
     In the modal amplitudes z of ``Propagator.modal`` the forcing enters as
     z' = -i omega z + i S f, where S f = (S M f) / mu as S M S = diag(mu).
@@ -187,33 +177,10 @@ def sweep(prop: Propagator, y0: np.ndarray, f_absc: np.ndarray, *,
         np.multiply(phase[s + 1:e + 1].conj(), c, out=z[s + 1:e + 1])
         # the first block has no partial sum before it
         np.cumsum(z[max(s, 1):e + 1], axis=0, out=z[max(s, 1):e + 1])
-    z[0] = prop.modal(y0) if z0 is None else z0
+    z[0] = z0
     z[1:] += z[0]
     np.multiply(phase, z, out=z)   # in the parent's operand order: bit for bit
-    if modal:
-        return z
-    states = prop.nodal(z)
-    states[0] = y0
-    return states
-
-
-def solve_linear_inhomogeneous(ops: SpatialOperators, y0: np.ndarray, forcing,
-                               t_final: float, delta: float,
-                               t0: float = 0.0) -> Trajectory:
-    """Integrate y' = A y + (0, f(t)) over [t0, t_final] on a uniform grid.
-
-    ``forcing`` is a callable mapping an array of times to the (len, n) array
-    of forcing coefficient vectors; it is evaluated at the quadrature
-    abscissae, and ``sweep`` gets their loads M f.  The homogeneous part is
-    advanced by the exact per-mode rotations of the propagator.
-    """
-    nsteps = whole_steps(t_final - t0, delta, "the step must tile the interval")
-    propagator = matrix_exponential(ops, delta)
-    absc = t0 + propagator.theta * np.arange((len(BOOLE_WEIGHTS) - 1) * nsteps + 1)
-    f_absc = ops.apply_mass(np.asarray(forcing(absc), dtype=float))
-    states = sweep(propagator, y0, f_absc)
-    times = t0 + delta * np.arange(nsteps + 1)
-    return Trajectory(times=times, states=states, delta=delta)
+    return z
 
 
 # -- closed-form single-mode solution with viscous damping -------------------

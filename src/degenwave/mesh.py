@@ -110,20 +110,6 @@ class QuarticTensor:
         self.value_aaab = h / 20.0      # 3-1 split inside one element
         self.value_aabb = h / 30.0      # 2-2 split inside one element
 
-    def entry(self, p: int, q: int, r: int, s: int) -> float:
-        """Single entry lookup (1-based interior node indices)."""
-        idx = sorted((p, q, r, s))
-        if idx[0] < 1 or idx[-1] > self.mesh.n:
-            raise IndexError("index out of range")
-        if idx[-1] - idx[0] > 1:
-            return 0.0
-        if idx[0] == idx[-1]:
-            return self.value_aaaa
-        lo = sum(1 for i in idx if i == idx[0])
-        if lo in (1, 3):
-            return self.value_aaab
-        return self.value_aabb
-
     def contract(self, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
         """out[p] = sum_{q,r,s} T[p,q,r,s] a[q] b[r] c[s].
 
@@ -167,11 +153,11 @@ def _pad(x: np.ndarray) -> np.ndarray:
 class SpatialOperators:
     """Assembled mass/stiffness matrices and the quartic hat tensor.
 
-    The tridiagonal matrices are stored by their diagonals; dense copies are
-    built on demand.  The consistent (non-lumped) mass matrix is kept.  The
-    discrete sine modes diagonalize it and the stiffness together; their
-    matrix and eigenvalues are built once, read-only, and carry every solve
-    with M.  Instances are immutable in practice.
+    The tridiagonal matrices are stored by their diagonals.  The consistent
+    (non-lumped) mass matrix is kept.  The discrete sine modes diagonalize
+    it and the stiffness together; their matrix and eigenvalues are built
+    once, read-only, and carry every solve with M.  Instances are immutable
+    in practice.
     """
 
     mesh: Mesh
@@ -181,13 +167,6 @@ class SpatialOperators:
     stiffness_off: np.ndarray
     quartic: QuarticTensor
 
-    # -- dense views -------------------------------------------------------
-    def mass_matrix(self) -> np.ndarray:
-        return _tridiag_dense(self.mass_diag, self.mass_off)
-
-    def stiffness_matrix(self) -> np.ndarray:
-        return _tridiag_dense(self.stiffness_diag, self.stiffness_off)
-
     # -- fast tridiagonal actions (batched over leading axes) ---------------
     def apply_mass(self, u: np.ndarray) -> np.ndarray:
         return _tridiag_apply(self.mass_diag, self.mass_off, u)
@@ -195,6 +174,7 @@ class SpatialOperators:
     def apply_stiffness(self, u: np.ndarray) -> np.ndarray:
         return _tridiag_apply(self.stiffness_diag, self.stiffness_off, u)
 
+    # test-only: kept for perfbench/traced.py until the next benchmark change
     def solve_mass(self, b: np.ndarray) -> np.ndarray:
         """Solve M x = b; ``b`` may be batched with the node axis last.
 
@@ -240,15 +220,6 @@ class SpatialOperators:
         """
         return self._sine_modes[0]
 
-    def max_generalized_eigenvalue(self) -> float:
-        """Largest lambda with K v = lambda M v (the top sine mode)."""
-        mu, kappa = self.sine_eigenvalues()
-        return float(kappa[-1] / mu[-1])
-
-
-def _tridiag_dense(d: np.ndarray, e: np.ndarray) -> np.ndarray:
-    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-
 
 def _tridiag_apply(d, e, u):
     u = np.asarray(u, dtype=float)
@@ -275,23 +246,6 @@ def assemble(mesh: Mesh) -> SpatialOperators:
     )
 
 
-def l2_project(ops: SpatialOperators, g, npts: int = 4) -> np.ndarray:
-    """L^2 projection of ``g`` onto the hat-function space: solve M c = (g, phi_i).
-
-    The load is integrated with ``npts``-point Gauss per element (default 4,
-    exact through degree 7, so quintic integrands carry no quadrature error).
-    """
-    load = hat_load(ops.mesh, g, npts=npts)
-    return ops.solve_mass(load)
-
-
-def hat_load(mesh: Mesh, g, npts: int = 4) -> np.ndarray:
-    """Load vector (g, phi_i) by per-element Gauss quadrature."""
-    x, xi, w = mesh.element_gauss(npts)
-    vals = np.asarray(g(x), dtype=float)
-    return hat_load_from_values(mesh, vals, xi, w)
-
-
 def hat_load_from_values(mesh: Mesh, vals: np.ndarray, xi: np.ndarray,
                          w: np.ndarray) -> np.ndarray:
     """Assemble (f, phi_i) from integrand samples at element Gauss points.
@@ -313,4 +267,3 @@ def values_at_gauss(mesh: Mesh, u: np.ndarray, xi: np.ndarray) -> np.ndarray:
     up = _pad(u)
     uL, uR = up[..., :-1], up[..., 1:]
     return uL[..., None] * (1.0 - xi) + uR[..., None] * xi
-

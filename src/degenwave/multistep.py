@@ -37,10 +37,6 @@ class ABState:
     norm_fn: object = None
     norm_limit: object = np.inf     # a float, or one limit per batch member
 
-    @property
-    def y(self) -> np.ndarray:
-        return self.ys[-1]
-
 
 def ab5_init(times, states, rhs, norm_fn=None, limit_factor: float = 10.0) -> ABState:
     """Fill the buffer from five uniformly spaced trajectory points.
@@ -90,6 +86,7 @@ def ab5_step(state: ABState) -> np.ndarray:
     return y
 
 
+# test-only: kept for perfbench/traced.py until the next benchmark change
 def extend_trajectory(traj: Trajectory, rhs, t_final: float,
                       norm_fn=None, substeps: int = 1) -> Trajectory:
     """Extend a trajectory to ``t_final`` with AB5, keeping its output grid.
@@ -146,6 +143,7 @@ def extend_trajectory(traj: Trajectory, rhs, t_final: float,
     return Trajectory(times=times, states=states, delta=traj.delta)
 
 
+# test-only: kept for perfbench/traced.py until the next benchmark change
 def _rk4_step(rhs, t, y, dt):
     k1 = rhs(t, y)
     k2 = rhs(t + dt / 2, y + dt / 2 * k1)
@@ -154,6 +152,7 @@ def _rk4_step(rhs, t, y, dt):
     return y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
+# test-only: kept for perfbench/traced.py until the next benchmark change
 def semilinear_rhs(ops, forcing):
     """Right-hand side t, y -> A y + (0, f(u, v)) for the multistep scheme."""
     n = ops.mesh.n

@@ -254,6 +254,7 @@ def _check_aligned(times: np.ndarray, grid: np.ndarray) -> None:
         raise ValueError("trajectory and oracle time grids do not match")
 
 
+# test-only: kept for perfbench/traced.py until the next benchmark change
 def compare_energy_norm(traj: Trajectory, sol: OracleSolution,
                         ops: SpatialOperators) -> float:
     """Max-over-time energy norm of the state difference.
@@ -267,6 +268,7 @@ def compare_energy_norm(traj: Trajectory, sol: OracleSolution,
     return float(energy_norm(ops, diff).max())
 
 
+# test-only: kept for perfbench/traced.py until the next benchmark change
 def compare_energy_decay(traj: Trajectory, sol: OracleSolution,
                          ops: SpatialOperators) -> float:
     """Max-over-time absolute gap between the two energy histories.

@@ -30,6 +30,7 @@ class PicardDivergenceError(RuntimeError):
 # term's load; ``coefficients`` solves for f itself.
 
 class _ForcingModel:
+    # test-only: kept for perfbench/traced.py until the next benchmark change
     def coefficients(self, ops: SpatialOperators, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Forcing coefficient vector f = M^{-1} load (batched)."""
         return ops.solve_mass(self.load(ops, u, v))
@@ -303,7 +304,7 @@ class _Window:
                 if z_prev is not None:
                     z_prev, kept = np.zeros((len(z_prev), len(self.active)), complex), z_prev
                     z_prev[:, np.searchsorted(self.active, old)] = kept
-        return sweep(self.prop, None, load, modal=True, z0=z0[self.active]), z_prev
+        return sweep(self.prop, z0[self.active], load), z_prev
 
     def solve(self, z0: np.ndarray) -> tuple:
         """Iterate from the amplitudes ``z0`` on every mode; returns the
@@ -430,25 +431,3 @@ def picard_solve(ops: SpatialOperators, y0: np.ndarray, config: PicardConfig,
                         final_distance=windows[-1].distance,
                         converged=all(w.converged for w in windows),
                         windows=windows)
-
-
-# -- a priori contraction bound ------------------------------------------------
-
-def estimate_contraction(radius: float, t_window: float, alpha: float, m: int) -> float:
-    """Upper bound on the Lipschitz constant of the fixed-point map.
-
-    On the energy-space ball of radius R the damping difference factors as
-    f(s) - f(r) = M(s, r)(s - r) with |M| <= 2 m alpha (R/2)^{2m-1}, using the
-    one-dimensional embedding sup|w| <= |w'|_{L^2}/2 for the displacement.
-    Stacking the two components gives
-
-        gamma = t_window * alpha * (R/2)^{2m-1} * R * sqrt(m^2 + 1/4).
-
-    A value below one certifies convergence on the window and turns a
-    consecutive-iterate distance eps into the absolute error bound
-    eps*gamma/(1-gamma); at or above one the bound is only a heuristic.
-    """
-    if radius < 0 or t_window < 0:
-        raise ValueError("radius and window length must be nonnegative")
-    return (t_window * alpha * (0.5 * radius) ** (2 * m - 1)
-            * radius * np.sqrt(m**2 + 0.25))

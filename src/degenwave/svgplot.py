@@ -22,7 +22,6 @@ class Series:
     label: str
     x: list
     y: list
-    color: str = ""
     dashed: bool = False
 
 
@@ -73,9 +72,7 @@ def render_line_plot(series: list, title: str, xlabel: str, ylabel: str,
     """Render labeled polylines into an SVG document string."""
     if not series or all(len(s.x) == 0 for s in series):
         raise ValueError("nothing to plot")
-    for i, s in enumerate(series):
-        if not s.color:
-            s.color = PALETTE[i % len(PALETTE)]
+    colors = [PALETTE[i % len(PALETTE)] for i in range(len(series))]
 
     def txf(vals, log):
         return [math.log10(v) for v in vals] if log else list(vals)
@@ -145,20 +142,20 @@ def render_line_plot(series: list, title: str, xlabel: str, ylabel: str,
                f'font-family="sans-serif" font-size="13" '
                f'transform="rotate(-90 18 {MARGIN_T + ph // 2})">{_esc(ylabel)}</text>')
 
-    for s in series:
+    for s, color in zip(series, colors):
         sx, sy = txf(s.x, logx), txf(s.y, logy)
         pts = " ".join(f"{_fmt(px(a))},{_fmt(py(b))}" for a, b in zip(sx, sy))
         dash = ' stroke-dasharray="6,4"' if s.dashed else ""
-        out.append(f'<polyline points="{pts}" fill="none" stroke="{s.color}" '
+        out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
                    f'stroke-width="1.5"{dash}/>')
 
     # legend, top-right inside the box
     ly = MARGIN_T + 16
-    for s in series:
+    for s, color in zip(series, colors):
         lx = MARGIN_L + pw - 150
         dash = ' stroke-dasharray="6,4"' if s.dashed else ""
         out.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 24}" y2="{ly - 4}" '
-                   f'stroke="{s.color}" stroke-width="1.5"{dash}/>')
+                   f'stroke="{color}" stroke-width="1.5"{dash}/>')
         out.append(f'<text x="{lx + 30}" y="{ly}" font-family="sans-serif" '
                    f'font-size="12">{_esc(s.label)}</text>')
         ly += 16

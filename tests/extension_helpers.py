@@ -4,6 +4,7 @@ import numpy as np
 
 from degenwave.experiments import extend_with_ab5
 from degenwave.linwave import Trajectory
+from reference import nodal_trajectory
 
 
 def extended(trajs, ops, forcing, t_final) -> list:
@@ -19,5 +20,6 @@ def extended(trajs, ops, forcing, t_final) -> list:
     extend_with_ab5(trajs, ops, forcing, t_final, observe)
     times = t1 + delta * np.arange(1, n_out + 1)
     return [Trajectory(times=np.concatenate([tr.times, times]),
-                       states=np.vstack([tr.nodal().states, rows]), delta=delta)
+                       states=np.vstack([nodal_trajectory(tr).states, rows]),
+                       delta=delta)
             for tr, rows in zip(trajs, new)]

@@ -12,10 +12,11 @@ import numpy as np
 
 from degenwave import picard
 from degenwave.linop import energy_norm, matrix_exponential
-from degenwave.linwave import BOOLE_WEIGHTS, Trajectory, sweep
+from degenwave.linwave import BOOLE_WEIGHTS, Trajectory
 from degenwave.mesh import SpatialOperators
 from degenwave.picard import (DegenerateDamping, PicardConfig,
                               PicardDivergenceError, PicardResult, WindowReport)
+from reference import nodal_sweep
 
 
 def interp_abscissae(x: np.ndarray) -> np.ndarray:
@@ -60,7 +61,7 @@ def picard_solve(ops: SpatialOperators, y0: np.ndarray, config: PicardConfig,
         t_start = done * config.delta
         f0 = forcing.load(ops, y[:n], y[n:])
         f_absc = np.broadcast_to(f0, ((len(BOOLE_WEIGHTS) - 1) * nst + 1, n))
-        prev = sweep(propagator, y, f_absc)
+        prev = nodal_sweep(propagator, y, f_absc)
 
         report = WindowReport(t_start=t_start, iterations=0, distance=np.inf,
                               converged=False)
@@ -69,7 +70,7 @@ def picard_solve(ops: SpatialOperators, y0: np.ndarray, config: PicardConfig,
             ua = interp_abscissae(prev[:, :n])
             va = interp_abscissae(prev[:, n:])
             f_absc = forcing.load(ops, ua, va)
-            cur = sweep(propagator, y, f_absc)
+            cur = nodal_sweep(propagator, y, f_absc)
             dist = float(energy_norm(ops, cur - prev).max())
             if not np.isfinite(dist):
                 # a non-finite forcing or iterate makes the distance non-finite

@@ -493,6 +493,34 @@ class TestRun:
         assert "delta must divide window" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("argv", [["--out", ""], ["--config", "c.txt"]],
+                             ids=["empty-flag", "number-in-config"])
+    def test_out_that_is_no_path_rejected(self, tmp_path, capsys, monkeypatch,
+                                          argv):
+        # an empty out resolved to the working directory and the run wrote
+        # its outputs there; a number ended in a TypeError traceback
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "c.txt").write_text("out = 5\n")
+        code = main(["run", "--preset", "fig2", "--T", "0.002", "--k", "1", *argv])
+        assert code == 1
+        assert "out must be a nonempty string" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["c.txt"]
+
+    @pytest.mark.parametrize("blocked", ["out-below-a-file", "trace-is-a-directory"])
+    def test_unwritable_output_is_a_configuration_error(self, tmp_path, capsys,
+                                                        blocked):
+        # creating or writing an output raised an uncaught OSError
+        out = tmp_path / "o"
+        if blocked == "out-below-a-file":
+            out.write_text("")
+            out = out / "x"
+        else:
+            (out / "traces" / "trace_k1.csv").mkdir(parents=True)
+        code = main(["run", "--preset", "fig2", "--T", "0.002", "--k", "1",
+                     "--out", str(out)])
+        assert code == 1
+        assert "configuration error: [Errno" in capsys.readouterr().err
+
     def test_step_longer_than_two_checks_unit_windows(self, tmp_path):
         # 1/delta rounds to 0 here; the unit-window check must still run
         code = main(["run", "--preset", "custom", "--delta", "2.5", "--T", "5",

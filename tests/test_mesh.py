@@ -6,10 +6,12 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import eigh
 
-from degenwave import assemble, build_mesh, l2_project, mesh_from_h
+from degenwave import assemble, build_mesh, mesh_from_h
 from degenwave import mesh as mesh_module
-from degenwave.mesh import hat_load, values_at_gauss, whole_steps
+from degenwave.mesh import values_at_gauss, whole_steps
 from mass_reference import banded_mass_solve
+from reference import (dense_mass, dense_stiffness, hat_load, l2_project,
+                       max_generalized_eigenvalue, quartic_entry)
 
 
 def gauss_integrate(f, a, b, npts=8):
@@ -77,34 +79,34 @@ class TestWholeSteps:
 class TestAssemble:
     def test_single_node_values(self):
         ops = assemble(build_mesh(1))
-        np.testing.assert_allclose(ops.mass_matrix(), [[1.0 / 3.0]], atol=1e-15)
-        np.testing.assert_allclose(ops.stiffness_matrix(), [[4.0]], atol=1e-15)
+        np.testing.assert_allclose(dense_mass(ops), [[1.0 / 3.0]], atol=1e-15)
+        np.testing.assert_allclose(dense_stiffness(ops), [[4.0]], atol=1e-15)
 
     def test_two_node_values(self):
         ops = assemble(build_mesh(2))
         h = 1.0 / 3.0
         np.testing.assert_allclose(
-            ops.mass_matrix(), [[2 * h / 3, h / 6], [h / 6, 2 * h / 3]], atol=1e-15)
+            dense_mass(ops), [[2 * h / 3, h / 6], [h / 6, 2 * h / 3]], atol=1e-15)
         np.testing.assert_allclose(
-            ops.stiffness_matrix(), [[2 / h, -1 / h], [-1 / h, 2 / h]], atol=1e-12)
+            dense_stiffness(ops), [[2 / h, -1 / h], [-1 / h, 2 / h]], atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 33, 99, 256, 512])
     def test_spd(self, n):
         ops = assemble(build_mesh(n))
-        for mat in (ops.mass_matrix(), ops.stiffness_matrix()):
+        for mat in (dense_mass(ops), dense_stiffness(ops)):
             np.testing.assert_allclose(mat, mat.T)
             np.linalg.cholesky(mat)  # raises if not positive definite
 
     def test_generalized_eigenvalue_convergence(self):
         ops = assemble(build_mesh(99))
-        lam = eigh(ops.stiffness_matrix(), ops.mass_matrix(),
+        lam = eigh(dense_stiffness(ops), dense_mass(ops),
                    eigvals_only=True)
         assert abs(lam[0] - np.pi**2) / np.pi**2 < 1e-3
 
     def test_max_generalized_eigenvalue_formula(self):
         ops = assemble(build_mesh(31))
-        lam = eigh(ops.stiffness_matrix(), ops.mass_matrix(), eigvals_only=True)
-        assert ops.max_generalized_eigenvalue() == pytest.approx(lam[-1], rel=1e-10)
+        lam = eigh(dense_stiffness(ops), dense_mass(ops), eigvals_only=True)
+        assert max_generalized_eigenvalue(ops) == pytest.approx(lam[-1], rel=1e-10)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 99, 499])
     def test_sine_modes_diagonalize(self, n):
@@ -113,9 +115,9 @@ class TestAssemble:
         mu, kappa = ops.sine_eigenvalues()
         np.testing.assert_array_equal(S, S.T)
         np.testing.assert_allclose(S @ S, np.eye(n), atol=1e-13)
-        np.testing.assert_allclose(ops.mass_matrix() @ S, S * mu,
+        np.testing.assert_allclose(dense_mass(ops) @ S, S * mu,
                                    atol=1e-13 * mu.max())
-        np.testing.assert_allclose(ops.stiffness_matrix() @ S, S * kappa,
+        np.testing.assert_allclose(dense_stiffness(ops) @ S, S * kappa,
                                    atol=1e-13 * kappa.max())
 
     def test_solve_mass_matches_banded_solve(self, rng):
@@ -141,7 +143,7 @@ class TestAssemble:
                 m_exact = sum(gauss_integrate(lambda x: fi(x) * fj(x),
                                               pts[e], pts[e + 1])
                               for e in range(len(pts) - 1))
-                assert ops.mass_matrix()[i - 1, j - 1] == pytest.approx(
+                assert dense_mass(ops)[i - 1, j - 1] == pytest.approx(
                     m_exact, abs=1e-14)
 
 
@@ -151,7 +153,7 @@ class TestQuarticTensor:
             ops = assemble(build_mesh(n))
             h = ops.mesh.h
             for p in range(1, n + 1):
-                assert ops.quartic.entry(p, p, p, p) == pytest.approx(2 * h / 5)
+                assert quartic_entry(ops.quartic, p, p, p, p) == pytest.approx(2 * h / 5)
 
     def test_three_distinct_values(self):
         ops = assemble(build_mesh(8))
@@ -160,7 +162,7 @@ class TestQuarticTensor:
             for q in range(max(1, p - 1), min(8, p + 1) + 1):
                 for r in range(max(1, p - 1), min(8, p + 1) + 1):
                     for s in range(max(1, p - 1), min(8, p + 1) + 1):
-                        v = ops.quartic.entry(p, q, r, s)
+                        v = quartic_entry(ops.quartic, p, q, r, s)
                         if v != 0.0:
                             vals.add(round(v, 15))
         assert len(vals) == 3
@@ -175,13 +177,13 @@ class TestQuarticTensor:
             exact = sum(gauss_integrate(
                 lambda x: fs[0](x) * fs[1](x) * fs[2](x) * fs[3](x),
                 pts[e], pts[e + 1]) for e in range(len(pts) - 1))
-            assert ops.quartic.entry(*idx) == pytest.approx(exact, abs=1e-15)
+            assert quartic_entry(ops.quartic, *idx) == pytest.approx(exact, abs=1e-15)
 
     def test_permutation_symmetry(self, rng):
         ops = assemble(build_mesh(6))
         from itertools import permutations
         for idx in [(3, 3, 4, 4), (2, 3, 3, 3), (5, 5, 5, 6)]:
-            vals = {ops.quartic.entry(*perm) for perm in permutations(idx)}
+            vals = {quartic_entry(ops.quartic, *perm) for perm in permutations(idx)}
             assert len(vals) == 1
 
     def test_contraction_against_quadrature(self, rng):
@@ -226,7 +228,7 @@ class TestQuarticTensor:
         ops = assemble(build_mesh(n))
         dense = np.zeros((n, n, n, n))
         for idx in itertools.product(range(n), repeat=4):
-            dense[idx] = ops.quartic.entry(*(i + 1 for i in idx))
+            dense[idx] = quartic_entry(ops.quartic, *(i + 1 for i in idx))
         a, b, c = np.random.default_rng(seed).normal(size=(3,) + batch + (n,))
         ref = np.einsum("pqrs,...q,...r,...s->...p", dense, a, b, c)
         got = ops.quartic.contract(a, b, c)
@@ -242,7 +244,8 @@ def _neighbour_sum(quartic, a, b, c):
     for p in range(n):
         near = [i for i in (p - 1, p, p + 1) if 0 <= i < n]
         for q, r, s in itertools.product(near, repeat=3):
-            out[p] += quartic.entry(p + 1, q + 1, r + 1, s + 1) * a[q] * b[r] * c[s]
+            out[p] += (quartic_entry(quartic, p + 1, q + 1, r + 1, s + 1)
+                       * a[q] * b[r] * c[s])
     return out
 
 
@@ -307,7 +310,7 @@ class TestProjections:
             # phi_i' = +1/h then -1/h on the two supporting elements
             load[i - 1] = (gauss_integrate(gp, pts[i - 1], pts[i]) / mesh.h
                            - gauss_integrate(gp, pts[i], pts[i + 1]) / mesh.h)
-        c = np.linalg.solve(ops.stiffness_matrix(), load)
+        c = np.linalg.solve(dense_stiffness(ops), load)
         np.testing.assert_allclose(g(mesh.nodes), c, atol=1e-9)
 
     def test_l2_zero_and_basis(self):

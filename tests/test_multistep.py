@@ -5,13 +5,14 @@ import pytest
 
 from degenwave import (AB5_COEFFS, ABState, BlowupError, DegenerateDamping,
                        PicardConfig, ab5_init, ab5_step, energy, energy_norm,
-                       extend_trajectory, picard_solve, semilinear_rhs,
-                       solve_linear_inhomogeneous)
+                       extend_trajectory, picard_solve, semilinear_rhs)
 from degenwave import experiments
 from degenwave.experiments import (EXTENSION_BLOCK, EnergyTrace,
                                    extend_traces, extend_with_ab5,
                                    mode_initial_state)
 from extension_helpers import extended
+from reference import (dense_mass, dense_stiffness, nodal_trajectory,
+                       solve_linear_inhomogeneous)
 
 # alpha = 0 switches the damping off: the right-hand side is A y alone
 UNDAMPED = DegenerateDamping(alpha=0.0)
@@ -62,7 +63,7 @@ class TestAB5Basics:
         state = ab5_init(traj.times[-5:], list(traj.states[-5:]), rhs)
         # dense reference (v, -M^{-1} K u); on the smooth mode K u cancels
         # terms of size 1/h, so it agrees with the modal route to ~2e-12
-        mass, stiff = ops99.mass_matrix(), ops99.stiffness_matrix()
+        mass, stiff = dense_mass(ops99), dense_stiffness(ops99)
         for t, y, g in zip(state.times, state.ys, state.gs):
             u, v = y[:99], y[99:]
             dense = np.concatenate([v, -np.linalg.solve(mass, stiff @ u)])
@@ -168,7 +169,8 @@ class TestExtendTrajectory:
         assert full.delta == traj.delta
         np.testing.assert_allclose(full.times[:len(traj.times)], traj.times)
         i1 = len(traj.times) - 1     # t = 2, the splice
-        assert energy_norm(ops99, full.states[i1] - traj.nodal().states[-1]) == 0.0
+        assert energy_norm(ops99, full.states[i1]
+                           - nodal_trajectory(traj).states[-1]) == 0.0
         np.testing.assert_allclose(np.diff(full.times), traj.delta, rtol=1e-9)
 
     def test_nonlinear_extension_monotone_energy(self, ops99):
@@ -192,7 +194,7 @@ class TestExtendTrajectory:
                               PicardConfig(t_final=1.0, delta=2e-3))
         forcing = DegenerateDamping(1.0, 1)
         new, = extended([result.trajectory], ops99, forcing, 3.0)
-        literal = extend_trajectory(result.trajectory.nodal(),
+        literal = extend_trajectory(nodal_trajectory(result.trajectory),
                                     semilinear_rhs(ops99, forcing), 3.0,
                                     norm_fn=lambda y: float(energy(ops99, y)),
                                     substeps=16)

@@ -5,10 +5,11 @@ from numpy.polynomial.legendre import leggauss
 from degenwave import (AnsatzProblem, DegenerateDamping, LinearDamping,
                        OscillatorProblem, PicardConfig, PicardDivergenceError,
                        PrimitiveDamping, assemble, build_mesh, energy,
-                       energy_norm, estimate_contraction, picard, picard_solve,
-                       solve_linear_inhomogeneous)
+                       energy_norm, picard, picard_solve)
 from degenwave.experiments import mode_initial_state
 from degenwave.mesh import hat_load_from_values, values_at_gauss
+from reference import (estimate_contraction, nodal_sweep, nodal_trajectory,
+                       solve_linear_inhomogeneous)
 
 
 def quadrature_projection(ops, pointwise, npts=20):
@@ -199,8 +200,8 @@ class TestPicardSolve:
         hom = solve_linear_inhomogeneous(ops99, data.y0,
                                          lambda t: np.zeros((len(t), 99)),
                                          1.0, 2e-3)
-        np.testing.assert_allclose(result.trajectory.nodal().states, hom.states,
-                                   atol=1e-12)
+        np.testing.assert_allclose(nodal_trajectory(result.trajectory).states,
+                                   hom.states, atol=1e-12)
 
     def test_distances_geometric(self, ops99):
         data = mode_initial_state(ops99, 1)
@@ -215,22 +216,21 @@ class TestPicardSolve:
         data = mode_initial_state(ops99, 1)
         config = PicardConfig(t_final=2.0, delta=2e-3)
         result = picard_solve(ops99, data.y0, config)
-        e = energy(ops99, result.trajectory.nodal().states)
+        e = energy(ops99, nodal_trajectory(result.trajectory).states)
         assert (np.diff(e) <= 1e-6 * e[0]).all()
         assert e[-1] < e[0]
 
     def test_fixed_point_property(self, ops99, prop99):
         # re-solving the linear problem with the converged forcing barely moves it
-        from degenwave.linwave import sweep
         from picard_reference import interp_abscissae
         data = mode_initial_state(ops99, 1)
         config = PicardConfig(t_final=1.0, delta=2e-3, epsilon=1e-10)
         result = picard_solve(ops99, data.y0, config)
-        traj = result.trajectory.nodal()
+        traj = nodal_trajectory(result.trajectory)
         model = DegenerateDamping(1.0, 1)
         ua = interp_abscissae(traj.displacement())
-        va = interp_abscissae(traj.velocity())
-        resolve = sweep(prop99, data.y0, model.load(ops99, ua, va))
+        va = interp_abscissae(traj.states[:, traj.n_nodes:])
+        resolve = nodal_sweep(prop99, data.y0, model.load(ops99, ua, va))
         assert energy_norm(ops99, resolve - traj.states).max() < config.epsilon * 10
 
     def test_divergence_detected(self, ops99):
@@ -252,7 +252,7 @@ class TestPicardSolve:
         config = PicardConfig(t_final=1.0, delta=2e-3, alpha=50.0, window=0.05)
         result = picard_solve(ops99, data.y0, config)
         assert result.converged
-        e = energy(ops99, result.trajectory.nodal().states)
+        e = energy(ops99, nodal_trajectory(result.trajectory).states)
         assert (np.diff(e) <= 1e-6 * e[0]).all()
 
     def test_max_iterations_reported_not_fatal(self, ops99, monkeypatch):
@@ -272,8 +272,8 @@ class TestPicardSolve:
                           PicardConfig(window=1.0, **tight))
         r2 = picard_solve(ops99, data.y0,
                           PicardConfig(window=0.25, **tight))
-        assert energy_norm(ops99, r1.trajectory.nodal().states
-                           - r2.trajectory.nodal().states).max() < 1e-8
+        assert energy_norm(ops99, nodal_trajectory(r1.trajectory).states
+                           - nodal_trajectory(r2.trajectory).states).max() < 1e-8
 
 
 class TestContractionEstimate:

@@ -17,6 +17,7 @@ from degenwave.experiments import mode_initial_state, primitive_setup
 from degenwave.linwave import sweep
 
 import picard_reference
+from reference import nodal_sweep, nodal_trajectory
 
 DELTA = 2e-3
 
@@ -37,7 +38,8 @@ def assert_matches_reference(ops, y0, config, forcing=None):
     ref = picard_reference.picard_solve(ops, y0, config, forcing=forcing)
     assert ([w.iterations for w in result.windows]
             == [w.iterations for w in ref.windows])
-    states, expected = result.trajectory.nodal().states, ref.trajectory.states
+    states = nodal_trajectory(result.trajectory).states
+    expected = ref.trajectory.states
     assert np.abs(states - expected).max() <= 1e-12 * np.abs(expected).max()
     return result
 
@@ -153,7 +155,7 @@ def test_zero_data_stay_zero():
     ops, prop = operators(0.01)
     y0 = np.zeros(2 * ops.mesh.n)
     result = picard_solve(ops, y0, PicardConfig(t_final=0.1, delta=DELTA))
-    assert result.converged and not result.trajectory.nodal().states.any()
+    assert result.converged and not nodal_trajectory(result.trajectory).states.any()
     assert result.windows[0].modes == 0
 
 
@@ -171,7 +173,7 @@ def test_restricted_propagator_sweeps_its_modes(rng):
     np.testing.assert_allclose(sub.modal(y0), z0[modes], atol=1e-13)
     amplitudes = rng.normal(size=(4 * 20 + 1, len(modes)))
     load = (amplitudes * sub.mu) @ sub.sine.T    # M f with S f on J only
-    full = sweep(prop, y0, load)
-    np.testing.assert_allclose(sweep(sub, y0, load), full, atol=1e-12)
-    np.testing.assert_allclose(sub.nodal(sweep(sub, y0, load, modal=True)), full,
+    full = nodal_sweep(prop, y0, load)
+    np.testing.assert_allclose(nodal_sweep(sub, y0, load), full, atol=1e-12)
+    np.testing.assert_allclose(sub.nodal(sweep(sub, sub.modal(y0), load)), full,
                                atol=1e-12)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import degenwave as dw
+from reference import nodal_trajectory
 
 
 @pytest.fixture(scope="module")
@@ -20,7 +21,7 @@ def refinement_pair():
         prob = dw.AnsatzProblem.for_mesh(mesh, 1,
                                          c0=run.data.amplitude / np.sqrt(2.0))
         sol = dw.rk4_ansatz(prob, 10.0, delta / 10, store_stride=10)
-        traj = run.trajectory.nodal()
+        traj = nodal_trajectory(run.trajectory)
         out[h] = {
             "E_final": run.trace.energy[-1],
             "e_gap": dw.compare_energy_decay(traj, sol, ops),

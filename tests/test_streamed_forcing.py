@@ -79,10 +79,10 @@ def test_all_mode_sweep_streams_its_load():
     rng = np.random.default_rng(0)
     load = rng.standard_normal((4 * 500 + 1, ops.mesh.n))
     y0 = rng.standard_normal(2 * ops.mesh.n)
-    sweep(prop, y0, load, modal=True)   # warm-up: the phase table
+    sweep(prop, prop.modal(y0), load)   # warm-up: the phase table
     tracemalloc.start()
     try:
-        z = sweep(prop, y0, load, modal=True)
+        z = sweep(prop, prop.modal(y0), load)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
