@@ -84,9 +84,12 @@ def mesh_from_h(h: float) -> Mesh:
     return build_mesh(elements - 1)
 
 
-# elements per block of a batched ``QuarticTensor.contract``: 2^14 beat 2^12,
-# 2^13, 2^15, 2^16 and no blocking on (2001, 99) and (2001, 499) inputs, one
-# thread on a Xeon with 2 MiB of L2 per core (5.2 and 25 ms against 12.5 and 58)
+# elements per block of a batched ``QuarticTensor.contract``, and the length
+# of its five scratch rows: with the flat kernel, one thread on a Xeon with
+# 2 MiB of L2 per core, 2^14 kept the lowest median of 2^12-2^17 and no
+# blocking (2.1 and 10.2 ms on (2001, 99) and (2001, 499) inputs, against
+# 2.2 and 12.1 at 2^13, 2.3 and 14.0 at 2^15, 3.4-4.0 and 25-31 unblocked)
+# and tied 2^13-2^15 on Picard's (129, 499) blocks (0.81-0.85 ms)
 _BLOCK = 2**14
 
 
@@ -100,6 +103,10 @@ class QuarticTensor:
     X = v31 (abL + abR) + v22 s, each interior element (i, i+1) adds
     cL (v31 s + v22 abR) + cR X at node i and cL X + cR (v22 abL + v31 s) at
     node i+1.  A boundary element adds nothing more: one of its nodes is 0.
+    ``contract`` evaluates this in blocks of ``_BLOCK`` elements, each
+    block's rows flattened so that every neighbour slice is contiguous and
+    every intermediate lands in a reused scratch row; the result equals the
+    row-by-row evaluation bit for bit.
     """
 
     def __init__(self, mesh: Mesh):
@@ -118,27 +125,49 @@ class QuarticTensor:
         hat basis, exact for the cubic integrand.
         """
         a, b, c = (np.asarray(x, dtype=float) for x in (a, b, c))
-        if a.shape == b.shape == c.shape and a.size <= _BLOCK:
-            return self._contract_rows(a, b, c, np.empty(a.shape))
-        a, b, c = np.broadcast_arrays(a, b, c)
-        out, rows = np.empty(a.shape), max(1, _BLOCK // a.shape[-1])
-        flat = [x.reshape(-1, a.shape[-1]) for x in (a, b, c, out)]
-        for i in range(0, len(flat[0]), rows):
-            self._contract_rows(*(x[i:i + rows] for x in flat))
+        if not a.shape == b.shape == c.shape:
+            a, b, c = np.broadcast_arrays(a, b, c)
+        n = a.shape[-1]
+        out = np.empty(a.shape)
+        rows = [x.reshape(-1, n) for x in (a, b, c, out)]
+        block = max(1, _BLOCK // n)
+        work = np.empty((5, min(block, len(rows[0])) * n))
+        for i in range(0, len(rows[0]), block):
+            self._contract_rows(*(np.ascontiguousarray(x[i:i + block])
+                                  for x in rows[:3]), rows[3][i:i + block], work)
         return out
 
-    def _contract_rows(self, a, b, c, out):
-        """``contract`` of equal-shape rows into ``out``, by the class formula."""
+    def _contract_rows(self, a, b, c, out, work):
+        """``contract`` of C-contiguous (rows, n) blocks into ``out``.
+
+        The rows are flattened, so each neighbour slice is a contiguous 1-D
+        view, and every intermediate goes into a row of ``work`` (at least
+        a.size long) in the operand order of the class formula.  The one
+        "element" that straddles each seam of two rows is spurious; it is
+        set to -0.0, the additive identity even for a -0.0 sum, before it
+        is accumulated, so each row's result is that of the row alone.
+        """
+        n = a.shape[-1]
+        a, b, c, out = (x.reshape(-1) for x in (a, b, c, out))
         v31, v22 = self.value_aaab, self.value_aabb
-        ab = a * b
-        np.multiply(self.value_aaaa * ab, c, out)
-        abL, abR, cL, cR = ab[..., :-1], ab[..., 1:], c[..., :-1], c[..., 1:]
-        s = a[..., :-1] * b[..., 1:]
-        s += a[..., 1:] * b[..., :-1]
-        x = v31 * (abL + abR) + v22 * s
+        ab = np.multiply(a, b, work[0, :a.size])
+        np.multiply(out, c, np.multiply(self.value_aaaa, ab, out))
+        s, x, t, w = work[1:, :a.size - 1]
+        abL, abR, cL, cR = ab[:-1], ab[1:], c[:-1], c[1:]
+        np.add(np.multiply(a[:-1], b[1:], s), np.multiply(a[1:], b[:-1], t), s)
+        np.add(np.multiply(v31, np.add(abL, abR, x), x),
+               np.multiply(v22, s, t), x)
         s *= v31
-        out[..., :-1] += cL * (s + v22 * abR) + cR * x
-        out[..., 1:] += cL * x + cR * (v22 * abL + s)
+        # cL (s + v22 abR) + cR x at the left node of each element
+        np.multiply(cL, np.add(s, np.multiply(v22, abR, t), t), t)
+        np.add(t, np.multiply(cR, x, w), t)
+        t[n - 1::n] = -0.0
+        np.add(out[:-1], t, out[:-1])
+        # cL x + cR (v22 abL + s) at the right node
+        np.multiply(cR, np.add(np.multiply(v22, abL, t), s, t), t)
+        np.add(np.multiply(cL, x, w), t, t)
+        t[n - 1::n] = -0.0
+        np.add(out[1:], t, out[1:])
         return out
 
 

@@ -38,13 +38,16 @@ class ABState:
     norm_limit: object = np.inf     # a float, or one limit per batch member
 
 
-def ab5_init(times, states, rhs, norm_fn=None, limit_factor: float = 10.0) -> ABState:
+BLOWUP_FACTOR = 10.0
+
+
+def ab5_init(times, states, rhs, norm_fn=None) -> ABState:
     """Fill the buffer from five uniformly spaced trajectory points.
 
     ``rhs(t, y)`` must be the full right-hand side of the system being
     extended (the nonlinear forcing evaluated self-consistently, not a
     frozen one).  ``norm_fn`` guards against blow-up: stepping raises once
-    the norm exceeds ``limit_factor`` times its largest value over the
+    the norm exceeds ``BLOWUP_FACTOR`` = 10 times its largest value over the
     history.  For a batch of states ``norm_fn`` may return one norm per
     member; each member is then held to its own limit.
     """
@@ -59,7 +62,7 @@ def ab5_init(times, states, rhs, norm_fn=None, limit_factor: float = 10.0) -> AB
     gs = [np.asarray(rhs(t, y), dtype=float) for t, y in zip(times, ys)]
     if norm_fn is None:
         norm_fn = lambda y: float(np.linalg.norm(y))
-    limit = limit_factor * np.maximum.reduce([norm_fn(y) for y in ys])
+    limit = BLOWUP_FACTOR * np.maximum.reduce([norm_fn(y) for y in ys])
     # [()] keeps one limit a scalar, which ab5_step compares faster
     limit = np.where(limit > 0, limit, np.inf)[()]
     return ABState(delta=delta, rhs=rhs, times=list(times), ys=ys, gs=gs,

@@ -25,12 +25,22 @@ from .mesh import Mesh, whole_steps
 from .picard import check_damping
 
 
+def _check_finite(problem, *names: str) -> None:
+    """Raise ``ValueError`` naming the first field in ``names`` that is not
+    finite: an infinite or NaN datum would only surface as a non-finite
+    state once the integration runs."""
+    for name in names:
+        value = getattr(problem, name)
+        if not abs(value) < np.inf:   # false for NaN too
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class AnsatzProblem:
     """Per-position oscillator family for single-mode initial data.
 
     The data are u(0) = c0 E_k, u_t(0) = c1 E_k with E_k = sqrt(2) sin(k pi x);
-    ``x`` holds the positions at which the family is sampled.
+    the family is sampled at the interior nodes ``x`` of ``mesh``.
     """
 
     k: int
@@ -38,23 +48,23 @@ class AnsatzProblem:
     c1: float
     alpha: float
     m: int
-    x: np.ndarray
+    mesh: Mesh
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("mode index must be >= 1")
-        if len(self.x) < 2:
-            raise ValueError("need at least two sample positions")
-        x = np.asarray(self.x)
-        if (x < 0).any() or (x > 1).any():
-            raise ValueError("sample positions must lie in [0, 1]")
+        _check_finite(self, "c0", "c1")
         check_damping(self.alpha, self.m)
 
     @classmethod
     def for_mesh(cls, mesh: Mesh, k: int, c0: float, c1: float = 0.0,
                  alpha: float = 1.0, m: int = 1) -> "AnsatzProblem":
-        """Sample the family exactly at the mesh nodes."""
-        return cls(k=k, c0=c0, c1=c1, alpha=alpha, m=m, x=mesh.nodes.copy())
+        """Sample the family at the mesh nodes."""
+        return cls(k=k, c0=c0, c1=c1, alpha=alpha, m=m, mesh=mesh)
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.mesh.nodes
 
     @property
     def lam(self) -> float:
@@ -62,6 +72,27 @@ class AnsatzProblem:
 
     def eigenfunction(self) -> np.ndarray:
         return np.sqrt(2.0) * np.sin(self.k * np.pi * self.x)
+
+    def damping_classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct damping coefficients alpha E_k(x_j)^{2m} over the
+        nodes, and each node's index into them.
+
+        At node j of a mesh with N = n + 1 elements, sin^2(k pi x_j) depends
+        on j only through the class q = min(kj mod N, N - kj mod N), the
+        same integer reduction ``SpatialOperators.sine_basis`` applies to
+        i j; each class's coefficient is taken at the angle pi q / N.
+        """
+        elements = self.mesh.n + 1
+        r = self.k * np.arange(1, elements) % elements
+        q = np.minimum(r, elements - r)
+        # the classes present in increasing order, by a table rather than
+        # np.unique, whose sort kernels add 0.5 MB of code to a run's peak RSS
+        present = np.zeros(elements // 2 + 1, bool)
+        present[q] = True
+        classes = np.flatnonzero(present)
+        coeff = self.alpha * (np.sqrt(2.0) * np.sin(np.pi * self.mesh.h * classes)
+                              ) ** (2 * self.m)
+        return coeff, (np.cumsum(present) - 1)[q]
 
 
 @dataclass(eq=False)
@@ -122,55 +153,58 @@ def _rk4_oscillators(neg_lam, coeff, m: int, y0: np.ndarray, h: float,
 
 def rk4_ansatz(problems, t_final: float, step: float, store_stride: int = 1,
                observe=None):
-    """Classical RK4 on one or more per-position oscillator families.
+    """Classical RK4 on a sequence of per-position oscillator families.
 
-    ``problems`` is one ``AnsatzProblem`` or a sequence of them; all of them
-    advance together as one (K, n) state, vectorized over problems and
-    positions, so they must share the sample positions and the damping
-    exponent m (one integer power for the whole batch).  Every
-    ``store_stride`` steps, and at t = 0, the loop calls
-    ``observe(i, phi, psi)`` with the stored-step index i (the time is
-    i * step * store_stride) and the (K, n) amplitudes phi, phi', which the
-    loop does not modify afterwards.  Without ``observe`` the stored states
-    are collected: the result is an ``OracleSolution``, or a list of them
-    when ``problems`` is a sequence.  With it, nothing is kept and None is
-    returned.
+    The families must share the mesh and the damping exponent m (one
+    integer power for the whole batch).  Nodes whose damping coefficients
+    coincide (``AnsatzProblem.damping_classes``) carry the same oscillator,
+    so one oscillator per class and problem is stepped, all of them as one
+    state, and the (K, n) amplitudes phi, phi' at the nodes are gathered
+    from it at the stored steps only.  Every ``store_stride`` steps, and at
+    t = 0, the loop calls ``observe(i, phi, psi)`` with the stored-step
+    index i (the time is i * step * store_stride) and those amplitudes,
+    which the loop does not modify afterwards.  Without ``observe`` the
+    stored states are collected into a list of ``OracleSolution``, one per
+    problem.  With it, nothing is kept and None is returned.
 
     A state that stops being finite raises ``FloatingPointError``.
     """
-    single = isinstance(problems, AnsatzProblem)
-    batch = [problems] if single else list(problems)
+    batch = list(problems)
     if not batch:
         raise ValueError("need at least one problem")
     first = batch[0]
     if any(p.m != first.m for p in batch):
         raise ValueError("problems in one batch must share the exponent m")
-    if any(not np.array_equal(p.x, first.x) for p in batch):
+    if any(p.mesh.n != first.mesh.n for p in batch):
         raise ValueError("problems in one batch must share the sample positions")
     n_stored = whole_steps(t_final, step * store_stride, _STORED_GRID)
     collect = observe is None
     if collect:
-        history = np.empty((2, len(batch), n_stored + 1, len(first.x)))
+        history = np.empty((2, len(batch), n_stored + 1, first.mesh.n))
 
         def observe(i, phi, psi):
             history[0, :, i] = phi
             history[1, :, i] = psi
 
-    neg_lam = np.array([[-p.lam] for p in batch])
-    # damping coefficient of the reduced oscillator at each position
-    coeff = np.array([p.alpha * p.eigenfunction() ** (2 * p.m) for p in batch])
-    y = np.empty((2,) + coeff.shape)
-    y[0] = [[float(p.c0)] for p in batch]
-    y[1] = [[float(p.c1)] for p in batch]
+    coeffs, index = zip(*(p.damping_classes() for p in batch))
+    sizes = [len(c) for c in coeffs]
+    coeff = np.concatenate(coeffs)
+    # each problem's class indices, offset to its part of the state
+    index = np.array(index) + np.cumsum([0] + sizes[:-1])[:, None]
+    neg_lam = np.repeat([-p.lam for p in batch], sizes)
+    y = np.empty((2, len(coeff)))
+    y[0] = np.repeat([float(p.c0) for p in batch], sizes)
+    y[1] = np.repeat([float(p.c1) for p in batch], sizes)
 
     def store(i, y):
-        ok = np.isfinite(y).all(axis=(0, 2))
+        nodal = y[:, index]   # a fresh (2, K, n) array: the loop overwrites y
+        ok = np.isfinite(nodal).all(axis=(0, 2))
         if not ok.all():
             ks = ", ".join(str(p.k) for p, good in zip(batch, ok) if not good)
             raise FloatingPointError(
                 f"reference solution for k={ks} is not finite at "
                 f"t={i * step:g}; reduce the step or the damping")
-        observe(i // store_stride, *y.copy())   # the loop overwrites y in place
+        observe(i // store_stride, *nodal)
 
     # a blow-up is reported by ``store``, not through overflow warnings
     with np.errstate(over="ignore", invalid="ignore"):
@@ -181,9 +215,8 @@ def rk4_ansatz(problems, t_final: float, step: float, store_stride: int = 1,
     if not collect:
         return None
     times = (step * store_stride) * np.arange(n_stored + 1)
-    sols = [OracleSolution(problem=p, times=times, phi=phi, phidot=psi)
+    return [OracleSolution(problem=p, times=times, phi=phi, phidot=psi)
             for p, phi, psi in zip(batch, *history)]
-    return sols[0] if single else sols
 
 
 # stored steps per block of the streamed comparison: the fold's traced peak
@@ -238,7 +271,7 @@ def reference_errors(trajectories: list, energies: list, problems: list,
 
 
 def _check_on_mesh(problem: AnsatzProblem, mesh: Mesh) -> None:
-    if len(problem.x) != mesh.n or not np.allclose(problem.x, mesh.nodes):
+    if problem.mesh.n != mesh.n:
         raise ValueError("oracle sample positions do not match the mesh nodes")
 
 
@@ -295,8 +328,10 @@ class OscillatorProblem:
     x1: float
 
     def __post_init__(self):
-        if self.khat <= 0:
-            raise ValueError("stiffness must be positive")
+        if not 0 < self.khat < np.inf:   # false for NaN too
+            raise ValueError(f"stiffness khat must be finite and positive, "
+                             f"got {self.khat!r}")
+        _check_finite(self, "x0", "x1")
         check_damping(self.alpha, self.m)
 
     def equivalent_norm(self, y: np.ndarray) -> np.ndarray:

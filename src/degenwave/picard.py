@@ -224,24 +224,29 @@ def _abscissa_loads(ops: SpatialOperators, forcing, grid: np.ndarray, nodal,
 
     ``nodal`` maps rows of ``grid`` to the grid states (``Propagator.nodal``
     of amplitudes), ``_LOAD_STEPS`` steps at a time, and the nst + 1 states
-    are interpolated linearly in time onto the 4 nst + 1 abscissae, so one
-    block of states and of interpolated states exists at once; ``out`` has
-    shape (4 nst + 1, n).  Every row equals that of the whole-window
-    evaluation of the same states bit for bit.
+    are interpolated linearly in time onto the 4 nst + 1 abscissae, in place
+    into one reused buffer per half (u, v), so one block of states and of
+    interpolated states exists at once and the forcing gets contiguous
+    halves; ``out`` has shape (4 nst + 1, n).  Every row equals that of the
+    whole-window evaluation of the same states bit for bit.
     """
     r = len(BOOLE_WEIGHTS) - 1
     n = ops.mesh.n
     nst = len(grid) - 1
+    halves = np.empty((2, r * min(_LOAD_STEPS, nst) + 1, n))
+    scratch = np.empty((min(_LOAD_STEPS, nst), n))
     for s in range(0, nst, _LOAD_STEPS):
         e = min(s + _LOAD_STEPS, nst)
         x = nodal(grid[s:e + 1])
         # the abscissae of steps s..e-1; the last block adds the window's end
-        ya = np.empty((r * (e - s) + (e == nst), 2 * n))
-        ya[::r] = x[:e - s + (e == nst)]
-        for j in range(1, r):
-            fr = j / r
-            ya[j::r] = (1.0 - fr) * x[:-1] + fr * x[1:]
-        out[r * s:r * s + len(ya)] = forcing.load(ops, ya[:, :n], ya[:, n:])
+        rows = r * (e - s) + (e == nst)
+        for ya, xs in zip(halves[:, :rows], (x[:, :n], x[:, n:])):
+            ya[::r] = xs[:e - s + (e == nst)]
+            for j in range(1, r):
+                fr = j / r
+                np.add(np.multiply(1.0 - fr, xs[:-1], ya[j::r]),
+                       np.multiply(fr, xs[1:], scratch[:e - s]), ya[j::r])
+        out[r * s:r * s + rows] = forcing.load(ops, *halves[:, :rows])
     return out
 
 

@@ -48,7 +48,7 @@ def fig2(mesh99, ops99):
         run = frequency_sweep([k], 1.0, 1, ops99, DELTA, T_FINAL)[0]
         problem = AnsatzProblem.for_mesh(mesh99, k,
                                          c0=run.data.amplitude / np.sqrt(2.0))
-        sol = rk4_ansatz(problem, T_FINAL, DELTA / 10, store_stride=10)
+        sol = rk4_ansatz([problem], T_FINAL, DELTA / 10, store_stride=10)[0]
         traj = nodal_trajectory(run.trajectory)
         bundle["e_gap"][k] = compare_energy_decay(traj, sol, ops99)
         bundle["e_norm"][k] = compare_energy_norm(traj, sol, ops99)
@@ -221,7 +221,7 @@ class TestCriterion5SchemeOrders:
         prob = AnsatzProblem.for_mesh(mesh99, 1, c0=0.45, c1=0.0, alpha=0.0)
 
         def err(step):
-            sol = rk4_ansatz(prob, 1.0, step)
+            sol = rk4_ansatz([prob], 1.0, step)[0]
             return np.abs(sol.phi - 0.45 * np.cos(np.pi * sol.times)[:, None]).max()
 
         ratio = err(0.025) / err(0.0125)

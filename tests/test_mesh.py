@@ -9,6 +9,7 @@ from scipy.linalg import eigh
 from degenwave import assemble, build_mesh, mesh_from_h
 from degenwave import mesh as mesh_module
 from degenwave.mesh import values_at_gauss, whole_steps
+from contract_reference import allocating_contract
 from mass_reference import banded_mass_solve
 from reference import (dense_mass, dense_stiffness, hat_load, l2_project,
                        max_generalized_eigenvalue, quartic_entry)
@@ -293,6 +294,49 @@ class TestBlockedContraction:
         np.testing.assert_allclose(
             got[1000], _neighbour_sum(quartic, u[1000], u[1000], v[1000]),
             rtol=1e-12, atol=1e-15)
+
+
+class TestFlatKernel:
+    """The in-place kernel on flattened rows against the allocating 2-D
+    formula it replaced, bit for bit."""
+
+    @pytest.fixture(params=[1, 2, 3, 99, 499], scope="class")
+    def quartic(self, request):
+        return assemble(build_mesh(request.param)).quartic
+
+    @staticmethod
+    def assert_bits(quartic, a, b, c):
+        got = quartic.contract(a, b, c)
+        want = allocating_contract(quartic, a, b, c)
+        np.testing.assert_array_equal(got, want)
+        # assert_array_equal takes -0.0 for 0.0
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("batch", [(), (1,), (4,), (129,), (2001,)],
+                             ids=["n", "1xn", "4xn", "129xn", "2001xn"])
+    def test_matches_the_allocating_formula(self, quartic, batch):
+        n = quartic.mesh.n
+        a, b, c = np.random.default_rng(n + len(batch)).normal(size=(3,) + batch + (n,))
+        self.assert_bits(quartic, a, b, c)
+        self.assert_bits(quartic, a, a, c)            # the cubic damping's (u, u, v)
+        self.assert_bits(quartic, a.reshape(-1, n)[0], a, c)   # one broadcast row
+        self.assert_bits(quartic, b, c.reshape(-1, n)[:1], a)  # a (1, n) row
+        # zero displacement rows: every entry is a signed zero
+        self.assert_bits(quartic, 0.0 * a, 0.0 * a, c)
+
+    @pytest.mark.parametrize("bad", [1e300, np.inf, np.nan])
+    def test_a_bad_row_stays_in_its_row(self, quartic, bad):
+        # the element that straddles two rows of the flattened block is
+        # spurious; rows 64-66 share a block at every n
+        n = quartic.mesh.n
+        a, b, c = np.random.default_rng(n).normal(size=(3, 129, n))
+        a[65] = b[65] = c[65] = bad
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = quartic.contract(a, b, c)
+        for i in range(len(got)):
+            if i != 65:
+                np.testing.assert_array_equal(
+                    got[i], quartic.contract(a[i], b[i], c[i]))
 
 
 class TestProjections:

@@ -19,27 +19,31 @@ def make_problem(mesh, k=1, c0=0.45, alpha=1.0, m=1):
 
 class TestAnsatzProblem:
     def test_validation(self, mesh99):
+        # the sample positions are the mesh's nodes, so they cannot be wrong
         with pytest.raises(ValueError):
-            AnsatzProblem(k=0, c0=1.0, c1=0.0, alpha=1.0, m=1, x=mesh99.nodes)
-        with pytest.raises(ValueError):
-            AnsatzProblem(k=1, c0=1.0, c1=0.0, alpha=1.0, m=1,
-                          x=np.array([0.5]))
-        with pytest.raises(ValueError):
-            AnsatzProblem(k=1, c0=1.0, c1=0.0, alpha=1.0, m=1,
-                          x=np.array([-0.1, 0.5]))
+            AnsatzProblem(k=0, c0=1.0, c1=0.0, alpha=1.0, m=1, mesh=mesh99)
+
+    @pytest.mark.parametrize("field", ["c0", "c1"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_data_rejected(self, mesh99, field, value):
+        # before, c0 = nan built a problem whose run failed with advice to
+        # reduce the step or the damping
+        data = {"c0": 0.45, "c1": 0.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            AnsatzProblem.for_mesh(mesh99, 1, **data)
 
     @pytest.mark.parametrize("alpha,m", [(1.0, 0), (1.0, 1.5), (-1.0, 1)])
     def test_damping_must_dissipate(self, mesh99, alpha, m):
         # x^{2m} is formed by squaring, which needs an integer m >= 1, and
         # alpha x^{2m} x' dissipates only for alpha >= 0
         with pytest.raises(ValueError, match="alpha|exponent"):
-            AnsatzProblem(k=1, c0=1.0, c1=0.0, alpha=alpha, m=m, x=mesh99.nodes)
+            AnsatzProblem(k=1, c0=1.0, c1=0.0, alpha=alpha, m=m, mesh=mesh99)
 
 
 class TestRK4Ansatz:
     def test_undamped_closed_form(self, mesh99):
         prob = make_problem(mesh99, alpha=0.0)
-        sol = rk4_ansatz(prob, 2.0, 1e-3)
+        sol = rk4_ansatz([prob], 2.0, 1e-3)[0]
         exact = 0.45 * np.cos(np.pi * sol.times)
         assert np.abs(sol.phi - exact[:, None]).max() < 1e-8
         # undamped amplitudes carry no position dependence
@@ -49,7 +53,7 @@ class TestRK4Ansatz:
         prob = make_problem(mesh99, alpha=0.0)
 
         def err(step):
-            sol = rk4_ansatz(prob, 1.0, step)
+            sol = rk4_ansatz([prob], 1.0, step)[0]
             exact = 0.45 * np.cos(np.pi * sol.times)
             return np.abs(sol.phi - exact[:, None]).max()
 
@@ -58,7 +62,7 @@ class TestRK4Ansatz:
     def test_damping_degenerates_at_eigenfunction_zero(self, mesh99):
         # x = 0.5 is a zero of sin(2 pi x): that sample never damps
         prob = make_problem(mesh99, k=2, c0=0.2)
-        sol = rk4_ansatz(prob, 5.0, 1e-3, store_stride=10)
+        sol = rk4_ansatz([prob], 5.0, 1e-3, store_stride=10)[0]
         idx = np.argmin(np.abs(prob.x - 0.5))
         assert abs(prob.eigenfunction()[idx]) < 1e-12
         e = sol.modal_energy()[:, idx]
@@ -66,13 +70,13 @@ class TestRK4Ansatz:
 
     def test_modal_energy_nonincreasing_per_sample(self, mesh99):
         prob = make_problem(mesh99)
-        sol = rk4_ansatz(prob, 5.0, 1e-3, store_stride=10)
+        sol = rk4_ansatz([prob], 5.0, 1e-3, store_stride=10)[0]
         e = sol.modal_energy()
         assert (np.diff(e, axis=0) <= 1e-8).all()
 
     def test_step_must_divide(self, mesh99):
         with pytest.raises(ValueError):
-            rk4_ansatz(make_problem(mesh99), 1.0, 0.3)
+            rk4_ansatz([make_problem(mesh99)], 1.0, 0.3)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_squared_power_matches_literal_rk4(self, mesh99, m):
@@ -179,7 +183,7 @@ class TestBatchedLoop:
         batch = rk4_ansatz(problems, 0.05, 1e-3, store_stride=stride)
         assert len(batch) == len(ks)
         for prob, sol in zip(problems, batch):
-            alone = rk4_ansatz(prob, 0.05, 1e-3, store_stride=stride)
+            alone = rk4_ansatz([prob], 0.05, 1e-3, store_stride=stride)[0]
             np.testing.assert_array_equal(sol.times, alone.times)
             np.testing.assert_array_equal(sol.phi, alone.phi)
             np.testing.assert_array_equal(sol.phidot, alone.phidot)
@@ -218,7 +222,7 @@ class TestBatchedLoop:
 
     def test_mixed_positions_rejected(self, mesh99):
         other = AnsatzProblem(k=1, c0=0.45, c1=0.0, alpha=1.0, m=1,
-                              x=mesh99.nodes[:-1])
+                              mesh=build_mesh(98))
         with pytest.raises(ValueError, match="positions"):
             rk4_ansatz([make_problem(mesh99), other], 0.01, 1e-3)
 
@@ -226,6 +230,64 @@ class TestBatchedLoop:
         problems = [make_problem(mesh99, k=1, alpha=0.0),
                     make_problem(mesh99, k=2, alpha=1e7)]
         with pytest.raises(FloatingPointError, match=r"k=2 is not finite"):
+            rk4_ansatz(problems, 0.1, 2e-3)
+
+
+def node_classes(k, n):
+    """Each node's class q = min(kj mod N, N - kj mod N), j = 1..n, N = n + 1:
+    sin^2(k pi x_j) = sin^2(pi q / N)."""
+    r = k * np.arange(1, n + 1) % (n + 1)
+    return np.minimum(r, n + 1 - r)
+
+
+class TestOscillatorClasses:
+    """One oscillator per (problem, class) stands for all its nodes."""
+
+    @pytest.mark.parametrize("n,ks", [(99, (1, 4, 8)), (499, (16, 19, 23))])
+    def test_nodes_of_a_class_share_the_oscillator(self, n, ks):
+        mesh, step, nsteps = build_mesh(n), 1e-3, 40
+        problems = [AnsatzProblem.for_mesh(mesh, k, c0=0.9 / k, c1=0.3,
+                                           alpha=4.0) for k in ks]
+        sols = rk4_ansatz(problems, step * nsteps, step)
+        for prob, sol in zip(problems, sols):
+            q = node_classes(prob.k, n)
+            for cls in np.unique(q):
+                at = q == cls
+                for got in (sol.phi, sol.phidot):
+                    np.testing.assert_array_equal(
+                        got[:, at], np.repeat(got[:, at][:, :1], at.sum(), 1))
+            # the allocating loop on every node with its class's coefficient
+            coeff = prob.alpha * (np.sqrt(2.0) * np.sin(np.pi * mesh.h * q)) ** 2
+            y0 = np.array([np.full(n, prob.c0), np.full(n, prob.c1)])
+            _, want = after_history(allocating_rk4, -prob.lam, coeff, 1, y0,
+                                    step, nsteps)
+            np.testing.assert_array_equal(sol.phi[0], y0[0])
+            np.testing.assert_array_equal(sol.phi[1:], want[:, 0])
+            np.testing.assert_array_equal(sol.phidot[1:], want[:, 1])
+
+    @pytest.mark.parametrize("n,ks,count", [(99, (1, 2, 4, 8), 102),
+                                            (499, (1, 4, 16), 376)])
+    def test_one_oscillator_per_class(self, monkeypatch, n, ks, count):
+        # fig2's modes and fine-mesh's at seed 0: 396 and 1,497 node
+        # oscillators fold to 102 and 376
+        mesh, shapes = build_mesh(n), []
+        real = oracle._rk4_oscillators
+
+        def kernel(neg_lam, coeff, m, y0, *rest):
+            shapes.append(y0.shape)
+            return real(neg_lam, coeff, m, y0, *rest)
+
+        monkeypatch.setattr(oracle, "_rk4_oscillators", kernel)
+        rk4_ansatz([make_problem(mesh, k=k) for k in ks], 0.01, 1e-3)
+        assert shapes == [(2, count)]
+        assert count == sum(len(np.unique(node_classes(k, n))) for k in ks)
+
+    def test_non_finite_state_names_its_mode(self):
+        mesh = build_mesh(499)
+        problems = [make_problem(mesh, k=16, alpha=0.0),
+                    make_problem(mesh, k=19, alpha=1e7),
+                    make_problem(mesh, k=23, alpha=0.0)]
+        with pytest.raises(FloatingPointError, match=r"k=19 is not finite"):
             rk4_ansatz(problems, 0.1, 2e-3)
 
 
@@ -302,7 +364,7 @@ class TestStreamedErrors:
             reference_errors([], [], [], ops99, 0.02, 2e-4)
 
     def test_grid_mismatch_rejected(self, mesh99, ops99):
-        sol = rk4_ansatz(make_problem(mesh99), 0.2, 2e-4, store_stride=10)
+        sol = rk4_ansatz([make_problem(mesh99)], 0.2, 2e-4, store_stride=10)[0]
         traj = Trajectory(times=sol.times, states=oracle_states(sol, mesh99),
                           delta=2e-3)
         with pytest.raises(ValueError, match="grids"):
@@ -313,7 +375,7 @@ class TestStreamedErrors:
 class TestOracleField:
     def test_initial_field(self, mesh99):
         prob = make_problem(mesh99)
-        sol = rk4_ansatz(prob, 1.0, 1e-3, store_stride=10)
+        sol = rk4_ansatz([prob], 1.0, 1e-3, store_stride=10)[0]
         u, v = np.split(oracle_states(sol, mesh99)[0], 2)
         np.testing.assert_allclose(u, 0.45 * np.sqrt(2) * np.sin(np.pi * mesh99.nodes),
                                    atol=1e-14)
@@ -321,7 +383,7 @@ class TestOracleField:
 
     def test_quarter_period_undamped(self, mesh99):
         prob = make_problem(mesh99, alpha=0.0)
-        sol = rk4_ansatz(prob, 1.0, 1e-3, store_stride=10)
+        sol = rk4_ansatz([prob], 1.0, 1e-3, store_stride=10)[0]
         assert sol.times[50] == pytest.approx(0.5)   # quarter period of mode one
         u, v = np.split(oracle_states(sol, mesh99)[50], 2)
         assert np.abs(u).max() < 1e-8
@@ -332,12 +394,12 @@ class TestOracleField:
     def test_initial_energy_normalized_data(self, mesh99, ops99):
         data = mode_initial_state(ops99, 1)
         prob = AnsatzProblem.for_mesh(mesh99, 1, c0=data.amplitude / np.sqrt(2.0))
-        sol = rk4_ansatz(prob, 0.01, 1e-3, store_stride=10)
+        sol = rk4_ansatz([prob], 0.01, 1e-3, store_stride=10)[0]
         states = oracle_states(sol, mesh99)
         assert energy(ops99, states[0]) == pytest.approx(1.0, abs=1e-3)
 
     def test_mesh_mismatch_rejected(self, mesh99):
-        sol = rk4_ansatz(make_problem(mesh99), 1.0, 1e-3)
+        sol = rk4_ansatz([make_problem(mesh99)], 1.0, 1e-3)[0]
         with pytest.raises(ValueError):
             oracle_states(sol, build_mesh(49))
 
@@ -345,14 +407,14 @@ class TestOracleField:
 class TestComparisons:
     def test_identical_inputs_give_zero(self, mesh99, ops99):
         prob = make_problem(mesh99)
-        sol = rk4_ansatz(prob, 1.0, 2e-4, store_stride=10)
+        sol = rk4_ansatz([prob], 1.0, 2e-4, store_stride=10)[0]
         states = oracle_states(sol, mesh99)
         traj = Trajectory(times=sol.times, states=states, delta=2e-3)
         assert compare_energy_norm(traj, sol, ops99) == 0.0
         assert compare_energy_decay(traj, sol, ops99) == 0.0
 
     def test_grid_mismatch_rejected(self, mesh99, ops99):
-        sol = rk4_ansatz(make_problem(mesh99), 1.0, 2e-4, store_stride=10)
+        sol = rk4_ansatz([make_problem(mesh99)], 1.0, 2e-4, store_stride=10)[0]
         states = oracle_states(sol, mesh99)
         traj = Trajectory(times=sol.times[:-1] + 1.0, states=states[:-1],
                           delta=2e-3)
@@ -404,6 +466,16 @@ class TestOscillator:
         with pytest.raises(ValueError):
             OscillatorProblem(khat=0.0, alpha=1.0, m=1, x0=1.0, x1=0.0)
 
+    @pytest.mark.parametrize("field", ["khat", "x0", "x1"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_data_rejected(self, field, value):
+        # before, khat = nan passed the khat <= 0 check and a NaN x0 was
+        # accepted: simulate_oscillator then returned NaN norms silently
+        data = {"khat": 1.0, "alpha": 1.0, "m": 1, "x0": 1.0, "x1": 0.0,
+                field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            OscillatorProblem(**data)
+
     @pytest.mark.parametrize("alpha,m", [(1.0, 0), (1.0, 1.5), (-1.0, 1)])
     def test_damping_must_dissipate(self, alpha, m):
         with pytest.raises(ValueError, match="alpha|exponent"):
@@ -415,7 +487,7 @@ class TestOscillator:
         # oscillator with khat = lambda_k and data (c0, c1) E_k(x_i)
         prob = AnsatzProblem.for_mesh(mesh99, k, c0=0.7 / k, c1=0.4 * k,
                                       alpha=2.0, m=m)
-        sol = rk4_ansatz(prob, 1.0, 1e-3)
+        sol = rk4_ansatz([prob], 1.0, 1e-3)[0]
         ek = prob.eigenfunction()
         for i in (10, 37, 80):
             tr = simulate_oscillator(

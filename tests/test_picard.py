@@ -157,7 +157,7 @@ class TestForcingModels:
         DegenerateDamping,
         lambda alpha, m: PicardConfig(t_final=1.0, delta=0.1, alpha=alpha, m=m),
         lambda alpha, m: AnsatzProblem(k=1, c0=1.0, c1=0.0, alpha=alpha, m=m,
-                                       x=np.array([0.0, 1.0])),
+                                       mesh=build_mesh(2)),
         lambda alpha, m: OscillatorProblem(khat=1.0, alpha=alpha, m=m,
                                            x0=1.0, x1=0.0)],
         ids=["damping", "picard", "ansatz", "oscillator"])
