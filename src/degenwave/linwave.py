@@ -40,13 +40,6 @@ class Trajectory:
     def displacement(self) -> np.ndarray:
         return self.states[:, : self.n_nodes]
 
-    def blocks(self, size: int = BLOCK_ROWS, start: int = 0, stop: int | None = None):
-        """The rows ``start``..``stop``-1 in consecutive blocks of at most
-        ``size`` rows."""
-        stop = len(self.times) if stop is None else stop
-        for a in range(start, stop, size):
-            yield self.states[a:min(a + size, stop)]
-
 
 @dataclass(eq=False)
 class ModalTrajectory:
@@ -129,34 +122,33 @@ class ModalTrajectory:
 
 # -- Duhamel stepping --------------------------------------------------------
 
-# amplitudes per block of a sweep's streamed forcing transform and
-# cumulative sum: a 500-step window on up to 32 modes is one block, an
-# all-mode sweep takes 32 steps at a time at n = 499 and 16 at n = 999
+# amplitudes per block of a sweep's weighted sums and cumulative sum: a
+# 500-step window on up to 32 modes is one block, an all-mode sweep takes
+# 32 steps at a time at n = 499 and 16 at n = 999
 SWEEP_BLOCK = 2**14
 
 
 def sweep(prop: Propagator, z0: np.ndarray, f_absc: np.ndarray) -> np.ndarray:
-    """Repeated Duhamel steps with pre-tabulated forcing loads.
+    """Repeated Duhamel steps with pre-tabulated modal forcing.
 
     Step i applies y_{i+1} = P y_i + sum_j w_j exp((step - j step/4) A) (0, f_ij)
     with the forcing f_ij sampled at Boole's five equally spaced abscissae,
     to states y_i given by their complex amplitudes z_i on the modes J of
     ``prop`` (see ``Propagator.restrict``).  ``z0`` holds the start
-    amplitudes, shape (|J|,), and ``f_absc`` the forcing's load vectors M f
-    at every abscissa of the run, shape (4*nsteps + 1, n); consecutive steps
-    share their endpoint sample.  Returns the (nsteps+1, |J|) amplitudes,
-    ``z0`` first.
+    amplitudes, shape (|J|,), and ``f_absc`` the forcing's sine
+    coefficients S f on J at every abscissa of the run, shape
+    (4*nsteps + 1, |J|) (``Propagator.forcing_modes`` of the loads M f);
+    consecutive steps share their endpoint sample, and a forcing
+    broadcast along time is read as it is.  Returns the (nsteps+1, |J|)
+    amplitudes, ``z0`` first.
 
     In the modal amplitudes z of ``Propagator.modal`` the forcing enters as
-    z' = -i omega z + i S f, where S f = (S M f) / mu as S M S = diag(mu).
-    With P_i = exp(-i omega i step) the states are
+    z' = -i omega z + i S f.  With P_i = exp(-i omega i step) the states are
     z_i = P_i (z_0 + sum_{l<i} conj(P_{l+1}) c_l), where c_l is the step's
     weighted, phase-shifted forcing sum: one cumulative sum over the steps.
-    The loads are transformed, weighted and summed in blocks of
-    ``SWEEP_BLOCK // |J|`` steps; each block's cumulative sum starts from
-    the previous block's last partial sum, so it adds in the order of one
-    sum over all steps.  A load broadcast along time (first-axis stride 0)
-    is transformed as one row.
+    The forcing is weighted and summed in blocks of ``SWEEP_BLOCK // |J|``
+    steps; each block's cumulative sum starts from the previous block's
+    last partial sum, so it adds in the order of one sum over all steps.
     """
     r = len(BOOLE_WEIGHTS) - 1
     nsteps = (f_absc.shape[0] - 1) // r
@@ -170,9 +162,7 @@ def sweep(prop: Propagator, z0: np.ndarray, f_absc: np.ndarray) -> np.ndarray:
     block = max(1, SWEEP_BLOCK // max(1, len(prop.omega)))
     for s in range(0, nsteps, block):
         e = min(s + block, nsteps)
-        loads = f_absc[r * s:r * e + 1]
-        g = prop.forcing_modes(loads[:1] if loads.strides[0] == 0 else loads)
-        g = np.broadcast_to(g, (len(loads), g.shape[-1]))
+        g = f_absc[r * s:r * e + 1]
         c = sum(weights[j] * g[j: j + r * (e - s - 1) + 1: r] for j in range(r + 1))
         np.multiply(phase[s + 1:e + 1].conj(), c, out=z[s + 1:e + 1])
         # the first block has no partial sum before it

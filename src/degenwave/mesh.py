@@ -117,18 +117,19 @@ class QuarticTensor:
         self.value_aaab = h / 20.0      # 3-1 split inside one element
         self.value_aabb = h / 30.0      # 2-2 split inside one element
 
-    def contract(self, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    def contract(self, a: np.ndarray, b: np.ndarray, c: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
         """out[p] = sum_{q,r,s} T[p,q,r,s] a[q] b[r] c[s].
 
         Accepts batched inputs with the node axis last.  This is the load
         vector of the product (sum a phi)(sum b phi)(sum c phi) against the
-        hat basis, exact for the cubic integrand.
+        hat basis, exact for the cubic integrand, into ``out`` (C-contiguous) if given.
         """
         a, b, c = (np.asarray(x, dtype=float) for x in (a, b, c))
         if not a.shape == b.shape == c.shape:
             a, b, c = np.broadcast_arrays(a, b, c)
         n = a.shape[-1]
-        out = np.empty(a.shape)
+        out = np.empty(a.shape) if out is None else out
         rows = [x.reshape(-1, n) for x in (a, b, c, out)]
         block = max(1, _BLOCK // n)
         work = np.empty((5, min(block, len(rows[0])) * n))

@@ -238,8 +238,8 @@ def reference_errors(trajectories: list, energies: list, problems: list,
     ``problems[j]``, bit for bit.  One ``rk4_ansatz`` run advances every
     problem, and each block of ``_COMPARE_BLOCK`` stored steps is compared
     and dropped, so memory does not grow with the horizon.  Each trajectory
-    (``Trajectory`` or ``ModalTrajectory``) must lie on the stored reference
-    grid; its rows are read block by block.
+    (a ``ModalTrajectory``, or any with its ``times`` and ``blocks``) must
+    lie on the stored reference grid; its rows are read block by block.
     """
     if not problems or not len(trajectories) == len(energies) == len(problems):
         raise ValueError("need at least one problem, and one trajectory and one "

@@ -25,9 +25,10 @@ class PicardDivergenceError(RuntimeError):
 
 # -- forcing models ----------------------------------------------------------
 #
-# A model maps displacement/velocity coefficient vectors to the load vector
-# (f, phi_i) of the forcing f of y' = A y + (0, f), i.e. minus the damping
-# term's load; ``coefficients`` solves for f itself.
+# A model's ``load(ops, u, v, out=None)`` maps displacement/velocity
+# coefficient vectors to the load vector (f, phi_i) of the forcing f of
+# y' = A y + (0, f), minus the damping term's load, written into ``out``
+# when given; ``coefficients`` solves for f itself.
 
 class _ForcingModel:
     # test-only: kept for perfbench/traced.py until the next benchmark change
@@ -47,26 +48,39 @@ def check_damping(alpha: float, m) -> None:
 
 
 class _PowerDamping(_ForcingModel):
-    """The power-law dampings' shared parameters: strength alpha >= 0 and
-    exponent half m, a positive integer."""
+    """The power-law dampings: strength alpha >= 0, exponent half m, a
+    positive integer, and the load ``scale`` (x^{2m} v, phi_i), x = ``squared(u, v)``."""
 
     def __init__(self, alpha: float = 1.0, m: int = 1):
         check_damping(alpha, m)
         self.alpha = float(alpha)
         self.m = int(m)
 
+    def load(self, ops: SpatialOperators, u: np.ndarray, v: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
+        x = self.squared(u, v)
+        out = np.empty(np.shape(v)) if out is None else out
+        if self.alpha == 0.0:
+            out.fill(0.0)
+        elif self.m == 1:
+            # cubic case: the quartic hat tensor integrates x*x*v exactly
+            ops.quartic.contract(x, x, v, out)
+            out *= self.scale
+        else:
+            np.multiply(_nonlinear_load(ops, lambda xg, vg: _even_power(xg, self.m) * vg,
+                                        x, v, degree=2 * self.m + 2), self.scale, out)
+        return out
+
 
 class DegenerateDamping(_PowerDamping):
     """f = -proj(alpha u^{2m} v): damping that switches off at zero displacement."""
 
-    def load(self, ops: SpatialOperators, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        if self.alpha == 0.0:
-            return np.zeros_like(u)
-        if self.m == 1:
-            # cubic case: the quartic hat tensor integrates u*u*v exactly
-            return -self.alpha * ops.quartic.contract(u, u, v)
-        return -self.alpha * _nonlinear_load(ops, lambda ug, vg: _even_power(ug, self.m) * vg,
-                                             u, v, degree=2 * self.m + 2)
+    @property
+    def scale(self) -> float:
+        return -self.alpha
+
+    def squared(self, u, v):
+        return u
 
 
 class PrimitiveDamping(_PowerDamping):
@@ -79,14 +93,12 @@ class PrimitiveDamping(_PowerDamping):
     def antiderivative(self, s):
         return self.alpha * s ** (2 * self.m + 1) / (2 * self.m + 1)
 
-    def load(self, ops: SpatialOperators, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        if self.alpha == 0.0:
-            return np.zeros_like(v)
-        scale = -self.alpha / (2 * self.m + 1)
-        if self.m == 1:
-            return scale * ops.quartic.contract(v, v, v)
-        return scale * _nonlinear_load(ops, lambda ug, vg: _even_power(vg, self.m) * vg,
-                                       u, v, degree=2 * self.m + 2)
+    @property
+    def scale(self) -> float:
+        return -self.alpha / (2 * self.m + 1)
+
+    def squared(self, u, v):
+        return v
 
 
 class LinearDamping(_ForcingModel):
@@ -95,8 +107,8 @@ class LinearDamping(_ForcingModel):
     def __init__(self, beta: float):
         self.beta = float(beta)
 
-    def load(self, ops, u, v):
-        return -self.beta * ops.apply_mass(v)
+    def load(self, ops, u, v, out=None):
+        return np.multiply(-self.beta, ops.apply_mass(v), out)
 
 
 def _even_power(x: np.ndarray, m: int) -> np.ndarray:
@@ -195,14 +207,20 @@ class PicardResult:
 # the window's last two distances.  Each window starts from the amplitudes
 # on J that the previous one ended with, so the start state's part is zero
 # after the first window; in the first it is that of the initial amplitudes.
-# The forcing's part is bounded without the full transform: with
-# r = L - (L S_J) S_J^T a load's part off J, the sum over the modes j off J
-# of mu_j g_j^2 is r^T M^{-1} r <= |r|^2 / mu_min, mu_min the least mu_j off
-# J, which is looser by at most sqrt(max mu / min mu) = sqrt(3).  A window
-# whose bound exceeds TOL ||y0||_E, or that did not contract, is solved
-# again on all modes, and J keeps every mode from then on.  Both constants
-# are fixed: below DETECT = 1e-1 the detection picks up the rounding noise
-# of the high modes (about 2e-14 ||y0||_E at n = 499).
+# The m = 1 load of the sine modes a, b and c lands exactly on the modes
+# |a +- b +- c|, folded into 1..n, so for m = 1 on fewer than all modes the
+# load of amplitudes on J is a sum over triads (``_Triads``), exact on J and
+# on its reach J' \ J, and so is the forcing's part off J: the certificate
+# integrates sqrt(sum over J' \ J of mu_j g_j^2).  Otherwise, and once the
+# triads' coefficients hold more than _TRIAD_COST n entries, the load is
+# nodal: states synthesized and contracted at every abscissa, the loads
+# transformed onto J.  Its part off J is bounded: with r = L - (L S_J) S_J^T,
+# sum over j off J of mu_j g_j^2 = r^T M^{-1} r <= |r|^2 / mu_min, mu_min
+# the least mu_j off J, looser by at most sqrt(max mu / min mu) = sqrt(3).
+# A window whose bound exceeds TOL ||y0||_E, or that did not contract, is
+# solved again on all modes, and J keeps every mode from then on.  Both
+# constants are fixed: below DETECT = 1e-1 the detection picks up the
+# rounding noise of the high modes (about 2e-14 ||y0||_E at n = 499).
 
 TOL = 1e-13        # certified truncation error, relative to ||y0||_E
 DETECT = 1e-1      # a mode joins J at DETECT * TOL ||y0||_E of reach
@@ -210,12 +228,35 @@ MAX_ITERATIONS = 50   # a window that has not converged by then is reported
 _DETECT_ROWS = 9   # abscissa rows of each forcing searched for new modes
 
 
+# an abscissa costs the triads one multiply-add per coefficient, the nodal
+# path a multiple of n; per 500-step window of five iterations, with the
+# certificate and the coefficients' build (one thread, Xeon with 2 MiB of
+# L2 per core), the two met between 500 and 800 coefficients per node:
+# triad against nodal took 25 against 33 ms at n = 99, |J| = 14 (609 per
+# node), 52 against 41 at |J| = 15 (800), 95 against 102 ms at n = 499,
+# |J| = 20 (497), and 134 against 112 at |J| = 21 (603)
+_TRIAD_COST = 600
+
 # steps per block of a window's streamed forcing (at most 129 abscissae):
 # on a (501, 2n) window of states with the cubic damping, one thread on a
 # Xeon with 2 MiB of L2 per core, 32 beat 4, 8, 16, 64, 128 and the whole
 # window at n = 99 (5.6-6.3 ms against 8.7-9.6 ms) and tied 8-128 at n = 499
 # (24-30 ms against 43-56 ms)
 _LOAD_STEPS = 32
+
+# products per block of the triad sums (rows x |J| x targets), 4 x elements per build block
+_TRIAD_BLOCK = 2**16
+
+
+def _interpolate(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """Fill ``out`` with the rows ``x`` interpolated linearly in time at
+    the abscissae: row r i + j is (1 - j/r) x[i] + (j/r) x[i + 1]."""
+    r = len(BOOLE_WEIGHTS) - 1
+    out[::r] = x[:len(out[::r])]
+    for j in range(1, r):
+        fr = j / r
+        np.add(np.multiply(1.0 - fr, x[:-1], out[j::r]),
+               np.multiply(fr, x[1:], scratch), out[j::r])
 
 
 def _abscissa_loads(ops: SpatialOperators, forcing, grid: np.ndarray, nodal,
@@ -227,8 +268,9 @@ def _abscissa_loads(ops: SpatialOperators, forcing, grid: np.ndarray, nodal,
     are interpolated linearly in time onto the 4 nst + 1 abscissae, in place
     into one reused buffer per half (u, v), so one block of states and of
     interpolated states exists at once and the forcing gets contiguous
-    halves; ``out`` has shape (4 nst + 1, n).  Every row equals that of the
-    whole-window evaluation of the same states bit for bit.
+    halves; it writes each block's loads straight into ``out``, which has
+    shape (4 nst + 1, n).  Every row equals that of the whole-window
+    evaluation of the same states bit for bit.
     """
     r = len(BOOLE_WEIGHTS) - 1
     n = ops.mesh.n
@@ -241,13 +283,91 @@ def _abscissa_loads(ops: SpatialOperators, forcing, grid: np.ndarray, nodal,
         # the abscissae of steps s..e-1; the last block adds the window's end
         rows = r * (e - s) + (e == nst)
         for ya, xs in zip(halves[:, :rows], (x[:, :n], x[:, n:])):
-            ya[::r] = xs[:e - s + (e == nst)]
-            for j in range(1, r):
-                fr = j / r
-                np.add(np.multiply(1.0 - fr, xs[:-1], ya[j::r]),
-                       np.multiply(fr, xs[1:], scratch[:e - s]), ya[j::r])
-        out[r * s:r * s + rows] = forcing.load(ops, *halves[:, :rows])
+            _interpolate(xs, ya, scratch[:e - s])
+        forcing.load(ops, *halves[:, :rows], out=out[r * s:r * s + rows])
     return out
+
+
+def _at_abscissae(grid: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The amplitude rows ``grid`` interpolated linearly in time at the
+    abscissae ``rows``; a single row stands for every abscissa."""
+    if len(grid) == 1:
+        return grid
+    r = len(BOOLE_WEIGHTS) - 1
+    i = np.minimum(rows // r, len(grid) - 2)
+    fr = ((rows - r * i) / r)[:, None]
+    return (1.0 - fr) * grid[i] + fr * grid[i + 1]
+
+
+def _reach(active: np.ndarray, n: int) -> np.ndarray:
+    """The modes J' \\ J the m = 1 load of the modes J = ``active`` reaches:
+    |a + b +- c| of 1-based indices, folded into 1..n with period 2(n + 1)
+    (a mask: ``np.unique`` and its kin import ``numpy.ma``, 30 ms and 1 MB)."""
+    k = active + 1
+    a, b, c = k[:, None, None], k[None, :, None], k[None, None, :]
+    k = np.abs(np.stack(np.broadcast_arrays(a + b + c, a + b - c))) % (2 * (n + 1))
+    reached = np.zeros(n + 2, bool)
+    reached[np.minimum(k, 2 * (n + 1) - k)] = True
+    reached[active + 1] = False
+    return np.flatnonzero(reached[1:n + 1])
+
+
+class _Triads:
+    """The m = 1 load of amplitudes on J as exact sums over triads of modes.
+
+    With u = S_J a and v = S_J b, the load scale * contract(x, x, v), x the
+    factor ``squared(a, b)``, has the sine coefficients g_s = sum over pairs
+    p <= q and c in J of x_p x_q b_c C[(p, q), c, s], where
+    C[(p, q), c, s] = scale (2 - delta_pq) S_s^T contract(S_p, S_q, S_c) / mu_s,
+    for s in J (``on``) and in the rest ``off`` of its reach, and no other s.
+    """
+
+    def __init__(self, ops: SpatialOperators, forcing: _PowerDamping,
+                 full: Propagator, active: np.ndarray, off: np.ndarray):
+        n, j = len(full.omega), len(active)
+        self.active, self.off, self.forcing, self.omega = active, off, forcing, full.omega[active]
+        targets = np.concatenate([active, off])
+        self.p, self.q = np.triu_indices(j)
+        cols = full.sine[:, active].T
+        c = np.empty((len(self.p), j, len(targets)))
+        per = max(1, _TRIAD_BLOCK // 4 // (n * max(1, j)))   # pairs per block
+        for i in range(0, len(self.p), per):
+            pairs = slice(i, i + per)
+            c[pairs] = ops.quartic.contract(cols[self.p[pairs], None],
+                                            cols[self.q[pairs], None],
+                                            cols) @ full.sine[:, targets]
+        weight = forcing.scale * np.where(self.p == self.q, 1.0, 2.0)
+        c *= weight[:, None, None] / full.mu[targets]
+        self.on = c[..., :j].reshape(len(self.p), j * j)
+        self.off_coefficients = c[..., j:].reshape(len(self.p), j * len(off))
+
+    def at(self, z: np.ndarray, off: bool = False) -> np.ndarray:
+        """The sine coefficients g on J (``off`` if ``off``) of the amplitude rows ``z``."""
+        c, cols = ((self.off_coefficients, len(self.off)) if off
+                   else (self.on, len(self.active)))
+        a, b = z.real / self.omega, z.imag
+        x = self.forcing.squared(a, b)
+        pairs = x[:, self.p] * x[:, self.q]
+        return np.matmul(b[:, None, :], (pairs @ c).reshape(len(z), b.shape[1], cols))[:, 0]
+
+    def abscissae(self, grid: np.ndarray, off: bool = False) -> np.ndarray:
+        """``at`` every abscissa of the amplitude rows ``grid`` (of a single
+        row, that row's), a block of at most ``_TRIAD_BLOCK`` products at a time."""
+        if len(grid) == 1:
+            return self.at(grid, off)
+        r = len(BOOLE_WEIGHTS) - 1
+        nst, j = len(grid) - 1, len(self.active)
+        cols = len(self.off) if off else j
+        steps = min(nst, max(1, _TRIAD_BLOCK // (r * max(1, j * cols))))
+        out = np.empty((r * nst + 1, cols))
+        block = np.empty((r * steps + 1, j), complex)
+        scratch = np.empty((steps, j), complex)
+        for s in range(0, nst, steps):
+            e = min(s + steps, nst)
+            rows = r * (e - s) + (e == nst)
+            _interpolate(grid[s:e + 1], block[:rows], scratch[:e - s])
+            out[r * s:r * s + rows] = self.at(block[:rows], off)
+        return out
 
 
 def _off_norms(sine: np.ndarray, load: np.ndarray) -> np.ndarray:
@@ -284,50 +404,85 @@ class _Window:
     """One window's fixed-point iteration on the active modes J."""
 
     def __init__(self, ops, forcing, full: Propagator, active: np.ndarray,
-                 config: PicardConfig, nst: int, t_start: float, tol: float):
+                 config: PicardConfig, nst: int, t_start: float, tol: float,
+                 triads: _Triads | None = None):
         self.ops, self.forcing, self.full, self.config = ops, forcing, full, config
-        self.nst, self.t_start = nst, t_start
+        self.t_start, self.triads, self.buffer = t_start, triads, None
+        self.rows = (len(BOOLE_WEIGHTS) - 1) * nst + 1
         # a mode joins J once the forcing can move it by DETECT * tol in the window
         self.level = DETECT * tol / (nst * config.delta)
-        self.active, self.prop = active, full.restrict(active)
+        self._set(active)
 
-    def _sweep(self, z0: np.ndarray, load: np.ndarray, z_prev: np.ndarray | None):
-        """Widen J by the modes ``load`` reaches, then sweep from the start
-        amplitudes ``z0`` (on every mode); returns the iterate's amplitudes
-        and ``z_prev`` on the new J."""
-        old = self.active
-        if len(old) < len(self.full.omega):
-            rows = np.linspace(0, len(load) - 1, _DETECT_ROWS).round().astype(int)
-            g = self.full.forcing_modes(load[rows])
-            if not np.isfinite(g).all():
+    def _set(self, active: np.ndarray) -> None:
+        """Make ``active`` J, with its propagator and, where they serve, its
+        triads (kept if built for J)."""
+        n = len(self.full.omega)
+        self.active, self.prop = active, self.full.restrict(active)
+        if self.triads is not None and np.array_equal(self.triads.active, active):
+            return
+        self.triads = None
+        if isinstance(self.forcing, _PowerDamping) and self.forcing.m == 1 and len(active) < n:
+            off, j = _reach(active, n), len(active)
+            if j * (j + 1) // 2 * j * (j + len(off)) <= _TRIAD_COST * n:
+                self.triads = _Triads(self.ops, self.forcing, self.full, active, off)
+
+    def _loads(self, grid: np.ndarray) -> np.ndarray:
+        """The nodal loads at every abscissa of the amplitude rows ``grid``,
+        in the window's one load buffer; of a single row, that row's."""
+        if len(grid) == 1:
+            return self.forcing.load(self.ops, *np.split(self.prop.nodal(grid), 2, axis=1))
+        if self.buffer is None:
+            self.buffer = np.empty((self.rows, self.ops.mesh.n))
+        return _abscissa_loads(self.ops, self.forcing, grid, self.prop.nodal,
+                               self.buffer)
+
+    def _forcing(self, grid: np.ndarray) -> tuple:
+        """Widen J by the modes the forcing of the amplitude rows ``grid``
+        reaches; return its sine coefficients on J at every abscissa (of a
+        single row, that row's) and ``grid`` on J.  ``last`` keeps the
+        certificate's input: the triads' amplitudes or the nodal loads."""
+        n = len(self.full.omega)
+        old, load = self.active, None
+        if len(old) < n:
+            picks = np.linspace(0, self.rows - 1, _DETECT_ROWS).round().astype(int)
+            if self.triads is not None:
+                modes = self.triads.off
+                reach = self.triads.at(_at_abscissae(grid, picks), off=True)
+            else:
+                modes, load = slice(None), self._loads(grid)
+                reach = self.full.forcing_modes(load[picks if len(grid) > 1 else [0]])
+            if not np.isfinite(reach).all():
                 raise _non_finite(self.t_start)
-            joins = np.sqrt(self.full.mu) * np.abs(g).max(axis=0) > self.level
-            joins[old] = True
-            self.active = np.flatnonzero(joins)
-            if len(self.active) > len(old):
-                self.prop = self.full.restrict(self.active)
-                if z_prev is not None:
-                    z_prev, kept = np.zeros((len(z_prev), len(self.active)), complex), z_prev
-                    z_prev[:, np.searchsorted(self.active, old)] = kept
-        return sweep(self.prop, z0[self.active], load), z_prev
+            joins = np.zeros(n)   # each mode's reach; J's own are kept
+            joins[modes] = np.sqrt(self.full.mu[modes]) * np.abs(reach).max(axis=0, initial=0.0)
+            joins[old] = np.inf
+            active = np.flatnonzero(joins > self.level)
+            if len(active) > len(old):
+                self._set(active)
+                grid, kept = np.zeros((len(grid), len(active)), complex), grid
+                grid[:, np.searchsorted(active, old)] = kept
+        if self.triads is not None:
+            self.last = grid
+            return self.triads.abscissae(grid), grid
+        self.last = load = self._loads(grid) if load is None else load
+        # on all modes nothing is certified, so the loads make way for g
+        g = load if len(self.active) == n else np.empty((len(load), len(self.active)))
+        rows = (len(BOOLE_WEIGHTS) - 1) * _LOAD_STEPS
+        for a in range(0, len(load), rows):
+            g[a:a + rows] = self.prop.forcing_modes(load[a:a + rows])
+        return g, grid
 
     def solve(self, z0: np.ndarray) -> tuple:
         """Iterate from the amplitudes ``z0`` on every mode; returns the
-        report, the accepted iterate's amplitudes on J and the last load."""
-        ops, forcing, config = self.ops, self.forcing, self.config
-        n = ops.mesh.n
-        rows = (len(BOOLE_WEIGHTS) - 1) * self.nst + 1
-        y = self.prop.nodal(z0[self.active])
-        load = np.broadcast_to(forcing.load(ops, y[:n], y[n:]), (rows, n))
-        prev, _ = self._sweep(z0, load, None)
-
+        report and the accepted iterate's amplitudes on J."""
+        g, _ = self._forcing(z0[self.active][None])
+        prev = sweep(self.prop, z0[self.active], np.broadcast_to(g, (self.rows, g.shape[1])))
         report = WindowReport(t_start=self.t_start, iterations=0, distance=np.inf,
                               converged=False)
         grow = 0
-        buffer = np.empty((rows, n))   # every iteration's load
         for _ in range(MAX_ITERATIONS):
-            load = _abscissa_loads(ops, forcing, prev, self.prop.nodal, buffer)
-            cur, prev = self._sweep(z0, load, prev)
+            g, prev = self._forcing(prev)
+            cur = sweep(self.prop, z0[self.active], g)
             dist = float(np.sqrt(_mode_energy(cur - prev, self.prop.mu).max()))
             if not np.isfinite(dist):
                 # a non-finite forcing or iterate makes the distance non-finite
@@ -337,7 +492,7 @@ class _Window:
             grow = grow + 1 if dist > report.distance else 0
             report.distance = dist
             prev = cur
-            if dist < config.epsilon:
+            if dist < self.config.epsilon:
                 report.converged = True
                 break
             if grow >= 3:
@@ -345,9 +500,9 @@ class _Window:
                     f"iterates diverge on window starting at t={self.t_start:g} "
                     f"(distance {dist:.3e}); use a shorter window")
         report.modes = len(self.active)
-        return report, prev, load
+        return report, prev
 
-    def certify(self, report: WindowReport, z0: np.ndarray, load: np.ndarray) -> None:
+    def certify(self, report: WindowReport, z0: np.ndarray) -> None:
         """Record the energy-norm bound on what the modes off J change in the
         window, its two terms and the gamma it divides by."""
         full = self.full
@@ -355,8 +510,12 @@ class _Window:
         gamma = d[-1] / d[-2] if len(d) >= 2 and d[-2] > 0 else 0.0
         off = np.ones(len(full.mu), bool)
         off[self.active] = False
-        terms = (_boole_integral(_off_norms(self.prop.sine, load), self.config.delta)
-                 / float(np.sqrt(full.mu[off].min())),
+        if self.triads is not None:
+            g = self.triads.abscissae(self.last, off=True)
+            norms = np.sqrt(g ** 2 @ full.mu[self.triads.off])
+        else:
+            norms = _off_norms(self.prop.sine, self.last) / np.sqrt(full.mu[off].min())
+        terms = (_boole_integral(norms, self.config.delta),
                  float(np.sqrt(_mode_energy(z0[off], full.mu[off]))))
         if not np.isfinite(sum(terms)):
             raise _non_finite(self.t_start)
@@ -401,19 +560,19 @@ def picard_solve(ops: SpatialOperators, y0: np.ndarray, config: PicardConfig,
     windows: list[WindowReport] = []
     total_iters = 0
     done = 0
+    triads = None   # the last window's, kept while J stays
     while done < config.n_steps:
         nst = min(config.window_steps, config.n_steps - done)
         t_start = done * config.delta
         redone, failed = 0, None   # failed: the report of the attempt redone
         while True:
+            # the attempt before is freed before this one allocates its loads
             window = _Window(ops, forcing, propagator, active, config, nst,
-                             t_start, tol)
-            report, z, load = window.solve(z_start)
-            active = window.active
+                             t_start, tol, triads)
+            report, z = window.solve(z_start)
+            active, triads = window.active, window.triads
             if len(active) < n:
-                window.certify(report, z_start, load)
-            # free this attempt's loads before the next allocates
-            del load
+                window.certify(report, z_start)
             if len(active) == n or report.bound <= tol:
                 break
             active = np.arange(n)

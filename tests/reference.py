@@ -1,18 +1,18 @@
 """Definitions that only tests call, beside the ones a run executes.
 
 Dense copies of the assembled operators, single tensor entries, the L^2
-projection, the nodal form of the Duhamel sweep and the linear solver built
-on it, and the diagnostics that compare a run with the undamped flow, with
-an analytic field or with the a priori contraction bound.  A ``degenwave``
-run uses none of them; the tests hold the package's fast paths against
-them.
+projection, nodal trajectories read in blocks, the nodal form of the
+Duhamel sweep and the linear solver built on it, and the diagnostics that
+compare a run with the undamped flow, with an analytic field or with the a
+priori contraction bound.  A ``degenwave`` run uses none of them; the
+tests hold the package's fast paths against them.
 """
 
 import numpy as np
 
 from degenwave.experiments import EnergyTrace
 from degenwave.linop import matrix_exponential
-from degenwave.linwave import BOOLE_WEIGHTS, Trajectory, sweep
+from degenwave.linwave import BLOCK_ROWS, BOOLE_WEIGHTS, Trajectory, sweep
 from degenwave.mesh import hat_load_from_values, whole_steps
 
 
@@ -77,18 +77,34 @@ def theta(prop) -> float:
     return prop.step / (prop.points - 1)
 
 
+class NodalTrajectory(Trajectory):
+    """A ``Trajectory`` that ``oracle.reference_errors`` reads, as it reads
+    a ``ModalTrajectory``, block by block."""
+
+    def blocks(self, size: int = BLOCK_ROWS, start: int = 0, stop: int | None = None):
+        """The rows ``start``..``stop``-1 in consecutive blocks of at most
+        ``size`` rows."""
+        stop = len(self.times) if stop is None else stop
+        for a in range(start, stop, size):
+            yield self.states[a:min(a + size, stop)]
+
+
 def nodal_sweep(prop, y0: np.ndarray, f_absc: np.ndarray) -> np.ndarray:
-    """``sweep`` from the nodal state ``y0``: the (nsteps+1, 2n) states on
-    the modes of ``prop``, row 0 being ``y0`` itself."""
-    states = prop.nodal(sweep(prop, prop.modal(y0), f_absc))
+    """``sweep`` from the nodal state ``y0`` with the loads ``f_absc``: the
+    (nsteps+1, 2n) states on the modes of ``prop``, row 0 being ``y0``
+    itself.  A load broadcast along time (first-axis stride 0) is
+    transformed as one row."""
+    g = prop.forcing_modes(f_absc[:1] if f_absc.strides[0] == 0 else f_absc)
+    g = np.broadcast_to(g, (len(f_absc), g.shape[1]))
+    states = prop.nodal(sweep(prop, prop.modal(y0), g))
     states[0] = y0
     return states
 
 
-def nodal_trajectory(traj) -> Trajectory:
+def nodal_trajectory(traj) -> NodalTrajectory:
     """Every row of a ``ModalTrajectory`` as a nodal ``Trajectory``."""
-    return Trajectory(times=traj.times.copy(),
-                      states=traj.rows(0, len(traj.times)), delta=traj.delta)
+    return NodalTrajectory(times=traj.times.copy(),
+                           states=traj.rows(0, len(traj.times)), delta=traj.delta)
 
 
 def solve_linear_inhomogeneous(ops, y0: np.ndarray, forcing, t_final: float,

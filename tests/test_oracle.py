@@ -10,6 +10,7 @@ from degenwave import (AnsatzProblem, OscillatorProblem, ball_samples,
                        rk4_ansatz, simulate_oscillator, uniform_stability_sweep)
 from degenwave.experiments import mode_initial_state
 from degenwave.linwave import ModalTrajectory, Trajectory
+from reference import NodalTrajectory
 from rk4_reference import allocating_rk4
 
 
@@ -303,8 +304,8 @@ class TestStreamedErrors:
         for sol in sols:
             states = oracle_states(sol, mesh99)
             states += 1e-3 * rng.standard_normal(states.shape)
-            trajs.append(Trajectory(times=sol.times.copy(), states=states,
-                                    delta=2e-4 * stride))
+            trajs.append(NodalTrajectory(times=sol.times.copy(), states=states,
+                                         delta=2e-4 * stride))
         energies = [energy(ops99, traj.states) for traj in trajs]
         gaps, norms = reference_errors(trajs, energies, problems, ops99,
                                        t_final, 2e-4, store_stride=stride)
@@ -319,7 +320,7 @@ class TestStreamedErrors:
         # states
         problems = [make_problem(mesh99, k=k) for k in (1, 2, 4)]
         sols = rk4_ansatz(problems, 0.06, 2e-4)
-        trajs = [Trajectory(sol.times, oracle_states(sol, mesh99), 2e-4)
+        trajs = [NodalTrajectory(sol.times, oracle_states(sol, mesh99), 2e-4)
                  for sol in sols]
         built = []
         real = oracle.oracle_states
@@ -365,8 +366,8 @@ class TestStreamedErrors:
 
     def test_grid_mismatch_rejected(self, mesh99, ops99):
         sol = rk4_ansatz([make_problem(mesh99)], 0.2, 2e-4, store_stride=10)[0]
-        traj = Trajectory(times=sol.times, states=oracle_states(sol, mesh99),
-                          delta=2e-3)
+        traj = NodalTrajectory(times=sol.times, states=oracle_states(sol, mesh99),
+                               delta=2e-3)
         with pytest.raises(ValueError, match="grids"):
             reference_errors([traj], [energy(ops99, traj.states)],
                              [sol.problem], ops99, 0.4, 2e-4, store_stride=10)

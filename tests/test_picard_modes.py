@@ -175,5 +175,5 @@ def test_restricted_propagator_sweeps_its_modes(rng):
     load = (amplitudes * sub.mu) @ sub.sine.T    # M f with S f on J only
     full = nodal_sweep(prop, y0, load)
     np.testing.assert_allclose(nodal_sweep(sub, y0, load), full, atol=1e-12)
-    np.testing.assert_allclose(sub.nodal(sweep(sub, sub.modal(y0), load)), full,
-                               atol=1e-12)
+    np.testing.assert_allclose(sub.nodal(sweep(sub, sub.modal(y0), amplitudes)),
+                               full, atol=1e-12)

@@ -1,10 +1,11 @@
-"""Picard's forcing streamed through blocks of steps into one load buffer.
+"""Picard's forcing streamed through blocks of steps.
 
-Each iteration of a window fills one (4 nst + 1, n) load buffer, a block of
-``picard._LOAD_STEPS`` steps at a time, instead of building the interpolated
-states and the loads of the whole window.  The loads must equal the
-whole-window evaluation bit for bit, and a window's working set must stay a
-small multiple of one load array.
+On the nodal path each iteration of a window fills one (4 nst + 1, n) load
+buffer, a block of ``picard._LOAD_STEPS`` steps at a time, instead of
+building the interpolated states and the loads of the whole window.  The
+loads must equal the whole-window evaluation bit for bit, and a window's
+working set must stay a small multiple of one load array; on the triad
+path it must stay below a quarter of one.
 """
 
 import tracemalloc
@@ -69,21 +70,45 @@ def test_window_working_set_is_a_few_load_arrays(k, m):
     assert peak < (measured + 0.25) * load_bytes
 
 
+def test_triad_window_holds_no_load_array(monkeypatch):
+    # single-mode data as amplitudes, as a run hands them over: each window
+    # stays on a few modes, whose forcing the triad sums give without any
+    # nodal load row
+    def no_nodal_loads(*args):
+        raise AssertionError("the triad path forms no nodal loads")
+
+    monkeypatch.setattr(picard, "_abscissa_loads", no_nodal_loads)
+    ops = fine_operators()
+    config = PicardConfig(t_final=2.0, delta=DELTA)
+    data = mode_initial_state(ops, 1)
+    z0 = data.amplitudes(ops)
+    picard_solve(ops, data.y0, config, z0=z0)   # warm-up
+    tracemalloc.start()
+    try:
+        result = picard_solve(ops, data.y0, config, z0=z0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.converged
+    load_bytes = (4 * config.window_steps + 1) * ops.mesh.n * 8
+    assert peak < 0.25 * load_bytes
+
+
 def test_all_mode_sweep_streams_its_load():
     # the whole-window transform, weighted sums and cumulative sum of an
     # all-mode sweep took 2.5 load arrays beyond its (nst + 1, n) complex
     # output (half a load array) here; streamed through blocks of steps,
-    # 0.2 remain
+    # 0.2 remain; the sweep now takes the modal forcing, of a load's shape
     ops = fine_operators()
     prop = matrix_exponential(ops, DELTA)
     rng = np.random.default_rng(0)
-    load = rng.standard_normal((4 * 500 + 1, ops.mesh.n))
+    forcing = rng.standard_normal((4 * 500 + 1, ops.mesh.n))
     y0 = rng.standard_normal(2 * ops.mesh.n)
-    sweep(prop, prop.modal(y0), load)   # warm-up: the phase table
+    sweep(prop, prop.modal(y0), forcing)   # warm-up: the phase table
     tracemalloc.start()
     try:
-        z = sweep(prop, prop.modal(y0), load)
+        z = sweep(prop, prop.modal(y0), forcing)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - z.nbytes < 0.25 * load.nbytes
+    assert peak - z.nbytes < 0.25 * forcing.nbytes
