@@ -28,7 +28,8 @@ class PicardDivergenceError(RuntimeError):
 # A model's ``load(ops, u, v, out=None)`` maps displacement/velocity
 # coefficient vectors to the load vector (f, phi_i) of the forcing f of
 # y' = A y + (0, f), minus the damping term's load, written into ``out``
-# when given; ``coefficients`` solves for f itself.
+# when given; ``coefficients`` solves for f itself.  ``terms`` counts the
+# factors u or v of the load's polynomial, which bound the modes it reaches.
 
 class _ForcingModel:
     # test-only: kept for perfbench/traced.py until the next benchmark change
@@ -55,6 +56,7 @@ class _PowerDamping(_ForcingModel):
         check_damping(alpha, m)
         self.alpha = float(alpha)
         self.m = int(m)
+        self.terms = 2 * self.m + 1
 
     def load(self, ops: SpatialOperators, u: np.ndarray, v: np.ndarray,
              out: np.ndarray | None = None) -> np.ndarray:
@@ -104,7 +106,11 @@ class PrimitiveDamping(_PowerDamping):
 class LinearDamping(_ForcingModel):
     """f = -beta v: classical viscous damping (already in the FEM space)."""
 
+    terms = 1
+
     def __init__(self, beta: float):
+        if isinstance(beta, bool) or not 0 <= beta < np.inf:
+            raise ValueError(f"beta must be finite and nonnegative, got {beta!r}")
         self.beta = float(beta)
 
     def load(self, ops, u, v, out=None):
@@ -207,20 +213,18 @@ class PicardResult:
 # the window's last two distances.  Each window starts from the amplitudes
 # on J that the previous one ended with, so the start state's part is zero
 # after the first window; in the first it is that of the initial amplitudes.
-# The m = 1 load of the sine modes a, b and c lands exactly on the modes
-# |a +- b +- c|, folded into 1..n, so for m = 1 on fewer than all modes the
-# load of amplitudes on J is a sum over triads (``_Triads``), exact on J and
-# on its reach J' \ J, and so is the forcing's part off J: the certificate
-# integrates sqrt(sum over J' \ J of mu_j g_j^2).  Otherwise, and once the
-# triads' coefficients hold more than _TRIAD_COST n entries, the load is
-# nodal: states synthesized and contracted at every abscissa, the loads
-# transformed onto J.  Its part off J is bounded: with r = L - (L S_J) S_J^T,
-# sum over j off J of mu_j g_j^2 = r^T M^{-1} r <= |r|^2 / mu_min, mu_min
-# the least mu_j off J, looser by at most sqrt(max mu / min mu) = sqrt(3).
-# A window whose bound exceeds TOL ||y0||_E, or that did not contract, is
-# solved again on all modes, and J keeps every mode from then on.  Both
-# constants are fixed: below DETECT = 1e-1 the detection picks up the
-# rounding noise of the high modes (about 2e-14 ||y0||_E at n = 499).
+# A load of ``terms`` factors of the sine modes of J lands exactly on the
+# folded sums of ``terms`` signed indices of J (2m + 1 for the power
+# dampings, 1 for LinearDamping), so it reaches J and a known set J' \ J
+# (``_reach``) only.  A load model gives the forcing's sine coefficients on
+# J and on J' \ J: ``_Triads`` for m = 1 while their coefficients hold at
+# most _TRIAD_COST n entries, ``_NodalLoad`` otherwise.  Both are exact, so
+# detection reads the coefficients on J' \ J at a few abscissae, and the
+# certificate integrates sqrt(sum over J' \ J of mu_j g_j^2) over the last
+# load.  A window whose bound exceeds TOL ||y0||_E, or that did not
+# contract, is solved again on all modes, and J keeps every mode from then
+# on.  Both constants are fixed: below DETECT = 1e-1 the detection picks up
+# the rounding noise of the high modes (about 2e-14 ||y0||_E at n = 499).
 
 TOL = 1e-13        # certified truncation error, relative to ||y0||_E
 DETECT = 1e-1      # a mode joins J at DETECT * TOL ||y0||_E of reach
@@ -229,7 +233,7 @@ _DETECT_ROWS = 9   # abscissa rows of each forcing searched for new modes
 
 
 # an abscissa costs the triads one multiply-add per coefficient, the nodal
-# path a multiple of n; per 500-step window of five iterations, with the
+# model a multiple of n; per 500-step window of five iterations, with the
 # certificate and the coefficients' build (one thread, Xeon with 2 MiB of
 # L2 per core), the two met between 500 and 800 coefficients per node:
 # triad against nodal took 25 against 33 ms at n = 99, |J| = 14 (609 per
@@ -243,6 +247,7 @@ _TRIAD_COST = 600
 # window at n = 99 (5.6-6.3 ms against 8.7-9.6 ms) and tied 8-128 at n = 499
 # (24-30 ms against 43-56 ms)
 _LOAD_STEPS = 32
+_LOAD_ROWS = (len(BOOLE_WEIGHTS) - 1) * _LOAD_STEPS   # the abscissae of a block
 
 # products per block of the triad sums (rows x |J| x targets), 4 x elements per build block
 _TRIAD_BLOCK = 2**16
@@ -259,35 +264,6 @@ def _interpolate(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
                np.multiply(fr, x[1:], scratch), out[j::r])
 
 
-def _abscissa_loads(ops: SpatialOperators, forcing, grid: np.ndarray, nodal,
-                    out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with the forcing's loads at every quadrature abscissa.
-
-    ``nodal`` maps rows of ``grid`` to the grid states (``Propagator.nodal``
-    of amplitudes), ``_LOAD_STEPS`` steps at a time, and the nst + 1 states
-    are interpolated linearly in time onto the 4 nst + 1 abscissae, in place
-    into one reused buffer per half (u, v), so one block of states and of
-    interpolated states exists at once and the forcing gets contiguous
-    halves; it writes each block's loads straight into ``out``, which has
-    shape (4 nst + 1, n).  Every row equals that of the whole-window
-    evaluation of the same states bit for bit.
-    """
-    r = len(BOOLE_WEIGHTS) - 1
-    n = ops.mesh.n
-    nst = len(grid) - 1
-    halves = np.empty((2, r * min(_LOAD_STEPS, nst) + 1, n))
-    scratch = np.empty((min(_LOAD_STEPS, nst), n))
-    for s in range(0, nst, _LOAD_STEPS):
-        e = min(s + _LOAD_STEPS, nst)
-        x = nodal(grid[s:e + 1])
-        # the abscissae of steps s..e-1; the last block adds the window's end
-        rows = r * (e - s) + (e == nst)
-        for ya, xs in zip(halves[:, :rows], (x[:, :n], x[:, n:])):
-            _interpolate(xs, ya, scratch[:e - s])
-        forcing.load(ops, *halves[:, :rows], out=out[r * s:r * s + rows])
-    return out
-
-
 def _at_abscissae(grid: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The amplitude rows ``grid`` interpolated linearly in time at the
     abscissae ``rows``; a single row stands for every abscissa."""
@@ -299,17 +275,24 @@ def _at_abscissae(grid: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return (1.0 - fr) * grid[i] + fr * grid[i + 1]
 
 
-def _reach(active: np.ndarray, n: int) -> np.ndarray:
-    """The modes J' \\ J the m = 1 load of the modes J = ``active`` reaches:
-    |a + b +- c| of 1-based indices, folded into 1..n with period 2(n + 1)
-    (a mask: ``np.unique`` and its kin import ``numpy.ma``, 30 ms and 1 MB)."""
-    k = active + 1
-    a, b, c = k[:, None, None], k[None, :, None], k[None, None, :]
-    k = np.abs(np.stack(np.broadcast_arrays(a + b + c, a + b - c))) % (2 * (n + 1))
-    reached = np.zeros(n + 2, bool)
-    reached[np.minimum(k, 2 * (n + 1) - k)] = True
-    reached[active + 1] = False
-    return np.flatnonzero(reached[1:n + 1])
+def _reach(active: np.ndarray, n: int, terms: int) -> np.ndarray:
+    """The modes J' \\ J a load of ``terms`` factors on the modes J =
+    ``active`` reaches: sums of ``terms`` signed 1-based indices of J,
+    folded into 1..n with period 2(n + 1) (a mask: ``np.unique`` and its
+    kin import ``numpy.ma``, 30 ms and 1 MB)."""
+    period = 2 * (n + 1)
+    signed = np.concatenate([active + 1, period - 1 - active])
+    sums = np.zeros(period, bool)
+    sums[0] = True
+    for _ in range(terms):
+        reached = np.zeros(period, bool)
+        # about 64 |sums| products at a time
+        for part in np.array_split(np.flatnonzero(sums), 1 + len(signed) // 64):
+            reached[np.add.outer(part, signed) % period] = True
+        sums = reached
+    # the sums are symmetric, -k a sum whenever k is
+    sums[active + 1] = False
+    return np.flatnonzero(sums[1:n + 1])
 
 
 class _Triads:
@@ -325,10 +308,11 @@ class _Triads:
     def __init__(self, ops: SpatialOperators, forcing: _PowerDamping,
                  full: Propagator, active: np.ndarray, off: np.ndarray):
         n, j = len(full.omega), len(active)
-        self.active, self.off, self.forcing, self.omega = active, off, forcing, full.omega[active]
+        self.active, self.off, self.forcing = active, off, forcing
+        self.prop = full.restrict(active)
         targets = np.concatenate([active, off])
         self.p, self.q = np.triu_indices(j)
-        cols = full.sine[:, active].T
+        cols = self.prop.sine.T
         c = np.empty((len(self.p), j, len(targets)))
         per = max(1, _TRIAD_BLOCK // 4 // (n * max(1, j)))   # pairs per block
         for i in range(0, len(self.p), per):
@@ -345,40 +329,85 @@ class _Triads:
         """The sine coefficients g on J (``off`` if ``off``) of the amplitude rows ``z``."""
         c, cols = ((self.off_coefficients, len(self.off)) if off
                    else (self.on, len(self.active)))
-        a, b = z.real / self.omega, z.imag
+        a, b = z.real / self.prop.omega, z.imag
         x = self.forcing.squared(a, b)
         pairs = x[:, self.p] * x[:, self.q]
         return np.matmul(b[:, None, :], (pairs @ c).reshape(len(z), b.shape[1], cols))[:, 0]
 
     def abscissae(self, grid: np.ndarray, off: bool = False) -> np.ndarray:
         """``at`` every abscissa of the amplitude rows ``grid`` (of a single
-        row, that row's), a block of at most ``_TRIAD_BLOCK`` products at a time."""
-        if len(grid) == 1:
-            return self.at(grid, off)
-        r = len(BOOLE_WEIGHTS) - 1
-        nst, j = len(grid) - 1, len(self.active)
-        cols = len(self.off) if off else j
-        steps = min(nst, max(1, _TRIAD_BLOCK // (r * max(1, j * cols))))
-        out = np.empty((r * nst + 1, cols))
-        block = np.empty((r * steps + 1, j), complex)
-        scratch = np.empty((steps, j), complex)
-        for s in range(0, nst, steps):
-            e = min(s + steps, nst)
-            rows = r * (e - s) + (e == nst)
-            _interpolate(grid[s:e + 1], block[:rows], scratch[:e - s])
-            out[r * s:r * s + rows] = self.at(block[:rows], off)
+        row, that row's), a block of whole steps and at most ``_TRIAD_BLOCK``
+        products at a time; ``grid`` is kept for ``off_blocks``."""
+        self.last = grid
+        r, j = len(BOOLE_WEIGHTS) - 1, len(self.active)
+        rows, cols = r * (len(grid) - 1) + 1, len(self.off) if off else j
+        per = r * max(1, min(len(grid) - 1, _TRIAD_BLOCK // (r * max(1, j * cols))))
+        out = np.empty((rows, cols))
+        # the last block adds the window's end
+        for block in np.split(np.arange(rows), range(per, rows - 1, per)):
+            out[block] = self.at(_at_abscissae(grid, block), off)
         return out
 
+    def off_blocks(self):
+        """The coefficients on J' \\ J at every abscissa of the last grid,
+        in one block."""
+        yield self.abscissae(self.last, off=True)
 
-def _off_norms(sine: np.ndarray, load: np.ndarray) -> np.ndarray:
-    """Norm of each load row's part r = L - (L S_J) S_J^T off the modes J of
-    the column block ``sine`` = S[:, J], ``_LOAD_STEPS`` steps at a time."""
-    rows = (len(BOOLE_WEIGHTS) - 1) * _LOAD_STEPS
-    out = np.empty(len(load))
-    for a in range(0, len(load), rows):
-        x = load[a:a + rows]
-        out[a:a + rows] = np.linalg.norm(x - (x @ sine) @ sine.T, axis=1)
-    return out
+
+class _NodalLoad:
+    """Any forcing's load of amplitudes on J, evaluated at the nodes; the
+    certificate reads the loads of the last grid, so none is evaluated twice."""
+
+    def __init__(self, ops: SpatialOperators, forcing, full: Propagator,
+                 active: np.ndarray, off: np.ndarray):
+        self.ops, self.forcing, self.active, self.off = ops, forcing, active, off
+        self.prop, self.off_prop = full.restrict(active), full.restrict(off)
+        self.last = None
+
+    def at(self, z: np.ndarray, off: bool = False) -> np.ndarray:
+        """The sine coefficients g on J (``off`` if ``off``) of the amplitude rows ``z``."""
+        load = self.forcing.load(self.ops, *np.split(self.prop.nodal(z), 2, axis=-1))
+        return (self.off_prop if off else self.prop).forcing_modes(load)
+
+    def abscissae(self, grid: np.ndarray) -> np.ndarray:
+        """``at`` every abscissa of the amplitude rows ``grid`` (of a single
+        row, that row's), ``_LOAD_STEPS`` steps at a time.
+
+        Each block's states are synthesized and interpolated linearly in
+        time onto its abscissae, in place into one reused buffer per half
+        (u, v), so the forcing gets contiguous halves; it writes the
+        block's loads straight into ``last``, one buffer reused by every
+        grid of its length, and they are transformed onto J.  Every load
+        equals that of the whole-window evaluation of the same states bit
+        for bit.
+        """
+        if len(grid) == 1:
+            return self.at(grid)
+        r, n, nst = len(BOOLE_WEIGHTS) - 1, self.ops.mesh.n, len(grid) - 1
+        if self.last is None or len(self.last) != r * nst + 1:
+            self.last = None   # freed before its successor is allocated
+            self.last = np.empty((r * nst + 1, n))
+        # on all modes nothing is certified, so the loads make way for g
+        g = self.last if len(self.active) == n else np.empty((r * nst + 1, len(self.active)))
+        halves = np.empty((2, r * min(_LOAD_STEPS, nst) + 1, n))
+        scratch = np.empty((min(_LOAD_STEPS, nst), n))
+        for s in range(0, nst, _LOAD_STEPS):
+            e = min(s + _LOAD_STEPS, nst)
+            x = self.prop.nodal(grid[s:e + 1])
+            # the abscissae of steps s..e-1; the last block adds the window's end
+            rows = r * (e - s) + (e == nst)
+            for ya, xs in zip(halves[:, :rows], (x[:, :n], x[:, n:])):
+                _interpolate(xs, ya, scratch[:e - s])
+            block = slice(r * s, r * s + rows)
+            self.forcing.load(self.ops, *halves[:, :rows], out=self.last[block])
+            g[block] = self.prop.forcing_modes(self.last[block])
+        return g
+
+    def off_blocks(self):
+        """The coefficients on J' \\ J at every abscissa of the last grid,
+        transformed from the loads ``_LOAD_STEPS`` steps at a time."""
+        for a in range(0, len(self.last), _LOAD_ROWS):
+            yield self.off_prop.forcing_modes(self.last[a:a + _LOAD_ROWS])
 
 
 def _boole_integral(values: np.ndarray, delta: float) -> float:
@@ -405,72 +434,44 @@ class _Window:
 
     def __init__(self, ops, forcing, full: Propagator, active: np.ndarray,
                  config: PicardConfig, nst: int, t_start: float, tol: float,
-                 triads: _Triads | None = None):
+                 model=None):
         self.ops, self.forcing, self.full, self.config = ops, forcing, full, config
-        self.t_start, self.triads, self.buffer = t_start, triads, None
+        self.t_start, self.model = t_start, model
         self.rows = (len(BOOLE_WEIGHTS) - 1) * nst + 1
         # a mode joins J once the forcing can move it by DETECT * tol in the window
         self.level = DETECT * tol / (nst * config.delta)
         self._set(active)
 
     def _set(self, active: np.ndarray) -> None:
-        """Make ``active`` J, with its propagator and, where they serve, its
-        triads (kept if built for J)."""
-        n = len(self.full.omega)
-        self.active, self.prop = active, self.full.restrict(active)
-        if self.triads is not None and np.array_equal(self.triads.active, active):
-            return
-        self.triads = None
-        if isinstance(self.forcing, _PowerDamping) and self.forcing.m == 1 and len(active) < n:
-            off, j = _reach(active, n), len(active)
-            if j * (j + 1) // 2 * j * (j + len(off)) <= _TRIAD_COST * n:
-                self.triads = _Triads(self.ops, self.forcing, self.full, active, off)
-
-    def _loads(self, grid: np.ndarray) -> np.ndarray:
-        """The nodal loads at every abscissa of the amplitude rows ``grid``,
-        in the window's one load buffer; of a single row, that row's."""
-        if len(grid) == 1:
-            return self.forcing.load(self.ops, *np.split(self.prop.nodal(grid), 2, axis=1))
-        if self.buffer is None:
-            self.buffer = np.empty((self.rows, self.ops.mesh.n))
-        return _abscissa_loads(self.ops, self.forcing, grid, self.prop.nodal,
-                               self.buffer)
+        """Make ``active`` J: the load model holds J, its reach and its
+        propagator, and one built for J is kept."""
+        if self.model is None or not np.array_equal(self.model.active, active):
+            self.model = None   # its loads are freed before the next model's
+            n, j = len(self.full.omega), len(active)
+            off = _reach(active, n, self.forcing.terms) if j < n else active[:0]
+            triads = (isinstance(self.forcing, _PowerDamping) and self.forcing.m == 1
+                      and j < n and j * (j + 1) // 2 * j * (j + len(off)) <= _TRIAD_COST * n)
+            self.model = (_Triads if triads else _NodalLoad)(self.ops, self.forcing,
+                                                             self.full, active, off)
+        self.active, self.prop = self.model.active, self.model.prop
 
     def _forcing(self, grid: np.ndarray) -> tuple:
         """Widen J by the modes the forcing of the amplitude rows ``grid``
         reaches; return its sine coefficients on J at every abscissa (of a
-        single row, that row's) and ``grid`` on J.  ``last`` keeps the
-        certificate's input: the triads' amplitudes or the nodal loads."""
-        n = len(self.full.omega)
-        old, load = self.active, None
-        if len(old) < n:
+        single row, that row's) and ``grid`` on J."""
+        old, off = self.active, self.model.off
+        if len(off):
             picks = np.linspace(0, self.rows - 1, _DETECT_ROWS).round().astype(int)
-            if self.triads is not None:
-                modes = self.triads.off
-                reach = self.triads.at(_at_abscissae(grid, picks), off=True)
-            else:
-                modes, load = slice(None), self._loads(grid)
-                reach = self.full.forcing_modes(load[picks if len(grid) > 1 else [0]])
+            reach = self.model.at(_at_abscissae(grid, picks), off=True)
             if not np.isfinite(reach).all():
                 raise _non_finite(self.t_start)
-            joins = np.zeros(n)   # each mode's reach; J's own are kept
-            joins[modes] = np.sqrt(self.full.mu[modes]) * np.abs(reach).max(axis=0, initial=0.0)
-            joins[old] = np.inf
-            active = np.flatnonzero(joins > self.level)
-            if len(active) > len(old):
+            new = off[np.sqrt(self.full.mu[off]) * np.abs(reach).max(axis=0) > self.level]
+            if len(new):
+                active = np.sort(np.concatenate([old, new]))
                 self._set(active)
                 grid, kept = np.zeros((len(grid), len(active)), complex), grid
                 grid[:, np.searchsorted(active, old)] = kept
-        if self.triads is not None:
-            self.last = grid
-            return self.triads.abscissae(grid), grid
-        self.last = load = self._loads(grid) if load is None else load
-        # on all modes nothing is certified, so the loads make way for g
-        g = load if len(self.active) == n else np.empty((len(load), len(self.active)))
-        rows = (len(BOOLE_WEIGHTS) - 1) * _LOAD_STEPS
-        for a in range(0, len(load), rows):
-            g[a:a + rows] = self.prop.forcing_modes(load[a:a + rows])
-        return g, grid
+        return self.model.abscissae(grid), grid
 
     def solve(self, z0: np.ndarray) -> tuple:
         """Iterate from the amplitudes ``z0`` on every mode; returns the
@@ -505,18 +506,14 @@ class _Window:
     def certify(self, report: WindowReport, z0: np.ndarray) -> None:
         """Record the energy-norm bound on what the modes off J change in the
         window, its two terms and the gamma it divides by."""
-        full = self.full
         d = report.distances
         gamma = d[-1] / d[-2] if len(d) >= 2 and d[-2] > 0 else 0.0
-        off = np.ones(len(full.mu), bool)
-        off[self.active] = False
-        if self.triads is not None:
-            g = self.triads.abscissae(self.last, off=True)
-            norms = np.sqrt(g ** 2 @ full.mu[self.triads.off])
-        else:
-            norms = _off_norms(self.prop.sine, self.last) / np.sqrt(full.mu[off].min())
+        # the forcing's energy norm on J' \ J at every abscissa, a block at a time
+        mu = self.full.mu[self.model.off]
+        norms = np.concatenate([np.sqrt(g ** 2 @ mu) for g in self.model.off_blocks()])
+        off_j = (np.delete(z0, self.active), np.delete(self.full.mu, self.active))
         terms = (_boole_integral(norms, self.config.delta),
-                 float(np.sqrt(_mode_energy(z0[off], full.mu[off]))))
+                 float(np.sqrt(_mode_energy(*off_j))))
         if not np.isfinite(sum(terms)):
             raise _non_finite(self.t_start)
         report.terms, report.gamma = terms, float(gamma)
@@ -560,17 +557,18 @@ def picard_solve(ops: SpatialOperators, y0: np.ndarray, config: PicardConfig,
     windows: list[WindowReport] = []
     total_iters = 0
     done = 0
-    triads = None   # the last window's, kept while J stays
+    window = None   # the last one's load model is kept while J stays
     while done < config.n_steps:
         nst = min(config.window_steps, config.n_steps - done)
         t_start = done * config.delta
         redone, failed = 0, None   # failed: the report of the attempt redone
         while True:
-            # the attempt before is freed before this one allocates its loads
+            # the attempt before, and a load model this one replaces, are
+            # freed before this one allocates its loads
             window = _Window(ops, forcing, propagator, active, config, nst,
-                             t_start, tol, triads)
+                             t_start, tol, None if window is None else window.model)
             report, z = window.solve(z_start)
-            active, triads = window.active, window.triads
+            active = window.active
             if len(active) < n:
                 window.certify(report, z_start)
             if len(active) == n or report.bound <= tol:

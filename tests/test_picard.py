@@ -166,6 +166,12 @@ class TestForcingModels:
         with pytest.raises(ValueError, match="alpha must be finite|exponent half m"):
             build(alpha, m)
 
+    @pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf, -1.0, True])
+    def test_invalid_linear_damping_rejected(self, beta):
+        # each constructed before, and .beta read nan, inf, -inf, -1.0, 1.0
+        with pytest.raises(ValueError, match="beta must be finite and nonnegative"):
+            LinearDamping(beta)
+
 
 class TestConfig:
     def test_delta_must_divide(self):

@@ -93,14 +93,16 @@ def test_fig2_windows_certified_on_few_modes():
         assert w.redone == 0
 
 
-def test_certificate_redoes_a_window_detection_missed(monkeypatch):
+# m = 1 runs on the triads, m = 2 on the nodal load model
+@pytest.mark.parametrize("m", [1, 2])
+def test_certificate_redoes_a_window_detection_missed(monkeypatch, m):
     # At this detection fraction only modes holding half of ||y0||_E join J:
     # the initial mode k = 1 does, the modes its forcing reaches never do.
     monkeypatch.setattr(picard, "DETECT", 0.5 / picard.TOL)
     ops, prop = operators(0.01)
     y0 = mode_initial_state(ops, 1).y0
     result = assert_matches_reference(ops, y0,
-                                      PicardConfig(t_final=2.0, delta=DELTA))
+                                      PicardConfig(t_final=2.0, delta=DELTA, m=m))
     first, second = result.windows
     assert first.redone == 1 and first.modes == ops.mesh.n
     # J is carried over: the second window starts on every mode

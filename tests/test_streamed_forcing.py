@@ -1,11 +1,16 @@
 """Picard's forcing streamed through blocks of steps.
 
-On the nodal path each iteration of a window fills one (4 nst + 1, n) load
-buffer, a block of ``picard._LOAD_STEPS`` steps at a time, instead of
-building the interpolated states and the loads of the whole window.  The
-loads must equal the whole-window evaluation bit for bit, and a window's
-working set must stay a small multiple of one load array; on the triad
-path it must stay below a quarter of one.
+Every window holds one load model, which gives the forcing's sine
+coefficients on the active modes J and on the rest J' \\ J of their reach:
+detection reads J' \\ J at a few abscissae, and the certificate integrates
+the exact energy norm on J' \\ J over the last load.  The nodal model fills
+one (4 nst + 1, n) load buffer per iteration, a block of
+``picard._LOAD_STEPS`` steps at a time, instead of building the
+interpolated states and the loads of the whole window, and its certificate
+transforms that buffer again instead of evaluating a load twice.  The loads
+must equal the whole-window evaluation bit for bit, and a window's working
+set must stay a small multiple of one load array; with the triads it must
+stay below a quarter of one.
 """
 
 import tracemalloc
@@ -18,6 +23,7 @@ from degenwave import (DegenerateDamping, LinearDamping, PicardConfig,
                        PrimitiveDamping, assemble, matrix_exponential,
                        mesh_from_h, picard, picard_solve)
 from degenwave.experiments import mode_initial_state
+from degenwave.linop import Propagator
 from degenwave.linwave import sweep
 from picard_reference import interp_abscissae
 
@@ -36,9 +42,15 @@ def test_streamed_loads_equal_the_whole_window(ops99, rng, forcing, nst):
     states = rng.standard_normal((nst + 1, 2 * n))
     expected = forcing.load(ops99, interp_abscissae(states[:, :n]),
                             interp_abscissae(states[:, n:]))
-    out = np.full((4 * nst + 1, n), np.nan)   # every row must be written
-    got = picard._abscissa_loads(ops99, forcing, states, lambda rows: rows, out)
-    assert got is out
+    # the identity as sine basis, with unit frequencies and masses: the
+    # amplitudes u + i v synthesize to the states (u, v) exactly, and on all
+    # modes the transformed loads are the loads themselves
+    identity = Propagator(step=DELTA, sine=np.eye(n), omega=np.ones(n),
+                          mu=np.ones(n), powers=())
+    model = picard._NodalLoad(ops99, forcing, identity, np.arange(n), np.arange(0))
+    model.last = np.full((4 * nst + 1, n), np.nan)   # every row must be written
+    got = model.abscissae(states[:, :n] + 1j * states[:, n:])
+    assert got is model.last
     np.testing.assert_array_equal(got, expected)
 
 
@@ -75,9 +87,9 @@ def test_triad_window_holds_no_load_array(monkeypatch):
     # stays on a few modes, whose forcing the triad sums give without any
     # nodal load row
     def no_nodal_loads(*args):
-        raise AssertionError("the triad path forms no nodal loads")
+        raise AssertionError("the triads form no nodal loads")
 
-    monkeypatch.setattr(picard, "_abscissa_loads", no_nodal_loads)
+    monkeypatch.setattr(picard, "_NodalLoad", no_nodal_loads)
     ops = fine_operators()
     config = PicardConfig(t_final=2.0, delta=DELTA)
     data = mode_initial_state(ops, 1)
