@@ -15,8 +15,7 @@ import numpy as np
 
 from .linop import energy, h1_norm, l2_norm
 from .linwave import ModalTrajectory, Trajectory
-from .mesh import (Mesh, SpatialOperators, hat_load_from_values,
-                   values_at_gauss, whole_steps)
+from .mesh import Mesh, SpatialOperators, whole_steps
 from .multistep import ab5_init, ab5_step
 from .picard import (PicardConfig, PicardResult, PrimitiveDamping,
                      picard_solve)
@@ -187,22 +186,17 @@ def primitive_setup(k: int, m: int, ops: SpatialOperators,
                     alpha: float = 1.0) -> PrimitiveSetup:
     """Solve the elliptic problem for the displacement potential.
 
-    The antiderivative damping is evaluated on the piecewise-linear
-    interpolant of the initial displacement (the same object the wave solver
-    evolves), integrated per element with Gauss points matching its degree.
+    Its load is the primitive damping's own exact load, taken with the
+    piecewise-linear interpolant of the initial displacement (the same
+    object the wave solver evolves) as the velocity.
     """
-    mesh = ops.mesh
     damping = PrimitiveDamping(alpha=alpha, m=m)
     data = mode_initial_state(ops, k)
-    u0 = data.y0[: mesh.n]
-    npts = max(4, m + 2)
-    _, xi, w = mesh.element_gauss(npts)
-    vals = damping.antiderivative(values_at_gauss(mesh, u0, xi))
-    load = hat_load_from_values(mesh, vals, xi, w)
-    # K phi0 = -load, solved in the sine modes that diagonalize K
+    u0 = data.y0[: ops.mesh.n]
+    # K phi0 = -(g(u0), phi_i) = damping.load(u0, u0), in the sine modes of K
     sine = ops.sine_basis()
     _, kappa = ops.sine_eigenvalues()
-    phi0 = sine @ (sine @ -load / kappa)
+    phi0 = sine @ (sine @ damping.load(ops, u0, u0) / kappa)
     return PrimitiveSetup(k=k, m=m, alpha=alpha, data=data, phi0=phi0,
                           damping=damping)
 

@@ -2,15 +2,16 @@
 
 Everything here works with homogeneous Dirichlet conditions, imposed by
 keeping only the interior nodes as degrees of freedom.  The assembled
-operators (mass, stiffness, and the rank-4 hat-product tensor) are exact:
-all entries come from closed-form integration of piecewise-linear products,
-not from quadrature.
+operators (mass, stiffness, and the rank-4 hat-product tensor) and the
+power loads are exact: all entries come from closed-form integration of
+piecewise-linear products, not from quadrature.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
+from math import factorial
 
 import numpy as np
 
@@ -26,34 +27,6 @@ class Mesh:
     n: int
     h: float
     nodes: np.ndarray
-
-    @property
-    def nodes_full(self) -> np.ndarray:
-        """All grid points including both boundary points."""
-        return np.concatenate(([0.0], self.nodes, [1.0]))
-
-    def element_gauss(self, npts: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Gauss-Legendre rule mapped to every element.
-
-        Returns ``(x, xi, w)`` where ``x`` has shape (n+1, npts) with the
-        physical quadrature points per element, ``xi`` the reference
-        coordinates in (0, 1) and ``w`` the reference weights (summing to 1;
-        multiply by ``h`` for physical measure).
-        """
-        xi, w = gauss_rule(npts)
-        left = self.nodes_full[:-1]
-        return left[:, None] + self.h * xi[None, :], xi, w
-
-
-@lru_cache(maxsize=None)
-def gauss_rule(npts: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``npts``-point Gauss-Legendre rule on (0, 1): the abscissae
-    and the weights (summing to 1), built once per ``npts``."""
-    gp, gw = np.polynomial.legendre.leggauss(npts)
-    xi, w = 0.5 * (gp + 1.0), 0.5 * gw
-    for a in (xi, w):
-        a.flags.writeable = False
-    return xi, w
 
 
 def build_mesh(n: int) -> Mesh:
@@ -179,6 +152,34 @@ def _pad(x: np.ndarray) -> np.ndarray:
     return np.concatenate([z, x, z], axis=-1)
 
 
+def power_load(mesh: Mesh, x: np.ndarray, p: int, v: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """The exact load (x^p v, phi_i), p >= 1, of the interpolants of the
+    nodal ``x`` and ``v`` (batched, node axis last), into ``out`` if given.
+
+    On an element with ends xL, xR and vL, vR, the moments of x^p v against
+    the hats are Beta integrals int_0^1 (1-s)^a s^b ds = a! b!/(a+b+1)!.
+    With e_k = xL^(p-k) xR^k and A, B, C its sums weighted by (p-k+1)(p-k+2),
+    (p-k+1)(k+1) and (k+1)(k+2), the element adds h p!/(p+3)! times
+    vL A + vR B at its left node and vL B + vR C at its right one (at p = 2,
+    ``QuarticTensor``'s weights).
+    """
+    xp, vp = _pad(x), _pad(v)
+    powers = [None, xp]
+    for _ in range(p - 1):
+        powers.append(powers[-1] * xp)
+    e = np.empty((p + 1,) + xp[..., 1:].shape)
+    e[0], e[p] = powers[p][..., :-1], powers[p][..., 1:]
+    for k in range(1, p):
+        np.multiply(powers[p - k][..., :-1], powers[k][..., 1:], e[k])
+    k = np.arange(p + 1.0)
+    weights = np.array([(p - k + 1) * (p - k + 2), (p - k + 1) * (k + 1), (k + 1) * (k + 2)])
+    a, b, c = np.tensordot(weights * (mesh.h * factorial(p) / factorial(p + 3)), e, 1)
+    vL, vR = vp[..., :-1], vp[..., 1:]
+    out = np.empty(np.shape(v)) if out is None else out
+    return np.add((vL * a + vR * b)[..., 1:], (vL * b + vR * c)[..., :-1], out)
+
+
 @dataclass(eq=False)
 class SpatialOperators:
     """Assembled mass/stiffness matrices and the quartic hat tensor.
@@ -274,26 +275,3 @@ def assemble(mesh: Mesh) -> SpatialOperators:
         stiffness_off=np.full(n - 1, -1.0 / h),
         quartic=QuarticTensor(mesh),
     )
-
-
-def hat_load_from_values(mesh: Mesh, vals: np.ndarray, xi: np.ndarray,
-                         w: np.ndarray) -> np.ndarray:
-    """Assemble (f, phi_i) from integrand samples at element Gauss points.
-
-    ``vals`` has shape (..., n+1, npts) matching ``mesh.element_gauss``.
-    """
-    h = mesh.h
-    sL = h * np.sum(vals * ((1.0 - xi) * w), axis=-1)
-    sR = h * np.sum(vals * (xi * w), axis=-1)
-    return sL[..., 1:] + sR[..., :-1]
-
-
-def values_at_gauss(mesh: Mesh, u: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Evaluate the nodal field ``u`` at the per-element Gauss points.
-
-    ``u`` may be batched with the node axis last; the result gains the two
-    trailing axes (element, gauss point).
-    """
-    up = _pad(u)
-    uL, uR = up[..., :-1], up[..., 1:]
-    return uL[..., None] * (1.0 - xi) + uR[..., None] * xi

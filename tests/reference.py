@@ -1,19 +1,22 @@
 """Definitions that only tests call, beside the ones a run executes.
 
-Dense copies of the assembled operators, single tensor entries, the L^2
-projection, nodal trajectories read in blocks, the nodal form of the
-Duhamel sweep and the linear solver built on it, and the diagnostics that
-compare a run with the undamped flow, with an analytic field or with the a
-priori contraction bound.  A ``degenwave`` run uses none of them; the
-tests hold the package's fast paths against them.
+Dense copies of the assembled operators, single tensor entries, per-element
+Gauss quadrature and the L^2 projection on it, nodal trajectories read in
+blocks, the nodal form of the Duhamel sweep and the linear solver built on
+it, and the diagnostics that compare a run with the undamped flow, with
+an analytic field or with the a priori contraction bound.  A ``degenwave``
+run uses none of them; the tests hold the package's fast paths against
+them.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
 from degenwave.experiments import EnergyTrace
 from degenwave.linop import matrix_exponential
 from degenwave.linwave import BLOCK_ROWS, BOOLE_WEIGHTS, Trajectory, sweep
-from degenwave.mesh import hat_load_from_values, whole_steps
+from degenwave.mesh import _pad, whole_steps
 
 
 # -- dense views of the assembled operators ------------------------------------
@@ -51,11 +54,62 @@ def quartic_entry(quartic, p: int, q: int, r: int, s: int) -> float:
     return quartic.value_aabb
 
 
-# -- loads and projection -------------------------------------------------------
+# -- quadrature, loads and projection -------------------------------------------
+
+def nodes_full(mesh) -> np.ndarray:
+    """All grid points including both boundary points."""
+    return np.concatenate(([0.0], mesh.nodes, [1.0]))
+
+
+@lru_cache(maxsize=None)
+def gauss_rule(npts: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``npts``-point Gauss-Legendre rule on (0, 1): the abscissae
+    and the weights (summing to 1), built once per ``npts``."""
+    gp, gw = np.polynomial.legendre.leggauss(npts)
+    xi, w = 0.5 * (gp + 1.0), 0.5 * gw
+    for a in (xi, w):
+        a.flags.writeable = False
+    return xi, w
+
+
+def element_gauss(mesh, npts: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Legendre rule mapped to every element.
+
+    Returns ``(x, xi, w)`` where ``x`` has shape (n+1, npts) with the
+    physical quadrature points per element, ``xi`` the reference
+    coordinates in (0, 1) and ``w`` the reference weights (summing to 1;
+    multiply by ``h`` for physical measure).
+    """
+    xi, w = gauss_rule(npts)
+    return nodes_full(mesh)[:-1, None] + mesh.h * xi[None, :], xi, w
+
+
+def values_at_gauss(mesh, u: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Evaluate the nodal field ``u`` at the per-element Gauss points.
+
+    ``u`` may be batched with the node axis last; the result gains the two
+    trailing axes (element, gauss point).
+    """
+    up = _pad(u)
+    uL, uR = up[..., :-1], up[..., 1:]
+    return uL[..., None] * (1.0 - xi) + uR[..., None] * xi
+
+
+def hat_load_from_values(mesh, vals: np.ndarray, xi: np.ndarray,
+                         w: np.ndarray) -> np.ndarray:
+    """Assemble (f, phi_i) from integrand samples at element Gauss points.
+
+    ``vals`` has shape (..., n+1, npts) matching ``element_gauss``.
+    """
+    h = mesh.h
+    sL = h * np.sum(vals * ((1.0 - xi) * w), axis=-1)
+    sR = h * np.sum(vals * (xi * w), axis=-1)
+    return sL[..., 1:] + sR[..., :-1]
+
 
 def hat_load(mesh, g, npts: int = 4) -> np.ndarray:
     """Load vector (g, phi_i) by per-element Gauss quadrature."""
-    x, xi, w = mesh.element_gauss(npts)
+    x, xi, w = element_gauss(mesh, npts)
     vals = np.asarray(g(x), dtype=float)
     return hat_load_from_values(mesh, vals, xi, w)
 
@@ -160,7 +214,7 @@ def continuum_energy_error(mesh, state: np.ndarray, ux_exact, v_exact,
     """
     n = mesh.n
     u, v = state[:n], state[n:]
-    x, xi, w = mesh.element_gauss(npts)
+    x, xi, w = element_gauss(mesh, npts)
     up = np.concatenate([[0.0], u, [0.0]])
     vp = np.concatenate([[0.0], v, [0.0]])
     du = (up[1:] - up[:-1]) / mesh.h          # piecewise-constant derivative

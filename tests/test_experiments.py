@@ -6,7 +6,8 @@ from degenwave import (EnergyTrace, assemble, build_mesh,
                        frequency_sweep, h1_norm, l2_norm,
                        lower_order_decay, mode_initial_state, primitive_setup,
                        primitive_solve)
-from reference import conservative_comparison, continuum_energy_error
+from reference import (conservative_comparison, continuum_energy_error, gauss_rule,
+                       hat_load_from_values, values_at_gauss)
 
 
 class TestModeInitialState:
@@ -95,6 +96,22 @@ class TestPrimitiveSetup:
             u0 = setup.data.y0[:99]
             ratios[k] = h1_norm(ops99, setup.phi0) / l2_norm(ops99, u0)
         assert all(ratios[k] <= ratios[1] * 1.01 for k in (2, 4, 8))
+
+    @pytest.mark.parametrize("n", [99, 499])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_potential_matches_gauss(self, m, n):
+        # the potential's load is the primitive damping's own exact load; a
+        # Gauss rule exact for g(u0) = alpha u0^(2m+1)/(2m+1) gives the same
+        ops = assemble(build_mesh(n))
+        setup = primitive_setup(3, m, ops, alpha=0.7)
+        u0 = setup.data.y0[:n]
+        xi, w = gauss_rule(max(4, m + 2))
+        g = 0.7 * values_at_gauss(ops.mesh, u0, xi) ** (2 * m + 1) / (2 * m + 1)
+        load = hat_load_from_values(ops.mesh, g, xi, w)
+        sine = ops.sine_basis()
+        _, kappa = ops.sine_eigenvalues()
+        want = sine @ (sine @ -load / kappa)
+        assert np.abs(setup.phi0 - want).max() <= 1e-14 * np.abs(want).max()
 
     def test_initial_energy_identity(self, ops99):
         # 2 E_phi(0) = |phi0|_1^2 + |u0|_0^2 by construction

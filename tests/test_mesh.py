@@ -8,11 +8,13 @@ from scipy.linalg import eigh
 
 from degenwave import assemble, build_mesh, mesh_from_h
 from degenwave import mesh as mesh_module
-from degenwave.mesh import values_at_gauss, whole_steps
+from degenwave.mesh import whole_steps
 from contract_reference import allocating_contract
 from mass_reference import banded_mass_solve
-from reference import (dense_mass, dense_stiffness, hat_load, l2_project,
-                       max_generalized_eigenvalue, quartic_entry)
+from reference import (dense_mass, dense_stiffness, element_gauss, gauss_rule,
+                       hat_load, hat_load_from_values, l2_project,
+                       max_generalized_eigenvalue, nodes_full, quartic_entry,
+                       values_at_gauss)
 
 
 def gauss_integrate(f, a, b, npts=8):
@@ -137,7 +139,7 @@ class TestAssemble:
         # independent integration of hat products for a small mesh
         mesh = build_mesh(4)
         ops = assemble(mesh)
-        pts = mesh.nodes_full
+        pts = nodes_full(mesh)
         for i in range(1, 5):
             for j in range(1, 5):
                 fi, fj = hat(mesh, i), hat(mesh, j)
@@ -171,7 +173,7 @@ class TestQuarticTensor:
     def test_values_against_quadrature(self):
         mesh = build_mesh(5)
         ops = assemble(mesh)
-        pts = mesh.nodes_full
+        pts = nodes_full(mesh)
         for idx in [(2, 2, 2, 2), (2, 2, 2, 3), (2, 2, 3, 3), (2, 3, 3, 3),
                     (1, 1, 2, 2), (2, 2, 2, 4), (1, 3, 3, 3)]:
             fs = [hat(mesh, i) for i in idx]
@@ -193,7 +195,7 @@ class TestQuarticTensor:
         ops = assemble(mesh)
         a, b, c = rng.normal(size=(3, 8))
         result = ops.quartic.contract(a, b, c)
-        pts = mesh.nodes_full
+        pts = nodes_full(mesh)
 
         def field(coef):
             def f(x):
@@ -348,7 +350,7 @@ class TestProjections:
         ops = assemble(mesh)
         g = lambda x: np.sin(np.pi * x)
         gp = lambda x: np.pi * np.cos(np.pi * x)
-        pts = mesh.nodes_full
+        pts = nodes_full(mesh)
         load = np.zeros(17)
         for i in range(1, 18):
             # phi_i' = +1/h then -1/h on the two supporting elements
@@ -392,7 +394,7 @@ class TestQuadratureHelpers:
         mesh = build_mesh(7)
         g = lambda x: x**2 * (1 - x)
         load = hat_load(mesh, g)
-        pts = mesh.nodes_full
+        pts = nodes_full(mesh)
         for i in range(1, 8):
             exact = sum(gauss_integrate(lambda x: g(x) * hat(mesh, i)(x),
                                         pts[e], pts[e + 1])
@@ -402,9 +404,40 @@ class TestQuadratureHelpers:
     def test_values_at_gauss_linear_exact(self, rng):
         mesh = build_mesh(7)
         u = rng.normal(size=7)
-        x, xi, _ = mesh.element_gauss(3)
+        x, xi, _ = element_gauss(mesh, 3)
         vals = values_at_gauss(mesh, u, xi)
         up = np.concatenate([[0.0], u, [0.0]])
         for e in range(8):
-            lin = up[e] + (up[e + 1] - up[e]) * (x[e] - mesh.nodes_full[e]) / mesh.h
+            lin = up[e] + (up[e + 1] - up[e]) * (x[e] - nodes_full(mesh)[e]) / mesh.h
             np.testing.assert_allclose(vals[e], lin, atol=1e-14)
+
+
+def gauss_power_load(mesh, x, p, v):
+    """(x^p v, phi_i) by per-element Gauss, exact through the degree p + 2."""
+    xi, w = gauss_rule(p // 2 + 2)
+    values = values_at_gauss(mesh, x, xi) ** p * values_at_gauss(mesh, v, xi)
+    return hat_load_from_values(mesh, values, xi, w)
+
+
+class TestPowerLoad:
+    @pytest.mark.parametrize("shape", [(), (129,)], ids=["vector", "block"])
+    @pytest.mark.parametrize("p", [2, 4, 6])
+    @pytest.mark.parametrize("n", [1, 3, 99, 499])
+    def test_matches_gauss(self, n, p, shape):
+        mesh = build_mesh(n)
+        x, v = np.random.default_rng(10 * n + p).normal(size=(2,) + shape + (n,))
+        want = gauss_power_load(mesh, x, p, v)
+        got = mesh_module.power_load(mesh, x, p, v)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 2e-15 * np.abs(want).max()
+        out = np.full(want.shape, np.nan)
+        assert mesh_module.power_load(mesh, x, p, v, out) is out
+        assert np.array_equal(out, got)
+
+    @pytest.mark.parametrize("n", [1, 3, 99, 499])
+    def test_square_is_the_quartic_contraction(self, n):
+        ops = assemble(build_mesh(n))
+        x, v = np.random.default_rng(n).normal(size=(2, 129, n))
+        want = ops.quartic.contract(x, x, v)
+        got = mesh_module.power_load(ops.mesh, x, 2, v)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()

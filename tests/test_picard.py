@@ -7,9 +7,9 @@ from degenwave import (AnsatzProblem, DegenerateDamping, LinearDamping,
                        PrimitiveDamping, assemble, build_mesh, energy,
                        energy_norm, picard, picard_solve)
 from degenwave.experiments import mode_initial_state
-from degenwave.mesh import hat_load_from_values, values_at_gauss
-from reference import (estimate_contraction, nodal_sweep, nodal_trajectory,
-                       solve_linear_inhomogeneous)
+from reference import (estimate_contraction, hat_load_from_values, nodal_sweep,
+                       nodal_trajectory, nodes_full, solve_linear_inhomogeneous,
+                       values_at_gauss)
 
 
 def quadrature_projection(ops, pointwise, npts=20):
@@ -18,7 +18,7 @@ def quadrature_projection(ops, pointwise, npts=20):
     gp, gw = leggauss(npts)
     xi = 0.5 * (gp + 1)
     w = 0.5 * gw
-    x = mesh.nodes_full[:-1][:, None] + mesh.h * xi
+    x = nodes_full(mesh)[:-1][:, None] + mesh.h * xi
     load = np.zeros(mesh.n)
     vals = pointwise(x)
     sL = mesh.h * np.sum(vals * (1 - xi) * w, axis=1)
@@ -36,6 +36,17 @@ def interp(mesh, coef):
         return up[idx] * (1 - frac) + up[np.minimum(idx + 1, mesh.n + 1)] * frac
 
     return f
+
+
+# everything that takes a damping strength alpha and exponent half m
+DAMPED = [
+    DegenerateDamping,
+    lambda alpha, m: PicardConfig(t_final=1.0, delta=0.1, alpha=alpha, m=m),
+    lambda alpha, m: AnsatzProblem(k=1, c0=1.0, c1=0.0, alpha=alpha, m=m,
+                                   mesh=build_mesh(2)),
+    lambda alpha, m: OscillatorProblem(khat=1.0, alpha=alpha, m=m, x0=1.0, x1=0.0),
+    PrimitiveDamping]
+DAMPED_IDS = ["damping", "picard", "ansatz", "oscillator", "primitive"]
 
 
 class TestForcingModels:
@@ -66,9 +77,9 @@ class TestForcingModels:
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_squared_powers_match_float_powers(self, ops99, rng, m):
-        # the m >= 2 loads raise the Gauss values by repeated squaring; the
-        # float-power path they replaced, with a fresh Legendre rule, must
-        # agree to rounding on a batch of (u, v) rows
+        # the m >= 2 loads are exact Beta-moment sums; a Gauss path with
+        # float powers and a fresh Legendre rule must agree to rounding on a
+        # batch of (u, v) rows
         mesh = ops99.mesh
         u, v = rng.normal(size=(2, 7, mesh.n))
         npts = max(4, (2 * m + 4) // 2)
@@ -153,17 +164,17 @@ class TestForcingModels:
 
     @pytest.mark.parametrize("alpha,m", [(np.nan, 1), (np.inf, 1), (-np.inf, 1),
                                          (1.0, np.inf), (1.0, np.nan)])
-    @pytest.mark.parametrize("build", [
-        DegenerateDamping,
-        lambda alpha, m: PicardConfig(t_final=1.0, delta=0.1, alpha=alpha, m=m),
-        lambda alpha, m: AnsatzProblem(k=1, c0=1.0, c1=0.0, alpha=alpha, m=m,
-                                       mesh=build_mesh(2)),
-        lambda alpha, m: OscillatorProblem(khat=1.0, alpha=alpha, m=m,
-                                           x0=1.0, x1=0.0)],
-        ids=["damping", "picard", "ansatz", "oscillator"])
+    @pytest.mark.parametrize("build", DAMPED, ids=DAMPED_IDS)
     def test_non_finite_parameters_rejected(self, build, alpha, m):
         # alpha < 0 is false for NaN, and int(inf) overflows
         with pytest.raises(ValueError, match="alpha must be finite|exponent half m"):
+            build(alpha, m)
+
+    @pytest.mark.parametrize("alpha,m,field", [(True, 1, "alpha"), (1.0, True, "m")])
+    @pytest.mark.parametrize("build", DAMPED, ids=DAMPED_IDS)
+    def test_boolean_parameters_rejected(self, build, alpha, m, field):
+        # before, each was built with alpha 1.0 and m 1, or kept True
+        with pytest.raises(ValueError, match=f"{field} must be"):
             build(alpha, m)
 
     @pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf, -1.0, True])
@@ -185,8 +196,17 @@ class TestConfig:
 
     @pytest.mark.parametrize("t_final", [np.inf, np.nan])
     def test_non_finite_horizon_rejected(self, t_final):
-        with pytest.raises(ValueError, match="delta must divide t_final"):
+        with pytest.raises(ValueError, match="t_final must be finite and positive"):
             PicardConfig(t_final=t_final, delta=0.002)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("name", ["delta", "epsilon", "window"])
+    def test_non_finite_fields_rejected(self, name, value):
+        # before, epsilon = inf accepted every window after one iteration,
+        # and a NaN delta or window failed as "delta must divide t_final"
+        fields = dict(t_final=1.0, delta=0.1, epsilon=1e-8, window=1.0)
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            PicardConfig(**{**fields, name: value})
 
     def test_positive_fields(self):
         with pytest.raises(ValueError):
