@@ -27,8 +27,8 @@ from .experiments import (EnergyTrace, check_resolved,
                           closed_form_potential_m1, decay_rate_fit,
                           dissipation_exponent, extend_traces,
                           extend_with_ab5, frequency_sweep, lower_order_decay,
-                          mode_initial_state, primitive_setup, primitive_solve)
-from .linop import energy
+                          modal_norms, mode_initial_state, primitive_setup,
+                          primitive_solve)
 from .linwave import Trajectory, analytic_linear_damped
 from .mesh import assemble, mesh_from_h, whole_steps
 from .multistep import BlowupError
@@ -306,9 +306,9 @@ SPLICE_WINDOW = 0.2
 
 
 def _check_splice(runs, ops, forcing) -> list:
-    """Restart AB5 from the Picard states SPLICE_WINDOW before the splice,
-    all runs in one extension, and require each to reproduce its Picard
-    energy history up to the splice.
+    """Restart AB5 from the Picard amplitudes SPLICE_WINDOW before the
+    splice, on the active modes there, all runs in one extension, and
+    require each to reproduce its Picard energy history up to the splice.
 
     Returns one (name, ok, detail) line per run for ``_report_line``; ok is
     None when the trajectories are too short to restart.  The tolerance is
@@ -332,9 +332,9 @@ def _check_splice(runs, ops, forcing) -> list:
     gaps = np.zeros(len(runs))
 
     def observe(j0, block):
-        e = energy(ops, block)
-        np.maximum(gaps, np.abs(e - picard[:, j0:j0 + e.shape[1]]).max(axis=1),
-                   out=gaps)
+        for i, (modes, z) in enumerate(block):
+            e = modal_norms(traj.propagator, modes, z)[0]
+            gaps[i] = max(gaps[i], np.abs(e - picard[i, j0:j0 + len(e)]).max())
 
     extend_with_ab5(heads, ops, forcing, traj.times[-1], observe)
     lines = []

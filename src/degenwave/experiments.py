@@ -13,11 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linop import energy, h1_norm, l2_norm
+from .linop import Propagator, energy, h1_norm, l2_norm
 from .linwave import ModalTrajectory, Trajectory
 from .mesh import Mesh, SpatialOperators, whole_steps
 from .multistep import ab5_init, ab5_step
-from .picard import (PicardConfig, PicardResult, PrimitiveDamping,
+from .picard import (DETECT, TOL, _DETECT_ROWS, PicardConfig, PicardResult,
+                     PrimitiveDamping, _mode_energy, _Triads, load_model,
                      picard_solve)
 
 
@@ -102,25 +103,14 @@ class EnergyTrace:
 
     @classmethod
     def from_modal(cls, traj: ModalTrajectory) -> "EnergyTrace":
-        """The trace straight from the amplitudes, with no nodal row.
-
-        Per sine mode S u = Re z / omega and S v = Im z, and S M S =
-        diag(mu), S K S = diag(mu omega^2), so E = 1/2 sum mu |z|^2,
-        |u|_1^2 = sum mu (Re z)^2 and |u|_0^2 = sum mu (Re z / omega)^2.
-        Row 0 takes every mode of ``y0``.
-        """
+        """The trace straight from the amplitudes by ``modal_norms``, with
+        no nodal row.  Row 0 takes every mode of ``y0``."""
         prop = traj.propagator
-        squares = np.empty((3, len(traj.times)))   # 2E, |u|_1^2, |u|_0^2
-        i = 0
-        for modes, z in [(slice(None), prop.modal(traj.y0)[None])] + [
-                (modes, z[1:]) for modes, z in traj.segments]:
-            mu, omega = prop.mu[modes], prop.omega[modes]
-            stiff = z.real ** 2 @ mu
-            squares[:, i:i + len(z)] = (stiff + z.imag ** 2 @ mu, stiff,
-                                        (z.real / omega) ** 2 @ mu)
-            i += len(z)
-        return cls(times=traj.times.copy(), energy=0.5 * squares[0],
-                   l2=np.sqrt(squares[2]), h1=np.sqrt(squares[1]))
+        energy, l2, h1 = (np.concatenate(parts) for parts in zip(*(
+            modal_norms(prop, modes, z) for modes, z in
+            [(slice(None), prop.modal(traj.y0)[None])]
+            + [(modes, z[1:]) for modes, z in traj.segments])))
+        return cls(times=traj.times.copy(), energy=energy, l2=l2, h1=h1)
 
 
 # -- frequency sweep -------------------------------------------------------------
@@ -254,6 +244,11 @@ def primitive_solve(setup: PrimitiveSetup, ops: SpatialOperators,
 
 # output steps per block handed to an extension's observer
 EXTENSION_BLOCK = 256
+# steps per chunk of an extension searched for new modes, a divisor of
+# EXTENSION_BLOCK: a longer chunk is searched less often and stepped again
+# for longer when J widens; fig3-short's extension (one thread, min of 4)
+# took 0.214, 0.205, 0.197, 0.201 and 0.222 s at 16, 32, 64, 128 and 256
+_CHUNK_STEPS = 64
 
 
 def _extension_grid(trajs: list, t_final: float) -> tuple:
@@ -268,77 +263,236 @@ def _extension_grid(trajs: list, t_final: float) -> tuple:
                                   least=0)
 
 
+class _StackedTriads:
+    """Several runs' ``_Triads`` in one pair of batched products.  ``at``
+    takes a (runs, width) array, each run's amplitudes on its J
+    zero-padded to the widest J (``omega`` reads one there), and each
+    run's coefficients are zero-padded alike."""
+
+    def __init__(self, models: list, omega: np.ndarray):
+        self.forcing, self.omega = models[0].forcing, omega
+        runs, width = omega.shape
+        pairs = max(len(model.p) for model in models)
+        # C[run, pair, c, s], and each pair's factors' flat indices into x
+        c = np.zeros((runs, pairs, width, width))
+        self.p, self.q = np.zeros((2, runs, pairs), int)
+        for row, model in enumerate(models):
+            k, j = len(model.p), len(model.active)
+            c[row, :k, :j, :j] = model.on.reshape(k, j, j)
+            self.p[row, :k], self.q[row, :k] = row * width + model.p, row * width + model.q
+        self.coefficients = c.reshape(runs, pairs, width * width)
+
+    def at(self, z: np.ndarray) -> np.ndarray:
+        """The sine coefficients g on each J of the stacked amplitudes ``z``."""
+        b = z.imag
+        x = self.forcing.squared(z.real / self.omega, b)
+        pairs = x.take(self.p) * x.take(self.q)
+        s = np.matmul(pairs[:, None], self.coefficients)
+        return np.matmul(b[:, None], s.reshape(b.shape + (-1,)))[:, 0]
+
+
+class _StackedNodal:
+    """Several runs' ``_NodalLoad`` in one load call.  ``at`` takes the
+    amplitudes as ``_StackedTriads.at`` does; each run's sine rows S[J, :],
+    zero-padded alike, synthesize its nodal row and transform its load
+    back."""
+
+    def __init__(self, models: list, omega: np.ndarray):
+        self.ops, self.forcing, self.omega = models[0].ops, models[0].forcing, omega
+        self.sines = np.zeros(omega.shape + (models[0].ops.mesh.n,))
+        self.mu = np.ones(omega.shape)
+        for sine, mu, model in zip(self.sines, self.mu, models):
+            sine[:len(model.active)], mu[:len(model.active)] = model.prop.sine.T, model.prop.mu
+
+    def at(self, z: np.ndarray) -> np.ndarray:
+        """The sine coefficients g on each J of the stacked amplitudes ``z``."""
+        u = np.matmul((z.real / self.omega)[:, None], self.sines)[:, 0]
+        v = np.matmul(z.imag[:, None], self.sines)[:, 0]
+        load = self.forcing.load(self.ops, u, v)
+        g = np.matmul(self.sines, load[:, :, None])[..., 0]
+        g /= self.mu
+        return g
+
+
+class _Members:
+    """The active sets J_i of the runs extended together, stacked: run i's
+    amplitudes fill the first |J_i| columns of a (runs, max |J_i|) array
+    and are zero beyond, where ``omega`` reads one and ``mu`` zero.
+
+    Each run keeps its Picard load model (``picard.load_model``), rebuilt
+    only when its J changes, for the search of new modes.  ``at`` gives the
+    forcing's sine coefficients on every J_i: the runs with triads in one
+    ``_StackedTriads``, the others in one ``_StackedNodal``.
+    """
+
+    def __init__(self, ops, forcing, full: Propagator, actives: list,
+                 old: "_Members | None" = None):
+        self.full, self.actives = full, actives
+        self.models = [old.models[i] if old is not None
+                       and np.array_equal(active, old.actives[i])
+                       else load_model(ops, forcing, full, active, single_rows=True)
+                       for i, active in enumerate(actives)]
+        width = self.width = max(len(a) for a in actives)
+        self.omega, self.mu = np.ones((len(actives), width)), np.zeros((len(actives), width))
+        for omega, mu, active in zip(self.omega, self.mu, actives):
+            omega[:len(active)], mu[:len(active)] = full.omega[active], full.mu[active]
+        self.neg_i_omega = -1j * self.omega
+        self.half_mu = np.repeat(0.5 * self.mu, 2, axis=1)   # of the float view
+        triads = [i for i, m in enumerate(self.models) if isinstance(m, _Triads)]
+        nodal = [i for i, m in enumerate(self.models) if not isinstance(m, _Triads)]
+        # (runs, columns, group): a group's columns are its widest J
+        self.groups = []
+        for runs in (triads, nodal):
+            if runs:
+                cols = max(len(actives[i]) for i in runs)
+                stack = _StackedTriads if runs is triads else _StackedNodal
+                group = stack([self.models[i] for i in runs], self.omega[runs, :cols])
+                self.groups.append((runs if len(runs) < len(actives) else slice(None),
+                                    cols, group))
+
+    def at(self, z: np.ndarray) -> np.ndarray:
+        """The sine coefficients g on each J_i of the stacked amplitudes ``z``."""
+        if len(self.groups) == 1:
+            return self.groups[0][2].at(z)
+        g = np.zeros(z.shape)
+        for runs, cols, group in self.groups:
+            g[runs, :cols] = group.at(z[runs, :cols])
+        return g
+
+    def widened(self, z: np.ndarray, levels: np.ndarray) -> list | None:
+        """Each J_i widened by the modes of its reach where the forcing of
+        the stacked amplitude rows ``z`` (rows, runs, width) exceeds
+        ``levels[i]`` in energy norm; None if no J widens."""
+        actives, grew = [], False
+        for i, (active, model, level) in enumerate(zip(self.actives, self.models, levels)):
+            if len(model.off):
+                reach = model.at(z[:, i, :len(active)], off=True)
+                new = model.off[np.sqrt(self.full.mu[model.off])
+                                * np.abs(reach).max(axis=0) > level]
+                if len(new):
+                    active, grew = np.sort(np.concatenate([active, new])), True
+            actives.append(active)
+        return actives if grew else None
+
+    def place(self, old: "_Members", z: np.ndarray) -> np.ndarray:
+        """Stacked amplitudes ``z`` (..., runs, old.width) laid out by
+        ``old``, moved to this layout; zero on the modes ``old`` lacks."""
+        out = np.zeros(z.shape[:-1] + (self.width,), complex)
+        for i, (was, active) in enumerate(zip(old.actives, self.actives)):
+            out[..., i, np.searchsorted(active, was)] = z[..., i, :len(was)]
+        return out
+
+
 def extend_with_ab5(trajs: list, ops: SpatialOperators, forcing,
                     t_final: float, observe) -> None:
     """Extend the trajectories ``trajs`` to ``t_final`` by AB5 in the
-    rotating sine frame, all in one loop, keeping no extended history.
+    rotating sine frame, all in one loop, each on its active modes,
+    keeping no extended history.
 
-    The ``ModalTrajectory`` inputs share one time grid; only the amplitudes
-    of their last five rows are read.  Output step j, at
-    t1 + (j + 1) delta with t1 the grid's end, reaches ``observe(j0, block)``
-    in blocks of at most ``EXTENSION_BLOCK`` steps: ``block`` has shape
-    (len(trajs), b, 2n), its row i is step j0 + i, and it is overwritten
-    once ``observe`` returns.
+    The ``ModalTrajectory`` inputs share one time grid; only their last
+    window's modes J and the amplitudes of their last five rows are read.
+    Output step j, at t1 + (j + 1) delta with t1 the grid's end, reaches
+    ``observe(j0, block)`` in blocks of at most ``EXTENSION_BLOCK`` steps:
+    ``block`` holds one (J, z) per run, z the (b, |J|) complex amplitudes
+    on the run's modes J (as in ``ModalTrajectory.segments``), row i being
+    step j0 + i; z is overwritten once ``observe`` returns.
 
     The modal amplitudes z of ``Propagator.modal`` rotate exactly as
     exp(-i omega t) under the linear flow, so w = exp(i omega (t - t1)) z
     moves under the forcing alone:
     w' = exp(i omega (t - t1)) i S f(u, v) (Lawson's integrating factor),
-    with S f from the forcing's load by ``Propagator.forcing_modes``.
-    AB5 steps w, as the float view of its complex array (Re, Im pairs),
-    from the last five rows' ``ModalTrajectory.amplitudes``, one step per
-    output step on any mesh.
+    with S f on J from the run's Picard load model (see ``_Members``).  AB5
+    steps w on J, as the float view of its complex array (Re, Im pairs),
+    one step per output step on any mesh.  Each chunk of ``_CHUNK_STEPS``
+    steps is searched as a Picard window is: the forcing on J' \\ J at
+    ``_DETECT_ROWS`` of its rows against DETECT TOL ||y0||_E per unit of
+    time (Picard's level for a unit window).  A run whose forcing reaches
+    a new mode has its J widened, and the chunk is stepped again from its
+    start history on the wider modes.
     ``BlowupError`` stops the run once a member's modal energy
-    1/2 sum mu_j |w_j|^2 exceeds ten times its start.
+    1/2 sum mu_j |w_j|^2 exceeds ten times its largest over the five seed
+    rows; the limit is kept when a chunk is stepped again.
     """
     _, delta, n_out = _extension_grid(trajs, t_final)
     if min(len(tr.times) for tr in trajs) < 5:
         raise ValueError("need five history points to start the scheme")
-    propagator = trajs[0].propagator
-    n, omega = ops.mesh.n, propagator.omega
-    block = np.empty((len(trajs), min(n_out, EXTENSION_BLOCK), 2 * n))
-    # (j delta)(-i omega) rounds as -i (j delta omega): Propagator.phases' values
-    neg_i_omega = -1j * omega
+    full = trajs[0].propagator
+    members = _Members(ops, forcing, full, [tr.segments[-1][0] for tr in trajs])
+    levels = DETECT * TOL * np.sqrt([_mode_energy(full.modal(tr.y0), full.mu)
+                                     for tr in trajs])
+    # the output rows of the block so far, (steps, runs, width)
+    block = np.empty((min(n_out, EXTENSION_BLOCK), len(trajs), members.width), complex)
 
     # AB5 counts time in steps j = (t - t1)/delta, so that every phase is
-    # taken at an exact multiple of delta; in these units w' = delta * g
+    # taken at an exact multiple of delta; in these units w' = delta * g.
+    # (j delta)(-i omega) rounds as -i (j delta omega): Propagator.phases' values
     def rhs(j, y):
-        phase = np.exp((j * delta) * neg_i_omega)
-        state = propagator.nodal(phase * y.view(complex))
+        phase = np.exp((j * delta) * members.neg_i_omega)
+        z = phase * y.view(complex)
         if j > 0:
             # ab5_step evaluates each new step j once: its output row
-            block[:, (int(j) - 1) % EXTENSION_BLOCK] = state
-        g = propagator.forcing_modes(forcing.load(ops, state[:, :n], state[:, n:]))
-        return (1j * delta * phase.conj() * g).view(float)
+            block[(int(j) - 1) % EXTENSION_BLOCK] = z
+        return (1j * delta * phase.conj() * members.at(z)).view(float)
+
+    def norm(y):
+        return (y * y * members.half_mu).sum(axis=-1)
 
     steps = np.arange(-4.0, 1.0)
-    z0 = np.stack([tr.amplitudes(len(tr.times) - 5, len(tr.times))
-                   for tr in trajs], axis=1)
-    w = np.exp(1j * delta * steps[:, None, None] * omega) * z0
-    half_mu = np.repeat(0.5 * propagator.mu, 2)
-    ab = ab5_init(steps, w.view(float), rhs,
-                  norm_fn=lambda y: (y * y) @ half_mu)
-    for j0 in range(0, n_out, EXTENSION_BLOCK):
-        b = min(EXTENSION_BLOCK, n_out - j0)
-        for _ in range(b):
-            ab5_step(ab)
-        observe(j0, block[:, :b])
+    z0 = np.zeros((5, len(trajs), members.width), complex)
+    for i, (tr, active) in enumerate(zip(trajs, members.actives)):
+        z0[:, i, :len(active)] = tr.amplitudes(len(tr.times) - 5, len(tr.times))[:, active]
+    w = np.exp(1j * delta * steps[:, None, None] * members.omega) * z0
+    ab = ab5_init(steps, w.view(float), rhs, norm_fn=norm)
+    limit = ab.norm_limit
+    for j0 in range(0, n_out, _CHUNK_STEPS):
+        c = min(_CHUNK_STEPS, n_out - j0)
+        # the chunk's start history, to step it again from
+        times, history = list(ab.times), np.array(ab.ys).view(complex)
+        picks = j0 % EXTENSION_BLOCK + np.linspace(0, c - 1, _DETECT_ROWS).round().astype(int)
+        while True:
+            for _ in range(c):
+                ab5_step(ab)
+            actives = members.widened(block[picks], levels)
+            if actives is None:
+                break
+            wider = _Members(ops, forcing, full, actives, members)
+            block, history = wider.place(members, block), wider.place(members, history)
+            members = wider   # the narrower models are freed here
+            ab = ab5_init(times, history.view(float), rhs, norm_fn=norm)
+            ab.norm_limit = limit
+        if (j0 + c) % EXTENSION_BLOCK == 0 or j0 + c == n_out:
+            b0 = j0 - j0 % EXTENSION_BLOCK
+            observe(b0, [(active, block[:j0 + c - b0, i, :len(active)])
+                         for i, active in enumerate(members.actives)])
+
+
+def modal_norms(prop: Propagator, modes, z: np.ndarray) -> tuple:
+    """E, |u|_0 and |u|_1 of the amplitude rows ``z`` on the sine modes
+    ``modes`` of ``prop``.
+
+    Per sine mode S u = Re z / omega and S v = Im z, and S M S =
+    diag(mu), S K S = diag(mu omega^2), so E = 1/2 sum mu |z|^2,
+    |u|_1^2 = sum mu (Re z)^2 and |u|_0^2 = sum mu (Re z / omega)^2.
+    """
+    mu, omega = prop.mu[modes], prop.omega[modes]
+    stiff = z.real ** 2 @ mu
+    return (0.5 * (stiff + z.imag ** 2 @ mu), np.sqrt((z.real / omega) ** 2 @ mu),
+            np.sqrt(stiff))
 
 
 def extend_traces(trajs: list, traces: list, ops: SpatialOperators, forcing,
                   t_final: float) -> list[EnergyTrace]:
     """Each run's ``EnergyTrace`` continued to ``t_final`` by one
-    ``extend_with_ab5`` of all the runs; its rows up to the runs' end are
-    kept as they are."""
+    ``extend_with_ab5`` of all the runs, its rows by ``modal_norms`` as
+    ``EnergyTrace.from_modal``'s; its rows up to the runs' end are kept as
+    they are."""
     t1, delta, n_out = _extension_grid(trajs, t_final)
-    n = ops.mesh.n
+    prop = trajs[0].propagator
     rows = np.empty((3, len(trajs), n_out))
 
     def observe(j0, block):
-        u = block[..., :n]
-        for row, values in zip(rows, (energy(ops, block), l2_norm(ops, u),
-                                      h1_norm(ops, u))):
-            row[:, j0:j0 + block.shape[1]] = values
+        for i, (modes, z) in enumerate(block):
+            rows[:, i, j0:j0 + len(z)] = modal_norms(prop, modes, z)
 
     extend_with_ab5(trajs, ops, forcing, t_final, observe)
     times = t1 + delta * np.arange(1, n_out + 1)

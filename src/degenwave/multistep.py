@@ -6,7 +6,8 @@ region, while the wave generator carries frequencies up to
 sqrt(lambda_max) ~ sqrt(12)/h, so on a practical mesh it needs substeps.
 ``experiments.extend_with_ab5`` steps the same weights in the frame that
 rotates with the sine modes instead, one step per output step, for a batch
-of runs at once.
+of runs at once: the state is the runs' amplitudes on their active sine
+modes J, zero-padded to the widest J, and each run is guarded on its own.
 """
 
 from __future__ import annotations

@@ -22,15 +22,17 @@ import numpy as np
 from .linop import SpatialOperators, energy, energy_norm
 from .linwave import Trajectory
 from .mesh import Mesh, whole_steps
-from .picard import check_damping
+from .picard import check_damping, is_bool
 
 
 def _check_finite(problem, *names: str) -> None:
-    """Raise ``ValueError`` naming the first field in ``names`` that is not
-    finite: an infinite or NaN datum would only surface as a non-finite
-    state once the integration runs."""
+    """Raise ``ValueError`` naming the first field in ``names`` that is a
+    boolean or not finite: an infinite or NaN datum would only surface as a
+    non-finite state once the integration runs."""
     for name in names:
         value = getattr(problem, name)
+        if is_bool(value):
+            raise ValueError(f"{name} must be a number, not a boolean, got {value!r}")
         if not abs(value) < np.inf:   # false for NaN too
             raise ValueError(f"{name} must be finite, got {value!r}")
 
@@ -51,8 +53,9 @@ class AnsatzProblem:
     mesh: Mesh
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("mode index must be >= 1")
+        # damping_classes indexes with multiples of k
+        if is_bool(self.k) or not isinstance(self.k, (int, np.integer)) or self.k < 1:
+            raise ValueError(f"mode index k must be an integer >= 1, got {self.k!r}")
         _check_finite(self, "c0", "c1")
         check_damping(self.alpha, self.m)
 
@@ -328,7 +331,7 @@ class OscillatorProblem:
     x1: float
 
     def __post_init__(self):
-        if not 0 < self.khat < np.inf:   # false for NaN too
+        if is_bool(self.khat) or not 0 < self.khat < np.inf:   # false for NaN too
             raise ValueError(f"stiffness khat must be finite and positive, "
                              f"got {self.khat!r}")
         _check_finite(self, "x0", "x1")

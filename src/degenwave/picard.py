@@ -37,12 +37,17 @@ class _ForcingModel:
         return ops.solve_mass(self.load(ops, u, v))
 
 
+def is_bool(value) -> bool:
+    """Python's or NumPy's boolean, which arithmetic takes for 1 or 0."""
+    return isinstance(value, (bool, np.bool_))
+
+
 def check_damping(alpha: float, m) -> None:
     """The damping alpha u^{2m} u_t dissipates for finite alpha >= 0 and
     integer m >= 1.  NaN fails the chained comparisons; bools are rejected."""
-    if isinstance(alpha, bool) or not 0 <= alpha < np.inf:
+    if is_bool(alpha) or not 0 <= alpha < np.inf:
         raise ValueError(f"alpha must be finite and nonnegative, got {alpha!r}")
-    if isinstance(m, bool) or not (1 <= m < np.inf and int(m) == m):
+    if is_bool(m) or not (1 <= m < np.inf and int(m) == m):
         raise ValueError("the exponent half m must be a positive integer, "
                          f"got {m!r}")
 
@@ -104,7 +109,7 @@ class LinearDamping(_ForcingModel):
     terms = 1
 
     def __init__(self, beta: float):
-        if isinstance(beta, bool) or not 0 <= beta < np.inf:
+        if is_bool(beta) or not 0 <= beta < np.inf:
             raise ValueError(f"beta must be finite and nonnegative, got {beta!r}")
         self.beta = float(beta)
 
@@ -126,7 +131,7 @@ class PicardConfig:
     def __post_init__(self):
         for name in ("t_final", "delta", "epsilon", "window"):
             value = getattr(self, name)
-            if not 0 < value < np.inf:   # false for NaN too
+            if is_bool(value) or not 0 < value < np.inf:   # false for NaN too
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
         self.n_steps, self.window_steps   # each raises unless a whole number
         check_damping(self.alpha, self.m)
@@ -211,7 +216,13 @@ _DETECT_ROWS = 9   # abscissa rows of each forcing searched for new modes
 # L2 per core), the two met between 500 and 800 coefficients per node:
 # triad against nodal took 25 against 33 ms at n = 99, |J| = 14 (609 per
 # node), 52 against 41 at |J| = 15 (800), 95 against 102 ms at n = 499,
-# |J| = 20 (497), and 134 against 112 at |J| = 21 (603)
+# |J| = 20 (497), and 134 against 112 at |J| = 21 (603).  A model read a
+# row at a time (the AB5 extension) counts only its coefficients on J, all
+# that a step reads, against the same budget: one row took the triads
+# against the nodal model (two products with S[J, :], one with its
+# transpose and the load) 8.1 against 30.6 us at n = 99, |J| = 14 (20,580
+# coefficients), 13.7 against 38.0 at |J| = 18 (55,404), 39.1 against 39.9
+# at |J| = 24 (172,800), and 16.0 against 54.0 us at n = 999, |J| = 18
 _TRIAD_COST = 600
 
 # steps per block of a window's streamed forcing (at most 129 abscissae):
@@ -383,6 +394,21 @@ class _NodalLoad:
             yield self.off_prop.forcing_modes(self.last[a:a + _LOAD_ROWS])
 
 
+def load_model(ops: SpatialOperators, forcing, full: Propagator,
+               active: np.ndarray, single_rows: bool = False):
+    """The load model of ``forcing`` on the modes J = ``active`` and its
+    reach J' \\ J: ``_Triads`` for m = 1 while their coefficients hold at
+    most _TRIAD_COST n entries, ``_NodalLoad`` otherwise.  For a model that
+    is evaluated a row at a time (``single_rows``), only the coefficients
+    on J count against that budget."""
+    n, j = len(full.omega), len(active)
+    off = _reach(active, n, forcing.terms) if j < n else active[:0]
+    pairs = j * (j + 1) // 2
+    triads = (isinstance(forcing, _PowerDamping) and forcing.m == 1 and j < n
+              and pairs * j * (j if single_rows else j + len(off)) <= _TRIAD_COST * n)
+    return (_Triads if triads else _NodalLoad)(ops, forcing, full, active, off)
+
+
 def _boole_integral(values: np.ndarray, delta: float) -> float:
     """Composite Boole integral of samples at every abscissa of the steps."""
     r = len(BOOLE_WEIGHTS) - 1
@@ -420,12 +446,7 @@ class _Window:
         propagator, and one built for J is kept."""
         if self.model is None or not np.array_equal(self.model.active, active):
             self.model = None   # its loads are freed before the next model's
-            n, j = len(self.full.omega), len(active)
-            off = _reach(active, n, self.forcing.terms) if j < n else active[:0]
-            triads = (isinstance(self.forcing, _PowerDamping) and self.forcing.m == 1
-                      and j < n and j * (j + 1) // 2 * j * (j + len(off)) <= _TRIAD_COST * n)
-            self.model = (_Triads if triads else _NodalLoad)(self.ops, self.forcing,
-                                                             self.full, active, off)
+            self.model = load_model(self.ops, self.forcing, self.full, active)
         self.active, self.prop = self.model.active, self.model.prop
 
     def _forcing(self, grid: np.ndarray) -> tuple:

@@ -9,13 +9,15 @@ from reference import nodal_trajectory
 
 def extended(trajs, ops, forcing, t_final) -> list:
     """Each of ``trajs`` continued to ``t_final`` by one ``extend_with_ab5``
-    call, as a ``Trajectory`` holding its input rows and the observed ones."""
-    t1, delta = trajs[0].times[-1], trajs[0].delta
+    call, as a ``Trajectory`` holding its input rows and the observed ones,
+    synthesized from the amplitudes on each run's modes."""
+    t1, delta, prop = trajs[0].times[-1], trajs[0].delta, trajs[0].propagator
     n_out = max(int(round((t_final - t1) / delta)), 0)
-    new = np.empty((len(trajs), n_out, 2 * len(trajs[0].propagator.omega)))
+    new = np.empty((len(trajs), n_out, 2 * len(prop.omega)))
 
     def observe(j0, block):
-        new[:, j0:j0 + block.shape[1]] = block
+        for rows, (modes, z) in zip(new, block):
+            rows[j0:j0 + len(z)] = prop.restrict(modes).nodal(z)
 
     extend_with_ab5(trajs, ops, forcing, t_final, observe)
     times = t1 + delta * np.arange(1, n_out + 1)

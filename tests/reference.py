@@ -13,10 +13,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from degenwave.experiments import EnergyTrace
+from degenwave.experiments import EXTENSION_BLOCK, EnergyTrace, _extension_grid
 from degenwave.linop import matrix_exponential
 from degenwave.linwave import BLOCK_ROWS, BOOLE_WEIGHTS, Trajectory, sweep
 from degenwave.mesh import _pad, whole_steps
+from degenwave.multistep import ab5_init, ab5_step
 
 
 # -- dense views of the assembled operators ------------------------------------
@@ -177,6 +178,47 @@ def solve_linear_inhomogeneous(ops, y0: np.ndarray, forcing, t_final: float,
     states = nodal_sweep(propagator, y0, f_absc)
     times = t0 + delta * np.arange(nsteps + 1)
     return Trajectory(times=times, states=states, delta=delta)
+
+
+# -- the AB5 extension on every mode -------------------------------------------------
+
+def extend_on_all_modes(trajs: list, ops, forcing, t_final: float, observe) -> None:
+    """``experiments.extend_with_ab5`` on every sine mode, with nodal rows.
+
+    The same AB5 in the rotating sine frame from the same seed rows, but
+    every step synthesizes all n modes, takes the forcing's load at the
+    nodes and transforms it back onto all of them, so no mode is left out
+    and none needs detecting.  ``observe(j0, block)`` gets the nodal rows,
+    ``block`` of shape (len(trajs), b, 2n).
+    """
+    _, delta, n_out = _extension_grid(trajs, t_final)
+    if min(len(tr.times) for tr in trajs) < 5:
+        raise ValueError("need five history points to start the scheme")
+    propagator = trajs[0].propagator
+    n, omega = ops.mesh.n, propagator.omega
+    block = np.empty((len(trajs), min(n_out, EXTENSION_BLOCK), 2 * n))
+    neg_i_omega = -1j * omega
+
+    def rhs(j, y):
+        phase = np.exp((j * delta) * neg_i_omega)
+        state = propagator.nodal(phase * y.view(complex))
+        if j > 0:
+            block[:, (int(j) - 1) % EXTENSION_BLOCK] = state
+        g = propagator.forcing_modes(forcing.load(ops, state[:, :n], state[:, n:]))
+        return (1j * delta * phase.conj() * g).view(float)
+
+    steps = np.arange(-4.0, 1.0)
+    z0 = np.stack([tr.amplitudes(len(tr.times) - 5, len(tr.times))
+                   for tr in trajs], axis=1)
+    w = np.exp(1j * delta * steps[:, None, None] * omega) * z0
+    half_mu = np.repeat(0.5 * propagator.mu, 2)
+    ab = ab5_init(steps, w.view(float), rhs,
+                  norm_fn=lambda y: (y * y) @ half_mu)
+    for j0 in range(0, n_out, EXTENSION_BLOCK):
+        b = min(EXTENSION_BLOCK, n_out - j0)
+        for _ in range(b):
+            ab5_step(ab)
+        observe(j0, block[:, :b])
 
 
 # -- diagnostics --------------------------------------------------------------------

@@ -1,18 +1,23 @@
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from degenwave import (AB5_COEFFS, ABState, BlowupError, DegenerateDamping,
-                       PicardConfig, ab5_init, ab5_step, energy, energy_norm,
-                       extend_trajectory, picard_solve, semilinear_rhs)
+                       PicardConfig, ab5_init, ab5_step, assemble, energy,
+                       energy_norm, extend_trajectory, h1_norm, l2_norm,
+                       mesh_from_h, picard_solve, semilinear_rhs)
 from degenwave import experiments
 from degenwave.experiments import (EXTENSION_BLOCK, EnergyTrace,
                                    extend_traces, extend_with_ab5,
-                                   mode_initial_state)
+                                   frequency_sweep, modal_norms,
+                                   mode_initial_state, primitive_setup)
+from degenwave.picard import _NodalLoad, _Triads, load_model
 from extension_helpers import extended
-from reference import (dense_mass, dense_stiffness, nodal_trajectory,
-                       solve_linear_inhomogeneous)
+from reference import (dense_mass, dense_stiffness, extend_on_all_modes,
+                       nodal_trajectory, solve_linear_inhomogeneous)
 
 # alpha = 0 switches the damping off: the right-hand side is A y alone
 UNDAMPED = DegenerateDamping(alpha=0.0)
@@ -238,9 +243,11 @@ class TestBatchedExtension:
         seen = []
 
         def observe(j0, block):
-            assert block.shape[0] == 2 and block.shape[2] == 2 * 99
-            assert 1 <= block.shape[1] <= EXTENSION_BLOCK
-            seen.append((j0, block.shape[1]))
+            assert len(block) == 2
+            b = len(block[0][1])
+            assert 1 <= b <= EXTENSION_BLOCK
+            assert all(z.shape == (b, len(modes)) for modes, z in block)
+            seen.append((j0, b))
 
         extend_with_ab5(trajs, ops99, UNDAMPED, 0.2 + n_out * 2e-3, observe)
         steps = [j0 + i for j0, b in seen for i in range(b)]
@@ -248,25 +255,59 @@ class TestBatchedExtension:
 
     def test_memory_does_not_grow_with_the_horizon(self, ops99,
                                                    picard_runs):
+        # the load models and the output block grow with the active modes
+        # J, so both horizons end on the same J: the four runs widen theirs
+        # up to t = 14 and keep 14, 9, 6 and 4 modes through t = 19
         forcing = DegenerateDamping(1.0, 1)
         trajs = picard_runs[:4]
 
         def peak(t_final):
+            modes = []
             tracemalloc.start()
             try:
                 extend_with_ab5(trajs, ops99, forcing, t_final,
-                                lambda j0, block: None)
-                return tracemalloc.get_traced_memory()[1]
+                                lambda j0, block: modes.append(
+                                    [len(j) for j, _ in block]))
+                return tracemalloc.get_traced_memory()[1], modes
             finally:
                 tracemalloc.stop()
 
-        short, long = peak(2.1), peak(6.1)
+        (short, modes), (long, same) = peak(15.0), peak(19.0)
+        assert modes[0] == [7, 6, 5, 4]
+        assert modes[-1] == same[-1] == [14, 9, 6, 4]
         assert long <= 1.05 * short, (short, long)
+
+    def test_a_widening_frees_the_narrower_models(self, ops99, picard_runs,
+                                                  monkeypatch):
+        # once a chunk is stepped again on a wider J, only the new
+        # _Members and its load models are still referenced
+        live = weakref.WeakSet()
+
+        class Tracked(experiments._Members):
+            def __init__(self, *args):
+                super().__init__(*args)
+                live.add(self)
+                live.update(self.models)
+
+        monkeypatch.setattr(experiments, "_Members", Tracked)
+        widths = []
+
+        def observe(j0, block):
+            gc.collect()
+            members = [m for m in live if isinstance(m, Tracked)]
+            assert len(members) == 1
+            assert {id(m) for m in live} - {id(members[0])} == {
+                id(m) for m in members[0].models}
+            widths.append([len(j) for j, _ in block])
+
+        extend_with_ab5(picard_runs[:4], ops99, DegenerateDamping(1.0, 1),
+                        6.1, observe)
+        assert widths[0] == [7, 6, 5, 4] and widths[-1] == [12, 8, 6, 4]
 
     def test_seeds_are_zero_off_the_active_modes(self, ops99, monkeypatch):
         # AB5 starts from the amplitudes Picard kept on the last window's
-        # modes J; a seed rebuilt through nodal rows carries rounding into
-        # every other mode
+        # modes J, which are zero off J, and steps J alone; a seed rebuilt
+        # through nodal rows carries rounding into every other mode
         traj = picard_solve(ops99, mode_initial_state(ops99, 1).y0,
                             PicardConfig(t_final=1.0, delta=2e-3)).trajectory
         seeds = []
@@ -278,11 +319,11 @@ class TestBatchedExtension:
         monkeypatch.setattr(experiments, "ab5_init", capture)
         extend_with_ab5([traj], ops99, DegenerateDamping(1.0, 1), 1.01,
                         lambda j0, block: None)
-        off = np.ones(99, bool)
-        off[traj.segments[-1][0]] = False
-        assert seeds[0].shape == (5, 1, 99) and 0 < (~off).sum() < 99
-        assert (seeds[0][..., off] == 0.0).all()
-        assert (seeds[0][..., ~off] != 0.0).all()
+        active = traj.segments[-1][0]
+        rows = traj.amplitudes(len(traj.times) - 5, len(traj.times))
+        assert seeds[0].shape == (5, 1, len(active)) and 0 < len(active) < 99
+        assert (np.delete(rows, active, axis=1) == 0.0).all()
+        assert (seeds[0] != 0.0).all()
 
     def test_grids_must_be_shared(self, ops99, picard_runs):
         traj = picard_runs[0]
@@ -297,3 +338,133 @@ class TestBatchedExtension:
         traces = [EnergyTrace.from_modal(tr) for tr in trajs]
         with pytest.raises(ValueError, match="before the trajectory end"):
             extend_traces(trajs, traces, ops99, UNDAMPED, 0.1)
+
+
+# -- the extension on the active modes against the one on every mode ----------
+
+def active_mode_gaps(trajs, ops, forcing, t_final):
+    """How far ``extend_with_ab5`` on the runs' active modes strays from
+    ``extend_on_all_modes``: the largest distance of the states in energy
+    norm and of E, L2 and H1, each relative to the reference's largest
+    value, shape (4, runs).  Also returns each run's modes J at the end and
+    the active extension's E, L2 and H1, shape (3, runs, steps)."""
+    prop, n = trajs[0].propagator, ops.mesh.n
+    blocks = []
+    extend_with_ab5(trajs, ops, forcing, t_final, lambda j0, block: blocks.append(
+        [(modes, z.copy()) for modes, z in block]))
+    rows = np.concatenate([[modal_norms(prop, modes, z) for modes, z in block]
+                           for block in blocks], axis=2).transpose(1, 0, 2)
+    gaps, scale = np.zeros((2, 4, len(trajs)))
+
+    def observe(j0, block):
+        for i, (states, (modes, z)) in enumerate(zip(block, blocks[j0 // EXTENSION_BLOCK])):
+            u = states[:, :n]
+            want = np.array([energy_norm(ops, states), energy(ops, states),
+                             l2_norm(ops, u), h1_norm(ops, u)])
+            miss = np.abs(rows[:, i, j0:j0 + len(z)] - want[1:])
+            miss = [energy_norm(ops, states - prop.restrict(modes).nodal(z)), *miss]
+            gaps[:, i] = np.maximum(gaps[:, i], np.max(miss, axis=1))
+            scale[:, i] = np.maximum(scale[:, i], want.max(axis=1))
+
+    extend_on_all_modes(trajs, ops, forcing, t_final, observe)
+    return gaps / scale, [modes for modes, _ in blocks[-1]], rows
+
+
+class CubicGain(DegenerateDamping):
+    """The cubic damping with its sign turned: it feeds energy in."""
+
+    @property
+    def scale(self) -> float:
+        return self.alpha
+
+
+@pytest.fixture(scope="module")
+def fig3_short(ops99):
+    """The runs that ``fig3 --T 2`` extends: k = 1, 2, 4, 8 at n = 99."""
+    return [run.trajectory for run in
+            frequency_sweep([1, 2, 4, 8], 1.0, 1, ops99, 2e-3, 2.0)]
+
+
+class TestActiveModeExtension:
+    def test_fig3_short_matches_every_mode(self, ops99, fig3_short):
+        # fig3 --T 2 --T2 12: k = 1's J widens from 9 modes as it runs
+        forcing = DegenerateDamping(1.0, 1)
+        gaps, ends, rows = active_mode_gaps(fig3_short, ops99, forcing, 12.0)
+        assert gaps.max() <= 1e-13, gaps
+        assert len(ends[0]) > len(fig3_short[0].segments[-1][0])
+        # extend_traces continues each trace by the same rows
+        traces = extend_traces(fig3_short, [EnergyTrace.from_modal(tr)
+                                            for tr in fig3_short],
+                               ops99, forcing, 12.0)
+        start = len(fig3_short[0].times)
+        for trace, want in zip(traces, rows.transpose(1, 0, 2)):
+            np.testing.assert_array_equal(
+                [trace.energy[start:], trace.l2[start:], trace.h1[start:]], want)
+
+    def test_nodal_members_match_every_mode(self, ops99):
+        # three modes at once start with 29 active modes, past the triads'
+        # budget; k = 1 at four times the amplitude starts on 11 with the
+        # triads and outgrows them (19 modes) within 3 time units
+        config = PicardConfig(t_final=0.2, delta=2e-3, window=0.2)
+        data = [sum(mode_initial_state(ops99, k).y0 for k in (1, 2, 3)),
+                4.0 * mode_initial_state(ops99, 1).y0,
+                mode_initial_state(ops99, 2).y0]
+        trajs = [picard_solve(ops99, y0, config).trajectory for y0 in data]
+        forcing = DegenerateDamping(1.0, 1)
+        prop = trajs[0].propagator
+
+        def model(active):
+            return type(load_model(ops99, forcing, prop, active, single_rows=True))
+
+        assert [model(tr.segments[-1][0]) for tr in trajs] == [_NodalLoad, _Triads,
+                                                                 _Triads]
+        gaps, ends, _ = active_mode_gaps(trajs, ops99, forcing, 3.2)
+        assert gaps.max() <= 1e-13, gaps
+        assert model(ends[1]) is _NodalLoad
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_primitive_damping_matches_every_mode(self, ops99, m):
+        setup = primitive_setup(1, m, ops99)
+        traj = picard_solve(ops99, setup.initial_state(),
+                            PicardConfig(t_final=1.0, delta=2e-3, m=m),
+                            forcing=setup.damping).trajectory
+        gaps, _, _ = active_mode_gaps([traj], ops99, setup.damping, 3.0)
+        assert gaps.max() <= 1e-13, gaps
+
+    def test_quintic_damping_matches_every_mode(self, ops99):
+        config = PicardConfig(t_final=0.4, delta=2e-3, m=2)
+        trajs = [picard_solve(ops99, mode_initial_state(ops99, k).y0,
+                              config).trajectory for k in (1, 4)]
+        gaps, _, _ = active_mode_gaps(trajs, ops99, DegenerateDamping(1.0, 2), 2.4)
+        assert gaps.max() <= 1e-13, gaps
+
+    def test_fine_mesh_matches_every_mode(self):
+        # fig3 --h 0.001 --T 2 --T2 3
+        ops = assemble(mesh_from_h(0.001))
+        trajs = [run.trajectory for run in
+                 frequency_sweep([1, 2, 4, 8], 1.0, 1, ops, 2e-3, 2.0)]
+        gaps, _, _ = active_mode_gaps(trajs, ops, DegenerateDamping(1.0, 1), 3.0)
+        assert gaps.max() <= 1e-13, gaps
+
+    def test_widening_keeps_the_seed_limit_and_the_failing_step(
+            self, ops99, fig3_short, monkeypatch):
+        # the gain pumps energy in until the guard trips; on the way J
+        # widens and chunks are stepped again, from a history whose own
+        # energy is above the seed's
+        gain = CubicGain(20.0, 1)
+        trajs = fig3_short[:2]
+        with pytest.raises(BlowupError) as every:
+            extend_on_all_modes(trajs, ops99, gain, 12.0, lambda j0, block: None)
+        states = []
+
+        def capture(*args, **kwargs):
+            states.append(ab5_init(*args, **kwargs))
+            return states[-1]
+
+        monkeypatch.setattr(experiments, "ab5_init", capture)
+        with pytest.raises(BlowupError) as active:
+            extend_with_ab5(trajs, ops99, gain, 12.0, lambda j0, block: None)
+        assert len(states) > 1
+        assert all(np.array_equal(s.norm_limit, states[0].norm_limit)
+                   for s in states)
+        assert str(active.value) == str(every.value)

@@ -40,6 +40,27 @@ class TestAnsatzProblem:
         with pytest.raises(ValueError, match="alpha|exponent"):
             AnsatzProblem(k=1, c0=1.0, c1=0.0, alpha=alpha, m=m, mesh=mesh99)
 
+    @pytest.mark.parametrize("value", [True, False, np.True_, np.False_])
+    @pytest.mark.parametrize("field", ["k", "c0", "c1"])
+    def test_boolean_fields_rejected(self, mesh99, field, value):
+        # before, AnsatzProblem(k=True, c0=True, c1=False, ...) was built
+        # with k True and c0 True
+        data = {"k": 1, "c0": 0.45, "c1": 0.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            AnsatzProblem(alpha=1.0, m=1, mesh=mesh99, **data)
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, "2"])
+    def test_non_integer_mode_rejected(self, mesh99, k):
+        # before, k = 2.5 was built and failed later with an IndexError in
+        # damping_classes
+        with pytest.raises(ValueError, match="mode index k must be an integer"):
+            AnsatzProblem(k=k, c0=0.45, c1=0.0, alpha=1.0, m=1, mesh=mesh99)
+
+    def test_numpy_integer_mode_accepted(self, mesh99):
+        prob = AnsatzProblem(k=np.int64(3), c0=0.45, c1=0.0, alpha=1.0, m=1,
+                             mesh=mesh99)
+        assert len(prob.damping_classes()[1]) == 99
+
 
 class TestRK4Ansatz:
     def test_undamped_closed_form(self, mesh99):
@@ -481,6 +502,16 @@ class TestOscillator:
     def test_damping_must_dissipate(self, alpha, m):
         with pytest.raises(ValueError, match="alpha|exponent"):
             OscillatorProblem(khat=1.0, alpha=alpha, m=m, x0=1.0, x1=0.0)
+
+    @pytest.mark.parametrize("value", [True, False, np.True_, np.False_])
+    @pytest.mark.parametrize("field", ["khat", "x0", "x1"])
+    def test_boolean_fields_rejected(self, field, value):
+        # before, OscillatorProblem(khat=True, x0=True, x1=False, ...) was
+        # built with khat True
+        data = {"khat": 1.0, "alpha": 1.0, "m": 1, "x0": 1.0, "x1": 0.0,
+                field: value}
+        with pytest.raises(ValueError, match=field):
+            OscillatorProblem(**data)
 
     @pytest.mark.parametrize("k,m", [(1, 1), (3, 1), (1, 2), (3, 2)])
     def test_is_the_pointwise_reference_at_a_node(self, mesh99, k, m):

@@ -177,6 +177,15 @@ class TestForcingModels:
         with pytest.raises(ValueError, match=f"{field} must be"):
             build(alpha, m)
 
+    @pytest.mark.parametrize("alpha,m,field", [(np.True_, 1, "alpha"),
+                                               (1.0, np.True_, "m")])
+    @pytest.mark.parametrize("build", DAMPED, ids=DAMPED_IDS)
+    def test_numpy_boolean_parameters_rejected(self, build, alpha, m, field):
+        # before, DegenerateDamping(alpha=np.True_) was built with alpha 1.0:
+        # np.bool_ is no bool
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            build(alpha, m)
+
     @pytest.mark.parametrize("beta", [np.nan, np.inf, -np.inf, -1.0, True])
     def test_invalid_linear_damping_rejected(self, beta):
         # each constructed before, and .beta read nan, inf, -inf, -1.0, 1.0
@@ -205,6 +214,15 @@ class TestConfig:
         # before, epsilon = inf accepted every window after one iteration,
         # and a NaN delta or window failed as "delta must divide t_final"
         fields = dict(t_final=1.0, delta=0.1, epsilon=1e-8, window=1.0)
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            PicardConfig(**{**fields, name: value})
+
+    @pytest.mark.parametrize("value", [True, np.True_])
+    @pytest.mark.parametrize("name", ["t_final", "delta", "epsilon", "window"])
+    def test_boolean_fields_rejected(self, name, value):
+        # before, PicardConfig(t_final=np.True_, delta=0.5) was built with
+        # two steps
+        fields = dict(t_final=1.0, delta=0.5, epsilon=1e-8, window=1.0)
         with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
             PicardConfig(**{**fields, name: value})
 
