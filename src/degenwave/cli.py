@@ -282,11 +282,21 @@ def _oracle_problems(config: RunConfig, mesh, ks, amplitudes) -> list:
             for k, a in zip(ks, amplitudes)]
 
 
+# the largest turn omega * step of the reference's fastest mode, in radians.
+# Against 16 steps per delta, one Lawson step moved a printed e_k by at most
+# 5.7e-3 of its last digit at omega delta = 1.56 (n = 499, k <= 62, delta =
+# 0.008) and by 3e-4 at 0.78 (n = 999, k <= 124, delta = 0.002).  The error
+# falls as the fourth power of the step, so at 1 it stays near 1e-3 of the
+# last digit: a margin of 10 on the promise below
+ORACLE_TURN = 1.0
+
+
 def _oracle_grid(config: RunConfig) -> tuple:
-    """(step, steps per delta) of the reference: the fewest steps that keep
-    omega * step <= 0.01 for the fastest mode, omega = k pi; RK4 then moves
-    a printed e_k by under 1% of its last digit."""
-    stride = int(np.ceil(max(config.ks) * np.pi * config.delta / 0.01))
+    """(step, steps per delta) of the reference: the fewest Lawson RK4 steps
+    that keep omega * step <= ORACLE_TURN for the fastest mode, omega = k pi;
+    the step then moves a printed e_k by under 1% of its last digit.  That is
+    one step per delta up to k = 159 at delta = 0.002."""
+    stride = int(np.ceil(max(config.ks) * np.pi * config.delta / ORACLE_TURN))
     return config.delta / stride, stride
 
 

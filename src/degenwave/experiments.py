@@ -16,7 +16,7 @@ import numpy as np
 from .linop import Propagator, energy, h1_norm, l2_norm
 from .linwave import ModalTrajectory, Trajectory
 from .mesh import Mesh, SpatialOperators, whole_steps
-from .multistep import ab5_init, ab5_step
+from .multistep import BlowupError, ab5_init, ab5_step, blowup_at
 from .picard import (DETECT, TOL, _DETECT_ROWS, PicardConfig, PicardResult,
                      PrimitiveDamping, _mode_energy, _Triads, load_model,
                      picard_solve)
@@ -413,7 +413,7 @@ def extend_with_ab5(trajs: list, ops: SpatialOperators, forcing,
     1/2 sum mu_j |w_j|^2 exceeds ten times its largest over the five seed
     rows; the limit is kept when a chunk is stepped again.
     """
-    _, delta, n_out = _extension_grid(trajs, t_final)
+    t1, delta, n_out = _extension_grid(trajs, t_final)
     if min(len(tr.times) for tr in trajs) < 5:
         raise ValueError("need five history points to start the scheme")
     full = trajs[0].propagator
@@ -450,8 +450,12 @@ def extend_with_ab5(trajs: list, ops: SpatialOperators, forcing,
         times, history = list(ab.times), np.array(ab.ys).view(complex)
         picks = j0 % EXTENSION_BLOCK + np.linspace(0, c - 1, _DETECT_ROWS).round().astype(int)
         while True:
-            for _ in range(c):
-                ab5_step(ab)
+            try:
+                for _ in range(c):
+                    ab5_step(ab)
+            except BlowupError:
+                # AB5 counts steps j; the failing one is at t1 + j delta
+                raise blowup_at(t1 + (ab.times[-1] + 1) * delta) from None
             actives = members.widened(block[picks], levels)
             if actives is None:
                 break

@@ -26,6 +26,12 @@ class BlowupError(RuntimeError):
     """The explicit multistep iteration left the stable regime."""
 
 
+def blowup_at(t: float) -> BlowupError:
+    """The error of the step to time ``t`` that left the stable regime."""
+    return BlowupError(f"solution left the stable regime at t={t:g}; "
+                       "the explicit scheme needs a smaller step")
+
+
 @dataclass(eq=False)
 class ABState:
     """Ring buffer of the last five (t, y, g) triples plus blow-up guards."""
@@ -81,9 +87,7 @@ def ab5_step(state: ABState) -> np.ndarray:
     # every step; np.greater also gives an array for a float norm and limit
     if (not np.isfinite(y).all()
             or np.greater(state.norm_fn(y), state.norm_limit).any()):
-        raise BlowupError(
-            f"solution left the stable regime at t={t:g}; "
-            "the explicit scheme needs a smaller step")
+        raise blowup_at(t)
     state.times.append(t); state.times.pop(0)
     state.ys.append(y); state.ys.pop(0)
     state.gs.append(np.asarray(state.rhs(t, y), dtype=float)); state.gs.pop(0)

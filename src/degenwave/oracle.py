@@ -4,13 +4,17 @@ For single-eigenfunction data the string problem collapses pointwise to a
 family of damped oscillator equations parameterized by position: at each x
 the value u(t, x) obeys u'' + lambda_k u + alpha E_k(x)^{2m} phi^{2m} phi' = 0
 written for the modal amplitude phi with u = phi E_k.  Solving that family
-with classical Runge-Kutta and interpolating in space gives an accuracy
-reference that never touches the finite element machinery.
+with Lawson's Runge-Kutta and interpolating in space gives an accuracy
+reference that never touches the finite element machinery.  Lawson RK4
+(classical RK4 in the frame that rotates with exp(i sqrt(lambda_k) t)) is
+exact for the linear flow, so one step per stored step suffices for every
+mode.
 
 Each member is the degenerately damped oscillator x'' + khat x +
 alpha x^{2m} x' = 0, khat = lambda_k, whose two-dimensional form is the
 finite-dimensional counterpart that is uniformly stable where the string is
-not.  One vectorized RK4 loop steps the family and the oscillator alike.
+not.  That oscillator is stepped by a vectorized classical RK4 loop: the
+``oscillator`` preset's khat = 1 leaves no fast phase to remove.
 """
 
 from __future__ import annotations
@@ -154,19 +158,76 @@ def _rk4_oscillators(neg_lam, coeff, m: int, y0: np.ndarray, h: float,
             break
 
 
+def _lawson_oscillators(omega, coeff, m: int, z0: np.ndarray, h: float,
+                        nsteps: int, after, every: int = 1) -> None:
+    """Lawson RK4 on x'' = -omega^2 x - coeff x^{2m} x', vectorized.
+
+    The state is z = omega x + i x', a complex ``z0`` over a shape to which
+    ``omega`` and ``coeff`` broadcast.  It obeys z' = -i omega z + N(z) with
+    N(z) = -i coeff x^{2m} x', and in the frame w = exp(i omega t) z
+    classical RK4 steps the damping N alone (Lawson's integrating factor),
+    exact for the linear flow at any omega h.  Every phase is a product of
+    E = exp(-i omega h / 2) and E^2:
+        k1 = N(z),  k2 = N(E z + h/2 E k1),  k3 = N(E z + h/2 k2),
+        k4 = N(E^2 z + h E k3),
+        z <- ((E^2 z + h/6 E^2 k1) + h/3 E (k2 + k3)) + h/6 k4.
+    N is imaginary: with x = Re z / omega, Im k = -coeff omega^{-2m}
+    (Re z)^{2m} Im z.  ``after(i, z)`` is called as in ``_rk4_oscillators``,
+    on the live state, which the next step overwrites in place.
+    """
+    shape = np.shape(z0)
+    omega, coeff = (np.broadcast_to(c, shape).astype(float) for c in (omega, coeff))
+    half = np.exp(-0.5j * h * omega)
+    full = half * half
+    # the slope's real factor, x^{2m} taken from Re z = omega x
+    scaled = -coeff / omega ** (2 * m)
+    # stage inputs by their offsets c k_{j-1} from E z or E^2 z, and the
+    # update's weights of k1 and k2 + k3
+    reach2, reach4 = (0.5 * h) * half, h * half
+    weight1, weight23 = (h / 6.0) * full, (h / 3.0) * half
+    z, ez, a = np.empty((3,) + shape, complex)
+    # the slopes k_j = i r_j: only their imaginary parts are ever written
+    k1, k2, k3, k4 = np.zeros((4,) + shape, complex)
+    w = np.empty(shape)
+    z[...] = z0
+
+    def slope(y, k):
+        p = y.real
+        np.multiply(p, p, w)     # (Re z)^{2m} as (p*p)**m
+        if m != 1:
+            np.power(w, m, w)
+        np.multiply(np.multiply(scaled, w, w), y.imag, k.imag)
+
+    for i in range(1, nsteps + 1):
+        slope(z, k1)
+        np.multiply(half, z, ez)
+        slope(np.add(ez, np.multiply(reach2, k1, a), a), k2)
+        slope(np.add(ez, np.multiply(0.5 * h, k2, a), a), k3)
+        np.multiply(full, z, z)    # E^2 z, which z holds from here on
+        slope(np.add(z, np.multiply(reach4, k3, a), a), k4)
+        np.add(z, np.multiply(weight1, k1, a), z)
+        np.add(k2, k3, k2)
+        np.add(z, np.multiply(weight23, k2, a), z)
+        np.add(z, np.multiply(h / 6.0, k4, a), z)
+        if i % every == 0 and after(i, z):
+            break
+
+
 def rk4_ansatz(problems, t_final: float, step: float, store_stride: int = 1,
                observe=None):
-    """Classical RK4 on a sequence of per-position oscillator families.
+    """Lawson RK4 (``_lawson_oscillators``) on a sequence of per-position
+    oscillator families.
 
     The families must share the mesh and the damping exponent m (one
     integer power for the whole batch).  Nodes whose damping coefficients
     coincide (``AnsatzProblem.damping_classes``) carry the same oscillator,
     so one oscillator per class and problem is stepped, all of them as one
-    state, and the (K, n) amplitudes phi, phi' at the nodes are gathered
-    from it at the stored steps only.  Every ``store_stride`` steps, and at
-    t = 0, the loop calls ``observe(i, phi, psi)`` with the stored-step
-    index i (the time is i * step * store_stride) and those amplitudes,
-    which the loop does not modify afterwards.  Without ``observe`` the
+    state z = k pi phi + i phi', and the (K, n) amplitudes phi, phi' at the
+    nodes are gathered from it at the stored steps only.  Every
+    ``store_stride`` steps, and at t = 0, the loop calls
+    ``observe(i, phi, psi)`` with the stored-step index i (the time is
+    i * step * store_stride) and those amplitudes, which the loop does not
+    modify afterwards.  Without ``observe`` the
     stored states are collected into a list of ``OracleSolution``, one per
     problem.  With it, nothing is kept and None is returned.
 
@@ -194,26 +255,26 @@ def rk4_ansatz(problems, t_final: float, step: float, store_stride: int = 1,
     coeff = np.concatenate(coeffs)
     # each problem's class indices, offset to its part of the state
     index = np.array(index) + np.cumsum([0] + sizes[:-1])[:, None]
-    neg_lam = np.repeat([-p.lam for p in batch], sizes)
-    y = np.empty((2, len(coeff)))
-    y[0] = np.repeat([float(p.c0) for p in batch], sizes)
-    y[1] = np.repeat([float(p.c1) for p in batch], sizes)
+    omega = [p.k * np.pi for p in batch]
+    z = np.repeat([w * float(p.c0) + 1j * float(p.c1)
+                   for p, w in zip(batch, omega)], sizes)
+    omega_rows = np.array(omega)[:, None]
 
-    def store(i, y):
-        nodal = y[:, index]   # a fresh (2, K, n) array: the loop overwrites y
-        ok = np.isfinite(nodal).all(axis=(0, 2))
+    def store(i, z):
+        nodal = z[index]   # a fresh (K, n) array: the loop overwrites z
+        ok = np.isfinite(nodal).all(axis=1)
         if not ok.all():
             ks = ", ".join(str(p.k) for p, good in zip(batch, ok) if not good)
             raise FloatingPointError(
                 f"reference solution for k={ks} is not finite at "
                 f"t={i * step:g}; reduce the step or the damping")
-        observe(i // store_stride, *nodal)
+        observe(i // store_stride, nodal.real / omega_rows, nodal.imag)
 
     # a blow-up is reported by ``store``, not through overflow warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        store(0, y)
-        _rk4_oscillators(neg_lam, coeff, first.m, y, step,
-                         n_stored * store_stride, store, store_stride)
+        store(0, z)
+        _lawson_oscillators(np.repeat(omega, sizes), coeff, first.m, z, step,
+                            n_stored * store_stride, store, store_stride)
 
     if not collect:
         return None

@@ -17,7 +17,7 @@ from degenwave.experiments import EXTENSION_BLOCK, EnergyTrace, _extension_grid
 from degenwave.linop import matrix_exponential
 from degenwave.linwave import BLOCK_ROWS, BOOLE_WEIGHTS, Trajectory, sweep
 from degenwave.mesh import _pad, whole_steps
-from degenwave.multistep import ab5_init, ab5_step
+from degenwave.multistep import BlowupError, ab5_init, ab5_step, blowup_at
 
 
 # -- dense views of the assembled operators ------------------------------------
@@ -191,7 +191,7 @@ def extend_on_all_modes(trajs: list, ops, forcing, t_final: float, observe) -> N
     and none needs detecting.  ``observe(j0, block)`` gets the nodal rows,
     ``block`` of shape (len(trajs), b, 2n).
     """
-    _, delta, n_out = _extension_grid(trajs, t_final)
+    t1, delta, n_out = _extension_grid(trajs, t_final)
     if min(len(tr.times) for tr in trajs) < 5:
         raise ValueError("need five history points to start the scheme")
     propagator = trajs[0].propagator
@@ -216,8 +216,11 @@ def extend_on_all_modes(trajs: list, ops, forcing, t_final: float, observe) -> N
                   norm_fn=lambda y: (y * y) @ half_mu)
     for j0 in range(0, n_out, EXTENSION_BLOCK):
         b = min(EXTENSION_BLOCK, n_out - j0)
-        for _ in range(b):
-            ab5_step(ab)
+        try:
+            for _ in range(b):
+                ab5_step(ab)
+        except BlowupError:
+            raise blowup_at(t1 + (ab.times[-1] + 1) * delta) from None
         observe(j0, block[:, :b])
 
 

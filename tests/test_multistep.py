@@ -468,3 +468,5 @@ class TestActiveModeExtension:
         assert all(np.array_equal(s.norm_limit, states[0].norm_limit)
                    for s in states)
         assert str(active.value) == str(every.value)
+        # the failing step j = 353 after t1 = 2, reported at t1 + j delta
+        assert "at t=2.706;" in str(active.value)

@@ -11,6 +11,7 @@ from degenwave import (AnsatzProblem, OscillatorProblem, ball_samples,
 from degenwave.experiments import mode_initial_state
 from degenwave.linwave import ModalTrajectory, Trajectory
 from reference import NodalTrajectory
+from lawson_reference import allocating_lawson
 from rk4_reference import allocating_rk4
 
 
@@ -72,14 +73,24 @@ class TestRK4Ansatz:
         assert np.abs(sol.phi - sol.phi[:, :1]).max() < 1e-12
 
     def test_fourth_order_convergence(self, mesh99):
-        prob = make_problem(mesh99, alpha=0.0)
+        # Lawson RK4 is exact for the linear flow, so the order shows on a
+        # damped member only, against a 64 times finer run
+        prob = make_problem(mesh99, alpha=5.0)
 
-        def err(step):
-            sol = rk4_ansatz([prob], 1.0, step)[0]
-            exact = 0.45 * np.cos(np.pi * sol.times)
-            return np.abs(sol.phi - exact[:, None]).max()
+        def run(step):
+            return rk4_ansatz([prob], 1.0, step,
+                              store_stride=round(0.025 / step))[0].phi
 
-        assert err(0.025) / err(0.0125) == pytest.approx(16.0, rel=0.2)
+        fine = run(0.0125 / 64)
+        ratio = (np.abs(run(0.025) - fine).max()
+                 / np.abs(run(0.0125) - fine).max())
+        assert ratio == pytest.approx(16.0, rel=0.2)
+
+    @pytest.mark.parametrize("step", [0.025, 0.0125])
+    def test_undamped_member_is_exact(self, mesh99, step):
+        sol = rk4_ansatz([make_problem(mesh99, alpha=0.0)], 1.0, step)[0]
+        exact = 0.45 * np.cos(np.pi * sol.times)
+        assert np.abs(sol.phi - exact[:, None]).max() <= 1e-14
 
     def test_damping_degenerates_at_eigenfunction_zero(self, mesh99):
         # x = 0.5 is a zero of sin(2 pi x): that sample never damps
@@ -102,30 +113,36 @@ class TestRK4Ansatz:
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_squared_power_matches_literal_rk4(self, mesh99, m):
-        # the loop forms phi^{2m} by repeated squaring; a literal RK4 with
-        # the power phi**(2m) agrees to rounding
+        # the loop forms phi^{2m} by repeated squaring and its phases as
+        # products of exp(-i omega step / 2); a literal Lawson RK4 with the
+        # power phi**(2m) and an exp per stage agrees to rounding
         step, nsteps = 1e-3, 400
         problems = [AnsatzProblem.for_mesh(mesh99, k, c0=0.8 / k, c1=0.5,
                                            alpha=3.0, m=m) for k in (1, 2)]
         sols = rk4_ansatz(problems, step * nsteps, step)
         for prob, sol in zip(problems, sols):
+            omega = prob.k * np.pi
             coeff = prob.alpha * prob.eigenfunction() ** (2 * m)
 
-            def f(y):
-                p, q = y
-                return np.array([q, -prob.lam * p - coeff * p**(2 * m) * q])
+            def g(t, w):
+                # w' in the frame w = exp(i omega t) z, z = omega phi + i phi'
+                z = np.exp(-1j * omega * t) * w
+                phi, psi = z.real / omega, z.imag
+                return np.exp(1j * omega * t) * (-1j * coeff * phi**(2 * m) * psi)
 
-            y = np.array([np.full(99, prob.c0), np.full(99, prob.c1)])
-            literal = [y]
+            z = np.full(99, omega * prob.c0 + 1j * prob.c1)
+            literal = [z]
             for _ in range(nsteps):
-                k1 = f(y)
-                k2 = f(y + 0.5 * step * k1)
-                k3 = f(y + 0.5 * step * k2)
-                k4 = f(y + step * k3)
-                y = y + step / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-                literal.append(y)
+                k1 = g(0.0, z)
+                k2 = g(0.5 * step, z + 0.5 * step * k1)
+                k3 = g(0.5 * step, z + 0.5 * step * k2)
+                k4 = g(step, z + step * k3)
+                z = np.exp(-1j * omega * step) * (
+                    z + step / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
+                literal.append(z)
             literal = np.array(literal)
-            for got, want in ((sol.phi, literal[:, 0]), (sol.phidot, literal[:, 1])):
+            for got, want in ((sol.phi, literal.real / omega),
+                              (sol.phidot, literal.imag)):
                 assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -190,6 +207,49 @@ class TestInPlaceKernel:
         got = after_history(oracle._rk4_oscillators, neg_lam, coeff, 1, y0,
                             1e-3, 100, every=10)
         want = after_history(allocating_rk4, neg_lam, coeff, 1, y0, 1e-3, 100)
+        assert got[0] == list(range(10, 101, 10))
+        np.testing.assert_array_equal(got[1], want[1][9::10])
+
+
+def family_frequencies(mesh, ks, m):
+    """``rk4_ansatz``'s (K, 1) omega and (K, n) coeff for the modes ks."""
+    _, coeff = family_coefficients(mesh, ks, m)
+    return np.array([[k * np.pi] for k in ks]), coeff
+
+
+class TestLawsonKernel:
+    """The in-place Lawson kernel against its allocating reference."""
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("ks", [(1,), (1, 2, 4, 8)])
+    def test_family_bit_identical(self, mesh99, ks, m):
+        omega, coeff = family_frequencies(mesh99, ks, m)
+        x0, x1 = np.random.default_rng(7).uniform(-0.8, 0.8, (2,) + coeff.shape)
+        z0 = omega * x0 + 1j * x1
+        before = z0.copy()
+        got = after_history(oracle._lawson_oscillators, omega, coeff, m, z0,
+                            2e-3, 400)
+        want = after_history(allocating_lawson, omega, coeff, m, z0, 2e-3, 400)
+        assert got[0] == want[0] == list(range(1, 401))
+        np.testing.assert_array_equal(got[1], want[1])
+        np.testing.assert_array_equal(z0, before)   # the caller's state stays
+
+    def test_early_stop_bit_identical(self, mesh99):
+        omega, coeff = family_frequencies(mesh99, (1, 3), 1)
+        z0 = np.broadcast_to(0.5 * omega + 0.5j, coeff.shape)
+        got = after_history(oracle._lawson_oscillators, omega, coeff, 1, z0,
+                            1e-3, 200, stop_at=37)
+        want = after_history(allocating_lawson, omega, coeff, 1, z0, 1e-3, 200,
+                             stop_at=37)
+        assert got[0] == want[0] == list(range(1, 38))
+        np.testing.assert_array_equal(got[1], want[1])
+
+    def test_every_calls_after_at_multiples_only(self, mesh99):
+        omega, coeff = family_frequencies(mesh99, (2,), 1)
+        z0 = np.broadcast_to(0.5 * omega + 0.5j, coeff.shape)
+        got = after_history(oracle._lawson_oscillators, omega, coeff, 1, z0,
+                            1e-3, 100, every=10)
+        want = after_history(allocating_lawson, omega, coeff, 1, z0, 1e-3, 100)
         assert got[0] == list(range(10, 101, 10))
         np.testing.assert_array_equal(got[1], want[1][9::10])
 
@@ -280,12 +340,15 @@ class TestOscillatorClasses:
                         got[:, at], np.repeat(got[:, at][:, :1], at.sum(), 1))
             # the allocating loop on every node with its class's coefficient
             coeff = prob.alpha * (np.sqrt(2.0) * np.sin(np.pi * mesh.h * q)) ** 2
-            y0 = np.array([np.full(n, prob.c0), np.full(n, prob.c1)])
-            _, want = after_history(allocating_rk4, -prob.lam, coeff, 1, y0,
+            # omega as an array: numpy rounds a complex product of scalars
+            # apart from the same product in an array loop
+            omega = np.full(n, prob.k * np.pi)
+            z0 = omega * prob.c0 + 1j * prob.c1
+            _, want = after_history(allocating_lawson, omega, coeff, 1, z0,
                                     step, nsteps)
-            np.testing.assert_array_equal(sol.phi[0], y0[0])
-            np.testing.assert_array_equal(sol.phi[1:], want[:, 0])
-            np.testing.assert_array_equal(sol.phidot[1:], want[:, 1])
+            np.testing.assert_array_equal(sol.phi[0], z0.real / omega)
+            np.testing.assert_array_equal(sol.phi[1:], want.real / omega)
+            np.testing.assert_array_equal(sol.phidot[1:], want.imag)
 
     @pytest.mark.parametrize("n,ks,count", [(99, (1, 2, 4, 8), 102),
                                             (499, (1, 4, 16), 376)])
@@ -293,15 +356,15 @@ class TestOscillatorClasses:
         # fig2's modes and fine-mesh's at seed 0: 396 and 1,497 node
         # oscillators fold to 102 and 376
         mesh, shapes = build_mesh(n), []
-        real = oracle._rk4_oscillators
+        real = oracle._lawson_oscillators
 
-        def kernel(neg_lam, coeff, m, y0, *rest):
-            shapes.append(y0.shape)
-            return real(neg_lam, coeff, m, y0, *rest)
+        def kernel(omega, coeff, m, z0, *rest):
+            shapes.append(z0.shape)
+            return real(omega, coeff, m, z0, *rest)
 
-        monkeypatch.setattr(oracle, "_rk4_oscillators", kernel)
+        monkeypatch.setattr(oracle, "_lawson_oscillators", kernel)
         rk4_ansatz([make_problem(mesh, k=k) for k in ks], 0.01, 1e-3)
-        assert shapes == [(2, count)]
+        assert shapes == [(count,)]
         assert count == sum(len(np.unique(node_classes(k, n))) for k in ks)
 
     def test_non_finite_state_names_its_mode(self):
@@ -520,15 +583,22 @@ class TestOscillator:
         prob = AnsatzProblem.for_mesh(mesh99, k, c0=0.7 / k, c1=0.4 * k,
                                       alpha=2.0, m=m)
         sol = rk4_ansatz([prob], 1.0, 1e-3)[0]
-        ek = prob.eigenfunction()
+        ek, omega = prob.eigenfunction(), k * np.pi
         for i in (10, 37, 80):
-            tr = simulate_oscillator(
-                OscillatorProblem(khat=prob.lam, alpha=prob.alpha, m=m,
-                                  x0=prob.c0 * ek[i], x1=prob.c1 * ek[i]),
-                1.0, 1e-3)
-            np.testing.assert_array_equal(tr.times, sol.times)
+            x0, x1 = prob.c0 * ek[i], prob.c1 * ek[i]
             want = np.stack([sol.phi[:, i], sol.phidot[:, i]], axis=1) * ek[i]
-            assert np.abs(tr.states - want).max() <= 1e-12 * np.abs(want).max()
+            _, z = after_history(oracle._lawson_oscillators, omega, prob.alpha,
+                                 m, np.array([omega * x0 + 1j * x1]), 1e-3, 1000)
+            alone = np.stack([z[:, 0].real / omega, z[:, 0].imag], axis=1)
+            assert np.abs(alone - want[1:]).max() <= 1e-12 * np.abs(want).max()
+            # classical RK4 at the same step differs by its own phase error:
+            # measured 2.6e-12 at k = 1 and 5.4e-10 at k = 3 (omega step =
+            # 0.0094) of the largest value; the bound keeps a margin of 3
+            tr = simulate_oscillator(
+                OscillatorProblem(khat=prob.lam, alpha=prob.alpha, m=m, x0=x0,
+                                  x1=x1), 1.0, 1e-3)
+            np.testing.assert_array_equal(tr.times, sol.times)
+            assert np.abs(tr.states - want).max() <= 1.5e-9 * np.abs(want).max()
 
 
 class TestBallSamples:
