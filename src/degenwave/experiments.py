@@ -242,13 +242,10 @@ def primitive_solve(setup: PrimitiveSetup, ops: SpatialOperators,
                            damped_run=damped_run, windows=result.windows)
 
 
-# output steps per block handed to an extension's observer
-EXTENSION_BLOCK = 256
-# steps per chunk of an extension searched for new modes, a divisor of
-# EXTENSION_BLOCK: a longer chunk is searched less often and stepped again
-# for longer when J widens; fig3-short's extension (one thread, min of 4)
-# took 0.214, 0.205, 0.197, 0.201 and 0.222 s at 16, 32, 64, 128 and 256
-_CHUNK_STEPS = 64
+# output steps per extension block, searched for new modes, then observed;
+# fig3-short's extension (one thread, min of 4) took 0.214, 0.205, 0.197,
+# 0.201 and 0.222 s at 16, 32, 64, 128 and 256
+EXTENSION_BLOCK = 64
 
 
 def _extension_grid(trajs: list, t_final: float) -> tuple:
@@ -403,15 +400,15 @@ def extend_with_ab5(trajs: list, ops: SpatialOperators, forcing,
     w' = exp(i omega (t - t1)) i S f(u, v) (Lawson's integrating factor),
     with S f on J from the run's Picard load model (see ``_Members``).  AB5
     steps w on J, as the float view of its complex array (Re, Im pairs),
-    one step per output step on any mesh.  Each chunk of ``_CHUNK_STEPS``
-    steps is searched as a Picard window is: the forcing on J' \\ J at
+    one step per output step on any mesh.  Each block is searched, before
+    ``observe`` sees it, as a Picard window is: the forcing on J' \\ J at
     ``_DETECT_ROWS`` of its rows against DETECT TOL ||y0||_E per unit of
     time (Picard's level for a unit window).  A run whose forcing reaches
-    a new mode has its J widened, and the chunk is stepped again from its
+    a new mode has its J widened, and the block is stepped again from its
     start history on the wider modes.
     ``BlowupError`` stops the run once a member's modal energy
     1/2 sum mu_j |w_j|^2 exceeds ten times its largest over the five seed
-    rows; the limit is kept when a chunk is stepped again.
+    rows; the limit is kept when a block is stepped again.
     """
     t1, delta, n_out = _extension_grid(trajs, t_final)
     if min(len(tr.times) for tr in trajs) < 5:
@@ -444,11 +441,11 @@ def extend_with_ab5(trajs: list, ops: SpatialOperators, forcing,
     w = np.exp(1j * delta * steps[:, None, None] * members.omega) * z0
     ab = ab5_init(steps, w.view(float), rhs, norm_fn=norm)
     limit = ab.norm_limit
-    for j0 in range(0, n_out, _CHUNK_STEPS):
-        c = min(_CHUNK_STEPS, n_out - j0)
-        # the chunk's start history, to step it again from
+    for j0 in range(0, n_out, EXTENSION_BLOCK):
+        c = min(EXTENSION_BLOCK, n_out - j0)
+        # the block's start history, to step it again from
         times, history = list(ab.times), np.array(ab.ys).view(complex)
-        picks = j0 % EXTENSION_BLOCK + np.linspace(0, c - 1, _DETECT_ROWS).round().astype(int)
+        picks = np.linspace(0, c - 1, _DETECT_ROWS).round().astype(int)
         while True:
             try:
                 for _ in range(c):
@@ -464,10 +461,8 @@ def extend_with_ab5(trajs: list, ops: SpatialOperators, forcing,
             members = wider   # the narrower models are freed here
             ab = ab5_init(times, history.view(float), rhs, norm_fn=norm)
             ab.norm_limit = limit
-        if (j0 + c) % EXTENSION_BLOCK == 0 or j0 + c == n_out:
-            b0 = j0 - j0 % EXTENSION_BLOCK
-            observe(b0, [(active, block[:j0 + c - b0, i, :len(active)])
-                         for i, active in enumerate(members.actives)])
+        observe(j0, [(active, block[:c, i, :len(active)])
+                     for i, active in enumerate(members.actives)])
 
 
 def modal_norms(prop: Propagator, modes, z: np.ndarray) -> tuple:

@@ -13,8 +13,8 @@ mode.
 Each member is the degenerately damped oscillator x'' + khat x +
 alpha x^{2m} x' = 0, khat = lambda_k, whose two-dimensional form is the
 finite-dimensional counterpart that is uniformly stable where the string is
-not.  That oscillator is stepped by a vectorized classical RK4 loop: the
-``oscillator`` preset's khat = 1 leaves no fast phase to remove.
+not.  The same Lawson kernel steps that oscillator, with sqrt(khat) in the
+place of sqrt(lambda_k).
 """
 
 from __future__ import annotations
@@ -120,44 +120,6 @@ class OracleSolution:
 _STORED_GRID = "the stored step, step * store_stride, must divide the horizon"
 
 
-def _rk4_oscillators(neg_lam, coeff, m: int, y0: np.ndarray, h: float,
-                     nsteps: int, after, every: int = 1) -> None:
-    """Classical RK4 on x'' = neg_lam x - coeff x^{2m} x', vectorized.
-
-    ``y0`` stacks x, x' on its first axis over a trailing shape to which
-    ``neg_lam`` and ``coeff`` broadcast.  After every ``every``-th step i,
-    ``after(i, y)`` gets the live state, which the next step overwrites in
-    place; true stops the loop.  No step allocates or reorders arithmetic.
-    """
-    shape = np.shape(y0)[1:]
-    # contiguous coefficients: a zero-stride broadcast slows every ufunc
-    neg_lam, coeff = (np.broadcast_to(c, shape).copy() for c in (neg_lam, coeff))
-    # stage j is one (x, x', x'') buffer, so its slope k_j = (x', x'') is a
-    # view; it is taken at y + c k_{j-1}, stage 0's at y itself
-    stages, w = np.empty((4, 3) + shape), np.empty(shape)
-    y, k1, k2, k3, k4 = stages[0, :2], *stages[:, 1:]
-    y[...] = y0
-    plan = [(tuple(s), s[:2], c, k) for s, c, k in
-            zip(stages, (0.0, 0.5 * h, 0.5 * h, h), (None, k1, k2, k3))]
-    for i in range(1, nsteps + 1):
-        for (p, q, out), z, c, k in plan:
-            if k is not None:
-                np.add(y, np.multiply(c, k, z), z)
-            np.multiply(neg_lam, p, out)
-            np.multiply(p, p, w)     # x^{2m} as (p*p)**m
-            if m != 1:
-                w **= m
-            np.multiply(np.multiply(coeff, w, w), q, w)
-            np.subtract(out, w, out)
-        # y + h/6 (((k1 + 2 k2) + 2 k3) + k4), summed in the spent k2 and k3
-        np.add(k1, np.multiply(2, k2, k2), k2)
-        np.add(k2, np.multiply(2, k3, k3), k2)
-        np.multiply(h / 6.0, np.add(k2, k4, k2), k2)
-        np.add(y, k2, y)
-        if i % every == 0 and after(i, y):
-            break
-
-
 def _lawson_oscillators(omega, coeff, m: int, z0: np.ndarray, h: float,
                         nsteps: int, after, every: int = 1) -> None:
     """Lawson RK4 on x'' = -omega^2 x - coeff x^{2m} x', vectorized.
@@ -172,8 +134,8 @@ def _lawson_oscillators(omega, coeff, m: int, z0: np.ndarray, h: float,
         k4 = N(E^2 z + h E k3),
         z <- ((E^2 z + h/6 E^2 k1) + h/3 E (k2 + k3)) + h/6 k4.
     N is imaginary: with x = Re z / omega, Im k = -coeff omega^{-2m}
-    (Re z)^{2m} Im z.  ``after(i, z)`` is called as in ``_rk4_oscillators``,
-    on the live state, which the next step overwrites in place.
+    (Re z)^{2m} Im z.  After every ``every``-th step i, ``after(i, z)`` gets
+    the live state, which the next step overwrites; true stops the loop.
     """
     shape = np.shape(z0)
     omega, coeff = (np.broadcast_to(c, shape).astype(float) for c in (omega, coeff))
@@ -203,9 +165,9 @@ def _lawson_oscillators(omega, coeff, m: int, z0: np.ndarray, h: float,
         np.multiply(half, z, ez)
         slope(np.add(ez, np.multiply(reach2, k1, a), a), k2)
         slope(np.add(ez, np.multiply(0.5 * h, k2, a), a), k3)
-        np.multiply(full, z, z)    # E^2 z, which z holds from here on
-        slope(np.add(z, np.multiply(reach4, k3, a), a), k4)
-        np.add(z, np.multiply(weight1, k1, a), z)
+        np.multiply(full, z, ez)   # E^2 z; in place, a size-1 product rounds apart
+        slope(np.add(ez, np.multiply(reach4, k3, a), a), k4)
+        np.add(ez, np.multiply(weight1, k1, a), z)
         np.add(k2, k3, k2)
         np.add(z, np.multiply(weight23, k2, a), z)
         np.add(z, np.multiply(h / 6.0, k4, a), z)
@@ -413,18 +375,27 @@ class OscillatorTrace:
 
 def simulate_oscillator(problem: OscillatorProblem, t_final: float,
                         step: float) -> OscillatorTrace:
-    """RK4 trajectory of the oscillator with its equivalent-norm history."""
+    """Lawson RK4 trajectory (x, x') of the oscillator as z = sqrt(khat) x + i x',
+    with its equivalent-norm history; a non-finite state raises FloatingPointError."""
     nsteps = whole_steps(t_final, step, "step must divide t_final")
-    states = np.empty((nsteps + 1, 2))
-    states[0] = (problem.x0, problem.x1)
+    omega = np.sqrt(problem.khat)
+    z = np.empty(nsteps + 1, complex)
+    z[0] = omega * problem.x0 + 1j * problem.x1
 
-    def record(i, y):
-        states[i] = y[:, 0]
+    def record(i, zi):
+        z[i] = zi[0]
 
-    _rk4_oscillators(-problem.khat, problem.alpha, problem.m,
-                     states[0][:, None], step, nsteps, record)
-    times = step * np.arange(nsteps + 1)
-    return OscillatorTrace(times=times, states=states,
+    with np.errstate(over="ignore", invalid="ignore"):   # raised below
+        _lawson_oscillators(omega, problem.alpha, problem.m, z[:1], step,
+                            nsteps, record)
+    finite = np.isfinite(z)
+    if not finite.all():
+        raise FloatingPointError(f"oscillator state is not finite at t="
+                                 f"{step * finite.argmin():g}; reduce osc_step")
+    z.real /= omega   # the (Re, Im) pairs of z become the rows (x, x')
+    states = z.view(float).reshape(-1, 2)
+    states[0] = problem.x0, problem.x1   # the datum, not its round trip
+    return OscillatorTrace(times=step * np.arange(nsteps + 1), states=states,
                            norms=problem.equivalent_norm(states))
 
 
@@ -472,17 +443,26 @@ def uniform_stability_sweep(khat: float, alpha: float, m: int, radius: float,
     grid time its equivalent norm drops below ``eps_target``.  Samples that
     never get there within the horizon are reported with an infinite time,
     not an error, so conservative runs (alpha = 0) remain inspectable.
+    Lawson RK4 steps z = sqrt(khat) x + i x', whose equivalent norm is
+    |z| / sqrt(2); a state that stops being finite raises FloatingPointError.
     """
     nsteps = whole_steps(horizon, step, "step must divide the horizon")
     y = ball_samples(radius, n_samples, khat, angle_offset)
     problem = OscillatorProblem(khat=khat, alpha=alpha, m=m, x0=0.0, x1=0.0)
     norms0 = problem.equivalent_norm(y)
     first = np.where(norms0 < eps_target, 0.0, np.inf)
+    omega = np.sqrt(khat)
 
     def record(i, z):
-        hit = (problem.equivalent_norm(z.T) < eps_target) & np.isinf(first)
+        norms = np.abs(z) / np.sqrt(2.0)
+        if not np.isfinite(norms).all():
+            raise FloatingPointError(f"oscillator state is not finite at "
+                                     f"t={i * step:g}; reduce osc_step")
+        hit = (norms < eps_target) & np.isinf(first)
         first[hit] = i * step
         return np.isfinite(first).all()
 
-    _rk4_oscillators(-khat, alpha, m, y.T, step, nsteps, record)
+    with np.errstate(over="ignore", invalid="ignore"):   # raised by record
+        _lawson_oscillators(omega, alpha, m, omega * y[:, 0] + 1j * y[:, 1],
+                            step, nsteps, record)
     return StabilitySweep(samples=y, initial_norms=norms0, times_to_eps=first)

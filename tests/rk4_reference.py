@@ -1,5 +1,9 @@
-"""The allocating RK4 loop of the oracle, kept as the bit-level reference of
-``oracle._rk4_oscillators``, which evaluates the same expressions in place."""
+"""Classical RK4 on the oscillator family, an allocating loop bit-identical
+to the in-place kernel the oracle stepped by before Lawson RK4 replaced it.
+
+It is the classical reference of the pinning test in
+``tests/test_oracle_step.py`` and of the stability-sweep and pointwise
+cross-checks in ``tests/test_oracle.py``."""
 
 import numpy as np
 

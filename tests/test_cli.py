@@ -1,5 +1,6 @@
 import json
 import tempfile
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
@@ -649,6 +650,25 @@ class TestMain:
         assert code == 0
         report = (tmp_path / "o" / "report.txt").read_text()
         assert "never reaches target" in report
+
+    def test_oscillator_blow_up_is_numerical_failure(self, tmp_path, capsys):
+        # the sweep's outer samples overflow at osc_step 0.01; before, NumPy's
+        # overflow warnings reached stderr and the run ended as a failed
+        # invariant, "max step increase nan" (exit 3)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--preset", "oscillator", "--m", "3",
+                         "--alpha", "2", "--radius", "3",
+                         "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        lines = (tmp_path / "o" / "report.txt").read_text().splitlines()
+        errors = [line for line in lines if line.startswith("[ERROR]")]
+        assert len(errors) == 1
+        assert errors[0].startswith("[ERROR] numerical failure: oscillator "
+                                    "state is not finite at t=")
+        assert "osc_step" in errors[0] and lines[-1] == "[SUMMARY] FAIL"
+        assert "numerical failure" in capsys.readouterr().err
 
     @pytest.mark.parametrize("step,horizon", [("7", "1"), ("0.3", "1"),
                                               ("0.3", "300")])

@@ -236,7 +236,7 @@ class TestBatchedExtension:
             scale = np.abs(alone.states).max()
             assert np.abs(full.states - alone.states).max() <= 1e-12 * scale
 
-    @pytest.mark.parametrize("n_out", [0, 1, 255, 256, 257])
+    @pytest.mark.parametrize("n_out", [0, 1, 63, 64, 65, 255, 256, 257])
     def test_observer_sees_each_step_once_in_order(self, ops99,
                                                    picard_runs, n_out):
         trajs = picard_runs[:2]
@@ -273,13 +273,14 @@ class TestBatchedExtension:
                 tracemalloc.stop()
 
         (short, modes), (long, same) = peak(15.0), peak(19.0)
-        assert modes[0] == [7, 6, 5, 4]
+        # the first block of 64 steps; k = 2 widens to 6 modes in the second
+        assert modes[0] == [7, 5, 5, 4] and modes[1] == [7, 6, 5, 4]
         assert modes[-1] == same[-1] == [14, 9, 6, 4]
         assert long <= 1.05 * short, (short, long)
 
     def test_a_widening_frees_the_narrower_models(self, ops99, picard_runs,
                                                   monkeypatch):
-        # once a chunk is stepped again on a wider J, only the new
+        # once a block is stepped again on a wider J, only the new
         # _Members and its load models are still referenced
         live = weakref.WeakSet()
 
@@ -302,7 +303,8 @@ class TestBatchedExtension:
 
         extend_with_ab5(picard_runs[:4], ops99, DegenerateDamping(1.0, 1),
                         6.1, observe)
-        assert widths[0] == [7, 6, 5, 4] and widths[-1] == [12, 8, 6, 4]
+        assert widths[:2] == [[7, 5, 5, 4], [7, 6, 5, 4]]
+        assert widths[-1] == [12, 8, 6, 4]
 
     def test_seeds_are_zero_off_the_active_modes(self, ops99, monkeypatch):
         # AB5 starts from the amplitudes Picard kept on the last window's
@@ -449,7 +451,7 @@ class TestActiveModeExtension:
     def test_widening_keeps_the_seed_limit_and_the_failing_step(
             self, ops99, fig3_short, monkeypatch):
         # the gain pumps energy in until the guard trips; on the way J
-        # widens and chunks are stepped again, from a history whose own
+        # widens and blocks are stepped again, from a history whose own
         # energy is above the seed's
         gain = CubicGain(20.0, 1)
         trajs = fig3_short[:2]

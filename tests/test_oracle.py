@@ -8,6 +8,7 @@ from degenwave import (AnsatzProblem, OscillatorProblem, ball_samples,
                        build_mesh, compare_energy_decay, compare_energy_norm,
                        energy, oracle, oracle_states, reference_errors,
                        rk4_ansatz, simulate_oscillator, uniform_stability_sweep)
+from degenwave.cli import RunConfig
 from degenwave.experiments import mode_initial_state
 from degenwave.linwave import ModalTrajectory, Trajectory
 from reference import NodalTrajectory
@@ -146,75 +147,24 @@ class TestRK4Ansatz:
                 assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
-def after_history(kernel, neg_lam, coeff, m, y0, h, nsteps, stop_at=None,
-                  **kwargs):
-    """The step indices and (copied) states a kernel hands to ``after``."""
+def after_history(kernel, *args, stop_at=None, **kwargs):
+    """The step indices and (copied) states a kernel, called with ``args``
+    and then its ``after``, hands to ``after``."""
     seen = []
 
     def after(i, y):
         seen.append((i, y.copy()))
         return i == stop_at
 
-    kernel(neg_lam, coeff, m, y0, h, nsteps, after, **kwargs)
+    kernel(*args, after, **kwargs)
     return [i for i, _ in seen], np.array([y for _, y in seen])
-
-
-def family_coefficients(mesh, ks, m):
-    """``rk4_ansatz``'s (K, 1) neg_lam and (K, n) coeff for the modes ks."""
-    problems = [make_problem(mesh, k=k, alpha=3.0, m=m) for k in ks]
-    return (np.array([[-p.lam] for p in problems]),
-            np.array([p.alpha * p.eigenfunction() ** (2 * m) for p in problems]))
-
-
-class TestInPlaceKernel:
-    """The in-place RK4 kernel against the allocating loop it replaced."""
-
-    @pytest.mark.parametrize("m", [1, 2])
-    @pytest.mark.parametrize("ks", [(1,), (1, 2, 4, 8)])
-    def test_family_bit_identical(self, mesh99, ks, m):
-        neg_lam, coeff = family_coefficients(mesh99, ks, m)
-        y0 = np.random.default_rng(7).uniform(-0.8, 0.8, (2,) + coeff.shape)
-        before = y0.copy()
-        got = after_history(oracle._rk4_oscillators, neg_lam, coeff, m, y0,
-                            2e-3, 400)
-        want = after_history(allocating_rk4, neg_lam, coeff, m, y0, 2e-3, 400)
-        assert got[0] == want[0] == list(range(1, 401))
-        np.testing.assert_array_equal(got[1], want[1])
-        np.testing.assert_array_equal(y0, before)   # the caller's state stays
-
-    @pytest.mark.parametrize("m", [1, 2])
-    @pytest.mark.parametrize("samples", [1, 64])
-    def test_oscillator_bit_identical(self, samples, m):
-        y0 = ball_samples(1.2, samples, khat=2.0).T
-        got = after_history(oracle._rk4_oscillators, -2.0, 1.5, m, y0, 1e-2, 500)
-        want = after_history(allocating_rk4, -2.0, 1.5, m, y0, 1e-2, 500)
-        assert got[1].shape == (500, 2, samples)
-        np.testing.assert_array_equal(got[1], want[1])
-
-    def test_early_stop_bit_identical(self, mesh99):
-        neg_lam, coeff = family_coefficients(mesh99, (1, 3), 1)
-        y0 = np.full((2,) + coeff.shape, 0.5)
-        got = after_history(oracle._rk4_oscillators, neg_lam, coeff, 1, y0,
-                            1e-3, 200, stop_at=37)
-        want = after_history(allocating_rk4, neg_lam, coeff, 1, y0, 1e-3, 200,
-                             stop_at=37)
-        assert got[0] == want[0] == list(range(1, 38))
-        np.testing.assert_array_equal(got[1], want[1])
-
-    def test_every_calls_after_at_multiples_only(self, mesh99):
-        neg_lam, coeff = family_coefficients(mesh99, (2,), 1)
-        y0 = np.full((2,) + coeff.shape, 0.5)
-        got = after_history(oracle._rk4_oscillators, neg_lam, coeff, 1, y0,
-                            1e-3, 100, every=10)
-        want = after_history(allocating_rk4, neg_lam, coeff, 1, y0, 1e-3, 100)
-        assert got[0] == list(range(10, 101, 10))
-        np.testing.assert_array_equal(got[1], want[1][9::10])
 
 
 def family_frequencies(mesh, ks, m):
     """``rk4_ansatz``'s (K, 1) omega and (K, n) coeff for the modes ks."""
-    _, coeff = family_coefficients(mesh, ks, m)
-    return np.array([[k * np.pi] for k in ks]), coeff
+    problems = [make_problem(mesh, k=k, alpha=3.0, m=m) for k in ks]
+    return (np.array([[k * np.pi] for k in ks]),
+            np.array([p.alpha * p.eigenfunction() ** (2 * m) for p in problems]))
 
 
 class TestLawsonKernel:
@@ -233,6 +183,19 @@ class TestLawsonKernel:
         assert got[0] == want[0] == list(range(1, 401))
         np.testing.assert_array_equal(got[1], want[1])
         np.testing.assert_array_equal(z0, before)   # the caller's state stays
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("samples", [1, 64])
+    def test_oscillator_bit_identical(self, samples, m):
+        # the stability sweep's state: z = sqrt(khat) x + i x' over the samples
+        x0, x1 = ball_samples(1.2, samples, khat=2.0).T
+        omega = np.full(samples, np.sqrt(2.0))   # an array, as in the kernel
+        z0 = omega * x0 + 1j * x1
+        got = after_history(oracle._lawson_oscillators, omega, 1.5, m, z0,
+                            1e-2, 500)
+        want = after_history(allocating_lawson, omega, 1.5, m, z0, 1e-2, 500)
+        assert got[1].shape == (500, samples)
+        np.testing.assert_array_equal(got[1], want[1])
 
     def test_early_stop_bit_identical(self, mesh99):
         omega, coeff = family_frequencies(mesh99, (1, 3), 1)
@@ -537,10 +500,21 @@ class TestOscillator:
     def test_states_are_the_allocating_loop_history(self):
         prob = OscillatorProblem(khat=2.0, alpha=1.5, m=1, x0=0.8, x1=-0.3)
         tr = simulate_oscillator(prob, 2.0, 1e-2)
-        steps, want = after_history(allocating_rk4, -2.0, 1.5, 1,
-                                    np.array([[0.8], [-0.3]]), 1e-2, 200)
+        omega = np.sqrt([2.0])   # an array, as in the kernel
+        steps, want = after_history(allocating_lawson, omega, 1.5, 1,
+                                    omega * 0.8 - 0.3j, 1e-2, 200)
+        assert steps == list(range(1, 201))
         np.testing.assert_array_equal(tr.states[0], [0.8, -0.3])
-        np.testing.assert_array_equal(tr.states[1:], want[:, :, 0])
+        np.testing.assert_array_equal(tr.states[1:, 0], want[:, 0].real / omega)
+        np.testing.assert_array_equal(tr.states[1:, 1], want[:, 0].imag)
+
+    @pytest.mark.filterwarnings("error")   # no overflow warning either
+    def test_blow_up_raises_with_its_time(self):
+        # before, the trajectory ran on as inf and NaN
+        prob = OscillatorProblem(khat=1.0, alpha=2.0, m=3, x0=4.25, x1=0.0)
+        with pytest.raises(FloatingPointError,
+                           match=r"not finite at t=0\.03; reduce osc_step"):
+            simulate_oscillator(prob, 1.0, 0.01)
 
     def test_step_must_divide_the_horizon(self):
         prob = OscillatorProblem(khat=1.0, alpha=1.0, m=1, x0=1.0, x1=0.0)
@@ -583,22 +557,25 @@ class TestOscillator:
         prob = AnsatzProblem.for_mesh(mesh99, k, c0=0.7 / k, c1=0.4 * k,
                                       alpha=2.0, m=m)
         sol = rk4_ansatz([prob], 1.0, 1e-3)[0]
-        ek, omega = prob.eigenfunction(), k * np.pi
+        ek = prob.eigenfunction()
         for i in (10, 37, 80):
             x0, x1 = prob.c0 * ek[i], prob.c1 * ek[i]
             want = np.stack([sol.phi[:, i], sol.phidot[:, i]], axis=1) * ek[i]
-            _, z = after_history(oracle._lawson_oscillators, omega, prob.alpha,
-                                 m, np.array([omega * x0 + 1j * x1]), 1e-3, 1000)
-            alone = np.stack([z[:, 0].real / omega, z[:, 0].imag], axis=1)
-            assert np.abs(alone - want[1:]).max() <= 1e-12 * np.abs(want).max()
-            # classical RK4 at the same step differs by its own phase error:
-            # measured 2.6e-12 at k = 1 and 5.4e-10 at k = 3 (omega step =
-            # 0.0094) of the largest value; the bound keeps a margin of 3
+            # the same Lawson step, with omega = sqrt(lambda_k) for k pi and
+            # the state scaled by E_k(x_i): measured at most 6.1e-15 of the
+            # largest value; the bound keeps a margin of 3
             tr = simulate_oscillator(
                 OscillatorProblem(khat=prob.lam, alpha=prob.alpha, m=m, x0=x0,
                                   x1=x1), 1.0, 1e-3)
             np.testing.assert_array_equal(tr.times, sol.times)
-            assert np.abs(tr.states - want).max() <= 1.5e-9 * np.abs(want).max()
+            assert np.abs(tr.states - want).max() <= 2e-14 * np.abs(want).max()
+            # classical RK4 at the same step differs by its own phase error:
+            # measured 2.6e-12 at k = 1 and 5.4e-10 at k = 3 (omega step =
+            # 0.0094) of the largest value; the bound keeps a margin of 3
+            _, classical = after_history(allocating_rk4, -prob.lam, prob.alpha,
+                                         m, np.array([[x0], [x1]]), 1e-3, 1000)
+            assert (np.abs(classical[:, :, 0] - want[1:]).max()
+                    <= 1.5e-9 * np.abs(want).max())
 
 
 class TestBallSamples:
@@ -645,6 +622,34 @@ class TestStabilitySweep:
                                      horizon, step)
             inside = np.flatnonzero(tr.norms < eps)
             assert t == (tr.times[inside[0]] if len(inside) else np.inf)
+
+    def test_first_times_are_the_classical_rk4_sweep(self):
+        # the oscillator preset's 64 default samples, stepped by classical
+        # RK4 under the same first-time rule: Lawson RK4 at khat = 1 and
+        # step 0.01 must not move a single first time
+        c = RunConfig(experiment="oscillator")
+        sweep = uniform_stability_sweep(c.khat, c.alpha, c.m, c.radius,
+                                        c.samples, c.eps_target,
+                                        horizon=c.horizon, step=c.osc_step)
+        prob = OscillatorProblem(c.khat, c.alpha, c.m, 0.0, 0.0)
+        first = np.full(c.samples, np.inf)
+
+        def after(i, y):
+            hit = (prob.equivalent_norm(y.T) < c.eps_target) & np.isinf(first)
+            first[hit] = i * c.osc_step
+            return np.isfinite(first).all()
+
+        allocating_rk4(-c.khat, c.alpha, c.m, sweep.samples.T, c.osc_step,
+                       round(c.horizon / c.osc_step), after)
+        assert sweep.all_reached and (sweep.initial_norms >= c.eps_target).all()
+        np.testing.assert_array_equal(sweep.times_to_eps, first)
+
+    @pytest.mark.filterwarnings("error")   # no overflow warning either
+    def test_blow_up_raises_with_its_time(self):
+        # before, the blown-up samples were reported as never arriving
+        with pytest.raises(FloatingPointError,
+                           match=r"not finite at t=0\.02; reduce osc_step"):
+            uniform_stability_sweep(1.0, 2.0, 3, 3.0, 64, 0.1)
 
     def test_step_must_divide_the_horizon(self):
         with pytest.raises(ValueError, match="step must divide the horizon"):

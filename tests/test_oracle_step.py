@@ -11,7 +11,8 @@ Lawson step's place at one step per delta.  A looser rule goes unseen here,
 as every case already takes one step per delta.
 
 The pinning test holds the oracle at its rule to classical RK4 at the rule
-it replaced, omega * step <= 0.01, on k = 1, 8 and 124.  It fails for every
+it replaced, omega * step <= 0.01, on k = 1, 8 and 124; the classical run is
+the allocating loop of ``tests/rk4_reference.py``.  It fails for every
 mode when classical RK4 steps once per delta, and when the Lawson step
 drops the phase exp(-i omega step / 2).
 """
@@ -19,11 +20,11 @@ drops the phase exp(-i omega step / 2).
 import numpy as np
 import pytest
 
-from degenwave import oracle
 from degenwave.cli import (RunConfig, _oracle_errors, _oracle_grid,
                            _oracle_problems, _run_sweep)
 from degenwave.mesh import assemble, mesh_from_h
 from degenwave.oracle import AnsatzProblem, reference_errors, rk4_ansatz
+from rk4_reference import allocating_rk4
 
 # (h, T, mode lists); each list is one report, whose fastest mode sets the step
 GRID = [
@@ -69,14 +70,18 @@ def test_rule_stride_prints_as_four_times_finer(sweeps, h, t_final, ks):
 
 
 def classical_at_old_rule(prob, t_final, delta, stride):
-    """(2, stored steps, n) phi and phi' of classical RK4 on the class
-    oscillators of ``prob``, at ``stride`` steps per delta."""
+    """(2, stored steps, n) phi and phi' of classical RK4 (``allocating_rk4``)
+    on the class oscillators of ``prob``, at ``stride`` steps per delta."""
     coeff, index = prob.damping_classes()
     y = np.array([np.full(len(coeff), prob.c0), np.full(len(coeff), prob.c1)])
     rows = [y[:, index]]
-    oracle._rk4_oscillators(-prob.lam, coeff, prob.m, y, delta / stride,
-                            round(t_final / delta) * stride,
-                            lambda i, y: rows.append(y[:, index]), stride)
+
+    def after(i, y):
+        if i % stride == 0:
+            rows.append(y[:, index])
+
+    allocating_rk4(-prob.lam, coeff, prob.m, y, delta / stride,
+                   round(t_final / delta) * stride, after)
     return np.stack(rows, axis=1)
 
 
