@@ -13,8 +13,8 @@ __version__ = "0.1.0"
 
 from .mesh import (Mesh, QuarticTensor, SpatialOperators, assemble, build_mesh,
                    mesh_from_h)
-from .linop import (Propagator, energy, energy_inner, energy_norm, h1_norm,
-                    l2_norm, matrix_exponential)
+from .linop import (Propagator, energy, energy_inner, energy_norm,
+                    matrix_exponential)
 from .linwave import (BOOLE_WEIGHTS, ModalTrajectory, Trajectory,
                       analytic_linear_damped)
 from .picard import (DegenerateDamping, LinearDamping, PicardConfig,

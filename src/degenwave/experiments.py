@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linop import Propagator, energy, h1_norm, l2_norm
-from .linwave import ModalTrajectory, Trajectory
+from .linop import Propagator
+from .linwave import ModalTrajectory
 from .mesh import Mesh, SpatialOperators, whole_steps
 from .multistep import BlowupError, ab5_init, ab5_step, blowup_at
 from .picard import (DETECT, TOL, _DETECT_ROWS, PicardConfig, PicardResult,
@@ -93,23 +93,11 @@ class EnergyTrace:
             raise ValueError("trace contains non-finite entries")
 
     @classmethod
-    def from_trajectory(cls, traj: Trajectory,
-                        ops: SpatialOperators) -> "EnergyTrace":
-        u = traj.displacement()
-        return cls(times=traj.times.copy(),
-                   energy=energy(ops, traj.states),
-                   l2=l2_norm(ops, u),
-                   h1=h1_norm(ops, u))
-
-    @classmethod
     def from_modal(cls, traj: ModalTrajectory) -> "EnergyTrace":
-        """The trace straight from the amplitudes by ``modal_norms``, with
-        no nodal row.  Row 0 takes every mode of ``y0``."""
-        prop = traj.propagator
+        """The trace straight from the amplitudes by ``modal_norms``."""
         energy, l2, h1 = (np.concatenate(parts) for parts in zip(*(
-            modal_norms(prop, modes, z) for modes, z in
-            [(slice(None), prop.modal(traj.y0)[None])]
-            + [(modes, z[1:]) for modes, z in traj.segments])))
+            modal_norms(traj.propagator, modes, z)
+            for modes, _, _, z in traj.windows(0, len(traj.times)))))
         return cls(times=traj.times.copy(), energy=energy, l2=l2, h1=h1)
 
 
@@ -232,10 +220,12 @@ def primitive_solve(setup: PrimitiveSetup, ops: SpatialOperators,
         damped_run = frequency_sweep([setup.k], setup.alpha, setup.m, ops,
                                      delta, t_final, window=window,
                                      epsilon=epsilon)[0]
-    n = ops.mesh.n
-    gap = max(float(l2_norm(ops, primitive[:, n:] - damped[:, :n]).max())
-              for primitive, damped in zip(result.trajectory.blocks(),
-                                           damped_run.trajectory.blocks()))
+    # |phi' - u|_0^2 = sum_j mu_j (Im z_j - Re z'_j / omega_j)^2 of the two
+    # runs' amplitudes z and z', read a window at a time
+    traj, prop = result.trajectory, result.trajectory.propagator
+    gap = max(float(np.sqrt((d * d) @ prop.mu).max()) for d in (
+        traj.amplitudes(i, j).imag - damped_run.trajectory.amplitudes(i, j).real / prop.omega
+        for _, i, j, _ in traj.windows(0, len(traj.times))))
     trace = EnergyTrace.from_modal(result.trajectory)
     return PrimitiveResult(setup=setup, trajectory=result.trajectory,
                            trace=trace, velocity_gap_l2=gap,

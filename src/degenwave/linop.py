@@ -107,17 +107,11 @@ def matrix_exponential(ops: SpatialOperators, step: float) -> Propagator:
 
 # -- energy functionals ------------------------------------------------------
 
-def split_state(y: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    return y[..., :n], y[..., n:]
-
-
 def energy_inner(ops: SpatialOperators, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Energy inner product u^T K w + v^T M z (batched)."""
     n = ops.mesh.n
-    uy, vy = split_state(y, n)
-    uz, vz = split_state(z, n)
-    return (np.sum(uy * ops.apply_stiffness(uz), axis=-1)
-            + np.sum(vy * ops.apply_mass(vz), axis=-1))
+    return (np.sum(y[..., :n] * ops.apply_stiffness(z[..., :n]), axis=-1)
+            + np.sum(y[..., n:] * ops.apply_mass(z[..., n:]), axis=-1))
 
 
 def energy_norm(ops: SpatialOperators, y: np.ndarray) -> np.ndarray:
@@ -127,13 +121,3 @@ def energy_norm(ops: SpatialOperators, y: np.ndarray) -> np.ndarray:
 def energy(ops: SpatialOperators, y: np.ndarray) -> np.ndarray:
     """Discrete wave energy 1/2 u^T K u + 1/2 v^T M v (batched)."""
     return 0.5 * energy_inner(ops, y, y)
-
-
-def l2_norm(ops: SpatialOperators, u: np.ndarray) -> np.ndarray:
-    """Discrete L^2 norm sqrt(u^T M u) of a displacement/velocity vector."""
-    return np.sqrt(np.sum(u * ops.apply_mass(u), axis=-1))
-
-
-def h1_norm(ops: SpatialOperators, u: np.ndarray) -> np.ndarray:
-    """Discrete H^1_0 seminorm sqrt(u^T K u)."""
-    return np.sqrt(np.sum(u * ops.apply_stiffness(u), axis=-1))

@@ -17,9 +17,6 @@ from .linop import Propagator
 # Boole's rule on [0, 1]: weights of the five equally spaced abscissae (sum to 1)
 BOOLE_WEIGHTS = np.array([7.0, 32.0, 12.0, 32.0, 7.0]) / 90.0
 
-# rows per block when a trajectory is read block by block
-BLOCK_ROWS = 256
-
 
 @dataclass(eq=False)
 class Trajectory:
@@ -33,13 +30,6 @@ class Trajectory:
         if len(self.times) != len(self.states):
             raise ValueError("times/states length mismatch")
 
-    @property
-    def n_nodes(self) -> int:
-        return self.states.shape[1] // 2
-
-    def displacement(self) -> np.ndarray:
-        return self.states[:, : self.n_nodes]
-
 
 @dataclass(eq=False)
 class ModalTrajectory:
@@ -51,10 +41,10 @@ class ModalTrajectory:
     ``Propagator.restrict``), its row 0 being the previous window's last row.
     A row thus costs 16 |J| bytes where a nodal row costs 16 n.
 
-    ``rows`` and ``blocks`` synthesize nodal rows from the amplitudes with
-    each window's restricted propagator, a block at a time, so no whole
-    window of nodal rows is built.  A read of a nonempty range of rows
-    outside 0..len(times)-1 raises ``ValueError``.
+    Its readers take the amplitudes as they are: ``windows`` hands out each
+    window's rows on its modes, ``amplitudes`` rows on every mode.  A read
+    of a nonempty range of rows outside 0..len(times)-1 raises
+    ``ValueError``.
     """
 
     times: np.ndarray
@@ -70,54 +60,35 @@ class ModalTrajectory:
     def delta(self) -> float:
         return self.propagator.step
 
-    def _check(self, start: int, stop: int) -> None:
+    def windows(self, start: int, stop: int):
+        """(J, i, j, z) for each window that holds rows of start..stop-1:
+        its modes J, its rows i..j-1 and their amplitudes z on J.  Row 0
+        comes first as a window of its own, ``modal(y0)`` on every mode."""
         if stop > start and not 0 <= start < stop <= len(self.times):
             raise ValueError(f"rows {start}..{stop - 1} are not all within "
                              f"0..{len(self.times) - 1}")
-
-    def _windows(self, start: int, stop: int):
-        """(w, i, j, z) for each window w that holds rows of start..stop-1
-        past row 0: its rows i..j-1 and their amplitudes z on its modes."""
-        self._check(start, stop)
+        if start == 0 < stop:
+            yield np.arange(len(self.propagator.omega)), 0, 1, self.propagator.modal(self.y0)[None]
         first = 0     # the row a window starts from, its z[0]
-        for w, (_, z) in enumerate(self.segments):
+        for modes, z in self.segments:
             i, j = max(start, first + 1), min(stop, first + len(z))
             if i < j:
-                yield w, i, j, z[i - first:j - first]
+                yield modes, i, j, z[i - first:j - first]
             first += len(z) - 1
-
-    def rows(self, start: int, stop: int) -> np.ndarray:
-        """Nodal rows ``start``..``stop``-1; none when stop <= start."""
-        out = np.empty((max(stop - start, 0), len(self.y0)))
-        for w, i, j, z in self._windows(start, stop):
-            prop = self.propagator.restrict(self.segments[w][0])
-            out[i - start:j - start] = prop.nodal(z)
-        if start == 0 < stop:
-            out[0] = self.y0
-        return out
-
-    def blocks(self, size: int = BLOCK_ROWS, start: int = 0, stop: int | None = None):
-        """The nodal rows ``start``..``stop``-1 in consecutive blocks of at
-        most ``size`` rows."""
-        stop = len(self.times) if stop is None else stop
-        self._check(start, stop)
-        return (self.rows(a, min(a + size, stop)) for a in range(start, stop, size))
 
     def amplitudes(self, start: int, stop: int) -> np.ndarray:
         """The amplitudes of rows ``start``..``stop``-1 on every mode, zero
-        off each window's modes; row 0 has those of ``modal(y0)``."""
+        off each window's modes."""
         out = np.zeros((max(stop - start, 0), len(self.propagator.omega)), complex)
-        for w, i, j, z in self._windows(start, stop):
-            out[i - start:j - start, self.segments[w][0]] = z
-        if start == 0 < stop:
-            out[0] = self.propagator.modal(self.y0)
+        for modes, i, j, z in self.windows(start, stop):
+            out[i - start:j - start, modes] = z
         return out
 
     def prefix(self, stop: int) -> ModalTrajectory:
         """The rows 0..``stop``-1 as a trajectory of their own."""
         return ModalTrajectory(self.times[:stop], self.y0, [
-            (self.segments[w][0], self.segments[w][1][:j - i + 1])
-            for w, i, j, _ in self._windows(1, stop)], self.propagator)
+            (modes, z[:j - i + 1]) for (modes, z), (_, i, j, _) in
+            zip(self.segments, self.windows(1, stop))], self.propagator)
 
 
 # -- Duhamel stepping --------------------------------------------------------

@@ -111,10 +111,6 @@ class OracleSolution:
     phi: np.ndarray      # (n_times, n_samples)
     phidot: np.ndarray
 
-    def modal_energy(self) -> np.ndarray:
-        """Per-sample oscillator energy 1/2 lam phi^2 + 1/2 phi'^2, (n_times, n_samples)."""
-        return 0.5 * self.problem.lam * self.phi**2 + 0.5 * self.phidot**2
-
 
 # the grid rule of an RK4 run that stores every store_stride-th step
 _STORED_GRID = "the stored step, step * store_stride, must divide the horizon"
@@ -175,8 +171,22 @@ def _lawson_oscillators(omega, coeff, m: int, z0: np.ndarray, h: float,
             break
 
 
-def rk4_ansatz(problems, t_final: float, step: float, store_stride: int = 1,
-               observe=None):
+def _classes(problems: list) -> tuple:
+    """Each problem's class coefficients, each node's class among those of all
+    problems in turn, and where each problem's start (``damping_classes``)."""
+    coeffs, index = zip(*(p.damping_classes() for p in problems))
+    offsets = np.cumsum([0] + [len(c) for c in coeffs])
+    return coeffs, [q + o for q, o in zip(index, offsets)], offsets
+
+
+# stored steps per block handed to ``observe`` (16 bytes per class each):
+# fig2's comparison with its RK4 loop took 0.086, 0.071, 0.074 and 0.075 s
+# at 16, 64, 256 and 1,024, fine-mesh's 0.033, 0.030, 0.038 and 0.036 s
+_OBSERVE_BLOCK = 64
+
+
+def rk4_ansatz(problems, t_final: float, step: float, store_stride: int = 1, *,
+               observe) -> None:
     """Lawson RK4 (``_lawson_oscillators``) on a sequence of per-position
     oscillator families.
 
@@ -184,14 +194,12 @@ def rk4_ansatz(problems, t_final: float, step: float, store_stride: int = 1,
     integer power for the whole batch).  Nodes whose damping coefficients
     coincide (``AnsatzProblem.damping_classes``) carry the same oscillator,
     so one oscillator per class and problem is stepped, all of them as one
-    state z = k pi phi + i phi', and the (K, n) amplitudes phi, phi' at the
-    nodes are gathered from it at the stored steps only.  Every
-    ``store_stride`` steps, and at t = 0, the loop calls
-    ``observe(i, phi, psi)`` with the stored-step index i (the time is
-    i * step * store_stride) and those amplitudes, which the loop does not
-    modify afterwards.  Without ``observe`` the
-    stored states are collected into a list of ``OracleSolution``, one per
-    problem.  With it, nothing is kept and None is returned.
+    state z = k pi phi + i phi' over the classes of every problem in turn.
+    The stored steps are t = 0 and every ``store_stride``-th step; stored
+    step i is at time i * step * store_stride.  In blocks of at most
+    ``_OBSERVE_BLOCK`` stored steps, starting at stored step i0, the loop
+    calls ``observe(i0, phi, psi)`` with the class amplitudes phi = Re z /
+    k pi and psi = Im z of the block, fresh (steps, classes) arrays.
 
     A state that stops being finite raises ``FloatingPointError``.
     """
@@ -204,53 +212,69 @@ def rk4_ansatz(problems, t_final: float, step: float, store_stride: int = 1,
     if any(p.mesh.n != first.mesh.n for p in batch):
         raise ValueError("problems in one batch must share the sample positions")
     n_stored = whole_steps(t_final, step * store_stride, _STORED_GRID)
-    collect = observe is None
-    if collect:
-        history = np.empty((2, len(batch), n_stored + 1, first.mesh.n))
-
-        def observe(i, phi, psi):
-            history[0, :, i] = phi
-            history[1, :, i] = psi
-
-    coeffs, index = zip(*(p.damping_classes() for p in batch))
-    sizes = [len(c) for c in coeffs]
-    coeff = np.concatenate(coeffs)
-    # each problem's class indices, offset to its part of the state
-    index = np.array(index) + np.cumsum([0] + sizes[:-1])[:, None]
-    omega = [p.k * np.pi for p in batch]
-    z = np.repeat([w * float(p.c0) + 1j * float(p.c1)
-                   for p, w in zip(batch, omega)], sizes)
-    omega_rows = np.array(omega)[:, None]
+    coeffs, _, offsets = _classes(batch)
+    omega = np.repeat([p.k * np.pi for p in batch], np.diff(offsets))
+    z = np.repeat([p.k * np.pi * float(p.c0) + 1j * float(p.c1) for p in batch],
+                  np.diff(offsets))
+    block = np.empty((min(_OBSERVE_BLOCK, n_stored + 1), offsets[-1]), complex)
 
     def store(i, z):
-        nodal = z[index]   # a fresh (K, n) array: the loop overwrites z
-        ok = np.isfinite(nodal).all(axis=1)
-        if not ok.all():
-            ks = ", ".join(str(p.k) for p, good in zip(batch, ok) if not good)
+        i //= store_stride
+        if not np.isfinite(z).all():
+            ks = ", ".join(str(p.k) for p, part in zip(batch, np.split(z, offsets[1:-1]))
+                           if not np.isfinite(part).all())
             raise FloatingPointError(
                 f"reference solution for k={ks} is not finite at "
-                f"t={i * step:g}; reduce the step or the damping")
-        observe(i // store_stride, nodal.real / omega_rows, nodal.imag)
+                f"t={i * step * store_stride:g}; reduce the step or the damping")
+        j = i % _OBSERVE_BLOCK
+        block[j] = z
+        if j == len(block) - 1 or i == n_stored:
+            observe(i - j, block[:j + 1].real / omega, block[:j + 1].imag.copy())
 
     # a blow-up is reported by ``store``, not through overflow warnings
     with np.errstate(over="ignore", invalid="ignore"):
         store(0, z)
-        _lawson_oscillators(np.repeat(omega, sizes), coeff, first.m, z, step,
+        _lawson_oscillators(omega, np.concatenate(coeffs), first.m, z, step,
                             n_stored * store_stride, store, store_stride)
 
-    if not collect:
-        return None
-    times = (step * store_stride) * np.arange(n_stored + 1)
-    return [OracleSolution(problem=p, times=times, phi=phi, phidot=psi)
-            for p, phi, psi in zip(batch, *history)]
 
+class ClassForms:
+    """The reference field's energies as exact sparse quadratic forms of the
+    class amplitudes that ``rk4_ansatz`` hands ``observe``.
 
-# stored steps per block of the streamed comparison: the fold's traced peak
-# on fig2's four modes (n = 99) and fine-mesh's three (n = 499) is 7.9 and
-# 30.8 MB at 256, 5.1 and 20.0 MB at 64, and 4.4 and 17.3 MB at 16, the rest
-# being each reader's synthesized window; the time, 0.6-1.3 s, is the RK4
-# loop's at every size (one thread)
-_COMPARE_BLOCK = 64
+    Node i of a problem carries u_i = phi_c E_k(x_i), c its class, and K is
+    tridiagonal: u^T K u = sum_i K_ii E_k(x_i)^2 phi_c(i)^2 + 2 sum_i K_i,i+1
+    E_k(x_i) E_k(x_i+1) phi_c(i) phi_c(i+1), a weight on each class and on
+    each pair of neighbouring classes (about three per class) summed over
+    the nodes that carry it; M alike.  ``projection`` gives S^T u = P^T phi
+    on the columns of S it is given, P[c, j] = sum_{i in c} S[i, j] E_k(x_i).
+    """
+
+    def __init__(self, problems: list, ops: SpatialOperators):
+        _check_on_mesh(problems[0], ops.mesh)
+        _, self.index, self.offsets = _classes(problems)
+        self.eigen = [p.eigenfunction() for p in problems]
+        self.pairs = []   # per problem: classes a <= b of each pair, their K and M weights
+        for q, e, o, c in zip(self.index, self.eigen, self.offsets, np.diff(self.offsets)):
+            # node i with itself and with i + 1, keyed a c + b counted from o
+            a, b = np.sort([q[:-1], q[1:]], axis=0) - o
+            key = np.concatenate([(q - o) * (c + 1), a * c + b])
+            pairs = np.flatnonzero(np.bincount(key, minlength=c * c))
+            self.pairs.append((o + pairs // c, o + pairs % c, np.stack([np.bincount(
+                key, np.concatenate([diag * e * e, 2.0 * off * e[:-1] * e[1:]]), c * c)[pairs]
+                for diag, off in ((ops.stiffness_diag, ops.stiffness_off),
+                                  (ops.mass_diag, ops.mass_off))], axis=1)))
+
+    def quadratic(self, x: np.ndarray) -> np.ndarray:
+        """u^T K u and u^T M u of each problem's field for the class
+        amplitude rows ``x``, shape (rows, problems, 2)."""
+        return np.stack([(x[:, a] * x[:, b]) @ w for a, b, w in self.pairs], axis=1)
+
+    def projection(self, r: int, sine: np.ndarray) -> np.ndarray:
+        """P of problem ``r`` on the columns ``sine`` of S, (classes, columns)."""
+        out = np.zeros((self.offsets[r + 1] - self.offsets[r], sine.shape[1]))
+        np.add.at(out, self.index[r] - self.offsets[r], sine * self.eigen[r][:, None])
+        return out
 
 
 def reference_errors(trajectories: list, energies: list, problems: list,
@@ -258,42 +282,52 @@ def reference_errors(trajectories: list, energies: list, problems: list,
                      store_stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Per-problem errors of finite element runs against the reference.
 
-    Returns two arrays over the problems: the values of
-    ``compare_energy_decay`` and ``compare_energy_norm`` for
-    ``trajectories[j]``, whose energies are ``energies[j]``, against
-    ``problems[j]``, bit for bit.  One ``rk4_ansatz`` run advances every
-    problem, and each block of ``_COMPARE_BLOCK`` stored steps is compared
-    and dropped, so memory does not grow with the horizon.  Each trajectory
-    (a ``ModalTrajectory``, or any with its ``times`` and ``blocks``) must
-    lie on the stored reference grid; its rows are read block by block.
+    Returns two arrays over the problems: the largest |E_y - E_r| and
+    ||y - r||_E over the stored steps (``compare_energy_decay`` and
+    ``compare_energy_norm``, to rounding) of the ``ModalTrajectory``
+    ``trajectories[j]`` on the stored grid, whose energies E_y are
+    ``energies[j]``, against ``problems[j]``.  One ``rk4_ansatz`` run
+    advances every problem; each block it hands over is compared and
+    dropped, so memory does not grow with the horizon.
+
+    No nodal row is built: E_r is the ``ClassForms`` energy of the class
+    amplitudes phi, psi, and ||y - r||^2_E = 2 E_y + 2 E_r - 2 <y, r>_E,
+    <y, r>_E = sum_j mu_j (omega_j Re z_j (P^T phi)_j + Im z_j (P^T psi)_j)
+    on each window's modes J (S_J^T K = diag(kappa_J) S_J^T), P being the
+    ``projection`` on J, built once per J.  Row 0 is the nodal y0 itself.
     """
     if not problems or not len(trajectories) == len(energies) == len(problems):
         raise ValueError("need at least one problem, and one trajectory and one "
                          "energy history per problem")
-    n_stored = whole_steps(t_final, step * store_stride, _STORED_GRID)
-    grid = (step * store_stride) * np.arange(n_stored + 1)
+    grid = (step * store_stride) * np.arange(
+        whole_steps(t_final, step * store_stride, _STORED_GRID) + 1)
     for traj in trajectories:
         _check_aligned(traj.times, grid)
-    _check_on_mesh(problems[0], ops.mesh)
-    gap, norm = np.zeros((2, len(problems)))
-    # phi and phi' of the current block: (2, problems, block, positions)
-    block = np.empty((2, len(problems), _COMPARE_BLOCK, ops.mesh.n))
-    readers = [traj.blocks(_COMPARE_BLOCK) for traj in trajectories]
+    forms = ClassForms(problems, ops)
+    gap, sq = np.zeros((2, len(problems)))
+    projections = [(None, None)] * len(problems)   # each run's last (J, P)
 
-    def observe(i, phi, psi):
-        j = i % _COMPARE_BLOCK
-        block[:, :, j] = phi, psi
-        if j == _COMPARE_BLOCK - 1 or i == n_stored:
-            rows = slice(i - j, i + 1)
-            for r, (reader, e_fem, prob) in enumerate(zip(readers, energies,
-                                                          problems)):
-                ref = oracle_states(OracleSolution(prob, grid[rows],
-                                                   *block[:, r, :j + 1]), ops.mesh)
-                gap[r] = max(gap[r], np.abs(e_fem[rows] - energy(ops, ref)).max())
-                norm[r] = max(norm[r], energy_norm(ops, next(reader) - ref).max())
+    def observe(i0, phi, psi):
+        e_ref = 0.5 * (forms.quadratic(phi)[..., 0] + forms.quadratic(psi)[..., 1])
+        for r, (traj, e_fem) in enumerate(zip(trajectories, energies)):
+            prop, cls = traj.propagator, slice(*forms.offsets[r:r + 2])
+            inner = np.empty(len(phi))
+            if i0 == 0:   # row 0, the nodal y0, against r = phi_c(i) E_k(x_i)
+                u, v = np.split(traj.y0, 2)
+                inner[0] = forms.eigen[r] @ (phi[0, forms.index[r]] * ops.apply_stiffness(u)
+                                             + psi[0, forms.index[r]] * ops.apply_mass(v))
+            for modes, i, j, z in traj.windows(max(i0, 1), i0 + len(phi)):
+                if not np.array_equal(projections[r][0], modes):
+                    projections[r] = modes, forms.projection(r, prop.sine[:, modes])
+                p, rows, mu = projections[r][1], slice(i - i0, j - i0), prop.mu[modes]
+                inner[rows] = ((z.real * (phi[rows, cls] @ p)) @ (mu * prop.omega[modes])
+                               + (z.imag * (psi[rows, cls] @ p)) @ mu)
+            e = e_fem[i0:i0 + len(phi)]
+            gap[r] = max(gap[r], np.abs(e - e_ref[:, r]).max())
+            sq[r] = max(sq[r], (2.0 * (e + e_ref[:, r] - inner)).max())
 
     rk4_ansatz(problems, t_final, step, store_stride, observe=observe)
-    return gap, norm
+    return gap, np.sqrt(np.maximum(sq, 0.0))
 
 
 def _check_on_mesh(problem: AnsatzProblem, mesh: Mesh) -> None:

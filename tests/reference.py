@@ -1,10 +1,12 @@
 """Definitions that only tests call, beside the ones a run executes.
 
 Dense copies of the assembled operators, single tensor entries, per-element
-Gauss quadrature and the L^2 projection on it, nodal trajectories read in
-blocks, the nodal form of the Duhamel sweep and the linear solver built on
-it, and the diagnostics that compare a run with the undamped flow, with
-an analytic field or with the a priori contraction bound.  A ``degenwave``
+Gauss quadrature and the L^2 projection on it, the nodal reader of a modal
+history, the reference's stored states at the nodes and the nodal energy
+trace, the nodal form of the Duhamel sweep and
+the linear solver built on it, and the diagnostics that compare a run with
+the undamped flow, with an analytic field or with the a priori contraction
+bound.  A ``degenwave``
 run uses none of them; the tests hold the package's fast paths against
 them.
 """
@@ -14,10 +16,11 @@ from functools import lru_cache
 import numpy as np
 
 from degenwave.experiments import EXTENSION_BLOCK, EnergyTrace, _extension_grid
-from degenwave.linop import matrix_exponential
-from degenwave.linwave import BLOCK_ROWS, BOOLE_WEIGHTS, Trajectory, sweep
+from degenwave.linop import energy, matrix_exponential
+from degenwave.linwave import BOOLE_WEIGHTS, ModalTrajectory, Trajectory, sweep
 from degenwave.mesh import _pad, whole_steps
 from degenwave.multistep import BlowupError, ab5_init, ab5_step, blowup_at
+from degenwave.oracle import OracleSolution, rk4_ansatz
 
 
 # -- dense views of the assembled operators ------------------------------------
@@ -132,16 +135,97 @@ def theta(prop) -> float:
     return prop.step / (prop.points - 1)
 
 
-class NodalTrajectory(Trajectory):
-    """A ``Trajectory`` that ``oracle.reference_errors`` reads, as it reads
-    a ``ModalTrajectory``, block by block."""
+def nodal_rows(traj, start: int, stop: int) -> np.ndarray:
+    """Nodal rows ``start``..``stop``-1 of a ``ModalTrajectory``, none when
+    stop <= start: each window's synthesized with its restricted
+    propagator, row 0 being ``y0`` itself."""
+    out = np.empty((max(stop - start, 0), len(traj.y0)))
+    for modes, i, j, z in traj.windows(start, stop):
+        out[i - start:j - start] = traj.propagator.restrict(modes).nodal(z)
+    if start == 0 < stop:
+        out[0] = traj.y0
+    return out
 
-    def blocks(self, size: int = BLOCK_ROWS, start: int = 0, stop: int | None = None):
-        """The rows ``start``..``stop``-1 in consecutive blocks of at most
-        ``size`` rows."""
-        stop = len(self.times) if stop is None else stop
-        for a in range(start, stop, size):
-            yield self.states[a:min(a + size, stop)]
+
+def nodal_blocks(traj, size: int = 256, start: int = 0, stop: int | None = None):
+    """The nodal rows ``start``..``stop``-1 in consecutive blocks of at
+    most ``size`` rows."""
+    stop = len(traj.times) if stop is None else stop
+    return (nodal_rows(traj, a, min(a + size, stop)) for a in range(start, stop, size))
+
+
+def nodal_trajectory(traj) -> Trajectory:
+    """Every row of a ``ModalTrajectory`` as a nodal ``Trajectory``."""
+    return Trajectory(times=traj.times.copy(),
+                      states=nodal_rows(traj, 0, len(traj.times)), delta=traj.delta)
+
+
+def modal_trajectory(traj: Trajectory, prop, window: int = 500) -> ModalTrajectory:
+    """A nodal ``Trajectory`` as a ``ModalTrajectory`` on every mode of
+    ``prop``, in windows of ``window`` steps."""
+    z = prop.modal(traj.states)
+    segments = [(np.arange(len(prop.omega)), z[a:a + window + 1])
+                for a in range(0, len(z) - 1, window)]
+    return ModalTrajectory(times=traj.times.copy(), y0=traj.states[0],
+                           segments=segments, propagator=prop)
+
+
+def l2_norm(ops, u: np.ndarray) -> np.ndarray:
+    """Discrete L^2 norm sqrt(u^T M u) of a displacement/velocity vector."""
+    return np.sqrt(np.sum(u * ops.apply_mass(u), axis=-1))
+
+
+def h1_norm(ops, u: np.ndarray) -> np.ndarray:
+    """Discrete H^1_0 seminorm sqrt(u^T K u)."""
+    return np.sqrt(np.sum(u * ops.apply_stiffness(u), axis=-1))
+
+
+def class_of_node(problems: list) -> list:
+    """Per problem, each node's column among the class amplitudes that
+    ``rk4_ansatz`` hands ``observe``: the problems' classes in turn."""
+    offsets = np.cumsum([0] + [len(p.damping_classes()[0]) for p in problems])
+    return [o + p.damping_classes()[1] for p, o in zip(problems, offsets)]
+
+
+def oracle_solutions(problems, t_final: float, step: float,
+                     store_stride: int = 1) -> list:
+    """The stored steps of one ``rk4_ansatz`` run taken at the nodes: one
+    ``OracleSolution`` per problem."""
+    problems, blocks = list(problems), []
+    rk4_ansatz(problems, t_final, step, store_stride,
+               observe=lambda i0, phi, psi: blocks.append((phi, psi)))
+    phi, psi = (np.concatenate(rows) for rows in zip(*blocks))
+    times = (step * store_stride) * np.arange(len(phi))
+    return [OracleSolution(problem=p, times=times, phi=phi[:, at], phidot=psi[:, at])
+            for p, at in zip(problems, class_of_node(problems))]
+
+
+def modal_energy(sol) -> np.ndarray:
+    """An ``OracleSolution``'s per-sample oscillator energy
+    1/2 lam phi^2 + 1/2 phi'^2, (n_times, n_samples)."""
+    return 0.5 * sol.problem.lam * sol.phi**2 + 0.5 * sol.phidot**2
+
+
+def term_energy(ops, y: np.ndarray, z: np.ndarray | None = None) -> np.ndarray:
+    """1/2 (|u|^T |K| |u'| + |v|^T |M| |v'|) of the stacked states ``y`` and
+    ``z`` (default ``y``), batched: the sum of the magnitudes of the terms
+    an energy (inner product) sums.  A sum of n terms rounds by at most
+    about n eps times it (Higham's gamma_n); K's entries cancel, so for
+    smooth states it exceeds the energy by a factor of order 1/(k pi h)^2."""
+    n = ops.mesh.n
+    y = np.abs(y)
+    z = y if z is None else np.abs(z)
+    stiff = _tridiag_dense(np.abs(ops.stiffness_diag), np.abs(ops.stiffness_off))
+    mass = _tridiag_dense(np.abs(ops.mass_diag), np.abs(ops.mass_off))
+    return 0.5 * (np.sum(y[..., :n] * (z[..., :n] @ stiff), axis=-1)
+                  + np.sum(y[..., n:] * (z[..., n:] @ mass), axis=-1))
+
+
+def nodal_energy_trace(traj: Trajectory, ops) -> EnergyTrace:
+    """The ``EnergyTrace`` of nodal rows, by the assembled K and M."""
+    u = traj.states[:, :ops.mesh.n]
+    return EnergyTrace(times=traj.times.copy(), energy=energy(ops, traj.states),
+                       l2=l2_norm(ops, u), h1=h1_norm(ops, u))
 
 
 def nodal_sweep(prop, y0: np.ndarray, f_absc: np.ndarray) -> np.ndarray:
@@ -154,12 +238,6 @@ def nodal_sweep(prop, y0: np.ndarray, f_absc: np.ndarray) -> np.ndarray:
     states = prop.nodal(sweep(prop, prop.modal(y0), g))
     states[0] = y0
     return states
-
-
-def nodal_trajectory(traj) -> NodalTrajectory:
-    """Every row of a ``ModalTrajectory`` as a nodal ``Trajectory``."""
-    return NodalTrajectory(times=traj.times.copy(),
-                           states=traj.rows(0, len(traj.times)), delta=traj.delta)
 
 
 def solve_linear_inhomogeneous(ops, y0: np.ndarray, forcing, t_final: float,
@@ -245,7 +323,7 @@ def conservative_comparison(run, ops) -> EnergyTrace:
     t = traj.times[:, None]
     ref = np.concatenate([np.cos(w * t) * u0, -w * np.sin(w * t) * u0], axis=1)
     diff = Trajectory(traj.times, traj.states - ref, traj.delta)
-    return EnergyTrace.from_trajectory(diff, ops)
+    return nodal_energy_trace(diff, ops)
 
 
 def continuum_energy_error(mesh, state: np.ndarray, ux_exact, v_exact,

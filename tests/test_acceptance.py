@@ -20,13 +20,13 @@ from degenwave import (LinearDamping, PicardConfig,
                        dissipation_exponent, energy,
                        frequency_sweep, lower_order_decay,
                        picard_solve,
-                       primitive_setup, primitive_solve, rk4_ansatz,
+                       primitive_setup, primitive_solve,
                        uniform_stability_sweep)
 from degenwave.experiments import EnergyTrace
 from degenwave.oracle import AnsatzProblem
 from extension_helpers import extended
 from reference import (continuum_energy_error, max_generalized_eigenvalue,
-                       nodal_trajectory)
+                       nodal_energy_trace, nodal_trajectory, oracle_solutions)
 
 DELTA = 2e-3
 T_FINAL = 10.0
@@ -48,7 +48,7 @@ def fig2(mesh99, ops99):
         run = frequency_sweep([k], 1.0, 1, ops99, DELTA, T_FINAL)[0]
         problem = AnsatzProblem.for_mesh(mesh99, k,
                                          c0=run.data.amplitude / np.sqrt(2.0))
-        sol = rk4_ansatz([problem], T_FINAL, DELTA / 10, store_stride=10)[0]
+        sol = oracle_solutions([problem], T_FINAL, DELTA / 10, store_stride=10)[0]
         traj = nodal_trajectory(run.trajectory)
         bundle["e_gap"][k] = compare_energy_decay(traj, sol, ops99)
         bundle["e_norm"][k] = compare_energy_norm(traj, sol, ops99)
@@ -63,7 +63,7 @@ def primitive50(mesh99, ops99, fig2):
     result = primitive_solve(setup, ops99, DELTA, T_FINAL,
                              damped_run=fig2["runs"][1])
     full, = extended([result.trajectory], ops99, setup.damping, 50.0)
-    trace = EnergyTrace.from_trajectory(full, ops99)
+    trace = nodal_energy_trace(full, ops99)
     return {"setup": setup, "result": result, "trace": trace}
 
 
@@ -126,7 +126,7 @@ class TestFigureOneQualitative:
         mid = mesh99.n // 2
         traj = nodal_trajectory(run.trajectory)
         sel = traj.times >= 8.0
-        u_nl = np.abs(traj.displacement()[sel, mid]).max()
+        u_nl = np.abs(traj.states[sel, mid]).max()
         beta = (2.0 / np.pi) ** 2
         u_lin = max(abs(analytic_linear_damped(beta, 1, run.data.amplitude, t,
                                                np.array([0.5]))[0][0])
@@ -222,13 +222,13 @@ class TestCriterion5SchemeOrders:
         # closed form, so its order is measured on a damped member, against
         # a 64 times finer run
         undamped = AnsatzProblem.for_mesh(mesh99, 1, c0=0.45, c1=0.0, alpha=0.0)
-        sol = rk4_ansatz([undamped], 1.0, 0.025)[0]
+        sol = oracle_solutions([undamped], 1.0, 0.025)[0]
         assert np.abs(sol.phi - 0.45 * np.cos(np.pi * sol.times)[:, None]
                       ).max() <= 1e-14
         prob = AnsatzProblem.for_mesh(mesh99, 1, c0=0.45, c1=0.0, alpha=1.0)
 
         def run(step):
-            return rk4_ansatz([prob], 1.0, step,
+            return oracle_solutions([prob], 1.0, step,
                               store_stride=round(0.025 / step))[0].phi
 
         fine = run(0.0125 / 64)

@@ -3,11 +3,11 @@ import pytest
 
 from degenwave import (EnergyTrace, assemble, build_mesh,
                        closed_form_potential_m1, decay_rate_fit,
-                       frequency_sweep, h1_norm, l2_norm,
+                       frequency_sweep,
                        lower_order_decay, mode_initial_state, primitive_setup,
                        primitive_solve)
 from reference import (conservative_comparison, continuum_energy_error, gauss_rule,
-                       hat_load_from_values, values_at_gauss)
+                       h1_norm, hat_load_from_values, l2_norm, values_at_gauss)
 
 
 class TestModeInitialState:

@@ -369,7 +369,7 @@ class TestProjections:
 
     def test_l2_projection_vs_interpolant_second_order(self):
         # the gap between nodal interpolant and L^2 projection shrinks as h^2
-        from degenwave import l2_norm
+        from reference import l2_norm
         gaps = []
         for n in (49, 99):
             ops = assemble(build_mesh(n))

