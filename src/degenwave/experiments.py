@@ -16,7 +16,7 @@ import numpy as np
 from .linop import Propagator
 from .linwave import ModalTrajectory
 from .mesh import Mesh, SpatialOperators, whole_steps
-from .multistep import BlowupError, ab5_init, ab5_step, blowup_at
+from .multistep import ab5_init, ab5_step, blowup_at
 from .picard import (DETECT, TOL, _DETECT_ROWS, PicardConfig, PicardResult,
                      PrimitiveDamping, _mode_energy, _Triads, load_model,
                      picard_solve)
@@ -396,9 +396,10 @@ def extend_with_ab5(trajs: list, ops: SpatialOperators, forcing,
     time (Picard's level for a unit window).  A run whose forcing reaches
     a new mode has its J widened, and the block is stepped again from its
     start history on the wider modes.
-    ``BlowupError`` stops the run once a member's modal energy
-    1/2 sum mu_j |w_j|^2 exceeds ten times its largest over the five seed
-    rows; the limit is kept when a block is stepped again.
+    ``BlowupError`` stops the run at the first step whose w is not finite or
+    has a member's modal energy 1/2 sum mu_j |w_j|^2 above ten times its
+    largest over the five seed rows, checked once a block is stepped; the
+    limit is kept when a block is stepped again.
     """
     t1, delta, n_out = _extension_grid(trajs, t_final)
     if min(len(tr.times) for tr in trajs) < 5:
@@ -407,52 +408,63 @@ def extend_with_ab5(trajs: list, ops: SpatialOperators, forcing,
     members = _Members(ops, forcing, full, [tr.segments[-1][0] for tr in trajs])
     levels = DETECT * TOL * np.sqrt([_mode_energy(full.modal(tr.y0), full.mu)
                                      for tr in trajs])
-    # the output rows of the block so far, (steps, runs, width)
-    block = np.empty((min(n_out, EXTENSION_BLOCK), len(trajs), members.width), complex)
+
+    def buffers(width):
+        """The block's z and w (as the float view AB5 steps): rows 0-4 its
+        start history, steps j0 - 4..j0, then its output rows."""
+        z, w = np.zeros((2, 5 + min(n_out, EXTENSION_BLOCK), len(trajs), width), complex)
+        return z, w.view(float)
 
     # AB5 counts time in steps j = (t - t1)/delta, so that every phase is
     # taken at an exact multiple of delta; in these units w' = delta * g.
-    # (j delta)(-i omega) rounds as -i (j delta omega): Propagator.phases' values
+    # Row r of the block's tables is step j0 - 4 + r: (j delta)(-i omega)
+    # rounds as -i (j delta omega), Propagator.phases' values
     def rhs(j, y):
-        phase = np.exp((j * delta) * members.neg_i_omega)
-        z = phase * y.view(complex)
-        if j > 0:
-            # ab5_step evaluates each new step j once: its output row
-            block[(int(j) - 1) % EXTENSION_BLOCK] = z
-        return (1j * delta * phase.conj() * members.at(z)).view(float)
+        r = int(j) - j0 + 4
+        z = np.multiply(phases[r], y.view(complex), out=block[r])
+        return (twins[r] * members.at(z)).view(float)
 
-    def norm(y):
+    def energies(y):
         return (y * y * members.half_mu).sum(axis=-1)
 
     steps = np.arange(-4.0, 1.0)
-    z0 = np.zeros((5, len(trajs), members.width), complex)
+    block, ws = buffers(members.width)
     for i, (tr, active) in enumerate(zip(trajs, members.actives)):
-        z0[:, i, :len(active)] = tr.amplitudes(len(tr.times) - 5, len(tr.times))[:, active]
-    w = np.exp(1j * delta * steps[:, None, None] * members.omega) * z0
-    ab = ab5_init(steps, w.view(float), rhs, norm_fn=norm)
-    limit = ab.norm_limit
+        block[:5, i, :len(active)] = tr.amplitudes(len(tr.times) - 5, len(tr.times))[:, active]
+    ws[:5] = (np.exp(1j * delta * steps[:, None, None] * members.omega) * block[:5]).view(float)
+    limit = ab = None
     for j0 in range(0, n_out, EXTENSION_BLOCK):
         c = min(EXTENSION_BLOCK, n_out - j0)
-        # the block's start history, to step it again from
-        times, history = list(ab.times), np.array(ab.ys).view(complex)
         picks = np.linspace(0, c - 1, _DETECT_ROWS).round().astype(int)
         while True:
-            try:
-                for _ in range(c):
-                    ab5_step(ab)
-            except BlowupError:
-                # AB5 counts steps j; the failing one is at t1 + j delta
-                raise blowup_at(t1 + (ab.times[-1] + 1) * delta) from None
-            actives = members.widened(block[picks], levels)
+            phases = np.exp((np.arange(j0 - 4.0, j0 + c + 1.0) * delta)[:, None, None]
+                            * members.neg_i_omega)
+            twins = (1j * delta) * phases.conj()
+            if ab is None:   # the first block, or one stepped again on wider modes
+                ab = ab5_init(steps + j0, ws[:5], rhs, norm_fn=energies)
+                limit = ab.norm_limit if limit is None else limit
+                # held to the seeds' limit below, once per block
+                ab.norm_fn, ab.norm_limit = None, limit
+            # the guard reads the block's rows once it is stepped, so a
+            # blow-up may overflow on the way to the block's end
+            with np.errstate(over="ignore", invalid="ignore"):
+                for r in range(5, 5 + c):
+                    ws[r] = ab5_step(ab)
+                bad = ((energies(ws[5:5 + c]) > limit)
+                       | ~np.isfinite(ws[5:5 + c]).all(axis=-1)).any(axis=1)
+            if bad.any():
+                raise blowup_at(t1 + (j0 + 1 + bad.argmax()) * delta)
+            actives = members.widened(block[5 + picks], levels)
             if actives is None:
                 break
             wider = _Members(ops, forcing, full, actives, members)
-            block, history = wider.place(members, block), wider.place(members, history)
-            members = wider   # the narrower models are freed here
-            ab = ab5_init(times, history.view(float), rhs, norm_fn=norm)
-            ab.norm_limit = limit
-        observe(j0, [(active, block[:c, i, :len(active)])
+            history = wider.place(members, ws[:5].view(complex))
+            members, ab = wider, None   # the narrower models are freed here
+            block, ws = buffers(members.width)
+            ws[:5] = history.view(float)
+        observe(j0, [(active, block[5:5 + c, i, :len(active)])
                      for i, active in enumerate(members.actives)])
+        ws[:5] = ws[c:c + 5]
 
 
 def modal_norms(prop: Propagator, modes, z: np.ndarray) -> tuple:

@@ -8,7 +8,9 @@ closed-form single-mode solution with viscous damping.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -53,7 +55,9 @@ class ModalTrajectory:
     propagator: Propagator
 
     def __post_init__(self):
-        if len(self.times) != 1 + sum(len(z) - 1 for _, z in self.segments):
+        # each window's first row, its z[0]
+        self._firsts = list(accumulate((len(z) - 1 for _, z in self.segments), initial=0))
+        if len(self.times) != 1 + self._firsts.pop():
             raise ValueError("times/segments length mismatch")
 
     @property
@@ -69,12 +73,14 @@ class ModalTrajectory:
                              f"0..{len(self.times) - 1}")
         if start == 0 < stop:
             yield np.arange(len(self.propagator.omega)), 0, 1, self.propagator.modal(self.y0)[None]
-        first = 0     # the row a window starts from, its z[0]
-        for modes, z in self.segments:
+        # from the window that holds row start, to the one that holds stop - 1
+        for w in range(max(bisect_left(self._firsts, start) - 1, 0), len(self.segments)):
+            first = self._firsts[w]
+            if max(start, first + 1) >= stop:
+                break
+            modes, z = self.segments[w]
             i, j = max(start, first + 1), min(stop, first + len(z))
-            if i < j:
-                yield modes, i, j, z[i - first:j - first]
-            first += len(z) - 1
+            yield modes, i, j, z[i - first:j - first]
 
     def amplitudes(self, start: int, stop: int) -> np.ndarray:
         """The amplitudes of rows ``start``..``stop``-1 on every mode, zero

@@ -20,6 +20,8 @@ from .linwave import Trajectory
 
 # newest-first weights of y_{n+1} = y_n + delta * sum_i w_i g_{n-i}
 AB5_COEFFS = np.array([1901.0, -2774.0, 2616.0, -1274.0, 251.0]) / 720.0
+# row s: the weights in the order of a ring of slopes whose oldest is at s
+_RING_COEFFS = np.array([np.roll(AB5_COEFFS[::-1], s) for s in range(5)])
 
 
 class BlowupError(RuntimeError):
@@ -34,15 +36,22 @@ def blowup_at(t: float) -> BlowupError:
 
 @dataclass(eq=False)
 class ABState:
-    """Ring buffer of the last five (t, y, g) triples plus blow-up guards."""
+    """The newest (t, y), the last five slopes as a ring whose oldest, at
+    ``slot``, the next step overwrites, and blow-up guards: without
+    ``norm_fn`` the caller holds the states to ``norm_limit`` itself."""
 
     delta: float
     rhs: object
-    times: list
-    ys: list
-    gs: list
+    t: float
+    y: np.ndarray
+    ring: np.ndarray                # (5,) + y.shape, oldest slope at ``slot``
+    slot: int = 0
     norm_fn: object = None
     norm_limit: object = np.inf     # a float, or one limit per batch member
+
+    def __post_init__(self):
+        # a step is y + weights[slot] @ ring: delta * AB5_COEFFS in ring order
+        self.flat, self.weights = self.ring.reshape(5, -1), self.delta * _RING_COEFFS
 
 
 BLOWUP_FACTOR = 10.0
@@ -66,31 +75,29 @@ def ab5_init(times, states, rhs, norm_fn=None) -> ABState:
     if delta <= 0 or not np.allclose(gaps, delta, rtol=1e-9, atol=1e-12):
         raise ValueError("history points must be uniformly spaced")
     ys = [np.asarray(y, dtype=float) for y in states]
-    gs = [np.asarray(rhs(t, y), dtype=float) for t, y in zip(times, ys)]
+    ring = np.array([np.asarray(rhs(t, y), dtype=float) for t, y in zip(times, ys)])
     if norm_fn is None:
         norm_fn = lambda y: float(np.linalg.norm(y))
     limit = BLOWUP_FACTOR * np.maximum.reduce([norm_fn(y) for y in ys])
     # [()] keeps one limit a scalar, which ab5_step compares faster
     limit = np.where(limit > 0, limit, np.inf)[()]
-    return ABState(delta=delta, rhs=rhs, times=list(times), ys=ys, gs=gs,
+    return ABState(delta=delta, rhs=rhs, t=times[-1], y=ys[-1], ring=ring,
                    norm_fn=norm_fn, norm_limit=limit)
 
 
 def ab5_step(state: ABState) -> np.ndarray:
-    """Advance one step; the buffer is rotated in place and the new y returned."""
-    g = state.gs
-    y = state.ys[-1] + state.delta * (
-        AB5_COEFFS[0] * g[-1] + AB5_COEFFS[1] * g[-2] + AB5_COEFFS[2] * g[-3]
-        + AB5_COEFFS[3] * g[-4] + AB5_COEFFS[4] * g[-5])
-    t = state.times[-1] + state.delta
+    """Advance one step; the oldest slope is overwritten and the new y returned."""
+    slot = state.slot
+    y = state.y + (state.weights[slot] @ state.flat).reshape(state.y.shape)
+    t = state.t + state.delta
     # ufuncs and array methods: np.all and np.any add a wrapper call on
     # every step; np.greater also gives an array for a float norm and limit
-    if (not np.isfinite(y).all()
+    if state.norm_fn is not None and (
+            not np.isfinite(y).all()
             or np.greater(state.norm_fn(y), state.norm_limit).any()):
         raise blowup_at(t)
-    state.times.append(t); state.times.pop(0)
-    state.ys.append(y); state.ys.pop(0)
-    state.gs.append(np.asarray(state.rhs(t, y), dtype=float)); state.gs.pop(0)
+    state.ring[slot] = state.rhs(t, y)
+    state.t, state.y, state.slot = t, y, (slot + 1) % 5
     return y
 
 

@@ -201,7 +201,8 @@ def rk4_ansatz(problems, t_final: float, step: float, store_stride: int = 1, *,
     calls ``observe(i0, phi, psi)`` with the class amplitudes phi = Re z /
     k pi and psi = Im z of the block, fresh (steps, classes) arrays.
 
-    A state that stops being finite raises ``FloatingPointError``.
+    A state that stops being finite raises ``FloatingPointError``, checked
+    once per block and naming the block's first non-finite stored step.
     """
     batch = list(problems)
     if not batch:
@@ -220,16 +221,18 @@ def rk4_ansatz(problems, t_final: float, step: float, store_stride: int = 1, *,
 
     def store(i, z):
         i //= store_stride
-        if not np.isfinite(z).all():
-            ks = ", ".join(str(p.k) for p, part in zip(batch, np.split(z, offsets[1:-1]))
-                           if not np.isfinite(part).all())
-            raise FloatingPointError(
-                f"reference solution for k={ks} is not finite at "
-                f"t={i * step * store_stride:g}; reduce the step or the damping")
         j = i % _OBSERVE_BLOCK
         block[j] = z
         if j == len(block) - 1 or i == n_stored:
-            observe(i - j, block[:j + 1].real / omega, block[:j + 1].imag.copy())
+            rows = block[:j + 1]
+            if not np.isfinite(rows).all():   # named at its first bad row
+                r = np.isfinite(rows).all(axis=1).argmin()
+                ks = ", ".join(str(p.k) for p, part in zip(batch, np.split(rows[r], offsets[1:-1]))
+                               if not np.isfinite(part).all())
+                raise FloatingPointError(
+                    f"reference solution for k={ks} is not finite at "
+                    f"t={(i - j + r) * step * store_stride:g}; reduce the step or the damping")
+            observe(i - j, rows.real / omega, rows.imag.copy())
 
     # a blow-up is reported by ``store``, not through overflow warnings
     with np.errstate(over="ignore", invalid="ignore"):

@@ -311,25 +311,36 @@ class _Triads:
 
     def at(self, z: np.ndarray, off: bool = False) -> np.ndarray:
         """The sine coefficients g on J (``off`` if ``off``) of the amplitude rows ``z``."""
+        return self._load(z.real / self.prop.omega, z.imag, off)
+
+    def _load(self, a: np.ndarray, b: np.ndarray, off: bool) -> np.ndarray:
+        """``at`` of the rows a = Re z / omega and b = Im z."""
         c, cols = ((self.off_coefficients, len(self.off)) if off
                    else (self.on, len(self.active)))
-        a, b = z.real / self.prop.omega, z.imag
         x = self.forcing.squared(a, b)
         pairs = x[:, self.p] * x[:, self.q]
-        return np.matmul(b[:, None, :], (pairs @ c).reshape(len(z), b.shape[1], cols))[:, 0]
+        return np.matmul(b[:, None, :], (pairs @ c).reshape(len(b), b.shape[1], cols))[:, 0]
 
     def abscissae(self, grid: np.ndarray, off: bool = False) -> np.ndarray:
         """``at`` every abscissa of the amplitude rows ``grid`` (of a single
-        row, that row's), a block of whole steps and at most ``_TRIAD_BLOCK``
-        products at a time; ``grid`` is kept for ``off_blocks``."""
+        row, that row's); ``grid`` is kept for ``off_blocks``.  Within a step
+        a and b are linear in theta and the load is a cubic, so it is loaded
+        at theta = 0, 1/4, 3/4 and the window's end, at most ``_TRIAD_BLOCK``
+        products at a time, and g(1/2) = 2/3 (g(1/4) + g(3/4)) - (g(0) + g(1))/6."""
         self.last = grid
-        r, j = len(BOOLE_WEIGHTS) - 1, len(self.active)
-        rows, cols = r * (len(grid) - 1) + 1, len(self.off) if off else j
-        per = r * max(1, min(len(grid) - 1, _TRIAD_BLOCK // (r * max(1, j * cols))))
-        out = np.empty((rows, cols))
-        # the last block adds the window's end
-        for block in np.split(np.arange(rows), range(per, rows - 1, per)):
-            out[block] = self.at(_at_abscissae(grid, block), off)
+        if len(grid) == 1:
+            return self.at(grid, off)
+        r, cols = len(BOOLE_WEIGHTS) - 1, len(self.off) if off else len(self.active)
+        theta = np.array([0.25, 0.75])[:, None, None]
+        # the rows at the step ends, then at theta = 1/4 of each step, then 3/4
+        a, b = (np.concatenate([x, *((1.0 - theta) * x[:-1] + theta * x[1:])])
+                for x in (grid.real / self.prop.omega, grid.imag))
+        per = max(1, _TRIAD_BLOCK // max(1, len(self.active) * cols))
+        g = np.concatenate([self._load(a[s:s + per], b[s:s + per], off)
+                            for s in range(0, len(a), per)])
+        out = np.empty((r * (len(grid) - 1) + 1, cols))
+        out[::r], out[1::r], out[3::r] = np.split(g, [len(grid), 2 * len(grid) - 1])
+        out[2::r] = 2.0 / 3.0 * (out[1::r] + out[3::r]) - (out[:-1:r] + out[r::r]) / 6.0
         return out
 
     def off_blocks(self):

@@ -298,7 +298,7 @@ def extend_on_all_modes(trajs: list, ops, forcing, t_final: float, observe) -> N
             for _ in range(b):
                 ab5_step(ab)
         except BlowupError:
-            raise blowup_at(t1 + (ab.times[-1] + 1) * delta) from None
+            raise blowup_at(t1 + (ab.t + 1) * delta) from None
         observe(j0, block[:, :b])
 
 

@@ -244,7 +244,7 @@ class TestCriterion5SchemeOrders:
             rhs = lambda t, y: -y
             times = d * np.arange(5)
             state = ab5_init(times, [np.array([np.exp(-t)]) for t in times], rhs)
-            y = state.ys[-1]
+            y = state.y
             for _ in range(int(round(4.0 / d)) - 4):
                 y = ab5_step(state)
             return abs(y[0] - np.exp(-4.0))

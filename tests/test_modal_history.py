@@ -12,8 +12,8 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from degenwave import (EnergyTrace, PicardConfig, assemble, frequency_sweep,
-                       mesh_from_h, picard, picard_solve)
+from degenwave import (EnergyTrace, ModalTrajectory, PicardConfig, assemble,
+                       frequency_sweep, mesh_from_h, picard, picard_solve)
 from degenwave.experiments import mode_initial_state
 from reference import nodal_blocks, nodal_energy_trace, nodal_rows, nodal_trajectory
 
@@ -118,6 +118,54 @@ def test_a_prefix_keeps_its_rows():
     np.testing.assert_array_equal(head.times, traj.times[:8])
     np.testing.assert_array_equal(head.amplitudes(0, 8), traj.amplitudes(0, 8))
     assert len(head.segments) == 2 and len(head.segments[1][1]) == 3
+
+
+def test_windows_start_at_the_window_of_start():
+    # ten windows of 5 steps: every read gives what a scan from the first
+    # window gives, and touches (the length or the rows of) only the
+    # windows it yields
+    ops = operators()
+    traj = picard_solve(ops, mode_initial_state(ops, 1).y0,
+                        PicardConfig(t_final=0.1, delta=DELTA,
+                                     window=5 * DELTA)).trajectory
+    touched = []
+
+    class Watched(np.ndarray):
+        def __len__(self):
+            touched.append(self.window)
+            return super().__len__()
+
+        def __getitem__(self, key):
+            touched.append(self.window)
+            return np.asarray(self)[key]
+
+    segments = []
+    for w, (modes, z) in enumerate(traj.segments):
+        segments.append((modes, z.view(Watched)))
+        segments[-1][1].window = w
+    watched = ModalTrajectory(traj.times, traj.y0, segments, traj.propagator)
+
+    def scan(start, stop):
+        if start == 0 < stop:
+            yield np.arange(ops.mesh.n), 0, 1, traj.propagator.modal(traj.y0)[None]
+        first = 0
+        for modes, z in traj.segments:
+            i, j = max(start, first + 1), min(stop, first + len(z))
+            if i < j:
+                yield modes, i, j, z[i - first:j - first]
+            first += len(z) - 1
+
+    assert len(traj.segments) == 10 and len(traj.times) == 51
+    for start in range(52):
+        for stop in range(start, 52):
+            touched.clear()
+            got = list(watched.windows(start, stop))
+            want = list(scan(start, stop))
+            assert [(i, j) for _, i, j, _ in got] == [(i, j) for _, i, j, _ in want]
+            for (modes, _, _, z), (expected, _, _, rows) in zip(got, want):
+                np.testing.assert_array_equal(modes, expected)
+                np.testing.assert_array_equal(np.asarray(z), rows)
+            assert set(touched) == {(i - 1) // 5 for _, i, _, _ in got if i > 0}, (start, stop)
 
 
 def test_history_rows_cost_their_active_modes():

@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -14,6 +15,7 @@ from degenwave.experiments import (EXTENSION_BLOCK, EnergyTrace,
                                    extend_traces, extend_with_ab5,
                                    frequency_sweep, modal_norms,
                                    mode_initial_state, primitive_setup)
+from degenwave.multistep import blowup_at
 from degenwave.picard import _NodalLoad, _Triads, load_model
 from extension_helpers import extended
 from reference import (dense_mass, dense_stiffness, extend_on_all_modes, h1_norm,
@@ -69,7 +71,9 @@ class TestAB5Basics:
         # dense reference (v, -M^{-1} K u); on the smooth mode K u cancels
         # terms of size 1/h, so it agrees with the modal route to ~2e-12
         mass, stiff = dense_mass(ops99), dense_stiffness(ops99)
-        for t, y, g in zip(state.times, state.ys, state.gs):
+        # the ring holds the five slopes oldest first
+        assert state.slot == 0
+        for y, g in zip(traj.states[-5:], state.ring):
             u, v = y[:99], y[99:]
             dense = np.concatenate([v, -np.linalg.solve(mass, stiff @ u)])
             np.testing.assert_allclose(g, dense, rtol=0, atol=1e-11)
@@ -99,8 +103,8 @@ class TestAB5Basics:
         rhs = lambda t, y: -y
         times = 0.01 * np.arange(5)
         ys = [np.array([np.exp(-t)]) for t in times]
-        state = ABState(delta=0.01, rhs=rhs, times=list(times), ys=ys,
-                        gs=[rhs(t, y) for t, y in zip(times, ys)],
+        state = ABState(delta=0.01, rhs=rhs, t=times[-1], y=ys[-1],
+                        ring=np.array([rhs(t, y) for t, y in zip(times, ys)]),
                         norm_fn=lambda y: float(np.linalg.norm(y)))
         y = ab5_step(state)
         assert abs(y[0] - np.exp(-0.05)) < 1e-12
@@ -119,6 +123,52 @@ class TestAB5Basics:
         with pytest.raises(BlowupError):
             for _ in range(500):        # to t = 5
                 ab5_step(state)
+
+    @pytest.mark.parametrize("shape", [(1,), (7,), (4, 28)])
+    def test_ring_step_matches_the_five_scaled_adds(self, shape):
+        # y + (delta c_i in ring order) @ ring against
+        # y + delta (c_0 g_n + c_1 g_n-1 + ... + c_4 g_n-4), through every
+        # slot of the ring.  Each sum of the five terms a_i = delta c_i g_i
+        # is within gamma_6 A of the exact one, A = sum |a_i| (five products,
+        # four adds and one scaling, gamma_k = k eps / (1 - k eps)), and the
+        # add to y rounds by eps of its result, at most |y| + 2A; so the two
+        # steps differ by at most 2 gamma_6 A + 2 eps (|y| + 2A) entrywise
+        rng = np.random.default_rng(7)
+        delta, eps = 0.37, np.finfo(float).eps
+        gamma6 = 6 * eps / (1 - 6 * eps)
+        slopes = {}
+
+        def rhs(t, y):
+            return slopes.setdefault(round(t / delta), rng.standard_normal(shape)
+                                     * 10.0 ** rng.integers(-3, 4, shape))
+
+        times = delta * np.arange(5)
+        state = ab5_init(times, [rng.standard_normal(shape) for _ in times], rhs)
+        state.norm_fn = None
+        for n in range(4, 16):
+            y, g = state.y, [slopes[n - i] for i in range(5)]
+            terms = [delta * c * gi for c, gi in zip(AB5_COEFFS, g)]
+            adds = y + delta * (AB5_COEFFS[0] * g[0] + AB5_COEFFS[1] * g[1]
+                                + AB5_COEFFS[2] * g[2] + AB5_COEFFS[3] * g[3]
+                                + AB5_COEFFS[4] * g[4])
+            a = sum(np.abs(term) for term in terms)
+            tau = 2 * gamma6 * a + 2 * eps * (np.abs(y) + 2 * a)
+            step = ab5_step(state)
+            assert (np.abs(step - adds) <= tau).all(), n
+        assert state.slot == 12 % 5
+
+    def test_state_without_a_norm_is_not_guarded(self):
+        # e^t passes ten times its start and overflows, and ab5_step goes
+        # on: the caller holds such a state to its limit
+        rhs = lambda t, y: y
+        times = 0.5 * np.arange(5)
+        ys = [np.array([np.exp(t)]) for t in times]
+        state = ab5_init(times, ys, rhs)
+        state.norm_fn = None
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(2000):
+                y = ab5_step(state)
+        assert not np.isfinite(y).any()
 
 
 class TestExtendTrajectory:
@@ -326,6 +376,93 @@ class TestBatchedExtension:
         assert seeds[0].shape == (5, 1, len(active)) and 0 < len(active) < 99
         assert (np.delete(rows, active, axis=1) == 0.0).all()
         assert (seeds[0] != 0.0).all()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_row_trips_the_block_guard(self, ops99, picard_runs,
+                                                    monkeypatch, bad):
+        # the newest slope of step 100 turns non-finite, so w is from step
+        # 101 on; the guard reads the second block once it is stepped, and
+        # names its first bad row without a warning on the way
+        trajs, steps, seen = picard_runs[:2], [], []
+
+        def spoiled(state):
+            y = ab5_step(state)
+            steps.append(state.t)
+            if state.t == 100.0:
+                state.ring[(state.slot - 1) % 5][1, 3] = bad
+            return y
+
+        monkeypatch.setattr(experiments, "ab5_step", spoiled)
+        t1 = trajs[0].times[-1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowupError) as caught:
+                extend_with_ab5(trajs, ops99, DegenerateDamping(1.0, 1),
+                                t1 + 300 * 2e-3, lambda j0, block: seen.append(j0))
+        assert str(caught.value) == str(blowup_at(t1 + 101 * 2e-3))
+        assert seen == [0] and steps[-1] == 128.0
+
+    def test_phase_table_matches_the_per_step_phases(self, ops99, picard_runs,
+                                                     monkeypatch):
+        # every observed z and every slope equal those of the phases
+        # exp((j delta)(-i omega)) taken at step j, bit for bit, on each
+        # J the runs widen to
+        members, w, slopes = [], {}, {}
+
+        class Tracked(experiments._Members):
+            def __init__(self, *args):
+                super().__init__(*args)
+                members.append(self)
+
+        def recorded(state):
+            y = ab5_step(state)
+            # a block stepped again overwrites its first pass
+            w[state.t] = members[-1], y.view(complex).copy()
+            slopes[state.t] = state.ring[(state.slot - 1) % 5].copy()
+            return y
+
+        monkeypatch.setattr(experiments, "_Members", Tracked)
+        monkeypatch.setattr(experiments, "ab5_step", recorded)
+        observed = {}
+
+        def observe(j0, block):
+            for i in range(len(block[0][1])):
+                observed[j0 + i + 1.0] = [z[i].copy() for _, z in block]
+
+        delta = 2e-3
+        extend_with_ab5(picard_runs[:4], ops99, DegenerateDamping(1.0, 1), 6.1, observe)
+        assert len(members) > 1 and sorted(observed) == sorted(w)
+        for j, zs in observed.items():
+            m, wj = w[j]
+            phase = np.exp((j * delta) * m.neg_i_omega)
+            z = phase * wj
+            for i, active in enumerate(m.actives):
+                np.testing.assert_array_equal(zs[i], z[i, :len(active)])
+            np.testing.assert_array_equal(
+                slopes[j], (1j * delta * phase.conj() * m.at(z)).view(float))
+
+    def test_one_ab5_step_per_stepped_step(self, ops99, picard_runs,
+                                           monkeypatch):
+        # each block is stepped once, and once more for each widening of J
+        # in it; no other step reaches ab5_step
+        count, blocks, redone = [0], [], []
+
+        def counted(state):
+            count[0] += 1
+            return ab5_step(state)
+
+        class Tracked(experiments._Members):
+            def __init__(self, *args):
+                super().__init__(*args)
+                redone.append(len(blocks))
+
+        monkeypatch.setattr(experiments, "ab5_step", counted)
+        monkeypatch.setattr(experiments, "_Members", Tracked)
+        extend_with_ab5(picard_runs[:4], ops99, DegenerateDamping(1.0, 1), 6.1,
+                        lambda j0, block: blocks.append(len(block[0][1])))
+        n_out = round((6.1 - 0.2) / 2e-3)
+        assert sum(blocks) == n_out and len(redone) > 2
+        assert count[0] == n_out + sum(blocks[b] for b in redone[1:])
 
     def test_grids_must_be_shared(self, ops99, picard_runs):
         traj = picard_runs[0]

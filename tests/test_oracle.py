@@ -301,6 +301,34 @@ class TestBatchedLoop:
         with pytest.raises(FloatingPointError, match=r"k=2 is not finite"):
             oracle_solutions(problems, 0.1, 2e-3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_non_finite_state_named_at_its_first_stored_step(self, mesh99,
+                                                             monkeypatch, stride, bad):
+        # the state is checked once per observed block of 64 stored steps;
+        # the error still names the first stored step that is not finite
+        # (150, within the third block) and only the modes non-finite there
+        # (k = 2, not k = 1, bad at 170), and the blocks before it are observed
+        lawson = oracle._lawson_oscillators
+
+        def spoiled(omega, coeff, m, z0, h, nsteps, after, every=1):
+            def seen(i, z):
+                z = z.copy()
+                z[{150: -1, 170: 0}.get(i // stride, slice(0))] = bad
+                return after(i, z)
+            lawson(omega, coeff, m, z0, h, nsteps, seen, every)
+
+        monkeypatch.setattr(oracle, "_lawson_oscillators", spoiled)
+        problems = [make_problem(mesh99, k=1), make_problem(mesh99, k=2)]
+        blocks = []
+        with pytest.raises(FloatingPointError) as caught:
+            rk4_ansatz(problems, 0.4, 2e-3 / stride, stride,
+                       observe=lambda i0, phi, psi: blocks.append(i0))
+        assert str(caught.value) == (
+            f"reference solution for k=2 is not finite at t={150 * 2e-3:g}; "
+            "reduce the step or the damping")
+        assert blocks == [0, 64]
+
 
 def node_classes(k, n):
     """Each node's class q = min(kj mod N, N - kj mod N), j = 1..n, N = n + 1:

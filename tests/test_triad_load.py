@@ -69,6 +69,24 @@ def test_triads_equal_the_transformed_nodal_load(rng, n, active, forcing):
     assert set(t.off) - unfolded
 
 
+@pytest.mark.parametrize("nst", [1, 7, 500])
+@pytest.mark.parametrize("off", [False, True], ids=["on", "off"])
+@pytest.mark.parametrize("forcing", [DegenerateDamping(1.3, 1), PrimitiveDamping(0.7, 1)],
+                         ids=["uuv", "vvv"])
+def test_abscissae_load_three_rows_per_step(rng, forcing, off, nst):
+    # amplitudes linear in time give a cubic load within each step: the
+    # loads at theta = 0, 1/4, 3/4 and 1 fix the one at 1/2 exactly, so
+    # the triads' abscissae equal the load of every interpolated row to
+    # rounding; off J (26 modes) a 500-step window takes three blocks
+    ops, prop = operators(99)
+    t = triads(ops, prop, forcing, np.array([0, 2, 47, 48, 50]))
+    grid = rng.standard_normal((nst + 1, 5)) + 1j * rng.standard_normal((nst + 1, 5))
+    want = t.at(picard._at_abscissae(grid, np.arange(4 * nst + 1)), off)
+    got = t.abscissae(grid, off)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 4 * np.finfo(float).eps * np.abs(want).max()
+
+
 def first_window(monkeypatch, nodal: bool):
     if nodal:
         monkeypatch.setattr(picard, "_TRIAD_COST", 0)
